@@ -218,7 +218,10 @@ checkKneeDeterminism(std::string &kneeJson)
         std::printf("bench_svc_smoke: knee search identical at 1 and 4 "
                     "threads (%zu series)\n", serial.knees.size());
 
-    kneeJson = "[";
+    // clear + push_back: GCC 12 misreports operator=(const char *) on a
+    // by-reference string as an overlapping memcpy (-Wrestrict).
+    kneeJson.clear();
+    kneeJson.push_back('[');
     for (std::size_t i = 0; i < serial.knees.size(); ++i) {
         const exp::KneeEstimate &k = serial.knees[i];
         char buf[160];

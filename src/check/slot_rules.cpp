@@ -105,7 +105,7 @@ genericSvcSlotMask(RoutingKind kind, int port, int vcsPerPort, bool yxOrder,
     if (!classPartition ||
         port != static_cast<int>(Direction::Local))
         return genericSlotMask(kind, port, vcsPerPort, yxOrder);
-    // Service-mode injection partition: pullInjection() reserves the
+    // Service-mode injection partition: injectionVc() reserves the
     // last Local VC for replies (YX order) and the rest for requests
     // (XY order), extending the XYYX order split to the one port the
     // open-loop rule leaves shared.

@@ -4,9 +4,9 @@
  * packet may occupy, given how it arrives and where it is heading.
  *
  * These functions are the verification-side mirror of the routers'
- * private buffer-placement logic (RocoRouter::eligibleSlots, the
- * generic router's slotAllowed partition, the Path-Sensitive quadrant
- * pools).  Two independent verifiers consume them: the extended-CDG
+ * VC-allocation hooks (router/pipeline.h): RocoRouter::eligibleSlots,
+ * the generic router's slotAllowed partition and the Path-Sensitive
+ * quadrant pools of PathSensitiveRouter::downstreamSlots.  Two independent verifiers consume them: the extended-CDG
  * deadlock prover (check/deadlock.h) and the explicit-state liveness
  * model checker (model/micro_model.h), so a single definition keeps
  * both proofs aligned with each other and with the implementation.
@@ -104,7 +104,7 @@ std::uint64_t genericSlotMask(RoutingKind kind, int port, int vcsPerPort,
  * Service-mode variant: with the request/reply class partition in
  * force, the Local (injection) VCs are split by dimension order too —
  * replies (YX) own the last Local VC, requests (XY) the rest —
- * mirroring the generic router's svc-gated pullInjection() rule.
+ * mirroring the generic router's svc-gated injectionVc() rule.
  * Falls back to genericSlotMask when @p classPartition is off.
  */
 std::uint64_t genericSvcSlotMask(RoutingKind kind, int port, int vcsPerPort,

@@ -61,7 +61,8 @@ MicroModel::MicroModel(const Scenario &sc)
     }
     NOC_ASSERT(slotsPerNode_ <= 63, "slot id overflows packed field");
     for (const PacketSpec &p : sc_.packets)
-        NOC_ASSERT(p.src != p.dst && p.src < topo_.numNodes() &&
+        NOC_ASSERT(p.src != p.dst &&
+                       p.src < static_cast<NodeId>(topo_.numNodes()) &&
                        p.dst < static_cast<NodeId>(topo_.numNodes()),
                    "bad packet spec");
     for (const FaultSpec &f : sc_.faults)
@@ -277,7 +278,7 @@ MicroModel::enumerate(std::uint64_t s, std::vector<Transition> &out) const
         case Stage::Queued: {
             // Inject: claim an eligible injection slot whose planned
             // output survives the look-ahead fault filter (mirror of
-            // pullInjection's drop-or-buffer decision).
+            // RouterPipeline::pullInjection's drop-or-buffer decision).
             entryOptions(s, pkt, spec.src, Direction::Local, false, opts);
             std::uint64_t seen = 0;
             bool anyLive = false;

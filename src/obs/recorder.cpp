@@ -102,15 +102,15 @@ Recorder::record(Stage stage, const Flit &f, NodeId node, Cycle now,
     // Cursor ops are keyed by packet id; a packet's head is processed
     // by exactly one router per cycle, so concurrent shard workers
     // always act on *different* packets and the stripe locks only
-    // protect the table's bucket structure, never an ordering.
+    // protect each stripe's table structure, never an ordering.
+    const std::size_t stripe = mix(f.packetId) % kCursorStripes;
     std::unique_lock<std::mutex> lock;
-    if (stripes_) {
-        lock = std::unique_lock<std::mutex>(
-            stripes_[mix(f.packetId) % kCursorStripes]);
-    }
+    if (stripes_)
+        lock = std::unique_lock<std::mutex>(stripes_[stripe]);
 
-    auto it = cursors_.find(f.packetId);
-    if (it != cursors_.end()) {
+    auto &cursors = cursors_[stripe];
+    auto it = cursors.find(f.packetId);
+    if (it != cursors.end()) {
         // Close the open slice: the packet sat in the cursor's state
         // from the cursor's cycle until this event. The ring pushed to
         // belongs to this node or a neighbour, which the step schedule
@@ -130,17 +130,17 @@ Recorder::record(Stage stage, const Flit &f, NodeId node, Cycle now,
                                    f.dst, stage,
                                    static_cast<std::uint8_t>(track),
                                    static_cast<std::int16_t>(vcSlot)});
-        if (it != cursors_.end())
-            cursors_.erase(it);
+        if (it != cursors.end())
+            cursors.erase(it);
         return;
     }
 
     Cursor next{stage, now, node, static_cast<std::uint8_t>(track),
                 static_cast<std::int16_t>(vcSlot)};
-    if (it != cursors_.end())
+    if (it != cursors.end())
         it->second = next;
     else
-        cursors_.emplace(f.packetId, next);
+        cursors.emplace(f.packetId, next);
 }
 
 void

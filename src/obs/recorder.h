@@ -128,7 +128,9 @@ class Recorder
 
     Options opt_;
     std::vector<EventRing> rings_;
-    std::unordered_map<std::uint64_t, Cursor> cursors_;
+    /** Open cursors, one table per stripe: a table is only touched
+     *  under its stripe's lock, so two shards never mutate one table. */
+    std::unordered_map<std::uint64_t, Cursor> cursors_[kCursorStripes];
     /** One Summary per shard lane; lanes_[0] doubles as the serial
      *  summary (samplePathSetOccupancy always records there — it runs
      *  in the engine's single-threaded epilogue). */

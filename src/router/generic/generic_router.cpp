@@ -17,38 +17,17 @@ GenericRouter::GenericRouter(NodeId id, const SimConfig &cfg,
                              const MeshTopology &topo,
                              const RoutingAlgorithm &routing,
                              const FaultMap *faults)
-    : Router(id, cfg, topo, routing, faults),
-      numVcs_(cfg.vcsPerPort), depth_(cfg.bufferDepthGeneric),
+    : RouterPipeline(id, cfg, topo, routing, faults,
+                     VcLayout{cfg.vcsPerPort, cfg.bufferDepthGeneric,
+                              kNumPorts * cfg.vcsPerPort,
+                              /*perPortSlots=*/true,
+                              kNumPorts * cfg.vcsPerPort}),
       svcInjPartition_(svc::classPartitionActive(cfg)),
       xbar_(kNumPorts, kNumPorts), ejectPipe_(cfg.hopDelay - 1)
 {
-    // Carve every VC's flit slots and packet-control records out of two
-    // contiguous arenas sized once for the router's lifetime.
-    const int nVc = kNumPorts * numVcs_;
-    flitPool_.resize(static_cast<size_t>(nVc) * depth_);
-    ctlPool_.resize(static_cast<size_t>(nVc) * (depth_ + 1));
-    in_.reserve(static_cast<size_t>(nVc));
-    for (int i = 0; i < nVc; ++i) {
-        in_.emplace_back(&flitPool_[static_cast<size_t>(i) * depth_],
-                         depth_,
-                         &ctlPool_[static_cast<size_t>(i) * (depth_ + 1)],
-                         depth_ + 1);
-    }
-    order_.resize(in_.size());
-
-    initOutputVcs(numVcs_, depth_);
     localOut_.assign(static_cast<size_t>(numVcs_), OutputVc{});
     for (auto &o : localOut_)
         o.credits = kInfiniteCredits;
-
-    vaReqs_.reserve(static_cast<size_t>(kNumPorts) * numVcs_);
-    vaMasks_.assign(static_cast<size_t>(kNumPorts) * numVcs_, 0);
-
-    // One VA arbiter per output VC slot (5 ports x v), each choosing
-    // among the 5v input VCs.
-    vaArb_.reserve(static_cast<size_t>(kNumPorts) * numVcs_);
-    for (int i = 0; i < kNumPorts * numVcs_; ++i)
-        vaArb_.emplace_back(kNumPorts * numVcs_);
 
     saPort_.reserve(kNumPorts);
     saOut_.reserve(kNumPorts);
@@ -61,20 +40,8 @@ GenericRouter::GenericRouter(NodeId id, const SimConfig &cfg,
 int
 GenericRouter::bufferedFlits() const
 {
-    int n = 0;
-    for (const InputVc &v : in_)
-        n += v.buf.occupancy();
-    n += static_cast<int>(ejectPipe_.inFlight());
-    return n;
-}
-
-int
-GenericRouter::inputVcOccupancy(Direction fromDir, int slotId) const
-{
-    NOC_ASSERT(slotId >= 0 && slotId < numVcs_, "input VC slot range");
-    // Classic per-link VC state: slot ids on the wire are per-port VC
-    // indices, so occupancy attribution is direct.
-    return vc(static_cast<int>(fromDir), slotId).buf.occupancy();
+    return Router::bufferedFlits() +
+           static_cast<int>(ejectPipe_.inFlight());
 }
 
 OutputVc &
@@ -85,35 +52,14 @@ GenericRouter::outSlot(Direction d, int slot)
     return outputVc(d, slot);
 }
 
-int
-GenericRouter::slotCredits(Direction d, int slot) const
-{
-    if (d == Direction::Local)
-        return localOut_[static_cast<size_t>(slot)].credits;
-    return outputVc(d, slot).credits;
-}
-
 void
-GenericRouter::step(Cycle now)
+GenericRouter::beginCycle(Cycle now)
 {
-    if (nodeDead())
-        return; // off-line: no receive, no credits, full backpressure
-
     xbar_.beginCycle();
-    receiveCredits(now, [this](Direction d, std::uint8_t vcId) {
-        OutputVc &o = outputVc(d, vcId);
-        ++o.credits;
-        NOC_ASSERT(o.credits <= depth_, "credit overflow");
-    });
     while (auto f = ejectPipe_.receive(now)) {
         noteFlitUnbuffered(); // ST pipe counts as buffered work
         nic_->deliverFlit(*f, now);
     }
-    receiveFlits(now);
-    pullInjection(now);
-    drainDropped(now);
-    allocateVcs(now);
-    allocateSwitch(now);
 }
 
 bool
@@ -135,136 +81,28 @@ GenericRouter::permanentlyBlocked(const Flit &head) const
     return true;
 }
 
-void
-GenericRouter::drainDropped(Cycle now)
+int
+GenericRouter::injectionVc(const Flit &head, Direction &)
 {
-    // One flit per VC per cycle drains a discarded packet, freeing its
-    // buffer slots (and upstream credits) like a normal traversal.
-    if (dropPending_ == 0)
-        return;
-    for (int p = 0; p < kNumPorts; ++p) {
-        for (int v = 0; v < numVcs_; ++v) {
-            InputVc &ivc = vc(p, v);
-            if (ivc.ctl.empty() ||
-                ivc.ctl.front().stage != PacketCtl::Stage::Drop) {
-                continue;
-            }
-            if (ivc.buf.empty() ||
-                ivc.buf.front().packetId != ivc.ctl.front().owner) {
-                continue;
-            }
-            Flit f = ivc.buf.pop(); // noc-lint:allow(flit-copy) retire path, flit leaves the network
-            noteFlitUnbuffered();
-            retireFlit(f, now);
-            NOC_OBS(if (obs_ && isHead(f.type))
-                        obs_->record(obs::Stage::Drop, f, id(), now, 0,
-                                     p * numVcs_ + v));
-            if (p != static_cast<int>(Direction::Local)) {
-                sendCredit(static_cast<Direction>(p),
-                           static_cast<std::uint8_t>(v), now);
-            }
-            if (isTail(f.type)) {
-                ivc.ctl.pop_front();
-                --dropPending_;
-            }
-        }
-    }
-}
-
-void
-GenericRouter::acceptFlit(int portIdx, const Flit &f, Cycle now)
-{
-    InputVc &v = vc(portIdx, f.vc);
-    ++act_.bufferWrites;
-    NOC_OBS(if (obs_) obs_->record(obs::Stage::BufferWrite, f, id(), now,
-                                   0, portIdx * numVcs_ + f.vc));
-    order_[static_cast<size_t>(portIdx * numVcs_ + f.vc)].onFlit(
-        f, now, id(), static_cast<Direction>(portIdx), f.vc);
-    if (isHead(f.type)) {
-        PacketCtl ctl;
-        ctl.owner = f.packetId;
-        ctl.srcDir = static_cast<Direction>(portIdx);
-        v.ctl.push_back(ctl);
-        ++act_.rcComputations; // RC as the head is latched (stage 1)
-    }
-    NOC_ASSERT(!v.ctl.empty() && v.ctl.back().owner == f.packetId,
-               "flit interleaving within a VC");
-    v.buf.push(f);
-    noteFlitBuffered();
-}
-
-void
-GenericRouter::receiveFlits(Cycle now)
-{
-    for (int d = 0; d < kNumCardinal; ++d) {
-        if (const Flit *f = peekFlitFrom(d, now)) {
-            acceptFlit(d, *f, now);
-            consumeFlitFrom(d);
-        }
-    }
-}
-
-void
-GenericRouter::pullInjection(Cycle now)
-{
-    if (!nicHasPending())
-        return;
-    const Flit &front = nicPeekPending();
+    // Claim a completely idle injection VC for the new packet.
+    // Under the service-mode class partition the claimable range
+    // splits by dimension order: replies (YX) own the last Local
+    // VC, requests (XY) the rest — the injection half of the
+    // prover's end-to-end partition argument.
     const int local = static_cast<int>(Direction::Local);
-
-    // Discard packets that can never leave the source (fault-blocked).
-    if (front.packetId == droppingPacket_) {
-        Flit f = nicPopPending(); // noc-lint:allow(flit-copy) source-drop retire
-        retireFlit(f, now);
-        if (isTail(f.type))
-            droppingPacket_ = 0;
-        return;
+    int lo = 0;
+    int hi = numVcs_;
+    if (svcInjPartition_) {
+        if (head.yxOrder)
+            lo = numVcs_ - 1;
+        else
+            hi = numVcs_ - 1;
     }
-    if (isHead(front.type) && permanentlyBlocked(front)) {
-        Flit f = nicPopPending(); // noc-lint:allow(flit-copy) source-drop retire
-        retireFlit(f, now);
-        NOC_OBS(if (obs_)
-                    obs_->record(obs::Stage::Drop, f, id(), now));
-        if (!isTail(f.type))
-            droppingPacket_ = f.packetId;
-        return;
+    for (int v = lo; v < hi; ++v) {
+        if (vc(local, v).ctl.empty())
+            return inIndex(Direction::Local, v);
     }
-
-    int target = -1;
-    if (isHead(front.type)) {
-        // Claim a completely idle injection VC for the new packet.
-        // Under the service-mode class partition the claimable range
-        // splits by dimension order: replies (YX) own the last Local
-        // VC, requests (XY) the rest — the injection half of the
-        // prover's end-to-end partition argument.
-        int lo = 0;
-        int hi = numVcs_;
-        if (svcInjPartition_) {
-            if (front.yxOrder)
-                lo = numVcs_ - 1;
-            else
-                hi = numVcs_ - 1;
-        }
-        for (int v = lo; v < hi && target < 0; ++v) {
-            if (vc(local, v).ctl.empty())
-                target = v;
-        }
-    } else {
-        for (int v = 0; v < numVcs_ && target < 0; ++v) {
-            const InputVc &ivc = vc(local, v);
-            if (!ivc.ctl.empty() &&
-                ivc.ctl.back().owner == front.packetId) {
-                target = v;
-            }
-        }
-        NOC_ASSERT(target >= 0, "body flit lost its injection VC");
-    }
-    if (target < 0 || vc(local, target).buf.full())
-        return; // injection stalls this cycle
-
-    Flit f = nicPopPending(); // noc-lint:allow(flit-copy) per-hop copy at injection
-    f.vc = static_cast<std::uint8_t>(target);
-    acceptFlit(local, f, now);
+    return -1;
 }
 
 bool
@@ -309,13 +147,13 @@ GenericRouter::pickVcRequest(const Flit &head, Direction &dirOut,
         for (int s = 0; s < slots; ++s) {
             if (!slotAllowed(d, s, head))
                 continue;
-            if (outSlot(d, s).busy)
+            const OutputVc &o = outSlot(d, s);
+            if (o.busy)
                 continue;
-            int credits = slotCredits(d, s);
             // Adaptive selection: most free credits wins; ties keep
             // the routing function's preferred (earlier) direction.
-            if (credits > bestCredits) {
-                bestCredits = credits;
+            if (o.credits > bestCredits) {
+                bestCredits = o.credits;
                 dirOut = d;
                 slotOut = s;
             }
@@ -324,67 +162,17 @@ GenericRouter::pickVcRequest(const Flit &head, Direction &dirOut,
     return slotOut >= 0;
 }
 
-void
-GenericRouter::allocateVcs(Cycle now)
+GenericRouter::VaPick
+GenericRouter::requestVc(const PacketCtl &, const Flit &head,
+                         VaRequest &req)
 {
-    // Input-first separable VA: every waiting head picks one candidate
-    // output VC, then each contested output VC arbitrates (Figure 2a).
-    // Request mask per output VC: key = dir * numVcs_ + slot. Both
-    // scratch buffers are members (vaMasks_ re-zeroes itself: every
-    // set key is cleared when its arbitration below fires).
-    std::vector<VaRequest> &reqs = vaReqs_;
-    std::vector<std::uint64_t> &masks = vaMasks_;
-    reqs.clear();
-
-    for (int i = 0; i < kNumPorts * numVcs_; ++i) {
-        InputVc &ivc = in_[static_cast<size_t>(i)];
-        if (!ivc.headWaiting())
-            continue;
-        const Flit &head = ivc.buf.front();
-        if (permanentlyBlocked(head)) {
-            ivc.ctl.front().stage = PacketCtl::Stage::Drop;
-            ++dropPending_;
-            continue;
-        }
-        Direction dir;
-        int slot;
-        ++act_.vaLocalArbs;
-        if (!pickVcRequest(head, dir, slot))
-            continue;
-        size_t key =
-            static_cast<size_t>(static_cast<int>(dir)) * numVcs_ + slot;
-        masks[key] |= 1ull << i;
-        reqs.push_back({i, dir, slot});
-    }
-
-    for (const VaRequest &r : reqs) {
-        size_t key =
-            static_cast<size_t>(static_cast<int>(r.dir)) * numVcs_ +
-            r.slot;
-        if (masks[key] == 0)
-            continue; // this output VC already granted this cycle
-        ++act_.vaGlobalArbs;
-        int winner = vaArb_[key].arbitrate(masks[key]);
-        NOC_ASSERT(winner >= 0, "VA arbiter returned no winner");
-        masks[key] = 0;
-
-        InputVc &ivc = in_[static_cast<size_t>(winner)];
-        PacketCtl &ctl = ivc.ctl.front();
-        // The winner's request is the (dir, slot) of this key: all
-        // requesters of one key asked for the same output VC.
-        ctl.stage = PacketCtl::Stage::Active;
-        ctl.outDir = r.dir;
-        ctl.outSlot = r.slot;
-        ctl.vaGrantCycle = now;
-        NOC_OBS(if (obs_ && !ivc.buf.empty() &&
-                    ivc.buf.front().packetId == ctl.owner)
-                    obs_->record(obs::Stage::VaGrant, ivc.buf.front(),
-                                 id(), now, 0, winner));
-        OutputVc &o = outSlot(r.dir, r.slot);
-        NOC_ASSERT(!o.busy, "VA granted a busy output VC");
-        o.busy = true;
-        o.ownerPacket = ctl.owner;
-    }
+    // Input-first separable VA (Figure 2a): RC happens here, at the
+    // router holding the head, and picks one candidate output VC.
+    if (permanentlyBlocked(head))
+        return VaPick::Drop;
+    ++act_.vaLocalArbs;
+    return pickVcRequest(head, req.dir, req.slot) ? VaPick::Request
+                                                  : VaPick::Wait;
 }
 
 void
@@ -407,7 +195,7 @@ GenericRouter::allocateSwitch(Cycle now)
                 continue;
             if (ivc.buf.front().packetId != ctl.owner)
                 continue; // active packet's flits not buffered yet
-            if (slotCredits(ctl.outDir, ctl.outSlot) <= 0)
+            if (outSlot(ctl.outDir, ctl.outSlot).credits <= 0)
                 continue;
             if (ctl.vaGrantCycle == now && isHead(ivc.buf.front().type))
                 specMask |= 1ull << v;
@@ -468,45 +256,27 @@ GenericRouter::allocateSwitch(Cycle now)
             noteContention(rowInput, p != winPort);
         }
 
-        // Traverse.
-        InputVc &ivc = vc(winPort, stage1[winPort]);
-        PacketCtl ctl = ivc.ctl.front();
-        Flit f = ivc.buf.pop(); // noc-lint:allow(flit-copy) per-hop copy at traversal
-        noteFlitUnbuffered();
-        NOC_ASSERT(f.packetId == ctl.owner, "VC FIFO out of sync");
-        ++act_.bufferReads;
         xbar_.traverse(winPort, out);
-        ++act_.crossbarTraversals;
-        ++f.hops;
-
-        Direction outDir = static_cast<Direction>(out);
-        if (outDir == Direction::Local) {
-            NOC_ASSERT(f.dst == id(), "ejecting at the wrong node");
-            NOC_OBS(if (obs_)
-                        obs_->record(obs::Stage::SwitchTraverse, f, id(),
-                                     now, 0, f.vc));
-            ejectPipe_.send(f, now); // ST stage before the PE sees it
-            noteFlitBuffered(); // still local work until the pipe drains
-        } else {
-            f.vc = static_cast<std::uint8_t>(ctl.outSlot);
-            f.lookahead = Direction::Invalid; // generic: RC at next hop
-            sendFlit(outDir, f, now);
-            --outSlot(outDir, ctl.outSlot).credits;
-        }
-
-        // Return the freed buffer slot upstream (not for injection).
-        if (winPort != static_cast<int>(Direction::Local)) {
-            sendCredit(static_cast<Direction>(winPort),
-                       static_cast<std::uint8_t>(stage1[winPort]), now);
-        }
-
-        if (isTail(f.type)) {
-            OutputVc &o = outSlot(outDir, ctl.outSlot);
-            o.busy = false;
-            o.ownerPacket = 0;
-            ivc.ctl.pop_front();
-        }
+        commitTraversal(winPort * numVcs_ + stage1[winPort],
+                        static_cast<Direction>(out), now);
     }
+}
+
+void
+GenericRouter::forward(Direction outDir, const PacketCtl &ctl, Flit &f,
+                       Cycle now)
+{
+    if (outDir != Direction::Local) {
+        // The next hop recomputes RC: ctl.nextLa stays Invalid here.
+        RouterPipeline::forward(outDir, ctl, f, now);
+        return;
+    }
+    NOC_ASSERT(f.dst == id(), "ejecting at the wrong node");
+    NOC_OBS(if (obs_)
+                obs_->record(obs::Stage::SwitchTraverse, f, id(), now, 0,
+                             f.vc));
+    ejectPipe_.send(f, now); // ST stage before the PE sees it
+    noteFlitBuffered(); // still local work until the pipe drains
 }
 
 } // namespace noc

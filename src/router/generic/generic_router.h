@@ -21,65 +21,49 @@
 
 #include <vector>
 
-#include "check/invariant.h"
-#include "common/ring.h"
 #include "router/arbiter.h"
 #include "router/crossbar.h"
-#include "router/router.h"
-#include "router/vc_buffer.h"
+#include "router/pipeline.h"
 
 namespace noc {
 
-class GenericRouter : public Router
+class GenericRouter final : public RouterPipeline<GenericRouter>
 {
   public:
     GenericRouter(NodeId id, const SimConfig &cfg, const MeshTopology &topo,
                   const RoutingAlgorithm &routing, const FaultMap *faults);
 
-    NOC_PHASE_FN(step) void step(Cycle now) override;
     RouterArch arch() const override { return RouterArch::Generic; }
 
-    /** Occupancy across all input VCs (tests / drain detection). */
+    /** Input VCs plus flits in the switch-traversal ejection pipe. */
     int bufferedFlits() const override;
 
-    int inputVcOccupancy(Direction fromDir, int slotId) const override;
-
   private:
-    /** Views into the router's flit/ctl arenas (see RocoRouter). */
-    struct InputVc {
-        InputVc(Flit *fbase, int depth, PacketCtl *cbase, int ctlCap)
-            : buf(fbase, depth), ctl(cbase, ctlCap)
-        {}
+    friend class RouterPipeline<GenericRouter>;
 
-        VcBuffer buf;
-        RingView<PacketCtl> ctl; ///< per-packet state, front = active
+    // --- pipeline hooks (router/pipeline.h) -------------------------
 
-        /** True when the front packet's head awaits VC allocation. */
-        bool
-        headWaiting() const
-        {
-            return !ctl.empty() &&
-                   ctl.front().stage == PacketCtl::Stage::VaWait &&
-                   !buf.empty() && isHead(buf.front().type) &&
-                   buf.front().packetId == ctl.front().owner;
-        }
-    };
+    NOC_PHASE_FN(step) void beginCycle(Cycle now);
+    bool
+    injectionBlocked(const Flit &head) const
+    {
+        return permanentlyBlocked(head);
+    }
+    NOC_PHASE_FN(recv) int injectionVc(const Flit &head, Direction &);
+    NOC_PHASE_FN(alloc)
+    VaPick requestVc(const PacketCtl &, const Flit &head, VaRequest &req);
+    NOC_PHASE_FN(alloc) void allocateSwitch(Cycle now);
+    /** Output VC state, including the PE-side VCs behind Local. */
+    OutputVc &outSlot(Direction d, int slot);
+    /** Link traversal, or the ST pipe toward the PE for Local. */
+    NOC_PHASE_FN(send)
+    void forward(Direction outDir, const PacketCtl &ctl, Flit &f,
+                 Cycle now);
+
+    // --- generic policy ------------------------------------------------
 
     InputVc &vc(int port, int v) { return in_[port * numVcs_ + v]; }
-    const InputVc &
-    vc(int port, int v) const
-    {
-        return in_[port * numVcs_ + v];
-    }
 
-    NOC_PHASE_FN(recv) void receiveFlits(Cycle now);
-    NOC_PHASE_FN(recv) void pullInjection(Cycle now);
-    /** Buffer-write bookkeeping shared by link arrivals and injection. */
-    NOC_PHASE_FN(recv) void acceptFlit(int port, const Flit &f, Cycle now);
-    NOC_PHASE_FN(alloc) void allocateVcs(Cycle now);
-    NOC_PHASE_FN(alloc) void allocateSwitch(Cycle now);
-    /** Drains discarded (fault-blocked) packets, one flit per cycle. */
-    NOC_PHASE_FN(recv) void drainDropped(Cycle now);
     /** True when no minimal next hop can ever serve @p head. */
     bool permanentlyBlocked(const Flit &head) const;
 
@@ -93,12 +77,6 @@ class GenericRouter : public Router
     /** True when output @p slot at @p d may hold @p head. */
     bool slotAllowed(Direction d, int slot, const Flit &head) const;
 
-    /** Free credits behind (dir, slot); huge for the local port. */
-    int slotCredits(Direction d, int slot) const;
-    OutputVc &outSlot(Direction d, int slot);
-
-    int numVcs_;
-    int depth_;
     /**
      * Service-mode request/reply injection partition (src/svc): when
      * the class-VC partition is in force, the last Local VC is
@@ -107,14 +85,6 @@ class GenericRouter : public Router
      * every non-service configuration, so baselines are untouched.
      */
     bool svcInjPartition_;
-    /** Flit slots of all input VCs, carved depth_ apiece (SoA arena). */
-    std::vector<Flit> flitPool_;
-    /** PacketCtl records of all input VCs, depth_+1 apiece. */
-    std::vector<PacketCtl> ctlPool_;
-    NOC_OWNED_STATE(recv, alloc, send)
-    std::vector<InputVc> in_;          ///< [port * numVcs_ + vc]
-    /** Wormhole-order invariant trackers, one per input VC. */
-    std::vector<check::WormholeOrderTracker> order_;
     NOC_OWNED_STATE(recv, alloc, send)
     std::vector<OutputVc> localOut_;   ///< PE-side output VCs (inf credits)
     Crossbar xbar_;
@@ -125,32 +95,6 @@ class GenericRouter : public Router
      */
     FlitChannel ejectPipe_;
 
-    NOC_OWNED_STATE(recv)
-    std::uint64_t droppingPacket_ = 0; ///< source packet being discarded
-    /**
-     * Packets in Drop stage across all input VCs. drainDropped() scans
-     * every VC; fault-free runs (the common case) skip it entirely.
-     */
-    NOC_OWNED_STATE(recv, alloc)
-    int dropPending_ = 0;
-
-    /** One input VC's request in a VA round (scratch, see vaReqs_). */
-    struct VaRequest {
-        int inIdx;
-        Direction dir;
-        int slot;
-    };
-    /**
-     * Per-cycle VA scratch buffers, hoisted out of allocateVcs(): the
-     * allocation round runs every cycle on every router, so rebuilding
-     * these vectors on the stack dominated the heap traffic of a run.
-     * vaMasks_ is all-zero between rounds (each key set during request
-     * collection is cleared when its arbitration fires).
-     */
-    std::vector<VaRequest> vaReqs_;
-    std::vector<std::uint64_t> vaMasks_; ///< [dir * numVcs_ + slot]
-
-    std::vector<RoundRobinArbiter> vaArb_;   ///< per output VC slot
     std::vector<RoundRobinArbiter> saPort_;  ///< stage 1, per input port
     std::vector<RoundRobinArbiter> saOut_;   ///< stage 2, per output port
 };

@@ -1,56 +1,23 @@
 #include "router/pathsensitive/ps_router.h"
 
-#include "obs/recorder.h"
-
 namespace noc {
 
 PathSensitiveRouter::PathSensitiveRouter(NodeId id, const SimConfig &cfg,
                                          const MeshTopology &topo,
                                          const RoutingAlgorithm &routing,
                                          const FaultMap *faults)
-    : Router(id, cfg, topo, routing, faults),
-      numVcs_(cfg.vcsPerPort), depth_(cfg.bufferDepthModular),
+    : RouterPipeline(id, cfg, topo, routing, faults,
+                     VcLayout{cfg.vcsPerPort, cfg.bufferDepthModular,
+                              kNumQuadrants * cfg.vcsPerPort,
+                              /*perPortSlots=*/false, cfg.vcsPerPort}),
       xbar_(kNumQuadrants, kNumCardinal)
 {
     NOC_ASSERT(numVcs_ == 3,
                "path sets hold one VC per previous direction (3)");
-    // Carve every VC's flit slots and packet-control records out of two
-    // contiguous arenas sized once for the router's lifetime.
-    const int nVc = kNumQuadrants * numVcs_;
-    flitPool_.resize(static_cast<size_t>(nVc) * depth_);
-    ctlPool_.resize(static_cast<size_t>(nVc) * (depth_ + 1));
-    in_.reserve(static_cast<size_t>(nVc));
-    for (int i = 0; i < nVc; ++i) {
-        in_.emplace_back(&flitPool_[static_cast<size_t>(i) * depth_],
-                         depth_,
-                         &ctlPool_[static_cast<size_t>(i) * (depth_ + 1)],
-                         depth_ + 1);
-    }
-    order_.resize(in_.size());
-
-    initOutputVcs(kNumQuadrants * numVcs_, depth_);
-    vaArb_.reserve(static_cast<size_t>(kNumCardinal) * kNumQuadrants *
-                   numVcs_);
-    for (int i = 0; i < kNumCardinal * kNumQuadrants * numVcs_; ++i)
-        vaArb_.emplace_back(kNumQuadrants * numVcs_);
     for (int i = 0; i < kNumQuadrants; ++i)
         saSet_.emplace_back(numVcs_);
     for (int i = 0; i < kNumCardinal; ++i)
         saOut_.emplace_back(kNumQuadrants);
-
-    vaReqs_.reserve(in_.capacity());
-    vaMasks_.assign(static_cast<size_t>(kNumCardinal) * kNumQuadrants *
-                        numVcs_,
-                    0);
-}
-
-int
-PathSensitiveRouter::bufferedFlits() const
-{
-    int n = 0;
-    for (const InputVc &v : in_)
-        n += v.buf.occupancy();
-    return n;
 }
 
 int
@@ -60,17 +27,6 @@ PathSensitiveRouter::quadrantOccupancy(Quadrant q) const
     for (int v = 0; v < numVcs_; ++v)
         n += in_[static_cast<int>(q) * numVcs_ + v].buf.occupancy();
     return n;
-}
-
-int
-PathSensitiveRouter::inputVcOccupancy(Direction fromDir, int slotId) const
-{
-    NOC_ASSERT(slotId >= 0 && slotId < static_cast<int>(in_.size()),
-               "input VC slot range");
-    // Quadrant pools are shared between upstream links; attribute the
-    // occupancy to the link whose packet currently holds the buffer.
-    const InputVc &ivc = in_[static_cast<size_t>(slotId)];
-    return ivc.occupantLink == fromDir ? ivc.buf.occupancy() : 0;
 }
 
 Direction
@@ -88,257 +44,82 @@ PathSensitiveRouter::slotOwner(Quadrant q, int vcIdx)
 }
 
 void
-PathSensitiveRouter::step(Cycle now)
+PathSensitiveRouter::latchHead(PacketCtl &ctl, const Flit &f, int idx,
+                               Cycle)
 {
-    if (nodeDead())
-        return;
-
-    xbar_.beginCycle();
-    receiveCredits(now, [this](Direction d, std::uint8_t vcId) {
-        OutputVc &o = outputVc(d, vcId);
-        ++o.credits;
-        --o.outstanding;
-        NOC_ASSERT(o.credits <= depth_, "credit overflow");
-        NOC_ASSERT(o.outstanding >= 0, "credit without a send");
-    });
-    receiveFlits(now);
-    pullInjection(now);
-    drainDropped(now);
-    allocateVcs(now);
-    allocateSwitch(now);
-}
-
-void
-PathSensitiveRouter::drainDropped(Cycle now)
-{
-    if (dropPending_ == 0)
-        return;
-    for (int i = 0; i < static_cast<int>(in_.size()); ++i) {
-        InputVc &ivc = in_[static_cast<size_t>(i)];
-        if (ivc.ctl.empty() ||
-            ivc.ctl.front().stage != PacketCtl::Stage::Drop) {
-            continue;
-        }
-        if (ivc.buf.empty() ||
-            ivc.buf.front().packetId != ivc.ctl.front().owner) {
-            continue;
-        }
-        Flit f = ivc.buf.pop(); // noc-lint:allow(flit-copy) retire path, flit leaves the network
-        noteFlitUnbuffered();
-        retireFlit(f, now);
-        NOC_OBS(if (obs_ && isHead(f.type))
-                    obs_->record(obs::Stage::Drop, f, id(), now,
-                                 i / numVcs_, i));
-        if (ivc.ctl.front().srcDir != Direction::Local) {
-            sendCredit(ivc.ctl.front().srcDir,
-                       static_cast<std::uint8_t>(i), now);
-        }
-        if (isTail(f.type)) {
-            if (ivc.reservedPacket == f.packetId) {
-                ivc.reservedFrom = Direction::Invalid;
-                ivc.reservedPacket = 0;
-            }
-            ivc.ctl.pop_front();
-            --dropPending_;
-        }
-    }
-}
-
-void
-PathSensitiveRouter::bufferFlit(int q, int v, const Flit &f,
-                                Direction srcDir, Cycle now)
-{
-    InputVc &ivc = vc(q, v);
-    ++act_.bufferWrites;
-    NOC_OBS(if (obs_) obs_->record(obs::Stage::BufferWrite, f, id(), now,
-                                   q, q * numVcs_ + v));
-    order_[static_cast<size_t>(q * numVcs_ + v)].onFlit(f, now, id(),
-                                                        srcDir, v);
-    if (isHead(f.type)) {
-        PacketCtl ctl;
-        ctl.owner = f.packetId;
-        ctl.srcDir = srcDir;
-        ctl.outDir = f.lookahead;
-        NOC_ASSERT(isCardinal(ctl.outDir),
-                   "buffered flit must have a cardinal output");
-        NOC_ASSERT(quadrantServes(static_cast<Quadrant>(q), ctl.outDir),
-                   "output outside the flit's quadrant");
-        ctl.nextLa = computeLookahead(ctl.outDir, f);
-        ++act_.rcComputations;
-        if (ctl.nextLa == Direction::Invalid || destinationDead(f)) {
-            ctl.stage = PacketCtl::Stage::Drop; // discard at the fault
-            ++dropPending_;
-        } else if (ctl.nextLa == Direction::Local) {
-            ctl.outSlot = kEjectSlot; // early ejection downstream
-            ctl.stage = PacketCtl::Stage::Active;
-        }
-        ivc.ctl.push_back(ctl);
-    }
-    NOC_ASSERT(!ivc.ctl.empty() && ivc.ctl.back().owner == f.packetId,
-               "flit interleaving within a VC");
-    ivc.occupantLink = srcDir;
-    ivc.buf.push(f);
-    noteFlitBuffered();
-    if (isTail(f.type) && ivc.reservedPacket == f.packetId) {
-        ivc.reservedFrom = Direction::Invalid;
-        ivc.reservedPacket = 0;
+    ctl.outDir = f.lookahead;
+    NOC_ASSERT(isCardinal(ctl.outDir),
+               "buffered flit must have a cardinal output");
+    NOC_ASSERT(quadrantServes(static_cast<Quadrant>(idx / numVcs_),
+                              ctl.outDir),
+               "output outside the flit's quadrant");
+    ctl.nextLa = computeLookahead(ctl.outDir, f);
+    if (ctl.nextLa == Direction::Invalid || destinationDead(f)) {
+        ctl.stage = PacketCtl::Stage::Drop; // discard at the fault
+    } else if (ctl.nextLa == Direction::Local) {
+        ctl.outSlot = kEjectSlot; // early ejection downstream
+        ctl.stage = PacketCtl::Stage::Active;
     }
 }
 
 bool
-PathSensitiveRouter::reserveInputVc(int slotId, Direction fromDir,
-                                    std::uint64_t packetId,
-                                    bool probeOnly, int &freeSpace)
+PathSensitiveRouter::injectionBlocked(const Flit &head) const
 {
-    NOC_ASSERT(slotId >= 0 && slotId < static_cast<int>(in_.size()),
-               "reservation slot out of range");
-    InputVc &ivc = in_[static_cast<size_t>(slotId)];
-    if (ivc.reservedFrom != Direction::Invalid &&
-        ivc.reservedFrom != fromDir) {
-        return false;
-    }
-    // Cross-link handoff must wait for the previous link's flits to
-    // drain: buffer pops return credits to the link that sent the
-    // flit, so a new reserver could never learn about that space.
-    if (!ivc.buf.empty() && ivc.occupantLink != fromDir)
-        return false;
-    freeSpace = depth_ - ivc.buf.occupancy();
-    if (!probeOnly) {
-        ivc.reservedFrom = fromDir;
-        ivc.reservedPacket = packetId;
+    if (destinationDead(head))
+        return true;
+    for (Direction d : routing_.route(id(), head)) {
+        if (!isCardinal(d) || !hasPort(d))
+            continue;
+        auto nb = topo_.neighbor(id(), d);
+        if (nb && !faults_->state(*nb).nodeDead)
+            return false;
     }
     return true;
 }
 
-void
-PathSensitiveRouter::receiveFlits(Cycle now)
+int
+PathSensitiveRouter::injectionVc(const Flit &head, Direction &lookahead)
 {
-    for (int d = 0; d < kNumCardinal; ++d) {
-        Direction dir = static_cast<Direction>(d);
-        const Flit *f = peekFlitFrom(d, now);
-        if (!f)
-            continue;
-        if (f->lookahead == Direction::Local) {
-            NOC_ASSERT(f->dst == id(), "early ejection at wrong node");
-            ++act_.earlyEjections;
-            Flit ej = *f; // noc-lint:allow(flit-copy) ejection copy to the local port
-            consumeFlitFrom(d);
-            ++ej.hops;
-            NOC_OBS(if (obs_)
-                        obs_->record(obs::Stage::EarlyEject, ej, id(),
-                                     now));
-            nic_->deliverFlit(ej, now);
-            continue;
-        }
-        int q = f->vc / numVcs_;
-        int v = f->vc % numVcs_;
-        bufferFlit(q, v, *f, dir, now);
-        consumeFlitFrom(d);
-    }
-}
-
-void
-PathSensitiveRouter::pullInjection(Cycle now)
-{
-    if (!nicHasPending())
-        return;
-    const Flit &front = nicPeekPending();
-
-    if (front.packetId == droppingPacket_) {
-        Flit drop = nicPopPending(); // noc-lint:allow(flit-copy) fault-drop retire
-        retireFlit(drop, now);
-        if (isTail(drop.type))
-            droppingPacket_ = 0;
-        return;
-    }
-    if (isHead(front.type) && faults_) {
-        bool blocked = destinationDead(front);
-        if (!blocked) {
-            blocked = true;
-            for (Direction d : routing_.route(id(), front)) {
-                if (!isCardinal(d) || !hasPort(d))
-                    continue;
-                auto nb = topo_.neighbor(id(), d);
-                if (nb && !faults_->state(*nb).nodeDead)
-                    blocked = false;
-            }
-        }
-        if (blocked) {
-            Flit drop = nicPopPending(); // noc-lint:allow(flit-copy) fault-drop retire
-            retireFlit(drop, now);
-            NOC_OBS(if (obs_)
-                        obs_->record(obs::Stage::Drop, drop, id(), now));
-            if (!isTail(drop.type))
-                droppingPacket_ = drop.packetId;
-            return;
-        }
-    }
-
+    Quadrant q =
+        quadrantOf(topo_, id(), head.dst, (head.packetId & 1) != 0);
+    // Claim a free VC from the quadrant pool (local demux reaches
+    // the whole path set); quietly fails when the set is full.
+    // Reuse a reservation this head already holds from a stalled
+    // earlier attempt before claiming a new slot.
     int target = -1;
-    Flit f = front; // noc-lint:allow(flit-copy) per-hop copy at injection
-    if (isHead(front.type)) {
-        Quadrant q = quadrantOf(topo_, id(), front.dst,
-                                (front.packetId & 1) != 0);
-        // Claim a free VC from the quadrant pool (local demux reaches
-        // the whole path set); quietly fails when the set is full.
-        // Reuse a reservation this head already holds from a stalled
-        // earlier attempt before claiming a new slot.
-        int fs = 0;
-        for (int v = numVcs_ - 1; v >= 0 && target < 0; --v) {
-            int idx = static_cast<int>(q) * numVcs_ + v;
-            const InputVc &ivc = in_[static_cast<size_t>(idx)];
-            if (ivc.reservedFrom == Direction::Local &&
-                ivc.reservedPacket == front.packetId) {
-                target = idx;
-            }
+    int fs = 0;
+    for (int v = numVcs_ - 1; v >= 0 && target < 0; --v) {
+        int idx = static_cast<int>(q) * numVcs_ + v;
+        const InputVc &ivc = in_[static_cast<size_t>(idx)];
+        if (ivc.reservedFrom == Direction::Local &&
+            ivc.reservedPacket == head.packetId) {
+            target = idx;
         }
-        for (int v = numVcs_ - 1; v >= 0 && target < 0; --v) {
-            int idx = static_cast<int>(q) * numVcs_ + v;
-            const InputVc &ivc = in_[static_cast<size_t>(idx)];
-            if (ivc.reservedFrom == Direction::Invalid &&
-                reserveInputVc(idx, Direction::Local, front.packetId,
-                               true, fs)) {
-                target = idx;
-            }
+    }
+    for (int v = numVcs_ - 1; v >= 0 && target < 0; --v) {
+        int idx = static_cast<int>(q) * numVcs_ + v;
+        const InputVc &ivc = in_[static_cast<size_t>(idx)];
+        if (ivc.reservedFrom == Direction::Invalid &&
+            reserveInputVc(idx, Direction::Local, head.packetId, true,
+                           fs)) {
+            target = idx;
         }
-        if (target < 0)
-            return;
-        // Choose the output among the quadrant's ports, preferring the
-        // routing function's order.
-        DirectionSet cand = routing_.route(id(), front);
-        Direction outDir = Direction::Invalid;
-        for (Direction d : cand) {
-            if (!isCardinal(d) || !hasPort(d))
-                continue;
-            if (!quadrantServes(q, d))
-                continue;
-            outDir = d;
+    }
+    if (target < 0)
+        return -1;
+    // Choose the output among the quadrant's ports, preferring the
+    // routing function's order.
+    lookahead = Direction::Invalid;
+    for (Direction d : routing_.route(id(), head)) {
+        if (isCardinal(d) && hasPort(d) && quadrantServes(q, d)) {
+            lookahead = d;
             break;
         }
-        if (outDir == Direction::Invalid)
-            return;
-        f.lookahead = outDir;
-        reserveInputVc(target, Direction::Local, front.packetId, false,
-                       fs);
-    } else {
-        for (int i = 0; i < static_cast<int>(in_.size()) && target < 0;
-             ++i) {
-            const InputVc &ivc = in_[static_cast<size_t>(i)];
-            if (!ivc.ctl.empty() &&
-                ivc.ctl.back().owner == front.packetId &&
-                ivc.ctl.back().srcDir == Direction::Local) {
-                target = i;
-            }
-        }
-        NOC_ASSERT(target >= 0, "body flit lost its injection VC");
-        f.lookahead = in_[static_cast<size_t>(target)].ctl.back().outDir;
     }
-
-    if (in_[static_cast<size_t>(target)].buf.full())
-        return;
-    nicPopPending();
-    bufferFlit(target / numVcs_, target % numVcs_, f, Direction::Local,
-               now);
+    if (lookahead == Direction::Invalid)
+        return -1;
+    reserveInputVc(target, Direction::Local, head.packetId, false, fs);
+    return target;
 }
 
 std::uint64_t
@@ -364,90 +145,41 @@ PathSensitiveRouter::downstreamSlots(Direction outDir,
     return mask;
 }
 
-void
-PathSensitiveRouter::allocateVcs(Cycle now)
+PathSensitiveRouter::VaPick
+PathSensitiveRouter::requestVc(const PacketCtl &ctl, const Flit &head,
+                               VaRequest &req)
 {
-    // Scratch buffers are members to keep this every-cycle path
-    // allocation free (vaMasks_ re-zeroes itself as arbitrations fire).
-    std::vector<VaRequest> &reqs = vaReqs_;
-    std::vector<std::uint64_t> &masks = vaMasks_;
-    reqs.clear();
+    ++act_.vaLocalArbs;
+    Router *down = neighbor(ctl.outDir);
+    NOC_ASSERT(down, "look-ahead across the mesh edge");
+    std::uint64_t elig = downstreamSlots(ctl.outDir, head);
+    if (elig == 0)
+        return VaPick::Drop; // only a dead downstream node empties it
 
-    for (int i = 0; i < static_cast<int>(in_.size()); ++i) {
-        InputVc &ivc = in_[static_cast<size_t>(i)];
-        if (!ivc.headWaiting(now))
+    int best = -1;
+    int bestCredits = -1;
+    for (int sl = 0; sl < outputSlots(); ++sl) {
+        if (!(elig & (1ull << sl)))
             continue;
-        PacketCtl &ctl = ivc.ctl.front();
-        const Flit &head = ivc.buf.front();
-        ++act_.vaLocalArbs;
-
-        Router *down = neighbor(ctl.outDir);
-        NOC_ASSERT(down, "look-ahead across the mesh edge");
-        std::uint64_t elig = downstreamSlots(ctl.outDir, head);
-        if (elig == 0) {
-            // Only a dead downstream node empties the pool: discard.
-            ctl.stage = PacketCtl::Stage::Drop;
-            ++dropPending_;
+        const OutputVc &o = outputVc(ctl.outDir, sl);
+        if (o.busy)
             continue;
-        }
-        int best = -1;
-        int bestCredits = -1;
-        for (int sl = 0; sl < kNumQuadrants * numVcs_; ++sl) {
-            if (!(elig & (1ull << sl)))
-                continue;
-            const OutputVc &o = outputVc(ctl.outDir, sl);
-            if (o.busy)
-                continue;
-            int freeSpace = 0;
-            if (!down->reserveInputVc(sl, opposite(ctl.outDir),
-                                      ctl.owner, true, freeSpace)) {
-                continue;
-            }
-            if (o.credits > bestCredits) {
-                bestCredits = o.credits;
-                best = sl;
-            }
-        }
-        if (best < 0)
-            continue;
-        masks[static_cast<size_t>(static_cast<int>(ctl.outDir)) *
-                  kNumQuadrants * numVcs_ +
-              best] |= 1ull << i;
-        reqs.push_back({i, ctl.outDir, best});
-    }
-
-    for (const VaRequest &r : reqs) {
-        size_t key = static_cast<size_t>(static_cast<int>(r.dir)) *
-                         kNumQuadrants * numVcs_ +
-                     r.slot;
-        if (masks[key] == 0)
-            continue;
-        ++act_.vaGlobalArbs;
-        int winner = vaArb_[key].arbitrate(masks[key]);
-        NOC_ASSERT(winner >= 0, "VA arbiter returned no winner");
-        masks[key] = 0;
-
-        InputVc &ivc = in_[static_cast<size_t>(winner)];
-        PacketCtl &ctl = ivc.ctl.front();
-        NOC_ASSERT(ctl.outDir == r.dir, "VA winner direction mismatch");
-        OutputVc &o = outputVc(r.dir, r.slot);
-        NOC_ASSERT(!o.busy, "VA granted a busy output VC");
-
-        Router *down = neighbor(r.dir);
         int freeSpace = 0;
-        bool ok = down->reserveInputVc(r.slot, opposite(r.dir),
-                                       ctl.owner, false, freeSpace);
-        NOC_ASSERT(ok, "reservation vanished between probe and grant");
-        o.busy = true;
-        o.ownerPacket = ctl.owner;
-        ctl.outSlot = r.slot;
-        ctl.stage = PacketCtl::Stage::Active;
-        ctl.vaGrantCycle = now;
-        NOC_OBS(if (obs_ && !ivc.buf.empty() &&
-                    ivc.buf.front().packetId == ctl.owner)
-                    obs_->record(obs::Stage::VaGrant, ivc.buf.front(),
-                                 id(), now, winner / numVcs_, winner));
+        if (!down->reserveInputVc(sl, opposite(ctl.outDir), ctl.owner,
+                                  true, freeSpace)) {
+            continue;
+        }
+        if (o.credits > bestCredits) {
+            bestCredits = o.credits;
+            best = sl;
+        }
     }
+    if (best < 0)
+        return VaPick::Wait;
+    req.dir = ctl.outDir;
+    req.slot = best;
+    req.nextLa = ctl.nextLa;
+    return VaPick::Request;
 }
 
 void
@@ -525,41 +257,8 @@ PathSensitiveRouter::allocateSwitch(Cycle now)
             noteContention(isRow(outDir), q != winQ);
         }
 
-        InputVc &ivc = vc(winQ, setWin[winQ]);
-        PacketCtl ctl = ivc.ctl.front();
-        Flit f = ivc.buf.pop(); // noc-lint:allow(flit-copy) per-hop copy at traversal
-        noteFlitUnbuffered();
-        NOC_ASSERT(f.packetId == ctl.owner, "VC FIFO out of sync");
-        ++act_.bufferReads;
         xbar_.traverse(winQ, out);
-        ++act_.crossbarTraversals;
-        ++f.hops;
-
-        f.lookahead = ctl.nextLa;
-        f.vc = ctl.outSlot == kEjectSlot
-                   ? 0xFF
-                   : static_cast<std::uint8_t>(ctl.outSlot);
-        sendFlit(outDir, f, now);
-        if (ctl.outSlot != kEjectSlot) {
-            OutputVc &ov = outputVc(outDir, ctl.outSlot);
-            --ov.credits;
-            ++ov.outstanding;
-        }
-
-        if (ctl.srcDir != Direction::Local) {
-            int myslot = winQ * numVcs_ + setWin[winQ];
-            sendCredit(ctl.srcDir, static_cast<std::uint8_t>(myslot),
-                       now);
-        }
-
-        if (isTail(f.type)) {
-            if (ctl.outSlot != kEjectSlot) {
-                OutputVc &o = outputVc(outDir, ctl.outSlot);
-                o.busy = false;
-                o.ownerPacket = 0;
-            }
-            ivc.ctl.pop_front();
-        }
+        commitTraversal(winQ * numVcs_ + setWin[winQ], outDir, now);
     }
 }
 

@@ -22,17 +22,14 @@
 
 #include <vector>
 
-#include "check/invariant.h"
-#include "common/ring.h"
 #include "router/arbiter.h"
 #include "router/crossbar.h"
-#include "router/router.h"
-#include "router/vc_buffer.h"
+#include "router/pipeline.h"
 #include "routing/quadrant.h"
 
 namespace noc {
 
-class PathSensitiveRouter : public Router
+class PathSensitiveRouter final : public RouterPipeline<PathSensitiveRouter>
 {
   public:
     PathSensitiveRouter(NodeId id, const SimConfig &cfg,
@@ -40,11 +37,7 @@ class PathSensitiveRouter : public Router
                         const RoutingAlgorithm &routing,
                         const FaultMap *faults);
 
-    NOC_PHASE_FN(step) void step(Cycle now) override;
     RouterArch arch() const override { return RouterArch::PathSensitive; }
-
-    /** Occupancy across all input VCs (tests / drain detection). */
-    int bufferedFlits() const override;
 
     /**
      * The arrival direction owning VC index @p vcIdx of quadrant @p q
@@ -52,58 +45,32 @@ class PathSensitiveRouter : public Router
      */
     static Direction slotOwner(Quadrant q, int vcIdx);
 
-    /** Sentinel output slot: flit ejects at the next router, no VC. */
-    static constexpr int kEjectSlot = -2;
-
-    NOC_PHASE_FN(alloc)
-    bool reserveInputVc(int slotId, Direction fromDir,
-                        std::uint64_t packetId, bool probeOnly,
-                        int &freeSpace) override;
-
     /** Flits buffered in one quadrant path set (tests). */
     int quadrantOccupancy(Quadrant q) const;
 
-    int inputVcOccupancy(Direction fromDir, int slotId) const override;
     /** The decomposed crossbar (tests: traversal attribution). */
     const Crossbar &crossbar() const { return xbar_; }
 
   private:
-    /** Views into the router's flit/ctl arenas (see RocoRouter). */
-    struct InputVc {
-        InputVc(Flit *fbase, int depth, PacketCtl *cbase, int ctlCap)
-            : buf(fbase, depth), ctl(cbase, ctlCap)
-        {}
+    friend class RouterPipeline<PathSensitiveRouter>;
 
-        VcBuffer buf;
-        RingView<PacketCtl> ctl;
-        /** Link holding the reservation handshake, Invalid when free. */
-        Direction reservedFrom = Direction::Invalid;
-        std::uint64_t reservedPacket = 0;
-        /** Link whose flits currently occupy the buffer. */
-        Direction occupantLink = Direction::Invalid;
+    // --- pipeline hooks (router/pipeline.h) -------------------------
 
-        bool
-        headWaiting(Cycle now) const
-        {
-            return !ctl.empty() &&
-                   ctl.front().stage == PacketCtl::Stage::VaWait &&
-                   now >= ctl.front().vaEligible && !buf.empty() &&
-                   isHead(buf.front().type) &&
-                   buf.front().packetId == ctl.front().owner;
-        }
-    };
+    NOC_PHASE_FN(step) void beginCycle(Cycle) { xbar_.beginCycle(); }
+    /** Look-ahead for the next hop; early ejection or discard. */
+    NOC_PHASE_FN(recv)
+    void latchHead(PacketCtl &ctl, const Flit &f, int idx, Cycle now);
+    bool injectionBlocked(const Flit &head) const;
+    NOC_PHASE_FN(recv)
+    int injectionVc(const Flit &head, Direction &lookahead);
+    NOC_PHASE_FN(alloc)
+    VaPick requestVc(const PacketCtl &ctl, const Flit &head,
+                     VaRequest &req);
+    NOC_PHASE_FN(alloc) void allocateSwitch(Cycle now);
+
+    // --- path-set policy -----------------------------------------------
 
     InputVc &vc(int q, int v) { return in_[q * numVcs_ + v]; }
-
-    NOC_PHASE_FN(recv) void receiveFlits(Cycle now);
-    NOC_PHASE_FN(recv) void pullInjection(Cycle now);
-    NOC_PHASE_FN(recv)
-    void bufferFlit(int q, int v, const Flit &f, Direction srcDir,
-                    Cycle now);
-    NOC_PHASE_FN(alloc) void allocateVcs(Cycle now);
-    NOC_PHASE_FN(alloc) void allocateSwitch(Cycle now);
-    /** Drains discarded (fault-blocked) packets, one flit per cycle. */
-    NOC_PHASE_FN(recv) void drainDropped(Cycle now);
 
     /**
      * Downstream slots a head leaving via @p outDir may claim: the
@@ -114,43 +81,9 @@ class PathSensitiveRouter : public Router
     std::uint64_t downstreamSlots(Direction outDir,
                                   const Flit &head) const;
 
-    int numVcs_;
-    int depth_;
-    /** Flit slots of all input VCs, carved depth_ apiece (SoA arena). */
-    std::vector<Flit> flitPool_;
-    /** PacketCtl records of all input VCs, depth_+1 apiece. */
-    std::vector<PacketCtl> ctlPool_;
-    NOC_OWNED_STATE(recv, alloc, send)
-    std::vector<InputVc> in_; ///< [quadrant * numVcs_ + vc]
-    /** Wormhole-order invariant trackers, one per input VC. */
-    std::vector<check::WormholeOrderTracker> order_;
     Crossbar xbar_;
-    std::vector<RoundRobinArbiter> vaArb_; ///< [dir * 4v + slot]
     std::vector<RoundRobinArbiter> saSet_; ///< stage 1, per path set
     std::vector<RoundRobinArbiter> saOut_; ///< stage 2, per output
-    NOC_OWNED_STATE(recv)
-    std::uint64_t droppingPacket_ = 0; ///< source packet being discarded
-    /**
-     * Packets in Drop stage across all input VCs. drainDropped() scans
-     * every VC; fault-free runs (the common case) skip it entirely.
-     */
-    NOC_OWNED_STATE(recv, alloc)
-    int dropPending_ = 0;
-
-    /** One input VC's request in a VA round (scratch, see vaReqs_). */
-    struct VaRequest {
-        int inIdx;
-        Direction dir;
-        int slot;
-    };
-    /**
-     * Per-cycle VA scratch buffers, hoisted out of allocateVcs() so the
-     * every-cycle allocation round performs no heap allocation.
-     * vaMasks_ is all-zero between rounds (every set key is cleared
-     * when its arbitration fires).
-     */
-    std::vector<VaRequest> vaReqs_;
-    std::vector<std::uint64_t> vaMasks_; ///< [dir * 4v + slot]
 };
 
 } // namespace noc

@@ -1,8 +1,7 @@
 #include "router/roco/roco_router.h"
 
 #include <bit>
-
-#include "obs/recorder.h"
+#include <string>
 
 namespace noc {
 
@@ -10,8 +9,11 @@ RocoRouter::RocoRouter(NodeId id, const SimConfig &cfg,
                        const MeshTopology &topo,
                        const RoutingAlgorithm &routing,
                        const FaultMap *faults)
-    : Router(id, cfg, topo, routing, faults),
-      numVcs_(cfg.vcsPerPort), depth_(cfg.bufferDepthModular),
+    : RouterPipeline(id, cfg, topo, routing, faults,
+                     VcLayout{cfg.vcsPerPort, cfg.bufferDepthModular,
+                              2 * kPortsPerModule * cfg.vcsPerPort,
+                              /*perPortSlots=*/false,
+                              kPortsPerModule * cfg.vcsPerPort}),
       vcCfg_(RocoVcConfig::forRouting(routing.kind())),
       xbar_{Crossbar(2, 2), Crossbar(2, 2)},
       sa_{MirrorAllocator(cfg.vcsPerPort),
@@ -19,42 +21,6 @@ RocoRouter::RocoRouter(NodeId id, const SimConfig &cfg,
 {
     NOC_ASSERT(numVcs_ == kVcsPerSet,
                "RoCo path sets carry exactly 3 VCs (Table 1)");
-    // Carve every VC's flit slots and packet-control records out of two
-    // contiguous arenas; the pools are sized once so the views below
-    // stay valid for the router's lifetime.
-    const int nVc = 2 * kPortsPerModule * numVcs_;
-    flitPool_.resize(static_cast<size_t>(nVc) * depth_);
-    ctlPool_.resize(static_cast<size_t>(nVc) * (depth_ + 1));
-    in_.reserve(static_cast<size_t>(nVc));
-    for (int i = 0; i < nVc; ++i) {
-        in_.emplace_back(&flitPool_[static_cast<size_t>(i) * depth_],
-                         depth_,
-                         &ctlPool_[static_cast<size_t>(i) * (depth_ + 1)],
-                         depth_ + 1);
-    }
-    order_.resize(in_.size());
-
-    // Output slot namespace mirrors the downstream input VC pool:
-    // (module * ports + port) * v + vc, i.e. 12 slots per direction.
-    initOutputVcs(2 * kPortsPerModule * numVcs_, depth_);
-    vaArb_.reserve(static_cast<size_t>(kNumCardinal) * 2 *
-                   kPortsPerModule * numVcs_);
-    for (int i = 0; i < kNumCardinal * 2 * kPortsPerModule * numVcs_; ++i)
-        vaArb_.emplace_back(2 * kPortsPerModule * numVcs_);
-
-    vaReqs_.reserve(in_.capacity());
-    vaMasks_.assign(static_cast<size_t>(kNumCardinal) * 2 *
-                        kPortsPerModule * numVcs_,
-                    0);
-}
-
-int
-RocoRouter::bufferedFlits() const
-{
-    int n = 0;
-    for (const InputVc &v : in_)
-        n += v.buf.occupancy();
-    return n;
 }
 
 int
@@ -66,18 +32,6 @@ RocoRouter::moduleOccupancy(Module m) const
             n += in_[vcIndex(m, p, v)].buf.occupancy();
     }
     return n;
-}
-
-int
-RocoRouter::inputVcOccupancy(Direction fromDir, int slotId) const
-{
-    NOC_ASSERT(slotId >= 0 &&
-                   slotId < static_cast<int>(in_.size()),
-               "input VC slot range");
-    // Several upstream links feed one path-set slot; attribute the
-    // occupancy to the link whose packet currently holds the buffer.
-    const InputVc &ivc = in_[static_cast<size_t>(slotId)];
-    return ivc.occupantLink == fromDir ? ivc.buf.occupancy() : 0;
 }
 
 int
@@ -103,36 +57,18 @@ RocoRouter::outDirOf(Module m, int outIdx)
 }
 
 void
-RocoRouter::step(Cycle now)
+RocoRouter::beginCycle(Cycle)
 {
-    // RoCo has no whole-node failure mode of its own, but keep the
-    // check so externally forced nodeDead states behave uniformly.
-    if (nodeDead())
-        return;
-
     xbar_[0].beginCycle();
     xbar_[1].beginCycle();
     vaBusy_[0] = vaBusy_[1] = false;
-
-    receiveCredits(now, [this](Direction d, std::uint8_t vcId) {
-        OutputVc &o = outputVc(d, vcId);
-        ++o.credits;
-        --o.outstanding;
-        NOC_ASSERT(o.credits <= depth_, "credit overflow");
-        NOC_ASSERT(o.outstanding >= 0, "credit without a send");
-    });
-    receiveFlits(now);
-    pullInjection(now);
-    drainDropped(now);
-    allocateVcs(now);
-    allocateSwitch(now);
 }
 
 bool
 RocoRouter::injectionBlocked(const Flit &head) const
 {
-    if (!faults_)
-        return false;
+    if (destinationDead(head))
+        return true;
     // Statically blocked when every candidate direction's module is
     // dead or has no surviving injection VC.
     for (Direction d : routing_.route(id(), head)) {
@@ -156,249 +92,69 @@ RocoRouter::injectionBlocked(const Flit &head) const
 }
 
 void
-RocoRouter::drainDropped(Cycle now)
+RocoRouter::latchHead(PacketCtl &ctl, const Flit &f, int idx, Cycle now)
 {
-    if (dropPending_ == 0)
-        return;
-    for (std::uint32_t scan = ctlMask_; scan; scan &= scan - 1) {
-        const int i = std::countr_zero(scan);
-        InputVc &ivc = in_[static_cast<size_t>(i)];
-        if (ivc.ctl.front().stage != PacketCtl::Stage::Drop)
-            continue;
-        if (ivc.buf.empty() ||
-            ivc.buf.front().packetId != ivc.ctl.front().owner) {
-            continue;
-        }
-        Flit f = ivc.buf.pop(); // noc-lint:allow(flit-copy) retire path, flit leaves the network
-        noteFlitUnbuffered();
-        retireFlit(f, now);
-        NOC_OBS(if (obs_ && isHead(f.type))
-                    obs_->record(obs::Stage::Drop, f, id(), now,
-                                 i / (kPortsPerModule * numVcs_), i));
-        if (ivc.ctl.front().srcDir != Direction::Local) {
-            sendCredit(ivc.ctl.front().srcDir,
-                       static_cast<std::uint8_t>(i), now);
-        }
-        if (isTail(f.type)) {
-            if (ivc.reservedPacket == f.packetId) {
-                ivc.reservedFrom = Direction::Invalid;
-                ivc.reservedPacket = 0;
-            }
-            ivc.ctl.pop_front();
-            if (ivc.ctl.empty())
-                ctlMask_ &= ~(1u << i);
-            --dropPending_;
-        }
+    const Module m = static_cast<Module>(moduleOfVc(idx));
+    NOC_ASSERT(!faultState().isModuleDead(m),
+               "flit steered into a dead module");
+    ctl.outDir = f.lookahead;
+    NOC_ASSERT(isCardinal(ctl.outDir),
+               "buffered flit must have a cardinal output");
+    // Path-set discipline: a flit steered into the row module must
+    // request a row output and vice versa (guided flit queuing).
+    NOC_INVARIANT(
+        !isCardinal(ctl.outDir) || moduleOf(ctl.outDir) == m,
+        check::InvariantKind::PathSetDiscipline, now, id(), ctl.srcDir,
+        idx % numVcs_,
+        std::string("flit of packet ") + std::to_string(f.packetId) +
+            " buffered in the " + (m == Module::Row ? "row" : "column") +
+            " module requests output " + toString(ctl.outDir));
+    NOC_ASSERT(moduleOf(ctl.outDir) == m,
+               "guided queuing placed a flit in the wrong module");
+    // Look-ahead routing for the next hop happens as the head is
+    // latched; a faulty local RC unit adds the double-routing
+    // handshake cycle (Section 4, Figure 5).
+    ctl.nextLa = computeLookahead(ctl.outDir, f);
+    ctl.vaEligible = faultState().rcFaulty ? now + 1 : now;
+    if (ctl.nextLa == Direction::Invalid || destinationDead(f)) {
+        // Every minimal next hop is behind a hard fault: discard.
+        ctl.stage = PacketCtl::Stage::Drop;
+    } else if (ctl.nextLa == Direction::Local) {
+        // Ejection at the next router happens before its modules;
+        // no downstream VC is ever allocated (early ejection).
+        ctl.outSlot = kEjectSlot;
+        ctl.stage = PacketCtl::Stage::Active;
     }
 }
 
-void
-RocoRouter::bufferFlit(Module m, int port, int v, const Flit &f,
-                       Direction srcDir, Cycle now)
+int
+RocoRouter::injectionVc(const Flit &head, Direction &lookahead)
 {
-    InputVc &ivc = vc(m, port, v);
-    ++act_.bufferWrites;
-    NOC_OBS(if (obs_) obs_->record(obs::Stage::BufferWrite, f, id(), now,
-                                   static_cast<int>(m),
-                                   vcIndex(m, port, v)));
-    order_[vcIndex(m, port, v)].onFlit(f, now, id(), srcDir, v);
-    if (isHead(f.type)) {
-        PacketCtl ctl;
-        ctl.owner = f.packetId;
-        ctl.srcDir = srcDir;
-        ctl.outDir = f.lookahead;
-        NOC_ASSERT(isCardinal(ctl.outDir),
-                   "buffered flit must have a cardinal output");
-        // Path-set discipline: a flit steered into the row module must
-        // request a row output and vice versa (guided flit queuing).
-        NOC_INVARIANT(
-            !isCardinal(ctl.outDir) || moduleOf(ctl.outDir) == m,
-            check::InvariantKind::PathSetDiscipline, now, id(), srcDir, v,
-            std::string("flit of packet ") + std::to_string(f.packetId) +
-                " buffered in the " +
-                (m == Module::Row ? "row" : "column") +
-                " module requests output " + toString(ctl.outDir));
-        NOC_ASSERT(moduleOf(ctl.outDir) == m,
-                   "guided queuing placed a flit in the wrong module");
-        // Look-ahead routing for the next hop happens as the head is
-        // latched; a faulty local RC unit adds the double-routing
-        // handshake cycle (Section 4, Figure 5).
-        ctl.nextLa = computeLookahead(ctl.outDir, f);
-        ++act_.rcComputations;
-        ctl.vaEligible = faultState().rcFaulty ? now + 1 : now;
-        if (ctl.nextLa == Direction::Invalid || destinationDead(f)) {
-            // Every minimal next hop is behind a hard fault: discard.
-            ctl.stage = PacketCtl::Stage::Drop;
-            ++dropPending_;
-        } else if (ctl.nextLa == Direction::Local) {
-            // Ejection at the next router happens before its modules;
-            // no downstream VC is ever allocated (early ejection).
-            ctl.outSlot = kEjectSlot;
-            ctl.stage = PacketCtl::Stage::Active;
-        }
-        ivc.ctl.push_back(ctl);
-        ctlMask_ |= 1u << vcIndex(m, port, v);
-    }
-    NOC_ASSERT(!ivc.ctl.empty() && ivc.ctl.back().owner == f.packetId,
-               "flit interleaving within a VC");
-    ivc.occupantLink = srcDir;
-    ivc.buf.push(f);
-    noteFlitBuffered();
-    // The reservation handshake releases the slot once the tail is
-    // safely buffered; the next upstream sees the true occupancy.
-    if (isTail(f.type) && ivc.reservedPacket == f.packetId) {
-        ivc.reservedFrom = Direction::Invalid;
-        ivc.reservedPacket = 0;
-    }
-}
-
-bool
-RocoRouter::reserveInputVc(int slotId, Direction fromDir,
-                           std::uint64_t packetId, bool probeOnly,
-                           int &freeSpace)
-{
-    NOC_ASSERT(slotId >= 0 && slotId < static_cast<int>(in_.size()),
-               "reservation slot out of range");
-    InputVc &ivc = in_[static_cast<size_t>(slotId)];
-    // A slot is grantable when unreserved, or when the same link is
-    // chaining packets back to back (its previous tail is in flight).
-    if (ivc.reservedFrom != Direction::Invalid &&
-        ivc.reservedFrom != fromDir) {
-        return false;
-    }
-    // Cross-link handoff must wait for the previous link's flits to
-    // drain: buffer pops return credits to the link that sent the
-    // flit, so a new reserver could never learn about that space.
-    if (!ivc.buf.empty() && ivc.occupantLink != fromDir)
-        return false;
-    freeSpace = depth_ - ivc.buf.occupancy();
-    if (!probeOnly) {
-        ivc.reservedFrom = fromDir;
-        ivc.reservedPacket = packetId;
-    }
-    return true;
-}
-
-void
-RocoRouter::receiveFlits(Cycle now)
-{
-    for (int d = 0; d < kNumCardinal; ++d) {
-        Direction dir = static_cast<Direction>(d);
-        const Flit *f = peekFlitFrom(d, now);
-        if (!f)
+    // Choose the first direction whose module is alive and has a
+    // free injection VC; candidates come in routing preference
+    // order (adaptive lists the X option first).
+    for (Direction d : routing_.route(id(), head)) {
+        if (!isCardinal(d) || !hasPort(d))
             continue;
-
-        if (f->lookahead == Direction::Local) {
-            // Early ejection: straight off the demux to the PE.
-            NOC_ASSERT(f->dst == id(), "early ejection at wrong node");
-            ++act_.earlyEjections;
-            Flit ej = *f; // noc-lint:allow(flit-copy) ejection copy to the local port
-            consumeFlitFrom(d);
-            ++ej.hops;
-            NOC_OBS(if (obs_)
-                        obs_->record(obs::Stage::EarlyEject, ej, id(),
-                                     now));
-            nic_->deliverFlit(ej, now);
+        Module dm = moduleOf(d);
+        if (faultState().isModuleDead(dm))
             continue;
-        }
-
-        int idx = f->vc;
-        Module m =
-            static_cast<Module>(idx / (kPortsPerModule * numVcs_));
-        int portIdx = (idx / numVcs_) % kPortsPerModule;
-        int v = idx % numVcs_;
-        NOC_ASSERT(!faultState().isModuleDead(m),
-                   "flit steered into a dead module");
-        bufferFlit(m, portIdx, v, *f, dir, now);
-        consumeFlitFrom(d);
-    }
-}
-
-void
-RocoRouter::pullInjection(Cycle now)
-{
-    if (!nicHasPending())
-        return;
-    const Flit &front = nicPeekPending();
-
-    Module m{};
-    int portIdx = -1;
-    int slot = -1;
-    Flit f = front; // noc-lint:allow(flit-copy) per-hop copy at injection
-
-    if (front.packetId == droppingPacket_) {
-        Flit drop = nicPopPending(); // noc-lint:allow(flit-copy) fault-drop retire
-        retireFlit(drop, now);
-        if (isTail(drop.type))
-            droppingPacket_ = 0;
-        return;
-    }
-
-    if (isHead(front.type)) {
-        if (destinationDead(front) || injectionBlocked(front)) {
-            Flit drop = nicPopPending(); // noc-lint:allow(flit-copy) fault-drop retire
-            retireFlit(drop, now);
-            NOC_OBS(if (obs_)
-                        obs_->record(obs::Stage::Drop, drop, id(), now));
-            if (!isTail(drop.type))
-                droppingPacket_ = drop.packetId;
-            return;
-        }
-        // Choose the first direction whose module is alive and has a
-        // free injection VC; candidates come in routing preference
-        // order (adaptive lists the X option first).
-        DirectionSet cand = routing_.route(id(), front);
-        Direction outDir = Direction::Invalid;
-        for (Direction d : cand) {
-            if (!isCardinal(d) || !hasPort(d))
-                continue;
-            Module dm = moduleOf(d);
-            if (faultState().isModuleDead(dm))
-                continue;
-            VcClass want = dm == Module::Row ? VcClass::InjXy
-                                             : VcClass::InjYx;
-            for (int p = 0; p < kPortsPerModule && slot < 0; ++p) {
-                for (int v = 0; v < numVcs_ && slot < 0; ++v) {
-                    if (vcCfg_.at(dm, p, v) != want)
-                        continue;
-                    if (faultState().isVcDead(dm, p, v))
-                        continue;
-                    if (vc(dm, p, v).ctl.empty()) {
-                        m = dm;
-                        portIdx = p;
-                        slot = v;
-                        outDir = d;
-                    }
+        VcClass want = dm == Module::Row ? VcClass::InjXy : VcClass::InjYx;
+        for (int p = 0; p < kPortsPerModule; ++p) {
+            for (int v = 0; v < numVcs_; ++v) {
+                if (vcCfg_.at(dm, p, v) != want ||
+                    faultState().isVcDead(dm, p, v)) {
+                    continue;
+                }
+                const int idx = vcIndex(dm, p, v);
+                if (in_[static_cast<size_t>(idx)].ctl.empty()) {
+                    lookahead = d;
+                    return idx;
                 }
             }
-            if (slot >= 0)
-                break;
         }
-        if (slot < 0)
-            return; // no free injection VC this cycle
-        f.lookahead = outDir;
-    } else {
-        // Body/tail flits follow their packet's injection VC.
-        for (std::uint32_t scan = ctlMask_; scan && slot < 0;
-             scan &= scan - 1) {
-            const int i = std::countr_zero(scan);
-            const InputVc &ivc = in_[static_cast<size_t>(i)];
-            if (ivc.ctl.back().owner == front.packetId &&
-                ivc.ctl.back().srcDir == Direction::Local) {
-                m = static_cast<Module>(i / (kPortsPerModule * numVcs_));
-                portIdx = (i / numVcs_) % kPortsPerModule;
-                slot = i % numVcs_;
-            }
-        }
-        NOC_ASSERT(slot >= 0, "body flit lost its injection VC");
-        f.lookahead = vc(m, portIdx, slot).ctl.back().outDir;
     }
-
-    if (vc(m, portIdx, slot).buf.full())
-        return; // stall: buffer back-pressure
-
-    nicPopPending();
-    bufferFlit(m, portIdx, slot, f, Direction::Local, now);
+    return -1; // no free injection VC this cycle
 }
 
 std::uint64_t
@@ -449,144 +205,77 @@ RocoRouter::eligibleSlots(Direction outDir, Direction nextLa,
     return mask;
 }
 
-void
-RocoRouter::allocateVcs(Cycle now)
+RocoRouter::VaPick
+RocoRouter::requestVc(const PacketCtl &ctl, const Flit &head,
+                      VaRequest &req)
 {
     // Separable VA over the module's smaller arbiters (Figure 2b):
-    // each waiting head picks its best eligible downstream slot, then
-    // each contested (output, slot) pair arbitrates. The scratch
-    // buffers are members to keep this every-cycle path allocation
-    // free (vaMasks_ re-zeroes itself as arbitrations fire).
-    std::vector<VaRequest> &reqs = vaReqs_;
-    std::vector<std::uint64_t> &masks = vaMasks_;
-    reqs.clear();
-    const int slotsPerDirAll = 2 * kPortsPerModule * numVcs_;
+    // each waiting head picks its best eligible downstream slot.
+    if (faultState().isModuleDead(moduleOf(ctl.outDir)))
+        return VaPick::Wait; // dead module: VCs frozen
+    ++act_.vaLocalArbs;
 
-    const bool adaptive = routingKind() == RoutingKind::Adaptive;
+    // Stage 1: pick the (look-ahead direction, slot) pair with the
+    // most downstream credits.  Under adaptive routing the
+    // look-ahead choice is re-scored on every attempt from the
+    // credit state the router already tracks — this is where the
+    // RoCo design's adaptivity actually bites.
+    DirectionSet laCands;
+    if (routingKind() == RoutingKind::Adaptive)
+        laCands = lookaheadCandidates(ctl.outDir, head);
+    else
+        laCands.push(ctl.nextLa);
+    if (laCands.empty())
+        return VaPick::Drop;
 
-    for (std::uint32_t scan = ctlMask_; scan; scan &= scan - 1) {
-        const int i = std::countr_zero(scan);
-        InputVc &ivc = in_[static_cast<size_t>(i)];
-        if (!ivc.headWaiting(now))
-            continue;
-        PacketCtl &ctl = ivc.ctl.front();
-        Module myModule = moduleOf(ctl.outDir);
-        if (faultState().isModuleDead(myModule))
-            continue; // dead module: VCs frozen
-        const Flit &head = ivc.buf.front();
+    Router *down = neighbor(ctl.outDir);
+    NOC_ASSERT(down, "look-ahead across the mesh edge");
+    const Direction arrivalAtDown = opposite(ctl.outDir);
 
-        ++act_.vaLocalArbs;
-
-        // Stage 1: pick the (look-ahead direction, slot) pair with the
-        // most downstream credits.  Under adaptive routing the
-        // look-ahead choice is re-scored on every attempt from the
-        // credit state the router already tracks — this is where the
-        // RoCo design's adaptivity actually bites.
-        DirectionSet laCands;
-        if (adaptive)
-            laCands = lookaheadCandidates(ctl.outDir, head);
-        else
-            laCands.push(ctl.nextLa);
-        if (laCands.empty()) {
-            ctl.stage = PacketCtl::Stage::Drop;
-            ++dropPending_;
-            continue;
-        }
-
-        Router *down = neighbor(ctl.outDir);
-        NOC_ASSERT(down, "look-ahead across the mesh edge");
-        const Direction arrivalAtDown = opposite(ctl.outDir);
-
-        int best = -1;
-        int bestCredits = -1;
-        Direction bestLa = ctl.nextLa;
-        for (Direction la : laCands) {
-            std::uint64_t elig = eligibleSlots(ctl.outDir, la, head);
-            for (int s = 0; s < slotsPerDirAll; ++s) {
-                if (!(elig & (1ull << s)))
-                    continue;
-                const OutputVc &o = outputVc(ctl.outDir, s);
-                if (o.busy)
-                    continue;
-                int freeSpace = 0;
-                if (!down->reserveInputVc(s, arrivalAtDown, ctl.owner,
-                                          true, freeSpace)) {
-                    continue; // another link holds the slot
-                }
-                if (o.credits > bestCredits) {
-                    bestCredits = o.credits;
-                    best = s;
-                    bestLa = la;
-                }
+    int best = -1;
+    int bestCredits = -1;
+    Direction bestLa = ctl.nextLa;
+    for (Direction la : laCands) {
+        std::uint64_t elig = eligibleSlots(ctl.outDir, la, head);
+        for (int s = 0; s < outputSlots(); ++s) {
+            if (!(elig & (1ull << s)))
+                continue;
+            const OutputVc &o = outputVc(ctl.outDir, s);
+            if (o.busy)
+                continue;
+            int freeSpace = 0;
+            if (!down->reserveInputVc(s, arrivalAtDown, ctl.owner, true,
+                                      freeSpace)) {
+                continue; // another link holds the slot
+            }
+            if (o.credits > bestCredits) {
+                bestCredits = o.credits;
+                best = s;
+                bestLa = la;
             }
         }
-        if (best < 0) {
-            // Distinguish transient contention from static blockage:
-            // a head with no *statically* eligible slot for any
-            // look-ahead candidate can never progress.
-            std::uint64_t statically = 0;
-            for (Direction la : laCands)
-                statically |= eligibleSlots(ctl.outDir, la, head);
-            if (statically == 0) {
-                ctl.stage = PacketCtl::Stage::Drop;
-                ++dropPending_;
-            }
-            continue;
-        }
-        masks[static_cast<size_t>(static_cast<int>(ctl.outDir)) *
-                  slotsPerDirAll +
-              best] |= 1ull << i;
-        reqs.push_back({i, ctl.outDir, best, bestLa});
     }
-
-    // Index requests by input VC so a grant applies the *winner's* own
-    // request (its slot and its look-ahead choice).
-    int reqOf[64];
-    for (auto &x : reqOf)
-        x = -1;
-    for (int ri = 0; ri < static_cast<int>(reqs.size()); ++ri)
-        reqOf[reqs[static_cast<size_t>(ri)].inIdx] = ri;
-
-    for (const VaRequest &r0 : reqs) {
-        size_t key = static_cast<size_t>(static_cast<int>(r0.dir)) *
-                         slotsPerDirAll +
-                     r0.slot;
-        if (masks[key] == 0)
-            continue; // already granted this cycle
-        ++act_.vaGlobalArbs;
-        int winner = vaArb_[key].arbitrate(masks[key]);
-        NOC_ASSERT(winner >= 0 && reqOf[winner] >= 0,
-                   "VA arbiter returned no winner");
-        masks[key] = 0;
-        const VaRequest &r = reqs[static_cast<size_t>(reqOf[winner])];
-
-        InputVc &ivc = in_[static_cast<size_t>(winner)];
-        PacketCtl &ctl = ivc.ctl.front();
-        NOC_ASSERT(ctl.outDir == r.dir, "VA winner direction mismatch");
-        OutputVc &o = outputVc(r.dir, r.slot);
-        NOC_ASSERT(!o.busy, "VA granted a busy output VC");
-
-        Router *down = neighbor(r.dir);
-        int freeSpace = 0;
-        bool ok = down->reserveInputVc(r.slot, opposite(r.dir),
-                                       ctl.owner, false, freeSpace);
-        NOC_ASSERT(ok, "reservation vanished between probe and grant");
-        o.busy = true;
-        o.ownerPacket = ctl.owner;
-        ctl.outSlot = r.slot;
-        ctl.nextLa = r.nextLa; // commit the adaptive look-ahead choice
-        ctl.stage = PacketCtl::Stage::Active;
-        ctl.vaGrantCycle = now;
-        NOC_OBS(if (obs_ && !ivc.buf.empty() &&
-                    ivc.buf.front().packetId == ctl.owner)
-                    obs_->record(obs::Stage::VaGrant, ivc.buf.front(),
-                                 id(), now,
-                                 static_cast<int>(moduleOf(r.dir)),
-                                 winner));
-        // The VA arbiters actually fired: a degraded SA cannot borrow
-        // them this cycle (Figure 7).
-        vaBusy_[static_cast<int>(moduleOf(r.dir))] = true;
+    if (best < 0) {
+        // Distinguish transient contention from static blockage:
+        // a head with no *statically* eligible slot for any
+        // look-ahead candidate can never progress.
+        std::uint64_t statically = 0;
+        for (Direction la : laCands)
+            statically |= eligibleSlots(ctl.outDir, la, head);
+        return statically == 0 ? VaPick::Drop : VaPick::Wait;
     }
+    req.dir = ctl.outDir;
+    req.slot = best;
+    req.nextLa = bestLa;
+    return VaPick::Request;
+}
+
+void
+RocoRouter::onVaGrant(const VaRequest &r)
+{
+    // The VA arbiters actually fired: a degraded SA cannot borrow
+    // them this cycle (Figure 7).
+    vaBusy_[static_cast<int>(moduleOf(r.dir))] = true;
 }
 
 void
@@ -601,9 +290,8 @@ RocoRouter::allocateSwitch(Cycle now)
         // Only VCs holding a packet can request; walk the module's
         // slice of the ctl-occupancy mask.
         const int moduleSlots = kPortsPerModule * numVcs_;
-        std::uint32_t mScan =
-            (ctlMask_ >> (mi * moduleSlots)) &
-            ((1u << moduleSlots) - 1);
+        std::uint64_t mScan = (ctlMask_ >> (mi * moduleSlots)) &
+                              ((1ull << moduleSlots) - 1);
 
         std::uint64_t reqs[2][2] = {{0, 0}, {0, 0}};
         std::uint64_t specReqs[2][2] = {{0, 0}, {0, 0}};
@@ -612,7 +300,8 @@ RocoRouter::allocateSwitch(Cycle now)
             const int local = std::countr_zero(mScan);
             const int p = local / numVcs_;
             const int v = local % numVcs_;
-            InputVc &ivc = vc(m, p, v);
+            const InputVc &ivc =
+                in_[static_cast<size_t>(mi * moduleSlots + local)];
             if (ivc.buf.empty())
                 continue;
             const PacketCtl &ctl = ivc.ctl.front();
@@ -660,57 +349,12 @@ RocoRouter::allocateSwitch(Cycle now)
             noteContention(m == Module::Row, !granted);
         }
 
-        for (int g = 0; g < n; ++g)
-            commitGrant(m, grants[g], now);
-    }
-}
-
-void
-RocoRouter::commitGrant(Module m, const MirrorAllocator::Grant &g,
-                        Cycle now)
-{
-    InputVc &ivc = vc(m, g.port, g.vc);
-    const PacketCtl &ctl = ivc.ctl.front();
-    // Rewrite the head slot in place and send straight from the
-    // buffer: the only surviving copy is the channel push.
-    Flit &f = ivc.buf.front();
-    NOC_ASSERT(f.packetId == ctl.owner, "VC FIFO out of sync");
-    ++act_.bufferReads;
-    xbar_[static_cast<int>(m)].traverse(g.port, g.out);
-    ++act_.crossbarTraversals;
-    ++f.hops;
-
-    Direction outDir = outDirOf(m, g.out);
-    NOC_ASSERT(outDir == ctl.outDir, "grant/output mismatch");
-
-    f.lookahead = ctl.nextLa;
-    f.vc = ctl.outSlot == kEjectSlot
-               ? 0xFF
-               : static_cast<std::uint8_t>(ctl.outSlot);
-    sendFlit(outDir, f, now);
-    const bool tail = isTail(f.type);
-    ivc.buf.drop();
-    noteFlitUnbuffered();
-    if (ctl.outSlot != kEjectSlot) {
-        OutputVc &ov = outputVc(outDir, ctl.outSlot);
-        --ov.credits;
-        ++ov.outstanding;
-    }
-
-    if (ctl.srcDir != Direction::Local) {
-        int myslot = vcIndex(m, g.port, g.vc);
-        sendCredit(ctl.srcDir, static_cast<std::uint8_t>(myslot), now);
-    }
-
-    if (tail) {
-        if (ctl.outSlot != kEjectSlot) {
-            OutputVc &o = outputVc(outDir, ctl.outSlot);
-            o.busy = false;
-            o.ownerPacket = 0;
+        for (int g = 0; g < n; ++g) {
+            const MirrorAllocator::Grant &gr = grants[g];
+            xbar_[mi].traverse(gr.port, gr.out);
+            commitTraversal(vcIndex(m, gr.port, gr.vc),
+                            outDirOf(m, gr.out), now);
         }
-        ivc.ctl.pop_front();
-        if (ivc.ctl.empty())
-            ctlMask_ &= ~(1u << vcIndex(m, g.port, g.vc));
     }
 }
 

@@ -24,37 +24,23 @@
 #ifndef ROCOSIM_ROUTER_ROCO_ROCO_ROUTER_H_
 #define ROCOSIM_ROUTER_ROCO_ROCO_ROUTER_H_
 
-#include <vector>
-
-#include "check/invariant.h"
-#include "common/ring.h"
 #include "router/crossbar.h"
+#include "router/pipeline.h"
 #include "router/roco/mirror_allocator.h"
 #include "router/roco/vc_config.h"
-#include "router/router.h"
-#include "router/vc_buffer.h"
 
 namespace noc {
 
-class RocoRouter : public Router
+class RocoRouter final : public RouterPipeline<RocoRouter>
 {
   public:
     RocoRouter(NodeId id, const SimConfig &cfg, const MeshTopology &topo,
                const RoutingAlgorithm &routing, const FaultMap *faults);
 
-    NOC_PHASE_FN(step) void step(Cycle now) override;
     RouterArch arch() const override { return RouterArch::Roco; }
-
-    /** Occupancy across all input VCs (tests / drain detection). */
-    int bufferedFlits() const override;
 
     /** The Table 1 layout in force. */
     const RocoVcConfig &vcConfig() const { return vcCfg_; }
-
-    NOC_PHASE_FN(alloc)
-    bool reserveInputVc(int slotId, Direction fromDir,
-                        std::uint64_t packetId, bool probeOnly,
-                        int &freeSpace) override;
 
     /** Flits buffered in one module (tests: guided-queuing placement). */
     int moduleOccupancy(Module m) const;
@@ -64,42 +50,31 @@ class RocoRouter : public Router
         return xbar_[static_cast<int>(m)];
     }
 
-    /** Sentinel output slot: flit ejects at the next router, no VC. */
-    static constexpr int kEjectSlot = -2;
-
-    int inputVcOccupancy(Direction fromDir, int slotId) const override;
-
   private:
+    friend class RouterPipeline<RocoRouter>;
+
+    // --- pipeline hooks (router/pipeline.h) -------------------------
+
+    NOC_PHASE_FN(step) void beginCycle(Cycle now);
     /**
-     * One input VC as views into the router's flit/ctl arenas: the
-     * buffers of a router are a single contiguous run of memory (see
-     * flitPool_ / ctlPool_ below). The ctl ring holds at most
-     * depth + 1 packets — k packets in a VC imply at least k-1 tails
-     * plus one more flit buffered, so k <= depth + 1.
+     * Guided queuing check, look-ahead for the next hop (plus the
+     * double-routing cycle of a faulty RC unit), early ejection or
+     * discard.
      */
-    struct InputVc {
-        InputVc(Flit *fbase, int depth, PacketCtl *cbase, int ctlCap)
-            : buf(fbase, depth), ctl(cbase, ctlCap)
-        {}
+    NOC_PHASE_FN(recv)
+    void latchHead(PacketCtl &ctl, const Flit &f, int idx, Cycle now);
+    /** True when no injection path can ever serve @p head. */
+    bool injectionBlocked(const Flit &head) const;
+    NOC_PHASE_FN(recv)
+    int injectionVc(const Flit &head, Direction &lookahead);
+    NOC_PHASE_FN(alloc)
+    VaPick requestVc(const PacketCtl &ctl, const Flit &head,
+                     VaRequest &req);
+    /** Marks the module's VA arbiters busy (SA-to-VA offload). */
+    NOC_PHASE_FN(alloc) void onVaGrant(const VaRequest &r);
+    NOC_PHASE_FN(alloc) void allocateSwitch(Cycle now);
 
-        VcBuffer buf;
-        RingView<PacketCtl> ctl;
-        /** Link holding the reservation handshake, Invalid when free. */
-        Direction reservedFrom = Direction::Invalid;
-        std::uint64_t reservedPacket = 0;
-        /** Link whose flits currently occupy the buffer. */
-        Direction occupantLink = Direction::Invalid;
-
-        bool
-        headWaiting(Cycle now) const
-        {
-            return !ctl.empty() &&
-                   ctl.front().stage == PacketCtl::Stage::VaWait &&
-                   now >= ctl.front().vaEligible && !buf.empty() &&
-                   isHead(buf.front().type) &&
-                   buf.front().packetId == ctl.front().owner;
-        }
-    };
+    // --- Table 1 / module policy -----------------------------------------
 
     int
     vcIndex(Module m, int port, int vc) const
@@ -107,23 +82,6 @@ class RocoRouter : public Router
         return (static_cast<int>(m) * kPortsPerModule + port) * numVcs_ +
                vc;
     }
-    InputVc &vc(Module m, int port, int v) { return in_[vcIndex(m, port, v)]; }
-
-    NOC_PHASE_FN(recv) void receiveFlits(Cycle now);
-    NOC_PHASE_FN(recv) void pullInjection(Cycle now);
-    NOC_PHASE_FN(alloc) void allocateVcs(Cycle now);
-    NOC_PHASE_FN(alloc) void allocateSwitch(Cycle now);
-    /** Drains discarded (fault-blocked) packets, one flit per cycle. */
-    NOC_PHASE_FN(recv) void drainDropped(Cycle now);
-    /** True when no injection path can ever serve @p head. */
-    bool injectionBlocked(const Flit &head) const;
-    NOC_PHASE_FN(send)
-    void commitGrant(Module m, const MirrorAllocator::Grant &g, Cycle now);
-
-    /** Accepts a transit/injection flit into (module, port, vc). */
-    NOC_PHASE_FN(recv)
-    void bufferFlit(Module m, int port, int v, const Flit &f,
-                    Direction srcDir, Cycle now);
 
     /**
      * Downstream VC slots a head leaving via @p outDir with look-ahead
@@ -140,54 +98,11 @@ class RocoRouter : public Router
     static int outIndex(Direction d);
     static Direction outDirOf(Module m, int outIdx);
 
-    int numVcs_;
-    int depth_;
     RocoVcConfig vcCfg_;
-    /** Flit slots of all input VCs, carved depth_ apiece (SoA arena). */
-    std::vector<Flit> flitPool_;
-    /** PacketCtl records of all input VCs, depth_+1 apiece. */
-    std::vector<PacketCtl> ctlPool_;
-    NOC_OWNED_STATE(recv, alloc, send)
-    std::vector<InputVc> in_; ///< [(module*2+port)*v + vc]
-    /**
-     * Bit i set iff in_[i].ctl is non-empty. The allocation, drain and
-     * injection scans walk set bits instead of all twelve VCs — at low
-     * load a router holds one or two packets, so the scans shrink to
-     * the VCs that can actually act.
-     */
-    NOC_OWNED_STATE(recv, send)
-    std::uint32_t ctlMask_ = 0;
-    /** Wormhole-order invariant trackers, one per input VC. */
-    std::vector<check::WormholeOrderTracker> order_;
     Crossbar xbar_[2];        ///< one 2x2 per module
     MirrorAllocator sa_[2];
-    std::vector<RoundRobinArbiter> vaArb_; ///< [dir * 4v + slot]
     NOC_OWNED_STATE(step, alloc)
     bool vaBusy_[2] = {false, false}; ///< VA arbiters used this cycle
-    NOC_OWNED_STATE(recv)
-    std::uint64_t droppingPacket_ = 0; ///< source packet being discarded
-    /**
-     * Packets in Drop stage across all input VCs. drainDropped() scans
-     * every VC; fault-free runs (the common case) skip it entirely.
-     */
-    NOC_OWNED_STATE(recv, alloc)
-    int dropPending_ = 0;
-
-    /** One input VC's request in a VA round (scratch, see vaReqs_). */
-    struct VaRequest {
-        int inIdx;
-        Direction dir;
-        int slot;
-        Direction nextLa;
-    };
-    /**
-     * Per-cycle VA scratch buffers, hoisted out of allocateVcs() so the
-     * every-cycle allocation round performs no heap allocation.
-     * vaMasks_ is all-zero between rounds (every set key is cleared
-     * when its arbitration fires).
-     */
-    std::vector<VaRequest> vaReqs_;
-    std::vector<std::uint64_t> vaMasks_; ///< [dir * 4v + slot]
 };
 
 } // namespace noc

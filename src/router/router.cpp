@@ -39,24 +39,83 @@ Router::setNeighbor(Direction d, Router *r)
     neighbors_[static_cast<int>(d)] = r;
 }
 
-bool
-Router::reserveInputVc(int, Direction, std::uint64_t, bool, int &)
-{
-    NOC_ASSERT(false,
-               "this architecture does not use receiver-side VC "
-               "reservation");
-    return false;
-}
-
 void
-Router::initOutputVcs(int slotsPerDir, int bufferDepth)
+Router::initInputVcs(const VcLayout &layout)
 {
-    slotsPerDir_ = slotsPerDir;
-    outVcDepth_ = bufferDepth;
-    outVc_.assign(static_cast<size_t>(kNumCardinal) * slotsPerDir,
+    numVcs_ = layout.vcsPerSet;
+    depth_ = layout.depth;
+    portStride_ = layout.perPortSlots ? numVcs_ : 0;
+    vcsPerModule_ = layout.vcsPerModule;
+
+    // Carve every VC's flit slots and packet-control records out of two
+    // contiguous arenas; the pools are sized once so the views below
+    // stay valid for the router's lifetime.
+    const int nVc = layout.inputVcs;
+    flitPool_.resize(static_cast<size_t>(nVc) * depth_);
+    ctlPool_.resize(static_cast<size_t>(nVc) * (depth_ + 1));
+    in_.reserve(static_cast<size_t>(nVc));
+    for (int i = 0; i < nVc; ++i) {
+        in_.emplace_back(&flitPool_[static_cast<size_t>(i) * depth_],
+                         depth_,
+                         &ctlPool_[static_cast<size_t>(i) * (depth_ + 1)],
+                         depth_ + 1);
+    }
+
+    // Output slot namespace mirrors the downstream input VC pool: the
+    // per-port VCs, or the whole pool when links share it.
+    slotsPerDir_ = layout.perPortSlots ? numVcs_ : nVc;
+    outVcDepth_ = depth_;
+    outVc_.assign(static_cast<size_t>(kNumCardinal) * slotsPerDir_,
                   OutputVc{});
     for (auto &vc : outVc_)
-        vc.credits = bufferDepth;
+        vc.credits = depth_;
+}
+
+bool
+Router::reserveInputVc(int slotId, Direction fromDir,
+                       std::uint64_t packetId, bool probeOnly,
+                       int &freeSpace)
+{
+    NOC_ASSERT(slotId >= 0 && slotId < slotsPerDir_,
+               "reservation slot out of range");
+    InputVc &ivc = in_[static_cast<size_t>(inIndex(fromDir, slotId))];
+    // A slot is grantable when unreserved, or when the same link is
+    // chaining packets back to back (its previous tail is in flight).
+    if (ivc.reservedFrom != Direction::Invalid &&
+        ivc.reservedFrom != fromDir) {
+        return false;
+    }
+    // Cross-link handoff must wait for the previous link's flits to
+    // drain: buffer pops return credits to the link that sent the
+    // flit, so a new reserver could never learn about that space.
+    if (!ivc.buf.empty() && ivc.occupantLink != fromDir)
+        return false;
+    freeSpace = depth_ - ivc.buf.occupancy();
+    if (!probeOnly) {
+        ivc.reservedFrom = fromDir;
+        ivc.reservedPacket = packetId;
+    }
+    return true;
+}
+
+int
+Router::inputVcOccupancy(Direction fromDir, int slotId) const
+{
+    NOC_ASSERT(slotId >= 0 && slotId < slotsPerDir_,
+               "input VC slot range");
+    // Pooled slots are shared between upstream links; attribute the
+    // occupancy to the link whose packet currently holds the buffer.
+    const InputVc &ivc = in_[static_cast<size_t>(inIndex(fromDir, slotId))];
+    return ivc.occupantLink == fromDir ? ivc.buf.occupancy() : 0;
+}
+
+int
+Router::bufferedFlits() const
+{
+    int n = 0;
+    for (const InputVc &v : in_)
+        n += v.buf.occupancy();
+    return n;
 }
 
 bool

@@ -1,7 +1,9 @@
 /**
  * @file
- * Abstract router: port plumbing, credit bookkeeping, look-ahead
- * helpers and activity counting shared by the three microarchitectures.
+ * Abstract router: port plumbing, credit bookkeeping, the input-VC
+ * pool, look-ahead helpers and activity counting shared by the three
+ * microarchitectures. The per-cycle pipeline over that state is
+ * router/pipeline.h.
  *
  * A router is stepped once per cycle. All inter-router channels are
  * delay lines that never deliver in the cycle they were written, so
@@ -25,6 +27,7 @@
 #include "fault/fault.h"
 #include "obs/obs.h"
 #include "power/energy_model.h"
+#include "router/vc_buffer.h"
 #include "routing/routing.h"
 #include "topology/channel.h"
 #include "topology/mesh.h"
@@ -103,8 +106,9 @@ struct OutputVc {
 };
 
 /**
- * Base router: identity, configuration, port wiring, output-VC credit
- * tables, look-ahead route computation and fault awareness.
+ * Base router: identity, configuration, port wiring, the input-VC pool,
+ * output-VC credit tables, look-ahead route computation and fault
+ * awareness.
  */
 class Router
 {
@@ -208,8 +212,8 @@ class Router
      * records (@p fromDir, @p packetId). @p freeSpace reports the
      * buffer slots available to the reserver at grant time.
      * The reservation clears when the packet's tail flit is written
-     * into the buffer. Default implementation panics (the generic
-     * router keeps classic per-link VC state).
+     * into the buffer. Only pooled layouts call it (the generic router
+     * keeps classic per-link VC state and never reserves).
      *
      * Runs inside the *upstream* router's alloc phase — it is the one
      * sanctioned way a step reaches into a neighbour's NOC_OWNED_STATE,
@@ -218,17 +222,17 @@ class Router
      * NOC_RACE_CHECK validator in par/race_check.h).
      */
     NOC_PHASE_FN(alloc)
-    virtual bool reserveInputVc(int slotId, Direction fromDir,
-                                std::uint64_t packetId, bool probeOnly,
-                                int &freeSpace);
+    bool reserveInputVc(int slotId, Direction fromDir,
+                        std::uint64_t packetId, bool probeOnly,
+                        int &freeSpace);
 
     /** Advances the router by one clock cycle. */
     virtual void step(Cycle now) = 0;
 
     virtual RouterArch arch() const = 0;
 
-    /** Flits currently buffered in the router's input VCs. */
-    virtual int bufferedFlits() const = 0;
+    /** Flits currently buffered in the router (tests / drain detection). */
+    virtual int bufferedFlits() const;
 
     NodeId id() const { return id_; }
     const ActivityCounters &activity() const { return act_; }
@@ -276,7 +280,7 @@ class Router
      * on the wire).  Zero when the slot's occupant entered via another
      * link, so the caller can attribute occupancy per upstream.
      */
-    virtual int inputVcOccupancy(Direction fromDir, int slotId) const = 0;
+    int inputVcOccupancy(Direction fromDir, int slotId) const;
 
     /**
      * Counts this router's in-flight traffic on the link behind output
@@ -309,13 +313,81 @@ class Router
         return ports_[static_cast<int>(d)];
     }
 
-    /**
-     * Sizes the output-VC credit tables: @p slotsPerDir downstream VC
-     * slots behind each cardinal output, each starting with
-     * @p bufferDepth credits. Called from subclass constructors.
-     */
-    NOC_PHASE_FN(setup) void initOutputVcs(int slotsPerDir, int bufferDepth);
+    /** Sentinel output slot: the flit ejects at the next router, no VC. */
+    static constexpr int kEjectSlot = -2;
 
+    /**
+     * One input VC as views into the router's flit/ctl arenas: the
+     * buffers of a router are a single contiguous run of memory (see
+     * flitPool_ / ctlPool_ below). The ctl ring holds at most
+     * depth + 1 packets — k packets in a VC imply at least k-1 tails
+     * plus one more flit buffered, so k <= depth + 1.
+     */
+    struct InputVc {
+        InputVc(Flit *fbase, int depth, PacketCtl *cbase, int ctlCap)
+            : buf(fbase, depth), ctl(cbase, ctlCap)
+        {}
+
+        VcBuffer buf;
+        RingView<PacketCtl> ctl; ///< per-packet state, front = active
+        /** Link holding the reservation handshake, Invalid when free. */
+        Direction reservedFrom = Direction::Invalid;
+        std::uint64_t reservedPacket = 0;
+        /** Link whose flits currently occupy the buffer. */
+        Direction occupantLink = Direction::Invalid;
+
+        /** True when the front packet's head awaits VC allocation. */
+        bool
+        headWaiting(Cycle now) const
+        {
+            return !ctl.empty() &&
+                   ctl.front().stage == PacketCtl::Stage::VaWait &&
+                   now >= ctl.front().vaEligible && !buf.empty() &&
+                   isHead(buf.front().type) &&
+                   buf.front().packetId == ctl.front().owner;
+        }
+    };
+
+    /**
+     * How an architecture lays out its input VCs. A flit names its VC
+     * on the wire by a slot id. With @c perPortSlots the id counts the
+     * VCs of the arrival port alone (generic: in_ index = port * v +
+     * slot); otherwise it names one VC of a pool that every upstream
+     * link shares (Path-Sensitive quadrant sets, RoCo path sets: in_
+     * index = slot), refereed through reserveInputVc().
+     */
+    struct VcLayout {
+        int vcsPerSet;     ///< VCs per port / path set
+        int depth;         ///< flit slots per VC
+        int inputVcs;      ///< input VCs in the whole router
+        bool perPortSlots; ///< wire slots are per-port VC indices
+        int vcsPerModule;  ///< input VCs per crossbar module (obs track)
+    };
+
+    /**
+     * Carves the input VCs of @p layout out of the flit/ctl arenas and
+     * sizes the output-VC credit tables to match the downstream slot
+     * namespace, each slot starting with @c depth credits. Called from
+     * subclass constructors.
+     */
+    NOC_PHASE_FN(setup) void initInputVcs(const VcLayout &layout);
+
+    /** in_ index of wire slot @p slot arriving over link @p from. */
+    int
+    inIndex(Direction from, int slot) const
+    {
+        return portStride_ * static_cast<int>(from) + slot;
+    }
+    /** Wire slot id of in_[@p idx] as seen by the link @p from. */
+    int
+    wireSlot(int idx, Direction from) const
+    {
+        return idx - portStride_ * static_cast<int>(from);
+    }
+    /** Crossbar module (obs track) owning in_[@p idx]. */
+    int moduleOfVc(int idx) const { return idx / vcsPerModule_; }
+    /** True when upstream links share one receiver-refereed VC pool. */
+    bool pooledSlots() const { return portStride_ == 0; }
 
     OutputVc &
     outputVc(Direction d, int slot)
@@ -498,7 +570,19 @@ class Router
     ActivityCounters act_;
     Rng rng_; ///< deterministic tie-breaking
 
+    int numVcs_ = 0; ///< VCs per port / path set
+    int depth_ = 0;  ///< flit slots per input VC
+    NOC_OWNED_STATE(recv, alloc, send)
+    std::vector<InputVc> in_; ///< indexed as VcLayout describes
+
   private:
+    /** Flit slots of all input VCs, carved depth_ apiece (SoA arena). */
+    std::vector<Flit> flitPool_;
+    /** PacketCtl records of all input VCs, depth_+1 apiece. */
+    std::vector<PacketCtl> ctlPool_;
+    int portStride_ = 0;   ///< numVcs_ with per-port slots, else 0
+    int vcsPerModule_ = 1; ///< see VcLayout::vcsPerModule
+
     NodeId id_;
     /** Cached &faults_->state(id_) (or a shared healthy default). */
     const NodeFaultState *fs_;

@@ -390,16 +390,13 @@ Network::checkProtocolInvariants(Cycle now) const
                         std::to_string(credits[s]) +
                         " + downstream occupancy " + std::to_string(held) +
                         " != depth " + std::to_string(u.outputVcDepth()));
-                if (cfg_.arch != RouterArch::Generic) {
-                    NOC_INVARIANT(
-                        o.credits + o.outstanding == u.outputVcDepth(),
-                        check::InvariantKind::CreditConservation, now, n,
-                        dir, s,
-                        "credits " + std::to_string(o.credits) +
-                            " + outstanding " +
-                            std::to_string(o.outstanding) + " != depth " +
-                            std::to_string(u.outputVcDepth()));
-                }
+                NOC_INVARIANT(
+                    o.credits + o.outstanding == u.outputVcDepth(),
+                    check::InvariantKind::CreditConservation, now, n, dir,
+                    s,
+                    "credits " + std::to_string(o.credits) +
+                        " + outstanding " + std::to_string(o.outstanding) +
+                        " != depth " + std::to_string(u.outputVcDepth()));
             }
         }
     }

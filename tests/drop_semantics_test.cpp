@@ -124,18 +124,47 @@ TEST_F(DropFixture, PacketsToADeadDestinationAreDiscardedEverywhere)
 
 TEST_F(DropFixture, MidRouteDropReturnsEveryCredit)
 {
-    // A packet travels two healthy hops before meeting the fault; the
-    // discard must free the buffers it crossed (credits quiescent).
-    FaultSpec f{3, FaultComponent::MuxDemux, Module::Row, 0, 0};
-    Network net(config(RouterArch::Generic), {f});
-    net.nic(0).enqueuePacket(3, 0, id_, true); // 0->1->2->3(dead)
-    settle(net);
-    EXPECT_EQ(net.nic(3).deliveredPackets(), 0u);
-    EXPECT_EQ(net.flitsInFlight(), 0);
-    for (int i = 0; i < net.numNodes(); ++i) {
-        EXPECT_TRUE(
-            net.router(static_cast<NodeId>(i)).creditsQuiescent())
-            << i;
+    // An XY packet 0 -> 7 (0->1->2->3, then north) crosses healthy
+    // hops before meeting the fault at node 3; the discard must free
+    // the buffers it crossed (credits quiescent). The drain returns
+    // credits through each layout's wire slots: a per-port VC
+    // (generic) or a pooled slot id (PS, RoCo).
+    struct Case {
+        RouterArch arch;
+        FaultSpec fault;
+    };
+    const Case cases[] = {
+        // Node 3 dies whole. Generic drops at 2, whose only XY hop is
+        // the dead node; PS's look-ahead at 1 already sees it beyond 2.
+        {RouterArch::Generic,
+         {3, FaultComponent::MuxDemux, Module::Row, 0, 0}},
+        {RouterArch::PathSensitive,
+         {3, FaultComponent::MuxDemux, Module::Row, 0, 0}},
+        // Only node 3's column module dies: node 2's look-ahead finds
+        // no live module for the turn north at 3.
+        {RouterArch::Roco,
+         {3, FaultComponent::MuxDemux, Module::Column, 0, 0}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(toString(c.arch));
+        Network net(config(c.arch), {c.fault});
+        net.nic(0).enqueuePacket(7, 0, id_, true);
+        settle(net);
+        EXPECT_EQ(net.nic(7).deliveredPackets(), 0u);
+        EXPECT_EQ(net.flitsInFlight(), 0);
+        // Dropped mid-route, not at the source queue.
+        EXPECT_GT(net.router(1).activity().bufferWrites, 0u);
+        for (int i = 0; i < net.numNodes(); ++i) {
+            EXPECT_TRUE(
+                net.router(static_cast<NodeId>(i)).creditsQuiescent())
+                << i;
+        }
+        if (c.arch != RouterArch::PathSensitive) {
+            // Two healthy hops, then discarded at node 2 itself.
+            EXPECT_GT(net.router(2).activity().bufferWrites, 0u);
+            EXPECT_EQ(net.router(2).activity().bufferReads, 0u);
+            EXPECT_EQ(net.router(3).activity().bufferWrites, 0u);
+        }
     }
 }
 

@@ -230,9 +230,10 @@ TEST(RaceCheckFixtureDeathTest, FailFastAbortsOnFirstFinding)
  * Runs one simulation with a passively-attached checker and returns
  * it for inspection. The checker accumulates instead of aborting, so
  * a (hypothetical) schedule bug would surface as a readable finding
- * list rather than a process exit.
+ * list rather than a process exit. Only the matrix tests built with
+ * -DNOC_RACE_CHECK=ON call it.
  */
-void
+[[maybe_unused]] void
 expectCleanRun(SimConfig cfg, const std::vector<FaultSpec> &faults,
                int shards, const char *what)
 {

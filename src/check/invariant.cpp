@@ -33,29 +33,24 @@ Violation::describe() const
 
 namespace {
 
-/** -1 = read NOC_INVARIANT on first use; 0/1 = decided. */
-std::atomic<int> gEnabled{-1};
 std::atomic<ViolationRecorder *> gRecorder{nullptr};
 std::mutex gReportMutex;
 
 } // namespace
 
 bool
-invariantsEnabled()
+detail::readInvariantsEnv()
 {
-    int v = gEnabled.load(std::memory_order_relaxed);
-    if (v < 0) {
-        const char *e = std::getenv("NOC_INVARIANT");
-        v = (e != nullptr && e[0] == '0' && e[1] == '\0') ? 0 : 1;
-        gEnabled.store(v, std::memory_order_relaxed);
-    }
+    const char *e = std::getenv("NOC_INVARIANT");
+    const int v = (e != nullptr && e[0] == '0' && e[1] == '\0') ? 0 : 1;
+    invariantsState.store(v, std::memory_order_relaxed);
     return v == 1;
 }
 
 void
 setInvariantsEnabled(bool on)
 {
-    gEnabled.store(on ? 1 : 0, std::memory_order_relaxed);
+    detail::invariantsState.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
 ViolationRecorder *
@@ -80,11 +75,10 @@ reportViolation(Violation v)
 
 #if NOC_INVARIANTS_BUILT
 void
-WormholeOrderTracker::onFlit(const Flit &f, Cycle now, NodeId router,
-                             Direction port, int vc)
+WormholeOrderTracker::reportDisorder(const Flit &f, Cycle now,
+                                     NodeId router, Direction port,
+                                     int vc) const
 {
-    if (!invariantsEnabled())
-        return;
     if (isHead(f.type)) {
         NOC_INVARIANT(!open_, InvariantKind::WormholeOrder, now, router,
                       port, vc,
@@ -116,11 +110,6 @@ WormholeOrderTracker::onFlit(const Flit &f, Cycle now, NodeId router,
                           " out of order (expected " +
                           std::to_string(nextSeq_) + ")");
     }
-    // Re-synchronise to the flit just seen so a single violation does
-    // not cascade into one report per subsequent flit.
-    open_ = !isTail(f.type);
-    packetId_ = f.packetId;
-    nextSeq_ = static_cast<std::uint16_t>(f.flitSeq + 1);
 }
 #endif // NOC_INVARIANTS_BUILT
 

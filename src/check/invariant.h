@@ -28,6 +28,7 @@
 #ifndef ROCOSIM_CHECK_INVARIANT_H_
 #define ROCOSIM_CHECK_INVARIANT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -65,12 +66,26 @@ struct Violation {
     std::string describe() const;
 };
 
+namespace detail {
+/** -1 = read NOC_INVARIANT on first use; 0/1 = decided. */
+inline std::atomic<int> invariantsState{-1};
+/** Reads NOC_INVARIANT, caches it in invariantsState and returns it. */
+bool readInvariantsEnv();
+} // namespace detail
+
 /**
  * Runtime gate. First call reads the NOC_INVARIANT environment
  * variable ("0" disables, anything else or unset enables); afterwards
  * the cached value is returned until setInvariantsEnabled overrides it.
+ * Inline: the order trackers ask once per buffered flit, so the
+ * decided case is one relaxed load, not a call.
  */
-bool invariantsEnabled();
+inline bool
+invariantsEnabled()
+{
+    const int v = detail::invariantsState.load(std::memory_order_relaxed);
+    return v >= 0 ? v == 1 : detail::readInvariantsEnv();
+}
 void setInvariantsEnabled(bool on);
 
 /** Sink for violations; tests install one to assert on firings. */
@@ -100,8 +115,23 @@ class WormholeOrderTracker
 {
   public:
 #if NOC_INVARIANTS_BUILT
-    void onFlit(const Flit &f, Cycle now, NodeId router, Direction port,
-                int vc);
+    void
+    onFlit(const Flit &f, Cycle now, NodeId router, Direction port, int vc)
+    {
+        if (!invariantsEnabled())
+            return;
+        const bool inOrder =
+            isHead(f.type) ? !open_ && f.flitSeq == 0
+                           : open_ && f.packetId == packetId_ &&
+                                 f.flitSeq == nextSeq_;
+        if (!inOrder) [[unlikely]]
+            reportDisorder(f, now, router, port, vc);
+        // Re-synchronise to the flit just seen so a single violation
+        // does not cascade into one report per subsequent flit.
+        open_ = !isTail(f.type);
+        packetId_ = f.packetId;
+        nextSeq_ = static_cast<std::uint16_t>(f.flitSeq + 1);
+    }
 #else
     void
     onFlit(const Flit &, Cycle, NodeId, Direction, int)
@@ -110,6 +140,12 @@ class WormholeOrderTracker
 #endif
 
   private:
+#if NOC_INVARIANTS_BUILT
+    /** Reports each order rule @p f breaks (the cold path of onFlit). */
+    void reportDisorder(const Flit &f, Cycle now, NodeId router,
+                        Direction port, int vc) const;
+#endif
+
     bool open_ = false;            ///< inside a packet (head seen, no tail)
     std::uint64_t packetId_ = 0;
     std::uint16_t nextSeq_ = 0;

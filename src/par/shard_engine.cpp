@@ -20,6 +20,12 @@ struct alignas(64) ShardCount {
     std::uint64_t value = 0;
 };
 
+/** Per-shard flit ledger, bumped per flit by that shard's routers and
+ *  NICs; padded so two shards' counters never share a cache line. */
+struct alignas(64) ShardLedger {
+    FlitLedger value;
+};
+
 /** Everything the workers share; mutable fields are only written in
  *  the single-threaded barrier epilogue, and the barrier's release /
  *  acquire pair publishes them to every worker. */
@@ -30,7 +36,7 @@ struct Shared {
     RunControl &ctl;
     obs::Recorder *obs;
     SpinBarrier barrier;
-    std::vector<FlitLedger> ledgers;   // one per shard
+    std::vector<ShardLedger> ledgers;  // one per shard
     std::vector<ShardCount> generated; // this cycle, per shard
     std::vector<ShardCount> stepsExec; // whole run, per shard
     std::vector<ShardCount> stepsSched;
@@ -71,14 +77,13 @@ epilogue(Shared &sh)
         race->endCycle(sh.now);
 #endif
     std::uint64_t gen = 0;
-    for (ShardCount &g : sh.generated) {
+    for (const ShardCount &g : sh.generated)
         gen += g.value;
-        g.value = 0;
-    }
     sh.net.addGenerated(gen);
 
     FlitLedger sum;
-    for (const FlitLedger &l : sh.ledgers) {
+    for (const ShardLedger &sl : sh.ledgers) {
+        const FlitLedger &l = sl.value;
         sum.created += l.created;
         sum.retired += l.retired;
         sum.flitCycles += l.flitCycles;
@@ -155,18 +160,9 @@ work(Shared &sh, int s)
         bool generating = sh.ctl.generating();
         bool measuring = sh.ctl.measuring();
 
-        // NIC sources must run every generating cycle (each draws its
-        // RNG stream per cycle); the loop vanishes in the drain phase.
-        // Service mode keeps the NICs running through the drain so
-        // scheduled replies still fire (mirrors Network::step's gate).
-        // The epilogue zeroed generated[s] after reading it.
-        if (generating || sh.cfg.svc.enabled) {
-            std::uint64_t gen = 0;
-            for (NodeId n : plan.nodes(s))
-                gen += static_cast<std::uint64_t>(
-                    net.nic(n).generate(now, measuring, generating));
-            sh.generated[static_cast<std::size_t>(s)].value = gen;
-        }
+        // This shard's sources, through the serial engine's routine.
+        sh.generated[static_cast<std::size_t>(s)].value =
+            net.generateTraffic(plan.nodes(s), now, generating, measuring);
 
         // Identical idle-skip decisions to the serial loop: within a
         // phase, only this thread writes a phase-p router's flag (its
@@ -248,7 +244,8 @@ runSharded(Network &net, const SimConfig &cfg, int shards,
     // the reduced totals) before returning.
     for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n)
         net.bindNodeLedger(n, &sh.ledgers[static_cast<std::size_t>(
-                                  plan.shardOf(n))]);
+                                              plan.shardOf(n))]
+                                   .value);
     if (obs != nullptr) {
         std::vector<int> laneOf(static_cast<std::size_t>(net.numNodes()));
         for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n)

@@ -38,7 +38,7 @@ class RoundRobinArbiter
     {
         int winner = peek(requestMask);
         if (winner >= 0)
-            next_ = (winner + 1) % size_;
+            next_ = winner + 1 < size_ ? winner + 1 : 0; // no divide
         return winner;
     }
 

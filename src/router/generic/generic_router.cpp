@@ -1,5 +1,6 @@
 #include "router/generic/generic_router.h"
 
+#include <bit>
 #include <limits>
 
 #include "obs/recorder.h"
@@ -180,15 +181,23 @@ GenericRouter::allocateSwitch(Cycle now)
 {
     // Stage 1: one winner per input port; requests from packets that
     // won VA this very cycle are speculative and yield to committed
-    // ones.
-    int stage1[kNumPorts];
-    bool stage1Spec[kNumPorts];
+    // ones. Only VCs holding a packet can request: each port walks its
+    // slice of the ctl-occupancy mask. Each winner's output is latched
+    // into the stage-2 request masks right away — commits below mutate
+    // the control queues, so reading them lazily would be stale.
+    int stage1[kNumPorts] = {};
+    std::uint64_t outReq[kNumPorts] = {};     // bit p: port p wants out
+    std::uint64_t outCommit[kNumPorts] = {};  // ... non-speculatively
+    unsigned outs = 0;                        // bit out: outReq[out] != 0
+    const std::uint64_t portVcs = (1ull << numVcs_) - 1;
     for (int p = 0; p < kNumPorts; ++p) {
+        std::uint64_t scan = (ctlMask_ >> (p * numVcs_)) & portVcs;
         std::uint64_t mask = 0;
         std::uint64_t specMask = 0;
-        for (int v = 0; v < numVcs_; ++v) {
+        for (; scan; scan &= scan - 1) {
+            const int v = std::countr_zero(scan);
             InputVc &ivc = vc(p, v);
-            if (ivc.ctl.empty() || ivc.buf.empty())
+            if (ivc.buf.empty())
                 continue;
             const PacketCtl &ctl = ivc.ctl.front();
             if (ctl.stage != PacketCtl::Stage::Active)
@@ -202,53 +211,31 @@ GenericRouter::allocateSwitch(Cycle now)
             else
                 mask |= 1ull << v;
         }
-        if (mask | specMask)
-            ++act_.saLocalArbs;
-        if (mask) {
-            stage1[p] = saPort_[p].arbitrate(mask);
-            stage1Spec[p] = false;
-        } else if (specMask) {
-            stage1[p] = saPort_[p].arbitrate(specMask);
-            stage1Spec[p] = true;
-        } else {
-            stage1[p] = -1;
-            stage1Spec[p] = false;
-        }
-    }
-
-    // Latch each stage-1 winner's requested output now: commits below
-    // mutate the control queues, so reading them lazily would be
-    // stale (or worse, empty) for later outputs.
-    int wantOut[kNumPorts];
-    for (int p = 0; p < kNumPorts; ++p) {
-        wantOut[p] = stage1[p] < 0
-                         ? -1
-                         : static_cast<int>(
-                               vc(p, stage1[p]).ctl.front().outDir);
+        if ((mask | specMask) == 0)
+            continue;
+        ++act_.saLocalArbs;
+        stage1[p] = saPort_[p].arbitrate(mask ? mask : specMask);
+        const int out =
+            static_cast<int>(vc(p, stage1[p]).ctl.front().outDir);
+        outReq[out] |= 1ull << p;
+        if (mask)
+            outCommit[out] |= 1ull << p;
+        outs |= 1u << out;
     }
 
     // Stage 2: one winner per output port; speculative requests are
     // masked whenever a committed request wants the same output.
-    for (int out = 0; out < kNumPorts; ++out) {
-        std::uint64_t mask = 0;
-        std::uint64_t nonspec = 0;
-        for (int p = 0; p < kNumPorts; ++p) {
-            if (wantOut[p] == out) {
-                mask |= 1ull << p;
-                if (!stage1Spec[p])
-                    nonspec |= 1ull << p;
-            }
-        }
-        if (mask == 0)
-            continue;
+    for (; outs; outs &= outs - 1) {
+        const int out = std::countr_zero(outs);
+        const std::uint64_t mask = outReq[out];
         ++act_.saGlobalArbs;
-        int winPort = saOut_[out].arbitrate(nonspec ? nonspec : mask);
+        int winPort =
+            saOut_[out].arbitrate(outCommit[out] ? outCommit[out] : mask);
 
         // Contention probes: every stage-1 winner requesting this
         // output either proceeds or is blocked this cycle (Figure 3).
-        for (int p = 0; p < kNumPorts; ++p) {
-            if (!(mask & (1ull << p)))
-                continue;
+        for (std::uint64_t req = mask; req; req &= req - 1) {
+            const int p = std::countr_zero(req);
             Direction pd = static_cast<Direction>(p);
             bool rowInput = pd == Direction::Local
                                 ? isRow(static_cast<Direction>(out))

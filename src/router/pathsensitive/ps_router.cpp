@@ -1,5 +1,7 @@
 #include "router/pathsensitive/ps_router.h"
 
+#include <bit>
+
 namespace noc {
 
 PathSensitiveRouter::PathSensitiveRouter(NodeId id, const SimConfig &cfg,
@@ -186,15 +188,23 @@ void
 PathSensitiveRouter::allocateSwitch(Cycle now)
 {
     // Stage 1: each path set commits to one candidate head before
-    // output conflicts are visible (the chained dependency).
-    int setWin[kNumQuadrants];
-    bool setSpec[kNumQuadrants];
+    // output conflicts are visible (the chained dependency). Only VCs
+    // holding a packet can request: each set walks its slice of the
+    // ctl-occupancy mask, and latches its winner's output into the
+    // stage-2 request masks before any commit mutates the queues.
+    int setWin[kNumQuadrants] = {};
+    std::uint64_t outReq[kNumCardinal] = {};    // bit q: set q wants out
+    std::uint64_t outCommit[kNumCardinal] = {}; // ... non-speculatively
+    unsigned outs = 0;                          // bit out: outReq[out] != 0
+    const std::uint64_t setVcs = (1ull << numVcs_) - 1;
     for (int q = 0; q < kNumQuadrants; ++q) {
+        std::uint64_t scan = (ctlMask_ >> (q * numVcs_)) & setVcs;
         std::uint64_t mask = 0;
         std::uint64_t specMask = 0;
-        for (int v = 0; v < numVcs_; ++v) {
+        for (; scan; scan &= scan - 1) {
+            const int v = std::countr_zero(scan);
             InputVc &ivc = vc(q, v);
-            if (ivc.ctl.empty() || ivc.buf.empty())
+            if (ivc.buf.empty())
                 continue;
             const PacketCtl &ctl = ivc.ctl.front();
             if (ctl.stage != PacketCtl::Stage::Active)
@@ -210,52 +220,29 @@ PathSensitiveRouter::allocateSwitch(Cycle now)
             else
                 mask |= 1ull << v;
         }
-        if (mask | specMask)
-            ++act_.saLocalArbs;
-        if (mask) {
-            setWin[q] = saSet_[q].arbitrate(mask);
-            setSpec[q] = false;
-        } else if (specMask) {
-            setWin[q] = saSet_[q].arbitrate(specMask);
-            setSpec[q] = true;
-        } else {
-            setWin[q] = -1;
-            setSpec[q] = false;
-        }
-    }
-
-    // Latch requested outputs before commits mutate the queues.
-    int wantOut[kNumQuadrants];
-    for (int q = 0; q < kNumQuadrants; ++q) {
-        wantOut[q] = setWin[q] < 0
-                         ? -1
-                         : static_cast<int>(
-                               vc(q, setWin[q]).ctl.front().outDir);
+        if ((mask | specMask) == 0)
+            continue;
+        ++act_.saLocalArbs;
+        setWin[q] = saSet_[q].arbitrate(mask ? mask : specMask);
+        const int out = static_cast<int>(vc(q, setWin[q]).ctl.front().outDir);
+        outReq[out] |= 1ull << q;
+        if (mask)
+            outCommit[out] |= 1ull << q;
+        outs |= 1u << out;
     }
 
     // Stage 2: 2:1 arbitration per output port between the two
     // adjacent quadrants; speculative requests yield to committed.
-    for (int out = 0; out < kNumCardinal; ++out) {
-        Direction outDir = static_cast<Direction>(out);
-        std::uint64_t mask = 0;
-        std::uint64_t nonspec = 0;
-        for (int q = 0; q < kNumQuadrants; ++q) {
-            if (wantOut[q] == out) {
-                mask |= 1ull << q;
-                if (!setSpec[q])
-                    nonspec |= 1ull << q;
-            }
-        }
-        if (mask == 0)
-            continue;
+    for (; outs; outs &= outs - 1) {
+        const int out = std::countr_zero(outs);
+        const Direction outDir = static_cast<Direction>(out);
+        const std::uint64_t mask = outReq[out];
         ++act_.saGlobalArbs;
-        int winQ = saOut_[out].arbitrate(nonspec ? nonspec : mask);
+        int winQ =
+            saOut_[out].arbitrate(outCommit[out] ? outCommit[out] : mask);
 
-        for (int q = 0; q < kNumQuadrants; ++q) {
-            if (!(mask & (1ull << q)))
-                continue;
-            noteContention(isRow(outDir), q != winQ);
-        }
+        for (std::uint64_t req = mask; req; req &= req - 1)
+            noteContention(isRow(outDir), std::countr_zero(req) != winQ);
 
         xbar_.traverse(winQ, out);
         commitTraversal(winQ * numVcs_ + setWin[winQ], outDir, now);

@@ -64,10 +64,13 @@ Network::build(const std::vector<FaultSpec> &faults)
 
     routers_.reserve(static_cast<size_t>(n));
     nics_.reserve(static_cast<size_t>(n));
+    lanes_ = std::make_unique<InjectionLane[]>(static_cast<size_t>(n));
+    allNodes_.resize(static_cast<size_t>(n));
     for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
+        allNodes_[id] = id;
         routers_.push_back(
             makeRouter(id, cfg_, topo_, *routing_, faults_.get()));
-        nics_.push_back(std::make_unique<Nic>(id, cfg_, topo_));
+        nics_.push_back(std::make_unique<Nic>(id, cfg_, topo_, &lanes_[id]));
         routers_.back()->setNic(nics_.back().get());
         routers_.back()->setNicQueue(&nics_.back()->sourceQueue());
         routers_.back()->setLedger(&ledger_);
@@ -76,6 +79,9 @@ Network::build(const std::vector<FaultSpec> &faults)
         if (trace_)
             nics_.back()->attachTrace(*trace_);
     }
+    laneSweep_ = true;
+    for (const auto &nic : nics_)
+        laneSweep_ = laneSweep_ && nic->laneDriven();
 
     // One channel pair per link direction. The flit channel models
     // switch traversal plus link propagation after the allocation
@@ -149,20 +155,40 @@ Network::setObserver(obs::Recorder *obs)
         nic->setObserver(obs);
 }
 
+std::uint64_t
+Network::generateTraffic(std::span<const NodeId> nodes, Cycle now,
+                         bool generationEnabled, bool measured)
+{
+    // Sources must run every cycle while traffic is generated — each
+    // draws from its RNG stream per cycle — but disappear entirely in
+    // the drain phase. Service mode keeps its NICs alive through the
+    // drain: scheduled replies must still be pumped (with request
+    // generation off) or the closed loop would truncate.
+    std::uint64_t made = 0;
+    if (laneSweep_) {
+        if (!generationEnabled)
+            return 0;
+        // The draw Nic::generate would make, without visiting the NIC:
+        // at low load all but a few percent of draws do not fire.
+        InjectionLane *const lanes = lanes_.get();
+        for (NodeId n : nodes) {
+            if (lanes[n].fires())
+                made += static_cast<std::uint64_t>(
+                    nics_[n]->fire(now, measured));
+        }
+    } else if (generationEnabled || cfg_.svc.enabled) {
+        for (NodeId n : nodes)
+            made += static_cast<std::uint64_t>(
+                nics_[n]->generate(now, measured, generationEnabled));
+    }
+    return made;
+}
+
 void
 Network::step(Cycle now, bool generationEnabled, bool measured)
 {
-    // The NIC loop must run every cycle while traffic is generated —
-    // each Bernoulli source draws from its RNG stream per cycle — but
-    // disappears entirely in the drain phase. Service mode keeps it
-    // alive through the drain: scheduled replies must still be pumped
-    // (with request generation off) or the closed loop would truncate.
-    if (generationEnabled || cfg_.svc.enabled) {
-        for (auto &nic : nics_) {
-            generatedBase1_ += static_cast<std::uint64_t>(
-                nic->generate(now, measured, generationEnabled));
-        }
-    }
+    generatedBase1_ +=
+        generateTraffic(allNodes_, now, generationEnabled, measured);
     const PhaseEntry *entries = flatPhases_.data();
 #if NOC_RACE_CHECK_BUILT
     par::RaceChecker *const race = race_;

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -53,6 +54,20 @@ class Network
      */
     NOC_PHASE_FN(engine)
     void step(Cycle now, bool generationEnabled, bool measured);
+
+    /**
+     * Runs the traffic sources of @p nodes for cycle @p now and returns
+     * the packets they generated: the one generation routine of both
+     * engines (step() over every node, the shard engine over each
+     * shard's nodes). When every NIC is lane-driven it sweeps the
+     * nodes' injection lanes and calls into a NIC only when its draw
+     * fires; otherwise (service mode, trace replay, non-Bernoulli
+     * processes) it calls each NIC's generate(). Either way every
+     * source draws the same stream as a per-node Nic::generate loop.
+     */
+    NOC_PHASE_FN(inject)
+    std::uint64_t generateTraffic(std::span<const NodeId> nodes, Cycle now,
+                                  bool generationEnabled, bool measured);
 
     const MeshTopology &topology() const { return topo_; }
     const SimConfig &config() const { return cfg_; }
@@ -183,6 +198,13 @@ class Network
     std::vector<ChannelPair> channels_;
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<Nic>> nics_;
+    /** Every node's injection lane, indexed by id (see InjectionLane). */
+    NOC_OWNED_STATE(inject)
+    std::unique_ptr<InjectionLane[]> lanes_;
+    /** True when every NIC is lane-driven (see generateTraffic). */
+    bool laneSweep_ = false;
+    /** Node ids 0 .. n-1: the generation list of step(). */
+    std::vector<NodeId> allNodes_;
     std::unique_ptr<TraceSchedule> trace_;
     NOC_OWNED_STATE(engine, epilogue)
     std::uint64_t generatedBase1_ = 1;

@@ -8,8 +8,9 @@
 
 namespace noc {
 
-Nic::Nic(NodeId id, const SimConfig &cfg, const MeshTopology &topo)
-    : id_(id), cfg_(cfg), traffic_(cfg, topo, id),
+Nic::Nic(NodeId id, const SimConfig &cfg, const MeshTopology &topo,
+         InjectionLane *lane)
+    : id_(id), cfg_(cfg), traffic_(cfg, topo, id, lane),
       rng_(cfg.seed, 0x41C0000ull + id),
       idStride_(static_cast<std::uint64_t>(topo.numNodes()))
 {
@@ -38,12 +39,21 @@ Nic::generate(Cycle now, bool measured, bool generationEnabled)
         return generateService(now, measured, generationEnabled);
     if (!generationEnabled)
         return 0;
-    NodeId dst = kInvalidNode;
-    if (trace_) {
-        dst = trace_->next(now);
-    } else if (auto d = traffic_.maybeGenerate(now)) {
-        dst = *d;
-    }
+    if (trace_)
+        return emit(trace_->next(now), now, measured);
+    return emit(traffic_.maybeGenerate(now).value_or(kInvalidNode), now,
+                measured);
+}
+
+int
+Nic::fire(Cycle now, bool measured)
+{
+    return emit(traffic_.destination(), now, measured);
+}
+
+int
+Nic::emit(NodeId dst, Cycle now, bool measured)
+{
     if (dst == kInvalidNode)
         return 0;
     std::uint64_t pid = 1 + static_cast<std::uint64_t>(id_) +
@@ -191,15 +201,24 @@ Nic::deliverFlit(const Flit &f, Cycle now)
     NOC_OBS(if (obs_ && isHead(f.type))
                 obs_->record(obs::Stage::Eject, f, id_, now));
 
-    Arrival &a = arrivals_[f.packetId];
+    std::size_t slot = 0;
+    while (slot < arrivals_.size() &&
+           arrivals_[slot].packetId != f.packetId)
+        ++slot;
+    if (slot == arrivals_.size())
+        arrivals_.push_back(Arrival{f.packetId, 0, false});
+    Arrival &a = arrivals_[slot];
     a.measured = a.measured || f.measured;
     // Wormhole switching delivers a packet's flits strictly in order.
     NOC_ASSERT(a.flitsSeen == f.flitSeq, "out-of-order flit delivery");
     ++a.flitsSeen;
     NOC_ASSERT(a.flitsSeen <= f.packetLen, "duplicate flit delivery");
     if (a.flitsSeen == f.packetLen) {
+        const bool measured = a.measured;
+        a = arrivals_.back(); // swap-with-last removal
+        arrivals_.pop_back();
         ++delivered_;
-        if (a.measured) {
+        if (measured) {
             ++deliveredMeasured_;
             double lat = static_cast<double>(now - f.createTime);
             latency_.add(lat);
@@ -208,7 +227,7 @@ Nic::deliverFlit(const Flit &f, Cycle now)
         if (svc_) {
             svc::ClassStats &cs = svc_->cls[clsIndex(f.cls)];
             ++cs.deliveredPackets;
-            if (a.measured) {
+            if (measured) {
                 cs.latency.add(static_cast<double>(now - f.createTime));
                 cs.latencyHist.record(now - f.createTime);
             }
@@ -224,7 +243,7 @@ Nic::deliverFlit(const Flit &f, Cycle now)
                 // account the round trip against the tier's SLO.
                 svc::ServiceEndpoint::Completion c =
                     svc_->ep.onReplyDelivered(f.packetId);
-                if (c.known && a.measured) {
+                if (c.known && measured) {
                     Cycle rtt = now - c.injectCycle;
                     svc::ClassStats &rq =
                         svc_->cls[clsIndex(makeMsgClass(false, c.tier))];
@@ -238,7 +257,6 @@ Nic::deliverFlit(const Flit &f, Cycle now)
             }
         }
         NOC_OBS(if (obs_) obs_->recordEndToEnd(f, now));
-        arrivals_.erase(f.packetId);
     }
 }
 

@@ -12,7 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/config.h"
@@ -30,7 +30,12 @@ namespace noc {
 class Nic : public NicIf
 {
   public:
-    Nic(NodeId id, const SimConfig &cfg, const MeshTopology &topo);
+    /**
+     * @p lane, when given, holds this node's source stream (a Network's
+     * lane array, see InjectionLane); a standalone NIC owns its own.
+     */
+    Nic(NodeId id, const SimConfig &cfg, const MeshTopology &topo,
+        InjectionLane *lane = nullptr);
 
     /**
      * Runs the traffic source for cycle @p now and returns the number
@@ -46,6 +51,26 @@ class Nic : public NicIf
      */
     NOC_PHASE_FN(inject)
     int generate(Cycle now, bool measured, bool generationEnabled);
+
+    /**
+     * True when generate() is exactly the lane's fires() draw followed
+     * by fire(): a synthetic Bernoulli source, no service endpoint and
+     * no trace. The engines then sweep the lanes and call fire() only
+     * on a firing draw (Network::generateTraffic).
+     */
+    bool
+    laneDriven() const
+    {
+        return !svc_ && !trace_ && traffic_.bernoulli();
+    }
+
+    /**
+     * Emits the packet of a lane draw that fired during cycle @p now:
+     * picks its destination from the lane's stream and enqueues it, as
+     * generate() does after the draw. Returns the packets generated (0
+     * when the pattern suppresses this source).
+     */
+    NOC_PHASE_FN(inject) int fire(Cycle now, bool measured);
 
     /** Attaches the network-wide flit lifecycle counters (may be null). */
     void setLedger(FlitLedger *ledger) { ledger_ = ledger; }
@@ -112,6 +137,10 @@ class Nic : public NicIf
     }
 
   private:
+    /** Enqueues a generated packet to @p dst (none for kInvalidNode)
+     *  under the next id of this NIC's stream; returns packets made. */
+    NOC_PHASE_FN(inject) int emit(NodeId dst, Cycle now, bool measured);
+
     /** Enqueues one packet with an already-assigned id. */
     NOC_PHASE_FN(inject)
     void enqueueWithId(NodeId dst, Cycle now, std::uint64_t pid,
@@ -137,13 +166,20 @@ class Nic : public NicIf
     std::atomic<std::uint8_t> *wake_ = nullptr;
     GrowRing<Flit> sourceQueue_;
 
-    /** Reassembly progress of packets ejecting here. */
+    /** Reassembly progress of one packet ejecting here. */
     struct Arrival {
+        std::uint64_t packetId = 0;
         int flitsSeen = 0;
         bool measured = false;
     };
+    /**
+     * Packets mid-reassembly, in no particular order. A NIC reassembles
+     * at most one packet per VC delivering to it, a handful, so a
+     * linear scan beats hashing, and swap-with-last removal keeps the
+     * table allocation-free once it has grown to that handful.
+     */
     NOC_OWNED_STATE(recv)
-    std::unordered_map<std::uint64_t, Arrival> arrivals_;
+    std::vector<Arrival> arrivals_;
     /** Measured-flag of packets this NIC injected (keyed by id bit). */
     NOC_OWNED_STATE(inject)
     std::uint64_t injected_ = 0;

@@ -30,6 +30,24 @@ class InjectionProcess
     virtual double packetRate() const = 0;
 };
 
+/**
+ * One node's source stream: the RNG its traffic generator draws every
+ * choice from, and its Bernoulli packet rate. A Network keeps one lane
+ * per node in a contiguous array, so an engine can run every plain
+ * Bernoulli source with one sweep that touches only the lanes and
+ * calls into a NIC when a draw fires (Network::generateTraffic); a
+ * standalone TrafficGenerator owns its lane. One cache line per lane,
+ * so two shard threads sweeping neighbouring nodes never share one.
+ */
+struct alignas(64) InjectionLane {
+    Rng rng{0};
+    /** Packets/cycle when the process is Bernoulli, else -1. */
+    double rate = -1.0;
+
+    /** This cycle's arrival draw (exactly BernoulliInjection::fire). */
+    bool fires() { return rng.nextBool(rate); }
+};
+
 /** Memoryless Bernoulli arrivals (the classic open-loop load model). */
 class BernoulliInjection : public InjectionProcess
 {

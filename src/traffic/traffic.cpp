@@ -29,15 +29,20 @@ defaultHotspots(const MeshTopology &topo)
 }
 
 TrafficGenerator::TrafficGenerator(const SimConfig &cfg,
-                                   const MeshTopology &topo, NodeId src)
-    : src_(src), rng_(cfg.seed, 0x7F4A7C15ull + src)
+                                   const MeshTopology &topo, NodeId src,
+                                   InjectionLane *lane)
+    : src_(src),
+      ownLane_(lane ? nullptr : std::make_unique<InjectionLane>()),
+      lane_(lane ? lane : ownLane_.get())
 {
+    lane_->rng = Rng(cfg.seed, 0x7F4A7C15ull + src);
+    lane_->rate = -1.0;
     if (cfg.traffic == TrafficKind::Trace) {
         // Replay is driven by the NIC's TraceReplayer; the synthetic
         // source stays silent.
         process_ = std::make_unique<BernoulliInjection>(0.0,
                                                         cfg.flitsPerPacket);
-        bernoulliRate_ = process_->packetRate();
+        lane_->rate = process_->packetRate();
         pattern_ = std::make_unique<UniformPattern>(topo);
         return;
     }
@@ -53,7 +58,7 @@ TrafficGenerator::TrafficGenerator(const SimConfig &cfg,
       default:
         process_ = std::make_unique<BernoulliInjection>(cfg.injectionRate,
                                                         cfg.flitsPerPacket);
-        bernoulliRate_ = process_->packetRate();
+        lane_->rate = process_->packetRate();
         break;
     }
 

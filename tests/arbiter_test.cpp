@@ -34,6 +34,19 @@ TEST(RoundRobinTest, RotatesUnderPersistentLoad)
     EXPECT_NE(second, third);
     EXPECT_NE(third, first);
     EXPECT_EQ(fourth, first); // full rotation
+
+    // The pointer wraps at both ends of the size range.
+    RoundRobinArbiter one(1);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(one.arbitrate(1), 0);
+    RoundRobinArbiter wide(64);
+    for (int i = 0; i < 64; ++i)
+        EXPECT_EQ(wide.arbitrate(~0ull), i);
+    EXPECT_EQ(wide.arbitrate(~0ull), 0); // past 63 back to 0
+    const std::uint64_t ends = (1ull << 63) | 1ull;
+    EXPECT_EQ(wide.arbitrate(ends), 63);
+    EXPECT_EQ(wide.arbitrate(ends), 0);
+    EXPECT_EQ(wide.arbitrate(ends), 63);
 }
 
 TEST(RoundRobinTest, FairShareOverManyCycles)

@@ -188,5 +188,79 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(RoutingKind::XY, RoutingKind::XYYX,
                                      RoutingKind::Adaptive)));
 
+/**
+ * Network::step generates through the injection-lane sweep; a per-node
+ * caller (a standalone loop, the benchmark's traced run) calls
+ * Nic::generate on each NIC instead. Both must draw the same streams,
+ * so two twin networks — one stepped by the engine, one driven call by
+ * call in stepPhase order — must end in the same state.
+ */
+class EngineGenerationTest
+    : public testing::TestWithParam<std::tuple<TrafficKind, double>>
+{
+};
+
+TEST_P(EngineGenerationTest, StepMatchesPerNodeGenerate)
+{
+    auto [traffic, rate] = GetParam();
+    constexpr Cycle kWarmup = 500, kGenerate = 2500, kCycles = 3500;
+    for (RouterArch arch : {RouterArch::Generic, RouterArch::PathSensitive,
+                            RouterArch::Roco}) {
+        SimConfig cfg;
+        cfg.meshWidth = 8;
+        cfg.meshHeight = 8;
+        cfg.arch = arch;
+        cfg.traffic = traffic;
+        cfg.injectionRate = rate;
+        cfg.idleSkip = false; // every router steps on both sides
+        Network engine(cfg);
+        Network twin(cfg);
+        const ShardPlan order(cfg.meshWidth, cfg.meshHeight, 1);
+
+        for (Cycle t = 0; t < kCycles; ++t) {
+            const bool generating = t < kGenerate;
+            const bool measured = t >= kWarmup;
+            engine.step(t, generating, measured);
+            for (int i = 0; i < twin.numNodes(); ++i)
+                twin.nic(static_cast<NodeId>(i))
+                    .generate(t, measured, generating);
+            for (int ph = 0; ph < kNumStepPhases; ++ph) {
+                for (NodeId id : order.phaseNodes(0, ph))
+                    twin.router(id).step(t);
+            }
+        }
+
+        SCOPED_TRACE(toString(arch));
+        const FlitLedger &a = engine.ledger();
+        const FlitLedger &b = twin.ledger();
+        EXPECT_GT(a.created, 0u);
+        EXPECT_EQ(a.created, b.created);
+        EXPECT_EQ(a.retired, b.retired);
+        EXPECT_EQ(a.flitCycles, b.flitCycles);
+        EXPECT_EQ(a.lastDelivery, b.lastDelivery);
+        for (int i = 0; i < engine.numNodes(); ++i) {
+            const NodeId n = static_cast<NodeId>(i);
+            EXPECT_EQ(engine.nic(n).injectedPackets(),
+                      twin.nic(n).injectedPackets())
+                << "node " << i;
+            EXPECT_EQ(engine.nic(n).deliveredPackets(),
+                      twin.nic(n).deliveredPackets())
+                << "node " << i;
+            EXPECT_EQ(engine.nic(n).injectedMeasured(),
+                      twin.nic(n).injectedMeasured())
+                << "node " << i;
+            EXPECT_EQ(engine.nic(n).deliveredMeasured(),
+                      twin.nic(n).deliveredMeasured())
+                << "node " << i;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TrafficLoad, EngineGenerationTest,
+    testing::Combine(testing::Values(TrafficKind::Uniform,
+                                     TrafficKind::BitComplement),
+                     testing::Values(0.02, 0.25)));
+
 } // namespace
 } // namespace noc

@@ -93,15 +93,29 @@ TEST_F(NicFixture, InterleavedDeliveriesReassembleByPacket)
 {
     Nic a(0, cfg_, topo_);
     Nic b(1, cfg_, topo_);
+    Nic c(2, cfg_, topo_);
     Nic dst(5, cfg_, topo_);
     a.enqueuePacket(5, 0, nextId_, true);
     b.enqueuePacket(5, 0, nextId_, true);
-    // Interleave flits of the two packets (arriving on two ports).
-    for (int i = 0; i < 4; ++i) {
-        dst.deliverFlit(a.popPending(), 10);
-        dst.deliverFlit(b.popPending(), 10);
+    c.enqueuePacket(5, 0, nextId_, false);
+    // c's head arrives first, then a's and b's; c then completes while
+    // the other two are mid-reassembly, so its entry leaves from the
+    // front of the table rather than the back.
+    dst.deliverFlit(c.popPending(), 10);
+    dst.deliverFlit(a.popPending(), 10);
+    dst.deliverFlit(b.popPending(), 10);
+    for (int i = 1; i < 4; ++i)
+        dst.deliverFlit(c.popPending(), 11);
+    EXPECT_EQ(dst.deliveredPackets(), 1u);
+    EXPECT_EQ(dst.deliveredMeasured(), 0u);
+    // Interleave the rest of the two packets (arriving on two ports).
+    for (int i = 1; i < 4; ++i) {
+        dst.deliverFlit(a.popPending(), 12);
+        dst.deliverFlit(b.popPending(), 12);
     }
-    EXPECT_EQ(dst.deliveredPackets(), 2u);
+    EXPECT_EQ(dst.deliveredPackets(), 3u);
+    EXPECT_EQ(dst.deliveredMeasured(), 2u); // flags followed their packets
+    EXPECT_EQ(dst.deliveredFlits(), 12u);
 }
 
 TEST_F(NicFixture, DeathOnWrongDestination)
@@ -120,6 +134,19 @@ TEST_F(NicFixture, DeathOnOutOfOrderDelivery)
     (void)src.popPending(); // drop the head
     Flit body = src.popPending();
     EXPECT_DEATH(dst.deliverFlit(body, 1), "out-of-order");
+}
+
+TEST_F(NicFixture, DeathOnDuplicateDelivery)
+{
+    Nic src(0, cfg_, topo_);
+    Nic dst(5, cfg_, topo_);
+    src.enqueuePacket(5, 0, nextId_, true);
+    dst.deliverFlit(src.popPending(), 1);
+    // The next flit in order, but past the length its packet claims:
+    // one flit more than the packet has.
+    Flit extra = src.popPending();
+    extra.packetLen = 1;
+    EXPECT_DEATH(dst.deliverFlit(extra, 2), "duplicate");
 }
 
 } // namespace

@@ -95,7 +95,7 @@ main()
               "(the saving is per-hop).");
 
     // Serial-vs-sharded wall-clock scaling on the meshes big enough to
-    // amortise the per-cycle barriers. Shard count never changes the
+    // amortise the per-cycle synchronisation. Shard count never changes the
     // results (checked below), so this curve is purely about speed; on
     // a single-core host it is expectedly flat.
     std::puts("\nSharded-engine scaling (RoCo, uniform, XY, 0.2 f/n/c)");

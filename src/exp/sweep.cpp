@@ -1,5 +1,6 @@
 #include "exp/sweep.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -147,6 +148,15 @@ progressEnabled(bool defaultOn)
     return defaultOn;
 }
 
+int
+autoShards(const SimConfig &cfg, int spare)
+{
+    if (cfg.meshWidth * cfg.meshHeight < 64)
+        return 0;
+    const int shards = std::min({spare, 8, cfg.meshHeight / 4});
+    return shards >= 2 ? shards : 0;
+}
+
 PointResult
 runSweepPoint(const SweepPoint &p)
 {
@@ -189,19 +199,15 @@ SweepRunner::run(const SweepSpec &spec, const ProgressFn &progress) const
     // is bit-identical to serial execution, so this policy can never
     // change results — only wall-clock time. An explicit cfg.shards or
     // NOC_SHARDS choice is always respected (the policy only fills in
-    // the "auto" value, and only for meshes big enough to amortise the
-    // per-cycle barriers).
+    // the "auto" value; see autoShards).
     int pool = threads_;
     if (pool > static_cast<int>(res.points.size()))
         pool = static_cast<int>(res.points.size());
     if (pool >= 1 && std::getenv("NOC_SHARDS") == nullptr) {
         int spare = threads_ / pool;
-        if (spare > 1) {
-            for (SweepPoint &p : res.points) {
-                int nodes = p.cfg.meshWidth * p.cfg.meshHeight;
-                if (p.cfg.shards == 0 && nodes >= 64)
-                    p.cfg.shards = std::min(spare, 8);
-            }
+        for (SweepPoint &p : res.points) {
+            if (p.cfg.shards == 0)
+                p.cfg.shards = autoShards(p.cfg, spare);
         }
     }
 

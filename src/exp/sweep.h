@@ -164,6 +164,16 @@ bool progressEnabled(bool defaultOn);
 PointResult runSweepPoint(const SweepPoint &p);
 
 /**
+ * The shard count SweepRunner fills in for a point left on auto
+ * (cfg.shards == 0) when @p spare pool threads are free for it: at
+ * most 8, and at most meshHeight / 4 so that every row band keeps 4
+ * rows (at 2 shards an 8x8 band then still has interior nodes, see
+ * ShardPlan); 0 (stay serial) below 2 or for meshes under 64 nodes.
+ * DESIGN section 11 has the measurements behind the cap.
+ */
+int autoShards(const SimConfig &cfg, int spare);
+
+/**
  * Runs every point of a spec across a fixed-size thread pool.
  *
  * Threads pull points off a shared atomic counter; each result slot is
@@ -173,8 +183,8 @@ PointResult runSweepPoint(const SweepPoint &p);
  *
  * The thread budget covers both axes of parallelism: when the grid has
  * fewer points than threads, the spare threads are handed to each
- * point's sharded engine (cfg.shards, src/par) for meshes of 64+
- * nodes. Sharded execution is bit-identical to serial, so the policy
+ * point's sharded engine (cfg.shards, src/par; see autoShards).
+ * Sharded execution is bit-identical to serial, so the policy
  * affects wall-clock time only; explicit cfg.shards / NOC_SHARDS
  * settings are never overridden.
  */

@@ -1,12 +1,14 @@
 /**
  * @file
- * Centralised sense-reversing spin barrier for the sharded engine.
+ * Centralised sense-reversing spin barrier for the sharded engine,
+ * and the wait rule it shares with the engine's progress counters.
  *
- * The engine erects a handful of barriers per simulated cycle, so the
- * barrier must be cheap when the workers are genuinely parallel —
- * hence spinning on an epoch counter instead of a futex — yet not
- * pathological when the host has fewer cores than shards, hence the
- * early fallback to yield() once the pool oversubscribes the machine.
+ * The engine erects one barrier per simulated cycle and waits on its
+ * neighbours' progress counters several times more, so a wait must be
+ * cheap when the workers are genuinely parallel — hence spinning on a
+ * counter instead of a futex — yet not pathological when the host has
+ * fewer cores than shards, hence the immediate yield() once the pool
+ * oversubscribes the machine (waitUntil).
  *
  * The last arriver may run an epilogue functor *inside* the barrier:
  * every other party is still parked on the epoch at that point, so the
@@ -26,13 +28,37 @@
 
 namespace noc::par {
 
+/** Whether a pool of @p parties threads may busy-wait on this host:
+ *  only when every party can own a hardware thread. */
+inline bool
+spinFriendly(int parties)
+{
+    return static_cast<unsigned>(parties) <=
+           std::thread::hardware_concurrency();
+}
+
+/**
+ * Waits until @p ready() holds. With @p spin a brief busy-wait comes
+ * first; otherwise (an oversubscribed pool) the core is given away at
+ * once, since the awaited party may need this very core to progress.
+ */
+template <typename Ready>
+void
+waitUntil(bool spin, Ready &&ready)
+{
+    constexpr int kSpinLimit = 4096;
+    int spins = 0;
+    while (!ready()) {
+        if (!spin || ++spins > kSpinLimit)
+            std::this_thread::yield();
+    }
+}
+
 class SpinBarrier
 {
   public:
     explicit SpinBarrier(int parties)
-        : parties_(parties),
-          spinFriendly_(static_cast<unsigned>(parties) <=
-                        std::thread::hardware_concurrency())
+        : parties_(parties), spinFriendly_(spinFriendly(parties))
     {
         NOC_ASSERT(parties > 0, "barrier needs at least one party");
     }
@@ -77,14 +103,9 @@ class SpinBarrier
             epoch_.store(epoch + 1, std::memory_order_release);
             return;
         }
-        int spins = 0;
-        while (epoch_.load(std::memory_order_acquire) == epoch) {
-            // Brief spin on truly-parallel hosts; immediately give the
-            // core away when the pool is oversubscribed (the missing
-            // arrival can only happen on this core then).
-            if (!spinFriendly_ || ++spins > kSpinLimit)
-                std::this_thread::yield();
-        }
+        waitUntil(spinFriendly_, [&] {
+            return epoch_.load(std::memory_order_acquire) != epoch;
+        });
     }
 
     void
@@ -94,8 +115,6 @@ class SpinBarrier
     }
 
   private:
-    static constexpr int kSpinLimit = 4096;
-
     const int parties_;
     const bool spinFriendly_;
     std::atomic<int> arrived_{0};

@@ -60,7 +60,7 @@ RaceChecker::noteAccess(const AccessRecord &rec, int shard)
 }
 
 void
-RaceChecker::noteStep(NodeId n, int phase, int shard)
+RaceChecker::noteStep(NodeId n, int phase, int shard, bool interior)
 {
     auto &lane = lanes_[static_cast<std::size_t>(shard)];
     AccessRecord rec;
@@ -68,6 +68,7 @@ RaceChecker::noteStep(NodeId n, int phase, int shard)
     rec.phase = static_cast<std::uint8_t>(phase);
     rec.shard = static_cast<std::uint16_t>(shard);
     rec.atomicOp = true;
+    rec.interior = interior;
 
     // The stepped router's own pipeline state.
     rec.object = static_cast<std::int32_t>(n);
@@ -195,6 +196,38 @@ RaceChecker::endCycle(Cycle now)
                 "(the distance-2 colouring is violated)");
         }
         i = j;
+    }
+
+    // Window rule, per object over all phases: an interior step runs
+    // unordered against every other shard, so nothing it touched may
+    // be touched by another shard in this cycle.
+    for (std::size_t i = 0; i < merged_.size();) {
+        std::size_t k = i;
+        const AccessRecord *inner = nullptr;
+        for (; k < merged_.size() && merged_[k].object == merged_[i].object;
+             ++k) {
+            if (inner == nullptr && merged_[k].interior)
+                inner = &merged_[k];
+        }
+        for (std::size_t m = i; inner != nullptr && m < k; ++m) {
+            const AccessRecord &o = merged_[m];
+            if (o.shard == inner->shard)
+                continue;
+            addFinding(
+                "cycle " + std::to_string(now) + ": router " +
+                std::to_string(inner->actor) + " (shard " +
+                std::to_string(inner->shard) + ", phase " +
+                std::to_string(inner->phase) +
+                ", interior window) and router " + std::to_string(o.actor) +
+                " (shard " + std::to_string(o.shard) + ", phase " +
+                std::to_string(o.phase) + ") both touched " +
+                objectName(o.object) +
+                "; an interior step must sit at Manhattan distance >= 3 "
+                "from every other shard's node (a boundary node was "
+                "filed as interior)");
+            break;
+        }
+        i = k;
     }
 
     if (failFast_ && findingsTotal_ > before) {

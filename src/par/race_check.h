@@ -17,6 +17,12 @@
  * That catches a broken colouring even in a single-threaded run, where
  * TSan structurally cannot.
  *
+ * The engine also steps each shard's *interior* nodes without waiting
+ * for any other shard (see topology/partition.h). That is sound only
+ * if no object an interior step touches is touched by another shard
+ * in the same cycle, in any phase; each record carries the window its
+ * step ran in, and endCycle checks that rule too.
+ *
  * The checker class is always compiled (the seeded-bug fixture ctests
  * drive it directly in every build); the engine hooks that feed it are
  * compiled only under -DNOC_RACE_CHECK=ON and are runtime-gated by the
@@ -57,6 +63,7 @@ struct AccessRecord {
     AccessClass cls = AccessClass::Owned;
     std::uint16_t shard = 0;  ///< shard the access executed on
     bool atomicOp = true;     ///< false models a non-atomic access
+    bool interior = false;    ///< the step ran in the interior window
 };
 
 class RaceChecker
@@ -72,10 +79,12 @@ class RaceChecker
     /**
      * Logs the full footprint of one executed router step: the
      * router's own state, plus reservation/mirror/wake records for
-     * every existing neighbour. Thread-safe as long as each shard only
-     * logs into its own lane — exactly the engine's discipline.
+     * every existing neighbour. @p interior says the step ran in its
+     * shard's interior window (unordered against other shards).
+     * Thread-safe as long as each shard only logs into its own lane —
+     * exactly the engine's discipline.
      */
-    void noteStep(NodeId n, int phase, int shard);
+    void noteStep(NodeId n, int phase, int shard, bool interior = false);
 
     /** Logs one raw record (fixture tests and custom engine hooks). */
     void noteAccess(const AccessRecord &rec, int shard);
@@ -83,10 +92,12 @@ class RaceChecker
     /**
      * End of superstep @p now: merges the lanes, validates that every
      * same-(object, phase) pair of records from distinct actors is a
-     * commuting wake-flag store, and that every mirror access was
-     * atomic. Must run single-threaded (the serial loop between
-     * cycles, or the sharded engine's in-barrier epilogue). Clears the
-     * lanes for the next cycle.
+     * commuting wake-flag store, that every mirror access was atomic,
+     * and that no object an interior-window step touched was touched
+     * by another shard in any phase of the cycle. Must run
+     * single-threaded (the serial loop between cycles, or the sharded
+     * engine's in-barrier epilogue). Clears the lanes for the next
+     * cycle.
      */
     NOC_PHASE_FN(epilogue)
     void endCycle(Cycle now);

@@ -26,8 +26,28 @@ struct alignas(64) ShardLedger {
     FlitLedger value;
 };
 
-/** Everything the workers share; mutable fields are only written in
- *  the single-threaded barrier epilogue, and the barrier's release /
+/**
+ * A shard's progress through the cycle: after stepping the boundary
+ * nodes of phase p in cycle c its worker stores c * kNumStepPhases +
+ * p + 1 (release); a bordering worker acquires it before stepping its
+ * own boundary nodes of a later phase. Monotonic over the run, and
+ * padded so each worker spins on its own line.
+ */
+struct alignas(64) ShardProgress {
+    NOC_SHARED_ATOMIC(engine)
+    std::atomic<std::uint64_t> published{0};
+};
+
+/** One shard's flat step lists: boundary and interior nodes of each
+ *  phase (see ShardPlan), built once per run. */
+struct ShardSteps {
+    std::vector<Network::StepEntry> boundary[kNumStepPhases];
+    std::vector<Network::StepEntry> interior[kNumStepPhases];
+};
+
+/** Everything the workers share. Each per-shard slot is written only
+ *  by its own worker; the other mutable fields only in the
+ *  single-threaded barrier epilogue, and the barrier's release /
  *  acquire pair publishes them to every worker. */
 struct Shared {
     Network &net;
@@ -36,10 +56,12 @@ struct Shared {
     RunControl &ctl;
     obs::Recorder *obs;
     SpinBarrier barrier;
-    std::vector<ShardLedger> ledgers;  // one per shard
-    std::vector<ShardCount> generated; // this cycle, per shard
-    std::vector<ShardCount> stepsExec; // whole run, per shard
-    std::vector<ShardCount> stepsSched;
+    const bool spin; // waitUntil's rule for this pool (see barrier.h)
+    std::vector<ShardSteps> steps;        // one per shard
+    std::vector<ShardProgress> progress;  // one per shard
+    std::vector<ShardLedger> ledgers;     // one per shard
+    std::vector<ShardCount> generated;    // this cycle, per shard
+    std::vector<ShardCount> stepsExec;    // whole run, per shard
     NOC_EPILOGUE_STATE
     Cycle now = 0;   // cycle the workers are about to run
     NOC_EPILOGUE_STATE
@@ -50,12 +72,20 @@ struct Shared {
     Shared(Network &n, const SimConfig &c, const ShardPlan &p,
            RunControl &rc, obs::Recorder *o)
         : net(n), cfg(c), plan(p), ctl(rc), obs(o),
-          barrier(p.shards()),
+          barrier(p.shards()), spin(spinFriendly(p.shards())),
+          steps(static_cast<std::size_t>(p.shards())),
+          progress(static_cast<std::size_t>(p.shards())),
           ledgers(static_cast<std::size_t>(p.shards())),
           generated(static_cast<std::size_t>(p.shards())),
-          stepsExec(static_cast<std::size_t>(p.shards())),
-          stepsSched(static_cast<std::size_t>(p.shards()))
+          stepsExec(static_cast<std::size_t>(p.shards()))
     {
+        for (int s = 0; s < p.shards(); ++s) {
+            ShardSteps &st = steps[static_cast<std::size_t>(s)];
+            for (int ph = 0; ph < kNumStepPhases; ++ph) {
+                st.boundary[ph] = n.stepList(p.boundaryNodes(s, ph));
+                st.interior[ph] = n.stepList(p.interiorNodes(s, ph));
+            }
+        }
     }
 };
 
@@ -139,20 +169,29 @@ epilogue(Shared &sh)
     sh.stop = stop;
 }
 
-/** One worker's whole run: shard @p s of the plan. */
+/**
+ * One worker's whole run: shard @p s of the plan.
+ *
+ * Each phase steps the shard's boundary nodes, publishes that on the
+ * shard's progress counter, then steps its interior nodes. Cross-shard
+ * step conflicts (distance <= 2) exist only between boundary nodes, so
+ * waiting for the bordering shards' boundary steps of all earlier
+ * phases keeps every conflicting pair in schedule order; interior
+ * footprints never meet another shard's, so interior steps need no
+ * ordering against other shards at all. The one barrier per cycle runs
+ * the epilogue.
+ */
 NOC_PHASE_FN(engine)
 void
 work(Shared &sh, int s)
 {
     Network &net = sh.net;
     const ShardPlan &plan = sh.plan;
-    const bool idleSkip = net.idleSkipEnabled();
-    std::uint64_t stepsExec = 0, stepsSched = 0;
-#if NOC_RACE_CHECK_BUILT
-    // Each shard logs only into its own lane; the barrier publishes
-    // the lanes to the epilogue's endCycle validation.
-    par::RaceChecker *const race = net.raceChecker();
-#endif
+    const ShardSteps &steps = sh.steps[static_cast<std::size_t>(s)];
+    const std::vector<int> &border = plan.borderShards(s);
+    std::atomic<std::uint64_t> &mine =
+        sh.progress[static_cast<std::size_t>(s)].published;
+    std::uint64_t stepsExec = 0;
     for (;;) {
         // Cycle state is stable between barriers: the epilogue is the
         // only writer and it runs inside the previous barrier.
@@ -164,45 +203,36 @@ work(Shared &sh, int s)
         sh.generated[static_cast<std::size_t>(s)].value =
             net.generateTraffic(plan.nodes(s), now, generating, measuring);
 
-        // Identical idle-skip decisions to the serial loop: within a
-        // phase, only this thread writes a phase-p router's flag (its
-        // clear after stepping) — same-phase routers never share a
-        // neighbour, and cross-phase wake-ups are ordered by the
-        // barriers — so every read sees exactly the serial value.
+        // Identical idle-skip decisions to the serial loop: only this
+        // thread clears its routers' flags, and every neighbour that
+        // may set one is ordered against the clear by the schedule
+        // (same shard: program order; another shard: the progress
+        // hand-off below), so every read sees exactly the serial value.
+        const std::uint64_t base = now * kNumStepPhases;
         for (int ph = 0; ph < kNumStepPhases; ++ph) {
-            const std::vector<NodeId> &nodes = plan.phaseNodes(s, ph);
-            stepsSched += nodes.size();
-            if (idleSkip) {
-                for (NodeId n : nodes) {
-                    std::atomic<std::uint8_t> &flag = net.activeFlag(n);
-                    if (!flag.load(std::memory_order_relaxed))
-                        continue;
-                    net.router(n).step(now);
-                    ++stepsExec;
-#if NOC_RACE_CHECK_BUILT
-                    if (race)
-                        race->noteStep(n, ph, s);
-#endif
-                    if (!net.router(n).hasLocalWork())
-                        flag.store(0, std::memory_order_relaxed);
+            if (!steps.boundary[ph].empty()) {
+                // Phase ph's boundary steps follow every bordering
+                // shard's boundary steps of phases < ph (for phase 0
+                // the last cycle's barrier already ordered them).
+                const std::uint64_t want =
+                    base + static_cast<std::uint64_t>(ph);
+                for (int t : border) {
+                    const std::atomic<std::uint64_t> &theirs =
+                        sh.progress[static_cast<std::size_t>(t)].published;
+                    waitUntil(sh.spin, [&] {
+                        return theirs.load(std::memory_order_acquire) >= want;
+                    });
                 }
-            } else {
-                for (NodeId n : nodes) {
-                    net.router(n).step(now);
-#if NOC_RACE_CHECK_BUILT
-                    if (race)
-                        race->noteStep(n, ph, s);
-#endif
-                }
-                stepsExec += nodes.size();
+                stepsExec +=
+                    net.stepRouters(steps.boundary[ph], now, ph, s, false);
             }
-            if (ph + 1 < kNumStepPhases)
-                sh.barrier.arriveAndWait();
+            mine.store(base + static_cast<std::uint64_t>(ph) + 1,
+                       std::memory_order_release);
+            stepsExec += net.stepRouters(steps.interior[ph], now, ph, s, true);
         }
         sh.barrier.arriveAndWait([&sh] { epilogue(sh); });
         if (sh.stop) {
             sh.stepsExec[static_cast<std::size_t>(s)].value = stepsExec;
-            sh.stepsSched[static_cast<std::size_t>(s)].value = stepsSched;
             return;
         }
     }
@@ -275,9 +305,13 @@ runSharded(Network &net, const SimConfig &cfg, int shards,
     for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n)
         net.bindNodeLedger(n, nullptr);
     net.setLedgerTotals(sh.totals);
-    for (int s = 0; s < plan.shards(); ++s)
-        net.addRouterSteps(sh.stepsExec[static_cast<std::size_t>(s)].value,
-                           sh.stepsSched[static_cast<std::size_t>(s)].value);
+    std::uint64_t executed = 0;
+    for (const ShardCount &c : sh.stepsExec)
+        executed += c.value;
+    // Every node is scheduled once per cycle, as in the serial loop.
+    net.addRouterSteps(executed, static_cast<std::uint64_t>(sh.now) *
+                                     static_cast<std::uint64_t>(
+                                         net.numNodes()));
 
     return RunOutcome{sh.now};
 }

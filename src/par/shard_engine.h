@@ -2,20 +2,26 @@
  * @file
  * Deterministic bulk-synchronous sharded execution engine.
  *
- * Partitions the mesh into rectangular shards (topology/partition.h)
- * and advances each shard on its own worker thread under per-cycle
- * barriers. Within a cycle every worker: generates its own NICs'
- * traffic, then steps its routers phase by phase of the pentachromatic
- * schedule, with a barrier between phases. Routers in one phase are at
+ * Cuts the mesh into row bands (topology/partition.h) and advances
+ * each band on its own worker thread. Within a cycle every worker
+ * generates its own NICs' traffic, then steps its routers phase by
+ * phase of the pentachromatic schedule. Routers in one phase are at
  * Manhattan distance >= 3 from each other, so their step footprints —
  * own state, both directions of the attached channels, and the
  * neighbour state the RoCo / path-sensitive reserveInputVc handshake
- * touches — are disjoint: the steps commute, no worker ever observes
- * another shard's same-cycle state, and the result is bit-identical to
- * the serial loop (which runs the identical schedule) for any shard
- * count. Shards are a pure wall-clock knob.
+ * touches — are disjoint, and the steps commute.
  *
- * The last arriver at the final barrier of a cycle runs the epilogue
+ * Across phases only steps within distance 2 of each other conflict,
+ * and across shards those are boundary steps only. So each phase runs
+ * boundary-first: a worker waits until its bordering shards have
+ * published (per-shard progress counters, release/acquire) their
+ * boundary steps of every earlier phase, steps its own boundary nodes,
+ * publishes, then steps its interior nodes with no wait at all. Every
+ * conflicting pair of steps stays in schedule order, so the result is
+ * bit-identical to the serial loop (which runs the identical schedule)
+ * for any shard count. Shards are a pure wall-clock knob.
+ *
+ * The last arriver at the cycle's one barrier runs the epilogue
  * single-threaded: reduces the per-shard generation counts and flit
  * ledgers, runs the periodic observability / invariant probes, and
  * makes the warm-up/measure/drain decisions through the same

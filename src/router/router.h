@@ -609,8 +609,9 @@ class Router
      * slot has exactly one live accessor (the slot is per incoming
      * direction, so two senders into the same node never share one),
      * which makes every access single-threaded-sequenced; across
-     * phases the shard engine's barrier provides the release/acquire
-     * edge, so relaxed suffices and no fence is needed here. The
+     * phases the shard engine's progress hand-off between bordering
+     * shards' boundary steps provides the release/acquire edge, so
+     * relaxed suffices and no fence is needed here. The
      * NOC_RACE_CHECK dynamic checker re-verifies the single-accessor
      * claim every superstep (see par/race_check.h).
      */

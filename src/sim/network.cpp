@@ -124,18 +124,28 @@ Network::build(const std::vector<FaultSpec> &faults)
         }
     }
 
-    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
-        Coord c = topo_.coord(id);
-        phases_[stepPhase(c.x, c.y)].push_back(id);
-    }
-    flatPhases_.reserve(static_cast<std::size_t>(n));
+    std::vector<NodeId> order;
+    order.reserve(static_cast<std::size_t>(n));
     for (int ph = 0; ph < kNumStepPhases; ++ph) {
-        phaseOfs_[ph] = static_cast<std::uint32_t>(flatPhases_.size());
-        for (NodeId id : phases_[ph])
-            flatPhases_.push_back({routers_[id].get(), &active_[id]});
+        phaseOfs_[ph] = static_cast<std::uint32_t>(order.size());
+        for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
+            Coord c = topo_.coord(id);
+            if (stepPhase(c.x, c.y) == ph)
+                order.push_back(id);
+        }
     }
-    phaseOfs_[kNumStepPhases] =
-        static_cast<std::uint32_t>(flatPhases_.size());
+    phaseOfs_[kNumStepPhases] = static_cast<std::uint32_t>(order.size());
+    flatPhases_ = stepList(order);
+}
+
+std::vector<Network::StepEntry>
+Network::stepList(std::span<const NodeId> nodes)
+{
+    std::vector<StepEntry> list;
+    list.reserve(nodes.size());
+    for (NodeId id : nodes)
+        list.push_back({routers_[id].get(), &active_[id]});
+    return list;
 }
 
 void
@@ -189,42 +199,17 @@ Network::step(Cycle now, bool generationEnabled, bool measured)
 {
     generatedBase1_ +=
         generateTraffic(allNodes_, now, generationEnabled, measured);
-    const PhaseEntry *entries = flatPhases_.data();
-#if NOC_RACE_CHECK_BUILT
-    par::RaceChecker *const race = race_;
-#endif
+    const std::span<const StepEntry> all(flatPhases_);
     for (int ph = 0; ph < kNumStepPhases; ++ph) {
-        const std::uint32_t lo = phaseOfs_[ph];
-        const std::uint32_t hi = phaseOfs_[ph + 1];
-        stepsScheduled_ += hi - lo;
-        if (idleSkip_) {
-            for (std::uint32_t i = lo; i < hi; ++i) {
-                const PhaseEntry &e = entries[i];
-                if (!e.flag->load(std::memory_order_relaxed))
-                    continue; // provably a no-op (see DESIGN 12)
-                e.r->step(now);
-                ++stepsExecuted_;
-#if NOC_RACE_CHECK_BUILT
-                if (race)
-                    race->noteStep(e.r->id(), ph, 0);
-#endif
-                if (!e.r->hasLocalWork())
-                    e.flag->store(0, std::memory_order_relaxed);
-            }
-        } else {
-            for (std::uint32_t i = lo; i < hi; ++i) {
-                entries[i].r->step(now);
-#if NOC_RACE_CHECK_BUILT
-                if (race)
-                    race->noteStep(entries[i].r->id(), ph, 0);
-#endif
-            }
-            stepsExecuted_ += hi - lo;
-        }
+        // One shard: every node is interior (no other shard exists).
+        stepsExecuted_ += stepRouters(
+            all.subspan(phaseOfs_[ph], phaseOfs_[ph + 1] - phaseOfs_[ph]),
+            now, ph, 0, true);
     }
+    stepsScheduled_ += flatPhases_.size();
 #if NOC_RACE_CHECK_BUILT
-    if (race)
-        race->endCycle(now);
+    if (race_)
+        race_->endCycle(now);
 #endif
 }
 

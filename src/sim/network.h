@@ -55,6 +55,33 @@ class Network
     NOC_PHASE_FN(engine)
     void step(Cycle now, bool generationEnabled, bool measured);
 
+    /** One entry of a flat step list: a router and its idle-skip flag. */
+    struct StepEntry {
+        Router *r;
+        std::atomic<std::uint8_t> *flag;
+    };
+    static_assert(std::is_trivially_copyable_v<StepEntry> &&
+                      sizeof(StepEntry) == 2 * sizeof(void *),
+                  "StepEntry is both engines' inner-loop stride; keep it "
+                  "two raw pointers, nothing else");
+
+    /** The flat step list of @p nodes, in the given order. */
+    NOC_PHASE_FN(setup)
+    std::vector<StepEntry> stepList(std::span<const NodeId> nodes);
+
+    /**
+     * Steps the routers of @p list in order for cycle @p now: the one
+     * idle-skip step routine of both engines (step() per phase, the
+     * shard engine per phase and window). With idle-skip on, a router
+     * whose flag is clear is skipped and a router left without local
+     * work has its flag cleared. @p phase, @p shard and @p interior
+     * only label the steps for the race checker (NOC_RACE_CHECK
+     * builds). Returns the steps executed.
+     */
+    NOC_PHASE_FN(engine)
+    std::uint64_t stepRouters(std::span<const StepEntry> list, Cycle now,
+                              int phase, int shard, bool interior);
+
     /**
      * Runs the traffic sources of @p nodes for cycle @p now and returns
      * the packets they generated: the one generation routine of both
@@ -90,8 +117,9 @@ class Network
      * the node (neighbour sends, local injection); cleared by the
      * engine after a step leaves the router with no local work. The
      * sharded engine reads/writes these same flags — relaxed atomics
-     * suffice because every cross-thread edge is ordered by its phase
-     * barrier; the flags only carry "wake up later", never data.
+     * suffice because every cross-thread edge is ordered by the
+     * engine's release/acquire progress hand-off between boundary
+     * steps; the flags only carry "wake up later", never data.
      */
     std::atomic<std::uint8_t> &activeFlag(NodeId n) { return active_[n]; }
 
@@ -219,7 +247,7 @@ class Network
     static_assert(std::atomic<std::uint8_t>::is_always_lock_free,
                   "idle-skip wake flags are stored by neighbouring "
                   "shards mid-phase; a locking fallback would deadlock "
-                  "the spin barrier's forward-progress assumption");
+                  "the spin waits' forward-progress assumption");
     bool idleSkip_ = true;
     NOC_OWNED_STATE(engine, epilogue)
     std::uint64_t stepsExecuted_ = 0;
@@ -227,25 +255,49 @@ class Network
     std::uint64_t stepsScheduled_ = 0;
     /** Shard-ownership race checker, when attached (see race_check.h). */
     par::RaceChecker *race_ = nullptr;
-    /** Router step order: node ids per schedule phase, ascending. */
-    std::vector<NodeId> phases_[kNumStepPhases];
     /**
-     * phases_ flattened for the serial engine's inner loop: raw router
-     * pointer + idle-skip flag per entry, contiguous across phases
-     * (phaseOfs_[p] .. phaseOfs_[p+1]). Avoids the unique_ptr table
-     * and per-phase vector indirections on the per-cycle path.
+     * The serial engine's step list: every node in schedule order
+     * (phase, then ascending id), phase p at phaseOfs_[p] ..
+     * phaseOfs_[p+1].
      */
-    struct PhaseEntry {
-        Router *r;
-        std::atomic<std::uint8_t> *flag;
-    };
-    static_assert(std::is_trivially_copyable_v<PhaseEntry> &&
-                      sizeof(PhaseEntry) == 2 * sizeof(void *),
-                  "PhaseEntry is the serial engine's inner-loop stride; "
-                  "keep it two raw pointers, nothing else");
-    std::vector<PhaseEntry> flatPhases_;
+    std::vector<StepEntry> flatPhases_;
     std::uint32_t phaseOfs_[kNumStepPhases + 1] = {};
 };
+
+// Inline so the serial loop keeps its per-phase loop inside step().
+inline std::uint64_t
+Network::stepRouters(std::span<const StepEntry> list, Cycle now,
+                     [[maybe_unused]] int phase, [[maybe_unused]] int shard,
+                     [[maybe_unused]] bool interior)
+{
+#if NOC_RACE_CHECK_BUILT
+    par::RaceChecker *const race = race_;
+#endif
+    if (!idleSkip_) {
+        for (const StepEntry &e : list) {
+            e.r->step(now);
+#if NOC_RACE_CHECK_BUILT
+            if (race)
+                race->noteStep(e.r->id(), phase, shard, interior);
+#endif
+        }
+        return list.size();
+    }
+    std::uint64_t executed = 0;
+    for (const StepEntry &e : list) {
+        if (!e.flag->load(std::memory_order_relaxed))
+            continue; // provably a no-op (see DESIGN 12)
+        e.r->step(now);
+        ++executed;
+#if NOC_RACE_CHECK_BUILT
+        if (race)
+            race->noteStep(e.r->id(), phase, shard, interior);
+#endif
+        if (!e.r->hasLocalWork())
+            e.flag->store(0, std::memory_order_relaxed);
+    }
+    return executed;
+}
 
 /** Instantiates the router microarchitecture selected by @p cfg. */
 std::unique_ptr<Router>

@@ -1,6 +1,7 @@
 #include "topology/partition.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "common/log.h"
 
@@ -10,54 +11,54 @@ ShardPlan::ShardPlan(int width, int height, int shards)
     : width_(width), height_(height)
 {
     NOC_ASSERT(width > 0 && height > 0, "empty mesh");
-    int n = width * height;
+    const int n = width * height;
     shards_ = std::clamp(shards, 1, n);
 
-    // Best rectangular factorisation rows x cols == shards_ that fits
-    // the mesh, minimising the largest shard area (ties: squarer grid).
-    int bestRows = 0, bestCols = 0, bestArea = n + 1;
-    for (int rows = 1; rows <= shards_; ++rows) {
-        if (shards_ % rows != 0)
-            continue;
-        int cols = shards_ / rows;
-        if (rows > height || cols > width)
-            continue;
-        int maxH = (height + rows - 1) / rows;
-        int maxW = (width + cols - 1) / cols;
-        if (maxH * maxW < bestArea) {
-            bestArea = maxH * maxW;
-            bestRows = rows;
-            bestCols = cols;
-        }
-    }
-
     shardOf_.resize(static_cast<std::size_t>(n));
-    if (bestRows > 0) {
-        for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
-            int x = id % width;
-            int y = id / width;
-            int r = (y * bestRows) / height;
-            int c = (x * bestCols) / width;
-            shardOf_[id] = r * bestCols + c;
-        }
-    } else {
-        // No rectangular grid fits (e.g. 7 shards on a 4x4 mesh):
-        // contiguous id ranges. Geometry only affects locality, never
-        // results (see the file header).
-        for (NodeId id = 0; id < static_cast<NodeId>(n); ++id)
-            shardOf_[id] = static_cast<int>(
-                (static_cast<long long>(id) * shards_) / n);
+    nodes_.resize(static_cast<std::size_t>(shards_));
+    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
+        const int s = static_cast<int>(
+            (static_cast<long long>(id) * shards_) / n);
+        shardOf_[id] = s;
+        nodes_[static_cast<std::size_t>(s)].push_back(id);
     }
 
-    nodes_.resize(static_cast<std::size_t>(shards_));
-    phaseNodes_.resize(static_cast<std::size_t>(shards_) * kNumStepPhases);
+    // A node is on the boundary when some node of another shard lies
+    // within Manhattan distance 2: exactly the nodes whose step
+    // footprints ({R} and its neighbours) can meet another shard's.
+    const std::size_t slots =
+        static_cast<std::size_t>(shards_) * kNumStepPhases;
+    phaseNodes_.resize(slots);
+    boundary_.resize(slots);
+    interior_.resize(slots);
+    border_.resize(static_cast<std::size_t>(shards_));
     for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
-        int s = shardOf_[id];
-        int ph = stepPhase(id % width, id / width);
-        nodes_[static_cast<std::size_t>(s)].push_back(id);
-        phaseNodes_[static_cast<std::size_t>(s) * kNumStepPhases +
-                    static_cast<std::size_t>(ph)]
-            .push_back(id);
+        const int s = shardOf_[id];
+        const int x = static_cast<int>(id) % width;
+        const int y = static_cast<int>(id) / width;
+        bool onBoundary = false;
+        for (int dy = -2; dy <= 2; ++dy) {
+            for (int dx = -2 + std::abs(dy); dx <= 2 - std::abs(dy); ++dx) {
+                const int nx = x + dx, ny = y + dy;
+                if (nx < 0 || nx >= width || ny < 0 || ny >= height)
+                    continue;
+                const int t = shardOf_[static_cast<std::size_t>(ny) *
+                                           static_cast<std::size_t>(width) +
+                                       static_cast<std::size_t>(nx)];
+                if (t != s) {
+                    onBoundary = true;
+                    border_[static_cast<std::size_t>(s)].push_back(t);
+                }
+            }
+        }
+        const std::size_t k = slot(s, stepPhase(x, y));
+        phaseNodes_[k].push_back(id);
+        (onBoundary ? boundary_ : interior_)[k].push_back(id);
+    }
+
+    for (std::vector<int> &b : border_) {
+        std::sort(b.begin(), b.end());
+        b.erase(std::unique(b.begin(), b.end()), b.end());
     }
 }
 

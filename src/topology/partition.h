@@ -19,11 +19,16 @@
  *     threads. The serial engine uses the identical schedule, which is
  *     what makes sharded runs bit-identical to serial ones.
  *
- *  2. ShardPlan: a balanced partition of the node set into rectangular
- *     shards (one worker thread each). The geometry is purely a
- *     locality knob — correctness comes from the schedule — so when a
- *     shard count has no rectangular factorisation that fits the mesh,
- *     the plan falls back to contiguous node-id ranges.
+ *  2. ShardPlan: the node set cut into row bands, one per worker
+ *     thread: contiguous node-id ranges (shardOf(id) = id * shards /
+ *     n), so each shard's routers, NICs, injection lanes and idle-skip
+ *     flags are contiguous and two shards share cache lines only at a
+ *     band edge. Each (shard, phase) node list is further split into
+ *     *boundary* nodes, which have another shard's node within
+ *     Manhattan distance 2, and *interior* nodes, which do not. An
+ *     interior step's footprint (itself plus its neighbours) can never
+ *     meet another shard's, so the engine only has to order boundary
+ *     steps across shards (par/shard_engine.h).
  */
 #ifndef ROCOSIM_TOPOLOGY_PARTITION_H_
 #define ROCOSIM_TOPOLOGY_PARTITION_H_
@@ -69,11 +74,9 @@ class ShardPlan
 {
   public:
     /**
-     * Partitions a @p width x @p height mesh into @p shards pieces
-     * (clamped to [1, nodes]). Prefers a rows x cols shard grid with
-     * rows * cols == shards that fits the mesh, choosing the
-     * factorisation with the smallest worst-case shard; falls back to
-     * contiguous id ranges when no rectangular grid fits.
+     * Cuts a @p width x @p height mesh into @p shards (clamped to
+     * [1, nodes]) contiguous node-id ranges whose sizes differ by at
+     * most one: whole row bands when @p shards divides the height.
      */
     NOC_PHASE_FN(setup)
     ShardPlan(int width, int height, int shards);
@@ -91,16 +94,54 @@ class ShardPlan
     }
 
     /**
-     * Nodes of @p shard in schedule phase @p phase, ascending id (the
-     * router step order within the phase).
+     * Nodes of @p shard in schedule phase @p phase, ascending id: the
+     * union of boundaryNodes and interiorNodes.
      */
     const std::vector<NodeId> &phaseNodes(int shard, int phase) const
     {
-        return phaseNodes_[static_cast<std::size_t>(shard) * kNumStepPhases +
-                           static_cast<std::size_t>(phase)];
+        return phaseNodes_[slot(shard, phase)];
+    }
+
+    /**
+     * Phase-@p phase nodes of @p shard with another shard's node within
+     * Manhattan distance 2, ascending id. Only these steps can conflict
+     * with another shard's steps.
+     */
+    const std::vector<NodeId> &boundaryNodes(int shard, int phase) const
+    {
+        return boundary_[slot(shard, phase)];
+    }
+
+    /**
+     * Phase-@p phase nodes of @p shard at distance >= 3 from every
+     * other shard's node, ascending id: their step footprints never
+     * meet another shard's.
+     */
+    const std::vector<NodeId> &interiorNodes(int shard, int phase) const
+    {
+        return interior_[slot(shard, phase)];
+    }
+
+    /**
+     * Shards owning a node within Manhattan distance 2 of one of
+     * @p shard's nodes, ascending: the only shards whose boundary steps
+     * @p shard's boundary steps must be ordered against. Symmetric, and
+     * not necessarily the adjacent bands (a band thinner than two rows
+     * borders the bands beyond its neighbours too).
+     */
+    const std::vector<int> &borderShards(int shard) const
+    {
+        return border_[static_cast<std::size_t>(shard)];
     }
 
   private:
+    std::size_t
+    slot(int shard, int phase) const
+    {
+        return static_cast<std::size_t>(shard) * kNumStepPhases +
+               static_cast<std::size_t>(phase);
+    }
+
     // The plan is immutable after construction: every shard thread
     // reads it concurrently, so ownership is pinned to setup.
     NOC_OWNED_STATE(setup)
@@ -115,6 +156,12 @@ class ShardPlan
     std::vector<std::vector<NodeId>> nodes_;
     NOC_OWNED_STATE(setup)
     std::vector<std::vector<NodeId>> phaseNodes_;
+    NOC_OWNED_STATE(setup)
+    std::vector<std::vector<NodeId>> boundary_;
+    NOC_OWNED_STATE(setup)
+    std::vector<std::vector<NodeId>> interior_;
+    NOC_OWNED_STATE(setup)
+    std::vector<std::vector<int>> border_;
 };
 
 } // namespace noc

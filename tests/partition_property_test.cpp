@@ -5,7 +5,9 @@
  * the distance-2 property the whole sharded engine rests on — no two
  * same-phase routers within Manhattan distance 2, equivalently all
  * same-phase step footprints (self + cardinal neighbours) disjoint —
- * and that the plan's phase buckets tile the mesh exactly.
+ * that the plan's phase buckets tile the mesh exactly, and that each
+ * bucket's boundary / interior split and each shard's border set
+ * follow the distance-2 rule the split-phase engine relies on.
  *
  * The file-header proof in topology/partition.h covers the infinite
  * lattice; these tests pin the *implementation* (stepPhase, ShardPlan
@@ -14,6 +16,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -167,6 +172,134 @@ TEST(PartitionPropertyTest, ShardBoundariesAddNoSamePhaseConflicts)
                         << " in phase " << p;
                 }
         }
+    }
+}
+
+/** Manhattan distance from @p n to the nearest node of another shard
+ *  (INT_MAX when there is none). */
+int
+distanceToOtherShard(const ShardPlan &plan, const MeshTopology &topo,
+                     NodeId n)
+{
+    int best = std::numeric_limits<int>::max();
+    const Coord a = topo.coord(n);
+    for (NodeId m = 0; m < static_cast<NodeId>(topo.numNodes()); ++m) {
+        if (plan.shardOf(m) == plan.shardOf(n))
+            continue;
+        const Coord b = topo.coord(m);
+        best = std::min(best, std::abs(a.x - b.x) + std::abs(a.y - b.y));
+    }
+    return best;
+}
+
+TEST(PartitionPropertyTest, InteriorAndBoundaryFollowDistanceToOtherShards)
+{
+    // Interior nodes sit at distance >= 3 from every other shard's node
+    // (their step footprints can never meet another shard's); every
+    // boundary node has another shard's node within distance 2.
+    Rng rng(0xC0FFEE, 5);
+    for (int iter = 0; iter < 40; ++iter) {
+        int w = 1 + static_cast<int>(rng.nextRange(24));
+        int h = 1 + static_cast<int>(rng.nextRange(24));
+        int shards = 1 + static_cast<int>(rng.nextRange(10));
+        SCOPED_TRACE(testing::Message()
+                     << w << "x" << h << " @ " << shards << " shards");
+        ShardPlan plan(w, h, shards);
+        MeshTopology topo(w, h);
+        for (int s = 0; s < plan.shards(); ++s)
+            for (int p = 0; p < kNumStepPhases; ++p) {
+                for (NodeId n : plan.interiorNodes(s, p))
+                    ASSERT_GE(distanceToOtherShard(plan, topo, n), 3)
+                        << "interior node " << n;
+                for (NodeId n : plan.boundaryNodes(s, p))
+                    ASSERT_LE(distanceToOtherShard(plan, topo, n), 2)
+                        << "boundary node " << n;
+            }
+    }
+}
+
+TEST(PartitionPropertyTest, BoundaryAndInteriorSplitPhaseNodes)
+{
+    // boundary and interior are disjoint, and their union (both kept in
+    // ascending id order) is exactly phaseNodes.
+    Rng rng(0xC0FFEE, 6);
+    for (int iter = 0; iter < 40; ++iter) {
+        int w = 1 + static_cast<int>(rng.nextRange(32));
+        int h = 1 + static_cast<int>(rng.nextRange(32));
+        int shards = 1 + static_cast<int>(rng.nextRange(12));
+        SCOPED_TRACE(testing::Message()
+                     << w << "x" << h << " @ " << shards << " shards");
+        ShardPlan plan(w, h, shards);
+        for (int s = 0; s < plan.shards(); ++s)
+            for (int p = 0; p < kNumStepPhases; ++p) {
+                const auto &b = plan.boundaryNodes(s, p);
+                const auto &i = plan.interiorNodes(s, p);
+                ASSERT_TRUE(std::is_sorted(b.begin(), b.end()));
+                ASSERT_TRUE(std::is_sorted(i.begin(), i.end()));
+                std::vector<NodeId> both;
+                std::set_union(b.begin(), b.end(), i.begin(), i.end(),
+                               std::back_inserter(both));
+                ASSERT_EQ(both.size(), b.size() + i.size())
+                    << "boundary and interior overlap";
+                ASSERT_EQ(both, plan.phaseNodes(s, p));
+            }
+    }
+}
+
+TEST(PartitionPropertyTest, BorderShardsAreExactlyTheShardsWithinDistanceTwo)
+{
+    Rng rng(0xC0FFEE, 7);
+    for (int iter = 0; iter < 30; ++iter) {
+        int w = 1 + static_cast<int>(rng.nextRange(20));
+        int h = 1 + static_cast<int>(rng.nextRange(20));
+        int shards = 1 + static_cast<int>(rng.nextRange(10));
+        SCOPED_TRACE(testing::Message()
+                     << w << "x" << h << " @ " << shards << " shards");
+        ShardPlan plan(w, h, shards);
+        MeshTopology topo(w, h);
+        for (int s = 0; s < plan.shards(); ++s) {
+            std::vector<int> want;
+            for (int t = 0; t < plan.shards(); ++t) {
+                if (t == s)
+                    continue;
+                bool near = false;
+                for (NodeId a : plan.nodes(s))
+                    for (NodeId b : plan.nodes(t)) {
+                        Coord ca = topo.coord(a), cb = topo.coord(b);
+                        near = near || std::abs(ca.x - cb.x) +
+                                               std::abs(ca.y - cb.y) <=
+                                           2;
+                    }
+                if (near)
+                    want.push_back(t);
+            }
+            ASSERT_EQ(plan.borderShards(s), want) << "shard " << s;
+        }
+    }
+}
+
+TEST(PartitionPropertyTest, SixteenBySixteenTwoShardsInteriorRows)
+{
+    // Bands rows 0-7 and 8-15; rows 6-9 lie within distance 2 of the
+    // cut, rows 0-5 and 10-15 are interior.
+    ShardPlan plan(16, 16, 2);
+    MeshTopology topo(16, 16);
+    std::vector<int> interiorPerRow(16, 0), boundaryPerRow(16, 0);
+    for (int s = 0; s < 2; ++s)
+        for (int p = 0; p < kNumStepPhases; ++p) {
+            for (NodeId n : plan.interiorNodes(s, p))
+                ++interiorPerRow[static_cast<std::size_t>(topo.coord(n).y)];
+            for (NodeId n : plan.boundaryNodes(s, p))
+                ++boundaryPerRow[static_cast<std::size_t>(topo.coord(n).y)];
+        }
+    for (int y = 0; y < 16; ++y) {
+        const bool interior = y <= 5 || y >= 10;
+        EXPECT_EQ(interiorPerRow[static_cast<std::size_t>(y)],
+                  interior ? 16 : 0)
+            << "row " << y;
+        EXPECT_EQ(boundaryPerRow[static_cast<std::size_t>(y)],
+                  interior ? 0 : 16)
+            << "row " << y;
     }
 }
 

@@ -6,8 +6,9 @@
  *
  *  1. Seeded-bug fixtures that drive the checker directly — these run
  *     in every build (the RaceChecker class is always compiled) and
- *     pin down that a broken colouring or a non-atomic mirror access
- *     is caught, naming both routers, the phase pair and the cycle.
+ *     pin down that a broken colouring, a non-atomic mirror access or
+ *     a boundary node stepped in the interior window is caught, naming
+ *     both routers, their shards and the cycle.
  *
  *  2. A clean-tree matrix over router architecture x routing x the
  *     Table-3 fault classes, serial and 4-shard, which must log real
@@ -20,10 +21,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "fault/fault_injector.h"
 #include "par/race_check.h"
 #include "sim/simulator.h"
@@ -161,25 +164,102 @@ TEST(RaceCheckFixtureTest, WakeFlagStoresCommute)
     EXPECT_EQ(race.findingsTotal(), 0u);
 }
 
+/**
+ * Feeds one superstep of @p plan's split-phase schedule: each shard's
+ * boundary nodes, then its interior nodes in the interior window.
+ * @p misfiled, when set, is stepped in the interior window although
+ * the plan files it as a boundary node.
+ */
+void
+feedPlanCycle(RaceChecker &race, const ShardPlan &plan,
+              NodeId misfiled = kInvalidNode)
+{
+    for (int p = 0; p < kNumStepPhases; ++p)
+        for (int s = 0; s < plan.shards(); ++s) {
+            for (NodeId n : plan.boundaryNodes(s, p))
+                race.noteStep(n, p, s, n == misfiled);
+            for (NodeId n : plan.interiorNodes(s, p))
+                race.noteStep(n, p, s, true);
+        }
+}
+
 TEST(RaceCheckFixtureTest, CleanScheduleHasNoFindings)
 {
-    // The real pentachromatic schedule over the real shard plan: zero
-    // findings by construction, across several supersteps.
-    const int w = 8, h = 8, shards = 4;
-    ShardPlan plan(w, h, shards);
-    MeshTopology topo(w, h);
+    // The real pentachromatic schedule over the real shard plan, in
+    // its boundary and interior windows: zero findings by
+    // construction, across several supersteps.
+    for (int shards : {2, 4}) {
+        const int w = 8, h = 8;
+        ShardPlan plan(w, h, shards);
+        RaceChecker race(w, h);
+        race.beginRun(plan.shards());
+        for (Cycle c = 0; c < 10; ++c) {
+            feedPlanCycle(race, plan);
+            race.endCycle(c);
+        }
+        EXPECT_EQ(race.findingsTotal(), 0u) << shards << " shards";
+        EXPECT_EQ(race.cyclesChecked(), 10u);
+        EXPECT_GT(race.recordsLogged(), 0u);
+    }
+}
+
+TEST(RaceCheckFixtureTest, BoundaryNodeFiledAsInteriorIsCaught)
+{
+    // 8x8 in two bands (rows 0-3, 4-7). Router 27 = (3, 3) sits next to
+    // router 35 = (3, 4) across the cut; stepping it in the interior
+    // window would let it run unordered against shard 1's steps.
+    const int w = 8, h = 8;
+    ShardPlan plan(w, h, 2);
+    const NodeId misfiled = 27;
+    ASSERT_EQ(plan.shardOf(misfiled), 0);
+    const auto &b = plan.boundaryNodes(0, stepPhase(3, 3));
+    ASSERT_NE(std::find(b.begin(), b.end(), misfiled), b.end());
+
     RaceChecker race(w, h);
     race.beginRun(plan.shards());
-    for (Cycle c = 0; c < 10; ++c) {
-        for (int p = 0; p < kNumStepPhases; ++p)
-            for (int s = 0; s < plan.shards(); ++s)
-                for (NodeId n : plan.phaseNodes(s, p))
-                    race.noteStep(n, p, s);
-        race.endCycle(c);
+    feedPlanCycle(race, plan, misfiled);
+    race.endCycle(13);
+
+    ASSERT_GT(race.findingsTotal(), 0u);
+    const std::string &f = race.findings().front();
+    EXPECT_NE(f.find("cycle 13"), std::string::npos) << f;
+    EXPECT_NE(f.find("router 27 (shard 0"), std::string::npos) << f;
+    EXPECT_NE(f.find("interior window"), std::string::npos) << f;
+    EXPECT_NE(f.find("(shard 1, phase"), std::string::npos) << f;
+    EXPECT_NE(f.find("filed as interior"), std::string::npos) << f;
+    // The other router is a shard-1 node within distance 2 of 27.
+    const std::size_t at = f.find("and router ");
+    ASSERT_NE(at, std::string::npos) << f;
+    const NodeId other =
+        static_cast<NodeId>(std::stoi(f.substr(at + 11)));
+    EXPECT_EQ(plan.shardOf(other), 1) << f;
+    EXPECT_LE(std::abs(static_cast<int>(other % w) - 3) +
+                  std::abs(static_cast<int>(other / w) - 3),
+              2)
+        << f;
+    // The colouring itself is sound: the window rule alone fired.
+    for (const std::string &g : race.findings())
+        EXPECT_EQ(g.find("same schedule phase"), std::string::npos) << g;
+}
+
+TEST(RaceCheckFixtureTest, PlanWindowsAreCleanOnRandomMeshes)
+{
+    // The split the engine steps by, on random meshes and shard counts:
+    // neither the same-phase nor the interior-window rule may fire.
+    Rng rng(0x5EED, 1);
+    for (int iter = 0; iter < 25; ++iter) {
+        const int w = 1 + static_cast<int>(rng.nextRange(16));
+        const int h = 1 + static_cast<int>(rng.nextRange(16));
+        const int shards = 1 + static_cast<int>(rng.nextRange(8));
+        ShardPlan plan(w, h, shards);
+        RaceChecker race(w, h);
+        race.beginRun(plan.shards());
+        feedPlanCycle(race, plan);
+        race.endCycle(0);
+        EXPECT_EQ(race.findingsTotal(), 0u)
+            << w << "x" << h << " @ " << shards << " shards: "
+            << race.findings().front();
     }
-    EXPECT_EQ(race.findingsTotal(), 0u);
-    EXPECT_EQ(race.cyclesChecked(), 10u);
-    EXPECT_GT(race.recordsLogged(), 0u);
 }
 
 TEST(RaceCheckFixtureTest, FindingsAreDeterministic)

@@ -11,9 +11,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "fault/fault_injector.h"
@@ -98,28 +100,55 @@ TEST(ShardPlanTest, PhaseNodesPartitionTheShard)
     }
 }
 
-TEST(ShardPlanTest, RectangularSplitIsBalanced)
+TEST(ShardPlanTest, BandsAreContiguousIdRanges)
 {
-    // 4 shards on 8x8 factorises as 2x2 quadrants of 16 nodes each.
-    ShardPlan plan(8, 8, 4);
-    for (int s = 0; s < 4; ++s)
-        EXPECT_EQ(plan.nodes(s).size(), 16u);
+    // Each shard owns one run of consecutive ids, in shard order, so
+    // its routers, NICs and idle-skip flags are contiguous in memory.
+    for (auto [w, h, shards] : {std::tuple{8, 8, 2}, {8, 8, 3}, {16, 16, 4},
+                                {10, 6, 7}, {4, 4, 5}, {5, 3, 15}}) {
+        SCOPED_TRACE(testing::Message()
+                     << w << "x" << h << " @ " << shards << " shards");
+        ShardPlan plan(w, h, shards);
+        NodeId next = 0;
+        for (int s = 0; s < plan.shards(); ++s) {
+            for (NodeId n : plan.nodes(s))
+                EXPECT_EQ(n, next++);
+        }
+        EXPECT_EQ(next, static_cast<NodeId>(w * h));
+    }
 }
 
-TEST(ShardPlanTest, FallsBackToContiguousRangesWhenNoGridFits)
+TEST(ShardPlanTest, BandSizesDifferByAtMostOne)
 {
-    // 5 shards on a 4x4 mesh: neither 1x5 nor 5x1 fits, so ids are
-    // split into contiguous, roughly equal ranges.
-    ShardPlan plan(4, 4, 5);
-    int prev = 0;
-    for (NodeId n = 0; n < 16; ++n) {
-        EXPECT_GE(plan.shardOf(n), prev);
-        prev = plan.shardOf(n);
+    for (int shards = 1; shards <= 12; ++shards) {
+        ShardPlan plan(10, 6, shards);
+        std::size_t lo = plan.nodes(0).size(), hi = lo;
+        for (int s = 1; s < plan.shards(); ++s) {
+            lo = std::min(lo, plan.nodes(s).size());
+            hi = std::max(hi, plan.nodes(s).size());
+        }
+        EXPECT_LE(hi - lo, 1u) << shards << " shards";
     }
-    for (int s = 0; s < 5; ++s) {
-        EXPECT_GE(plan.nodes(s).size(), 3u);
-        EXPECT_LE(plan.nodes(s).size(), 4u);
+    // Whole rows whenever the shard count divides the height.
+    ShardPlan plan(16, 16, 4);
+    for (int s = 0; s < 4; ++s) {
+        ASSERT_EQ(plan.nodes(s).size(), 64u);
+        EXPECT_EQ(plan.nodes(s).front(), static_cast<NodeId>(64 * s));
     }
+}
+
+TEST(ShardPlanTest, BorderShardsReachPastThinBands)
+{
+    // One-row bands: a node two rows away belongs to the band beyond
+    // the neighbour, so that band borders too.
+    ShardPlan thin(8, 8, 8);
+    EXPECT_EQ(thin.borderShards(0), (std::vector<int>{1, 2}));
+    EXPECT_EQ(thin.borderShards(3), (std::vector<int>{1, 2, 4, 5}));
+    // Four-row bands: only the adjacent bands.
+    ShardPlan wide(16, 16, 4);
+    EXPECT_EQ(wide.borderShards(0), (std::vector<int>{1}));
+    EXPECT_EQ(wide.borderShards(2), (std::vector<int>{1, 3}));
+    EXPECT_TRUE(ShardPlan(16, 16, 1).borderShards(0).empty());
 }
 
 TEST(ShardPlanTest, ShardCountIsClamped)

@@ -207,6 +207,31 @@ TEST(SweepRunnerTest, LedgerStaysConsistentAfterRuns)
     }
 }
 
+TEST(SweepRunnerTest, AutoShardCountKeepsFourRowBands)
+{
+    // Row bands thinner than 4 rows leave an 8x8 shard no interior
+    // node, and measured slower than serial (DESIGN section 11).
+    SimConfig cfg;
+    cfg.meshWidth = 8;
+    cfg.meshHeight = 8;
+    EXPECT_EQ(autoShards(cfg, 8), 2);
+    EXPECT_EQ(autoShards(cfg, 2), 2);
+    EXPECT_EQ(autoShards(cfg, 1), 0);
+    cfg.meshWidth = cfg.meshHeight = 16;
+    EXPECT_EQ(autoShards(cfg, 8), 4);
+    EXPECT_EQ(autoShards(cfg, 3), 3);
+    cfg.meshWidth = cfg.meshHeight = 32;
+    EXPECT_EQ(autoShards(cfg, 16), 8);
+    // 256 nodes, but only one band's worth of rows.
+    cfg.meshWidth = 64;
+    cfg.meshHeight = 4;
+    EXPECT_EQ(autoShards(cfg, 8), 0);
+    // Tall enough for two bands, too small to pay for them.
+    cfg.meshWidth = 4;
+    cfg.meshHeight = 12;
+    EXPECT_EQ(autoShards(cfg, 8), 0);
+}
+
 TEST(JsonOutTest, SerialisesEveryPoint)
 {
     SweepSpec spec;

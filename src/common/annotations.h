@@ -4,7 +4,7 @@
  *
  * The simulator's determinism contract — sharded runs bit-identical to
  * serial — rests on a single-writer discipline: every piece of
- * cross-router state (the incoming-occupancy mirrors, the idle-skip
+ * cross-router state (the receiver-held link slot words, the idle-skip
  * flags, the shard epilogue's reduction fields) is written only from a
  * specific sub-phase of the cycle, and the pentachromatic step
  * schedule serialises those sub-phases across threads. These macros
@@ -15,11 +15,14 @@
  *
  * Phases (see DESIGN section 13 for the full contract):
  *
- *   recv     receive loops and injection pull: drain own channels,
- *            decrement own occupancy mirrors, fill own VC buffers
+ *   recv     receive loops and injection pull: consume own due link
+ *            slots (clear own pendFlitIn_ slot bits, empty own
+ *            pendCreditIn_ VC masks), fill own VC buffers
  *   alloc    VC / switch allocation: no mirror writes at all
  *   send     sendFlit / sendCredit: the only code allowed to touch a
- *            *neighbour's* mirrors and wake flag
+ *            *neighbour's* mirrors (set a flit slot bit in its
+ *            pendFlitIn_, a VC bit in its pendCreditIn_ masks) and
+ *            wake flag
  *   inject   NIC traffic generation (pre-step, shard-local)
  *   step     a whole-router step driver: composes the above, writes
  *            no phase-guarded state directly
@@ -49,7 +52,8 @@
  *                              violation (noc-lint own-cross-write)
  *                              even when the phase matches.
  *   NOC_SHARED_ATOMIC(p1, ...) crosses the shard boundary by design
- *                              (the occupancy mirrors): must be
+ *                              (pendFlitIn_ slot bits, pendCreditIn_
+ *                              VC masks): must be
  *                              std::atomic (own-nonatomic-shared) and
  *                              reachable from a neighbour only through
  *                              the sanctioned mirror / reserveInputVc

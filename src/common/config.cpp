@@ -51,10 +51,10 @@ SimConfig::validate() const
         fatal("PS/RoCo routers need >=3 VCs per path set (Table 1)");
     if (bufferDepthGeneric < 1 || bufferDepthModular < 1)
         fatal("buffer depth must be positive");
-    if (hopDelay < 1)
-        fatal("hopDelay must be >=1");
-    if (creditDelay < 1)
-        fatal("creditDelay must be >=1");
+    if (hopDelay < 1 || hopDelay > kMaxLinkDelay)
+        fatal("hopDelay out of range [1,7]");
+    if (creditDelay < 1 || creditDelay > kMaxLinkDelay)
+        fatal("creditDelay out of range [1,7]");
     if (injectionRate < 0.0 || injectionRate > 1.0)
         fatal("injectionRate must be in [0,1] flits/node/cycle");
     if (flitsPerPacket < 1 || flitsPerPacket > 1024)

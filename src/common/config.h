@@ -16,6 +16,14 @@
 
 namespace noc {
 
+/**
+ * Longest hopDelay / creditDelay a link may have. A link of delay L is
+ * a ring of bit_ceil(L + 1) arrival slots whose occupancy the receiver
+ * keeps as one bit per slot (topology/channel.h): 7 is the longest
+ * delay whose ring fits one mask byte.
+ */
+inline constexpr int kMaxLinkDelay = 7;
+
 /** Workloads used in the evaluation (Figures 8-10, 13). */
 enum class TrafficKind : std::uint8_t {
     Uniform = 0,         ///< uniform random destinations, Bernoulli process
@@ -128,9 +136,11 @@ struct SimConfig {
      * next router's input register: 1 cycle switch traversal + 1 cycle
      * link propagation (paper Section 5.1), plus the implicit input
      * register, i.e. a flit granted at cycle t is received at t+3.
+     * At most kMaxLinkDelay.
      */
     int hopDelay = 3;
-    /** Cycles for a credit to travel back upstream (1-cycle wire). */
+    /** Cycles for a credit to travel back upstream (1-cycle wire).
+     *  At most kMaxLinkDelay. */
     int creditDelay = 1;
 
     // --- workload -------------------------------------------------------

@@ -140,7 +140,7 @@ struct Flit {
 
 /**
  * The zero-copy discipline (DESIGN section 12) moves flits as raw
- * memcpy-able values: channel rings, VC buffers and the SoA arenas all
+ * memcpy-able values: link slot rings, VC buffers and the SoA arenas all
  * assume a Flit is a small trivially-copyable record. A non-trivial
  * member (or accidental growth past one cache line shared by two
  * flits) would silently turn every hop into a constructor call, so the

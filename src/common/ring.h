@@ -15,8 +15,9 @@
  *    flit never allocates.
  *  - GrowRing<T>: power-of-two ring that owns its storage and doubles
  *    on overflow. Used where capacity is unbounded in principle but
- *    tiny and stable in practice (channel delay lines, NIC source
- *    queues): after warm-up it never allocates again.
+ *    tiny and stable in practice (NIC source queues): after warm-up it
+ *    never allocates again. Links need neither: they are fixed rings
+ *    of arrival slots (topology/channel.h).
  */
 #ifndef ROCOSIM_COMMON_RING_H_
 #define ROCOSIM_COMMON_RING_H_
@@ -121,30 +122,14 @@ class RingView
  *
  * Doubling keeps amortized pushes O(1); steady-state traffic never
  * grows the ring, so the cycle loop performs no heap traffic. Elements
- * must be copyable (they are PODs here: flits, credits, delay-line
- * entries).
+ * must be copyable (they are PODs here: flits).
  */
 template <typename T>
 class GrowRing
 {
   public:
-    GrowRing() = default;
-
-    /** Pre-sizes the ring so the first @p n pushes never grow. */
-    explicit GrowRing(std::size_t n) { reserve(n); }
-
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
-
-    void
-    reserve(std::size_t n)
-    {
-        std::size_t cap = 4;
-        while (cap < n)
-            cap <<= 1;
-        if (cap > buf_.size())
-            relocate(cap);
-    }
 
     void
     push_back(const T &v)
@@ -162,13 +147,6 @@ class GrowRing
         return buf_[head_];
     }
 
-    const T &
-    back() const
-    {
-        NOC_ASSERT(!empty(), "back() on empty ring");
-        return buf_[(head_ + size_ - 1) & mask_];
-    }
-
     /** Removes and returns the oldest element. */
     T
     pop_front()
@@ -178,25 +156,6 @@ class GrowRing
         head_ = (head_ + 1) & mask_;
         --size_;
         return v;
-    }
-
-    /** Removes the oldest element without copying it out (pair with
-     *  front() for the zero-copy consume path). */
-    void
-    drop_front()
-    {
-        NOC_ASSERT(!empty(), "drop_front() on empty ring");
-        head_ = (head_ + 1) & mask_;
-        --size_;
-    }
-
-    /** Oldest to newest (protocol invariant checks, drain scans). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (std::size_t i = 0; i < size_; ++i)
-            fn(buf_[(head_ + i) & mask_]);
     }
 
   private:

@@ -51,7 +51,7 @@ namespace noc::par {
 enum class AccessClass : std::uint8_t {
     Owned,   ///< the stepped router's private pipeline state
     Reserve, ///< a neighbour's input-VC reservation (reserveInputVc)
-    Mirror,  ///< a neighbour's occupancy mirror (pendFlitIn_/CreditIn_)
+    Mirror,  ///< a neighbour's slot words (pendFlitIn_ / pendCreditIn_)
     Wake,    ///< a neighbour's idle-skip wake flag (commuting store)
 };
 

@@ -7,7 +7,7 @@
  * generates its own NICs' traffic, then steps its routers phase by
  * phase of the pentachromatic schedule. Routers in one phase are at
  * Manhattan distance >= 3 from each other, so their step footprints —
- * own state, both directions of the attached channels, and the
+ * own state, both directions of the attached links, and the
  * neighbour state the RoCo / path-sensitive reserveInputVc handshake
  * touches — are disjoint, and the steps commute.
  *

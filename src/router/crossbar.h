@@ -2,7 +2,7 @@
  * @file
  * Crossbar conflict checker and activity counter.
  *
- * The simulator moves flits directly between buffers and channels; the
+ * The simulator moves flits directly between buffers and links; the
  * Crossbar object enforces the structural constraints a real switch
  * imposes — one flit per input and per output per cycle — and counts
  * traversals for the energy model.

@@ -24,7 +24,7 @@ GenericRouter::GenericRouter(NodeId id, const SimConfig &cfg,
                               /*perPortSlots=*/true,
                               kNumPorts * cfg.vcsPerPort}),
       svcInjPartition_(svc::classPartitionActive(cfg)),
-      xbar_(kNumPorts, kNumPorts), ejectPipe_(cfg.hopDelay - 1)
+      xbar_(kNumPorts, kNumPorts), ejectClock_(cfg.hopDelay - 1)
 {
     localOut_.assign(static_cast<size_t>(numVcs_), OutputVc{});
     for (auto &o : localOut_)
@@ -42,7 +42,7 @@ int
 GenericRouter::bufferedFlits() const
 {
     return Router::bufferedFlits() +
-           static_cast<int>(ejectPipe_.inFlight());
+           std::popcount(ejectOcc_.load(std::memory_order_relaxed));
 }
 
 OutputVc &
@@ -57,7 +57,9 @@ void
 GenericRouter::beginCycle(Cycle now)
 {
     xbar_.beginCycle();
-    while (auto f = ejectPipe_.receive(now)) {
+    // One output port: at most one flit leaves the ST pipe per cycle.
+    if (const Flit *f = dueFlit(ejectSlots_, ejectClock_, ejectOcc_, now)) {
+        takeFlit(ejectClock_, ejectOcc_, now);
         noteFlitUnbuffered(); // ST pipe counts as buffered work
         nic_->deliverFlit(*f, now);
     }
@@ -262,7 +264,11 @@ GenericRouter::forward(Direction outDir, const PacketCtl &ctl, Flit &f,
     NOC_OBS(if (obs_)
                 obs_->record(obs::Stage::SwitchTraverse, f, id(), now, 0,
                              f.vc));
-    ejectPipe_.send(f, now); // ST stage before the PE sees it
+    if (ejectClock_.delay() == 0) {
+        nic_->deliverFlit(f, now); // no ST cycles left: straight to the PE
+        return;
+    }
+    putFlit(ejectSlots_, ejectClock_, ejectOcc_, f, now); // ST stage
     noteFlitBuffered(); // still local work until the pipe drains
 }
 

@@ -19,6 +19,8 @@
 #ifndef ROCOSIM_ROUTER_GENERIC_GENERIC_ROUTER_H_
 #define ROCOSIM_ROUTER_GENERIC_GENERIC_ROUTER_H_
 
+#include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "router/arbiter.h"
@@ -90,10 +92,16 @@ class GenericRouter final : public RouterPipeline<GenericRouter>
     Crossbar xbar_;
     /**
      * PE-bound flits pass through switch traversal like any other
-     * output (no early ejection in the generic design); this delay
-     * line models the ST stage before the NIC sees the flit.
+     * output (no early ejection in the generic design): an arrival-slot
+     * ring of hopDelay - 1 cycles models the ST stage before the NIC
+     * sees the flit. At hopDelay 1 that delay is zero and forward()
+     * hands the flit straight to the NIC.
      */
-    FlitChannel ejectPipe_;
+    SlotClock ejectClock_;
+    Flit ejectSlots_[kMaxLinkSlots];
+    /** Occupied eject slots. Router-private: atomic only because the
+     *  link helpers of topology/channel.h take the receiver word. */
+    std::atomic<std::uint8_t> ejectOcc_{0};
 
     std::vector<RoundRobinArbiter> saPort_;  ///< stage 1, per input port
     std::vector<RoundRobinArbiter> saOut_;   ///< stage 2, per output port

@@ -50,8 +50,8 @@ class RouterPipeline : public Router
             return; // off-line: no receive, no credits, full backpressure
 
         self().beginCycle(now);
-        receiveCredits(now, [this](Direction d, std::uint8_t vcId) {
-            OutputVc &o = outputVc(d, vcId);
+        receiveCredits(now, [this](Direction d, unsigned vcId) {
+            OutputVc &o = outputVc(d, static_cast<int>(vcId));
             ++o.credits;
             --o.outstanding;
             NOC_ASSERT(o.credits <= depth_, "credit overflow");
@@ -126,6 +126,9 @@ class RouterPipeline : public Router
                    ? 0xFF
                    : static_cast<std::uint8_t>(ctl.outSlot);
         sendFlit(outDir, f, now);
+        NOC_OBS(if (obs_) obs_->record(
+                    obs::Stage::SwitchTraverse, f, id(), now,
+                    static_cast<int>(moduleOf(outDir)), f.vc));
     }
 
     /** Called once per VA grant, after the output VC is claimed. */
@@ -148,7 +151,8 @@ class RouterPipeline : public Router
         InputVc &ivc = in_[static_cast<size_t>(idx)];
         const PacketCtl &ctl = ivc.ctl.front();
         // Rewrite the head slot in place and send straight from the
-        // buffer: the only surviving copy is the channel push.
+        // buffer: the only surviving copy is the write into the link's
+        // arrival slot.
         Flit &f = ivc.buf.front();
         NOC_ASSERT(f.packetId == ctl.owner, "VC FIFO out of sync");
         NOC_ASSERT(outDir == ctl.outDir, "grant/output mismatch");
@@ -217,7 +221,7 @@ class RouterPipeline : public Router
                 NOC_ASSERT(f->dst == id(), "early ejection at wrong node");
                 ++act_.earlyEjections;
                 Flit ej = *f; // noc-lint:allow(flit-copy) ejection copy to the local port
-                consumeFlitFrom(d);
+                consumeFlitFrom(d, now);
                 ++ej.hops;
                 NOC_OBS(if (obs_)
                             obs_->record(obs::Stage::EarlyEject, ej, id(),
@@ -226,7 +230,7 @@ class RouterPipeline : public Router
                 continue;
             }
             bufferFlit(inIndex(dir, f->vc), *f, dir, now);
-            consumeFlitFrom(d);
+            consumeFlitFrom(d, now);
         }
     }
 

@@ -1,6 +1,6 @@
 #include "router/router.h"
 
-#include "obs/recorder.h"
+#include <bit>
 
 namespace noc {
 
@@ -19,6 +19,7 @@ Router::Router(NodeId id, const SimConfig &cfg, const MeshTopology &topo,
       // construction and mutated in place, so the reference is stable
       // for the router's lifetime (fault injection included).
       fs_(faults ? &faults->state(id) : &kHealthy),
+      flitClock_(cfg.hopDelay), creditClock_(cfg.creditDelay),
       routingKind_(routing.kind())
 {
 }
@@ -27,8 +28,7 @@ void
 Router::connectPort(Direction d, const PortIo &io)
 {
     NOC_ASSERT(isCardinal(d), "only cardinal ports are wired");
-    NOC_ASSERT(io.flitIn && io.flitOut && io.creditIn && io.creditOut,
-               "incomplete port wiring");
+    NOC_ASSERT(io.flitIn && io.flitOut, "incomplete port wiring");
     ports_[static_cast<int>(d)] = io;
 }
 
@@ -64,6 +64,8 @@ Router::initInputVcs(const VcLayout &layout)
     // Output slot namespace mirrors the downstream input VC pool: the
     // per-port VCs, or the whole pool when links share it.
     slotsPerDir_ = layout.perPortSlots ? numVcs_ : nVc;
+    NOC_ASSERT(slotsPerDir_ <= kMaxCreditVcs,
+               "output slots index 32-bit credit masks");
     outVcDepth_ = depth_;
     outVc_.assign(static_cast<size_t>(kNumCardinal) * slotsPerDir_,
                   OutputVc{});
@@ -136,51 +138,32 @@ Router::creditsQuiescent() const
 }
 
 void
-Router::sendFlit(Direction d, const Flit &f, Cycle now)
-{
-    PortIo &p = port(d);
-    NOC_ASSERT(p.flitOut, "sendFlit on missing port");
-    p.flitOut->send(f, now);
-    if (Router *nb = neighbors_[static_cast<int>(d)])
-        bumpPend(nb->pendFlitIn_[static_cast<int>(opposite(d))]);
-    if (auto *w = wake_[static_cast<int>(d)])
-        w->store(1, std::memory_order_relaxed);
-    ++act_.linkTraversals;
-    NOC_OBS(if (obs_) obs_->record(obs::Stage::SwitchTraverse, f, id(),
-                                   now, static_cast<int>(moduleOf(d)),
-                                   f.vc));
-}
-
-void
-Router::sendCredit(Direction inDir, std::uint8_t vcId, Cycle now)
-{
-    PortIo &p = port(inDir);
-    NOC_ASSERT(p.creditOut, "sendCredit on missing port");
-    p.creditOut->send(Credit{vcId}, now);
-    if (Router *nb = neighbors_[static_cast<int>(inDir)])
-        bumpPend(nb->pendCreditIn_[static_cast<int>(opposite(inDir))]);
-    if (auto *w = wake_[static_cast<int>(inDir)])
-        w->store(1, std::memory_order_relaxed);
-}
-
-void
-Router::countInFlight(Direction d, std::vector<int> &flits,
-                      std::vector<int> &credits) const
+Router::countFlitsIn(Direction d, std::vector<int> &flits) const
 {
     flits.assign(static_cast<std::size_t>(slotsPerDir_), 0);
-    credits.assign(static_cast<std::size_t>(slotsPerDir_), 0);
-    const PortIo &p = port(d);
-    if (p.flitOut) {
-        p.flitOut->forEach([&](const Flit &f) {
-            if (f.vc != 0xFF && f.vc < slotsPerDir_)
-                ++flits[f.vc];
-        });
+    const int di = static_cast<int>(d);
+    for (unsigned occ = pendFlitIn_[di].load(std::memory_order_relaxed);
+         occ; occ &= occ - 1) {
+        const Flit &f = ports_[di].flitIn[std::countr_zero(occ)];
+        if (f.vc != 0xFF && f.vc < slotsPerDir_)
+            ++flits[f.vc];
     }
-    if (p.creditIn) {
-        p.creditIn->forEach([&](const Credit &c) {
-            if (c.vc < slotsPerDir_)
-                ++credits[c.vc];
-        });
+}
+
+void
+Router::countCreditsIn(Direction d, std::vector<int> &credits) const
+{
+    credits.assign(static_cast<std::size_t>(slotsPerDir_), 0);
+    const int di = static_cast<int>(d);
+    for (int s = 0; s < creditClock_.slots(); ++s) {
+        for (const auto &mask : pendCreditIn_[s][di]) {
+            for (std::uint32_t m = mask.load(std::memory_order_relaxed); m;
+                 m &= m - 1) {
+                const int vc = std::countr_zero(m);
+                if (vc < slotsPerDir_)
+                    ++credits[static_cast<std::size_t>(vc)];
+            }
+        }
     }
 }
 

@@ -5,15 +5,17 @@
  * microarchitectures. The per-cycle pipeline over that state is
  * router/pipeline.h.
  *
- * A router is stepped once per cycle. All inter-router channels are
- * delay lines that never deliver in the cycle they were written, so
- * routers may be stepped in any order; within step() a router performs
- * its receive, allocation and traversal phases back to back.
+ * A router is stepped once per cycle. All inter-router links are
+ * arrival-slot rings (topology/channel.h) that never deliver in the
+ * cycle they were written, so routers may be stepped in any order;
+ * within step() a router performs its receive, allocation and
+ * traversal phases back to back.
  */
 #ifndef ROCOSIM_ROUTER_ROUTER_H_
 #define ROCOSIM_ROUTER_ROUTER_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -54,12 +56,14 @@ class NicIf
     virtual void deliverFlit(const Flit &f, Cycle now) = 0;
 };
 
-/** The four wires of one network port. */
+/**
+ * The flit rings of one network port (topology/channel.h), owned by the
+ * Network. Credits have no wire object: a credit is a VC bit in the
+ * upstream router's pendCreditIn_.
+ */
 struct PortIo {
-    FlitChannel *flitIn = nullptr;    ///< flits arriving from upstream
-    FlitChannel *flitOut = nullptr;   ///< flits departing downstream
-    CreditChannel *creditOut = nullptr; ///< credits back to upstream
-    CreditChannel *creditIn = nullptr;  ///< credits from downstream
+    const Flit *flitIn = nullptr; ///< ring of the link from upstream
+    Flit *flitOut = nullptr;      ///< ring of the link to downstream
 };
 
 /**
@@ -120,7 +124,7 @@ class Router
     Router(const Router &) = delete;
     Router &operator=(const Router &) = delete;
 
-    /** Attaches the wires of cardinal port @p d. */
+    /** Attaches the flit rings of cardinal port @p d. */
     NOC_PHASE_FN(setup) void connectPort(Direction d, const PortIo &io);
     /** Attaches the processing element. */
     void setNic(NicIf *nic) { nic_ = nic; }
@@ -159,43 +163,26 @@ class Router
 
     /**
      * True when skipping this router's step() would not be a no-op:
-     * flits are buffered here, the NIC has injection pending, or an
-     * incoming channel holds an in-flight flit or credit. The idle-skip
-     * engine clears a router's active flag only when this is false.
-     * O(1): incoming occupancy is mirrored into pendFlitIn_ /
-     * pendCreditIn_, so no channel object is touched.
+     * flits are buffered here, the NIC has injection pending, or a flit
+     * or credit is in flight toward this router. The idle-skip engine
+     * clears a router's active flag only when this is false. Reads only
+     * this router's own slot words, never a link.
      */
     bool
     hasLocalWork() const
     {
         if (workItems_ != 0 || nicHasPending())
             return true;
-        for (int d = 0; d < kNumCardinal; ++d) {
-            if (pendFlitIn_[d].load(std::memory_order_relaxed) != 0 ||
-                pendCreditIn_[d].load(std::memory_order_relaxed) != 0)
-                return true;
+        std::uint32_t any = 0;
+        for (int d = 0; d < kNumCardinal; ++d)
+            any |= pendFlitIn_[d].load(std::memory_order_relaxed);
+        // A slot's second credit mask is a subset of its first.
+        const int slots = creditClock_.slots();
+        for (int s = 0; s < slots; ++s) {
+            for (int d = 0; d < kNumCardinal; ++d)
+                any |= pendCreditIn_[s][d][0].load(std::memory_order_relaxed);
         }
-        return false;
-    }
-
-    /**
-     * Debug cross-check: the pending mirrors equal the channels' true
-     * occupancy (periodic audit in simulator.cpp and the invariant
-     * checker; a drifting mirror would silently starve a port).
-     */
-    bool
-    pendMirrorsConsistent() const
-    {
-        for (int d = 0; d < kNumCardinal; ++d) {
-            const PortIo &p = ports_[d];
-            const std::size_t f = p.flitIn ? p.flitIn->inFlight() : 0;
-            const std::size_t c =
-                p.creditIn ? p.creditIn->inFlight() : 0;
-            if (pendFlitIn_[d].load(std::memory_order_relaxed) != f ||
-                pendCreditIn_[d].load(std::memory_order_relaxed) != c)
-                return false;
-        }
-        return true;
+        return any != 0;
     }
 
     /** Buffered-flit count kept incrementally (debug cross-check). */
@@ -283,14 +270,27 @@ class Router
     int inputVcOccupancy(Direction fromDir, int slotId) const;
 
     /**
-     * Counts this router's in-flight traffic on the link behind output
-     * @p d: @p flits[s] = flits on the wire bound for downstream slot
-     * s (ejecting flits carry vc 0xFF and are skipped), @p credits[s] =
-     * credits on the wire returning for slot s.  Both vectors are
-     * resized to outputSlotCount().
+     * Flits in flight toward this router on port @p d, by the input
+     * slot they name on the wire (ejecting flits carry vc 0xFF and are
+     * skipped). @p flits is resized to outputSlotCount().
      */
-    void countInFlight(Direction d, std::vector<int> &flits,
-                       std::vector<int> &credits) const;
+    void countFlitsIn(Direction d, std::vector<int> &flits) const;
+
+    /**
+     * Credits in flight toward this router on port @p d, by output
+     * slot. @p credits is resized to outputSlotCount().
+     */
+    void countCreditsIn(Direction d, std::vector<int> &credits) const;
+
+    /** Flits in flight toward this router on all ports. */
+    int
+    flitsInbound() const
+    {
+        int n = 0;
+        for (const auto &occ : pendFlitIn_)
+            n += std::popcount(occ.load(std::memory_order_relaxed));
+        return n;
+    }
 
     /**
      * Testing hook: leaks one credit from output VC (@p d, @p slot) so
@@ -403,66 +403,81 @@ class Router
     }
     int outputSlots() const { return slotsPerDir_; }
 
-    /** Pushes @p f downstream on @p d and counts the link traversal. */
-    NOC_PHASE_FN(send) void sendFlit(Direction d, const Flit &f, Cycle now);
-
-    /** Returns a credit for VC id @p vcId to the upstream on @p inDir. */
+    /**
+     * Writes @p f into the arrival slot of the link behind @p d, marks
+     * the slot in the downstream router's pendFlitIn_, wakes it and
+     * counts the link traversal.
+     */
     NOC_PHASE_FN(send)
-    void sendCredit(Direction inDir, std::uint8_t vcId, Cycle now);
+    void
+    sendFlit(Direction d, const Flit &f, Cycle now)
+    {
+        const int di = static_cast<int>(d);
+        Router *nb = neighbors_[di];
+        NOC_ASSERT(nb && ports_[di].flitOut, "sendFlit on missing port");
+        putFlit(ports_[di].flitOut, flitClock_,
+                nb->pendFlitIn_[static_cast<int>(opposite(d))], f, now);
+        if (auto *w = wake_[di])
+            w->store(1, std::memory_order_relaxed);
+        ++act_.linkTraversals;
+    }
 
     /**
-     * Drains the credit-return channel of every connected port.
-     * Counter-gated: ports whose occupancy mirror reads zero are
-     * skipped without touching the channel object.
+     * Returns a credit for VC id @p vcId to the upstream on @p inDir: a
+     * VC bit in the upstream router's pendCreditIn_ masks of the slot
+     * due creditDelay cycles from now.
+     */
+    NOC_PHASE_FN(send)
+    void
+    sendCredit(Direction inDir, std::uint8_t vcId, Cycle now)
+    {
+        const int di = static_cast<int>(inDir);
+        Router *nb = neighbors_[di];
+        NOC_ASSERT(nb, "sendCredit on missing port");
+        postCredit(nb->pendCreditIn_[creditClock_.sendSlot(now)]
+                                    [static_cast<int>(opposite(inDir))],
+                   vcId);
+        if (auto *w = wake_[di])
+            w->store(1, std::memory_order_relaxed);
+    }
+
+    /**
+     * Applies every credit due during @p now, calling @p apply(dir, vc)
+     * once per credit, and empties the due slot's masks. All four
+     * ports' masks of one slot share a cache line of this router.
      */
     template <typename ApplyFn>
     NOC_PHASE_FN(recv)
     void
     receiveCredits(Cycle now, ApplyFn &&apply)
     {
+        auto &due = pendCreditIn_[creditClock_.dueSlot(now)];
         for (int d = 0; d < kNumCardinal; ++d) {
-            std::atomic<std::uint16_t> &pend = pendCreditIn_[d];
-            const std::uint16_t n = pend.load(std::memory_order_relaxed);
-            if (n == 0)
-                continue;
-            NOC_ASSERT(ports_[d].creditIn,
-                       "credit mirror set on a wireless port");
-            const int got = ports_[d].creditIn->drainDue(
-                now, [&](const Credit &c) {
-                    apply(static_cast<Direction>(d), c.vc);
-                });
-            pend.store(static_cast<std::uint16_t>(n - got),
-                       std::memory_order_relaxed);
+            takeCredits(due[d], [&](unsigned vc) {
+                apply(static_cast<Direction>(d), vc);
+            });
         }
     }
 
     /**
-     * Zero-copy receive: the due flit on cardinal port index @p d, or
-     * nullptr. Counter-gated like receiveCredits(). The pointee lives
-     * in the channel until consumeFlitFrom(d) discards it; consume
-     * before stepping any other router.
+     * Zero-copy receive: the flit due during @p now on cardinal port
+     * index @p d, or nullptr. Gated on this router's slot bits, so an
+     * idle link is never touched. The pointee stays valid for the rest
+     * of this cycle; consumeFlitFrom() must run in the same cycle.
      */
     NOC_PHASE_FN(recv)
     const Flit *
     peekFlitFrom(int d, Cycle now) const
     {
-        if (pendFlitIn_[d].load(std::memory_order_relaxed) == 0)
-            return nullptr;
-        NOC_ASSERT(ports_[d].flitIn,
-                   "flit mirror set on a wireless port");
-        return ports_[d].flitIn->peekReady(now);
+        return dueFlit(ports_[d].flitIn, flitClock_, pendFlitIn_[d], now);
     }
 
-    /** Discards the flit returned by peekFlitFrom(@p d). */
+    /** Consumes the flit peekFlitFrom(@p d, @p now) returned. */
     NOC_PHASE_FN(recv)
     void
-    consumeFlitFrom(int d)
+    consumeFlitFrom(int d, Cycle now)
     {
-        std::atomic<std::uint16_t> &pend = pendFlitIn_[d];
-        ports_[d].flitIn->dropFront();
-        pend.store(static_cast<std::uint16_t>(
-                       pend.load(std::memory_order_relaxed) - 1),
-                   std::memory_order_relaxed);
+        takeFlit(flitClock_, pendFlitIn_[d], now);
     }
 
     /**
@@ -594,44 +609,8 @@ class Router
     GrowRing<Flit> *srcQueue_ = nullptr;
     /** Flits buffered in this router's input VCs (incremental). */
     int workItems_ = 0;
-    /**
-     * In-flight entries on each incoming channel, mirrored into the
-     * receiver so hasLocalWork() and the receive loops read this
-     * router's own cache line instead of polling eight channel
-     * objects. The sender increments on send (see sendFlit /
-     * sendCredit); the receiver decrements on pop. The pentachromatic
-     * distance-2 phase schedule serialises every access — all senders
-     * into a node sit in phases distinct from each other and from the
-     * node itself — so relaxed load/store (never RMW) suffices; the
-     * atomic type keeps the cross-shard handoff tsan-clean.
-     *
-     * Ordering argument, spelled out: within one phase each mirror
-     * slot has exactly one live accessor (the slot is per incoming
-     * direction, so two senders into the same node never share one),
-     * which makes every access single-threaded-sequenced; across
-     * phases the shard engine's progress hand-off between bordering
-     * shards' boundary steps provides the release/acquire edge, so
-     * relaxed suffices and no fence is needed here. The
-     * NOC_RACE_CHECK dynamic checker re-verifies the single-accessor
-     * claim every superstep (see par/race_check.h).
-     */
-    NOC_SHARED_ATOMIC(recv, send)
-    std::atomic<std::uint16_t> pendFlitIn_[kNumCardinal] = {};
-    NOC_SHARED_ATOMIC(recv, send)
-    std::atomic<std::uint16_t> pendCreditIn_[kNumCardinal] = {};
-    static_assert(std::atomic<std::uint16_t>::is_always_lock_free,
-                  "occupancy mirrors must be plain lock-free stores; a "
-                  "locking atomic would serialise every shard on a mutex");
-
-    /** Phase-serialised single-writer increment (no RMW needed). */
-    NOC_PHASE_FN(send)
-    static void
-    bumpPend(std::atomic<std::uint16_t> &c)
-    {
-        c.store(static_cast<std::uint16_t>(
-                    c.load(std::memory_order_relaxed) + 1),
-                std::memory_order_relaxed);
-    }
+    SlotClock flitClock_;   ///< slots of every flit link (hopDelay)
+    SlotClock creditClock_; ///< slots of every credit link (creditDelay)
     std::vector<OutputVc> outVc_; ///< [dir * slotsPerDir_ + slot]
     int slotsPerDir_ = 0;
     int outVcDepth_ = 0; ///< credits a quiescent slot holds
@@ -639,6 +618,37 @@ class Router
     RatioStat colContention_;
     /** routing_.kind(), resolved once (it is consulted per step). */
     RoutingKind routingKind_;
+
+    /**
+     * Receiver-held occupancy of the incoming links (topology/channel.h),
+     * the only record of what is in flight toward this router, so
+     * hasLocalWork() and the receive loops read this router's own
+     * cache lines instead of polling links. pendFlitIn_[d] has bit s
+     * set while slot s of the flit link on port d holds a flit.
+     * pendCreditIn_[s][d] is the pair of VC masks of arrival slot s of
+     * the credit link on port d. The sender sets bits in sendFlit /
+     * sendCredit; this router clears them when it consumes the slot.
+     * The pentachromatic distance-2 phase schedule serialises every
+     * access — all senders into a node sit in phases distinct from
+     * each other and from the node itself — so relaxed load/store
+     * (never RMW) suffices; the atomic type keeps the cross-shard
+     * handoff tsan-clean.
+     *
+     * Ordering argument, spelled out: within one phase each word has
+     * exactly one live accessor (the words are per incoming direction,
+     * so two senders into the same node never share one), which makes
+     * every access single-threaded-sequenced; across phases the shard
+     * engine's progress hand-off between bordering shards' boundary
+     * steps provides the release/acquire edge, so relaxed suffices and
+     * no fence is needed here. The NOC_RACE_CHECK dynamic checker
+     * re-verifies the single-accessor claim every superstep (see
+     * par/race_check.h).
+     */
+    NOC_SHARED_ATOMIC(recv, send)
+    std::atomic<std::uint8_t> pendFlitIn_[kNumCardinal] = {};
+    NOC_SHARED_ATOMIC(recv, send)
+    alignas(64) std::atomic<std::uint32_t>
+        pendCreditIn_[kMaxLinkSlots][kNumCardinal][2] = {};
 };
 
 } // namespace noc

@@ -83,39 +83,29 @@ Network::build(const std::vector<FaultSpec> &faults)
     for (const auto &nic : nics_)
         laneSweep_ = laneSweep_ && nic->laneDriven();
 
-    // One channel pair per link direction. The flit channel models
-    // switch traversal plus link propagation after the allocation
-    // cycle: a flit granted at cycle t is received at t + hopDelay
-    // (one cycle of ST, one of wire, landing in the input register).
-    int flitLatency = cfg_.hopDelay;
-    // Two pairs per mesh edge; exact-reserve so the wire pointers the
-    // routers keep stay valid as the flat array fills.
+    // One flit ring per link direction. A flit link models switch
+    // traversal plus link propagation after the allocation cycle: a
+    // flit granted at cycle t is received at t + hopDelay (one cycle of
+    // ST, one of wire, landing in the input register). Credits need no
+    // storage here: they travel as VC bits in the upstream router.
+    const std::size_t slots =
+        static_cast<std::size_t>(SlotClock(cfg_.hopDelay).slots());
     const int w = cfg_.meshWidth, h = cfg_.meshHeight;
-    channels_.reserve(2 * static_cast<size_t>((w - 1) * h + w * (h - 1)));
+    const std::size_t links =
+        2 * static_cast<std::size_t>((w - 1) * h + w * (h - 1));
+    linkSlots_.resize(links * slots);
+    Flit *nextRing = linkSlots_.data();
     const Direction edgeDirs[2] = {Direction::East, Direction::North};
     for (NodeId a = 0; a < static_cast<NodeId>(n); ++a) {
         for (Direction d : edgeDirs) {
             auto b = topo_.neighbor(a, d);
             if (!b)
                 continue;
-            channels_.emplace_back(flitLatency, cfg_.creditDelay);
-            ChannelPair *ab = &channels_.back(); // flits a -> b
-            channels_.emplace_back(flitLatency, cfg_.creditDelay);
-            ChannelPair *ba = &channels_.back(); // flits b -> a
-
-            PortIo aSide;
-            aSide.flitOut = &ab->flits;
-            aSide.creditIn = &ab->credits;
-            aSide.flitIn = &ba->flits;
-            aSide.creditOut = &ba->credits;
-            routers_[a]->connectPort(d, aSide);
-
-            PortIo bSide;
-            bSide.flitOut = &ba->flits;
-            bSide.creditIn = &ba->credits;
-            bSide.flitIn = &ab->flits;
-            bSide.creditOut = &ab->credits;
-            routers_[*b]->connectPort(opposite(d), bSide);
+            Flit *ab = nextRing; // flits a -> b
+            Flit *ba = nextRing + slots; // flits b -> a
+            nextRing += 2 * slots;
+            routers_[a]->connectPort(d, PortIo{ba, ab});
+            routers_[*b]->connectPort(opposite(d), PortIo{ab, ba});
 
             routers_[a]->setNeighbor(d, routers_[*b].get());
             routers_[*b]->setNeighbor(opposite(d), routers_[a].get());
@@ -218,9 +208,7 @@ Network::flitsInFlight() const
 {
     int n = 0;
     for (const auto &r : routers_)
-        n += r->bufferedFlits();
-    for (const auto &ch : channels_)
-        n += static_cast<int>(ch.flits.inFlight());
+        n += r->bufferedFlits() + r->flitsInbound();
     return n;
 }
 
@@ -341,14 +329,6 @@ Network::checkProtocolInvariants(Cycle now) const
     for (NodeId n = 0; n < static_cast<NodeId>(numNodes()); ++n) {
         const Router &u = *routers_[n];
 
-        // The idle-skip occupancy mirrors must track the channels
-        // exactly — a drifting mirror silently starves a port.
-        NOC_INVARIANT(u.pendMirrorsConsistent(),
-                      check::InvariantKind::CreditConservation, now, n,
-                      Direction::Invalid, -1,
-                      "incoming-occupancy mirror out of sync with "
-                      "channel in-flight count");
-
         // Fault-state consistency (Table 3): RoCo recycles per
         // component and never goes whole-node dead through apply();
         // the unified designs collapse every fault to node death.
@@ -379,14 +359,16 @@ Network::checkProtocolInvariants(Cycle now) const
 
         // Credit conservation: for every (link, slot), the upstream
         // credits plus traffic in flight plus downstream occupancy
-        // equal the buffer depth.
+        // equal the buffer depth. Each receiver reports what is in
+        // flight toward it: flits to the downstream, credits to u.
         for (int d = 0; d < kNumCardinal; ++d) {
             Direction dir = static_cast<Direction>(d);
             auto nb = topo_.neighbor(n, dir);
             if (!nb)
                 continue;
-            u.countInFlight(dir, flits, credits);
             const Router &down = *routers_[*nb];
+            down.countFlitsIn(opposite(dir), flits);
+            u.countCreditsIn(dir, credits);
             for (int s = 0; s < u.outputSlotCount(); ++s) {
                 const OutputVc &o = u.outputVcAt(dir, s);
                 int held = down.inputVcOccupancy(opposite(dir), s);

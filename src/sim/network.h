@@ -1,6 +1,6 @@
 /**
  * @file
- * Network: builds and owns the routers, NICs, channels, routing and
+ * Network: builds and owns the routers, NICs, links, routing and
  * fault state for one mesh, and advances them cycle by cycle.
  */
 #ifndef ROCOSIM_SIM_NETWORK_H_
@@ -45,12 +45,13 @@ class Network
     /**
      * Advances one cycle: NICs generate traffic, then the routers step
      * phase by phase of the pentachromatic schedule (ascending id
-     * within a phase; see topology/partition.h). Inter-router channels
-     * are delay lines, but the RoCo / path-sensitive reserveInputVc
-     * handshake acts on the neighbour within the cycle, so the phase
-     * structure — not channel latency alone — is what makes the step
-     * order canonical. The sharded engine (src/par) runs the identical
-     * schedule, which keeps its results bit-identical to this loop.
+     * within a phase; see topology/partition.h). Inter-router links
+     * never deliver in the cycle they were written, but the RoCo /
+     * path-sensitive reserveInputVc handshake acts on the neighbour
+     * within the cycle, so the phase structure — not link latency
+     * alone — is what makes the step order canonical. The sharded
+     * engine (src/par) runs the identical schedule, which keeps its
+     * results bit-identical to this loop.
      */
     NOC_PHASE_FN(engine)
     void step(Cycle now, bool generationEnabled, bool measured);
@@ -221,9 +222,12 @@ class Network
     MeshTopology topo_;
     std::unique_ptr<RoutingAlgorithm> routing_;
     std::unique_ptr<FaultMap> faults_;
-    /** Flat channel array, two pairs per mesh edge (exact-reserved so
-     *  the PortIo pointers handed to routers stay stable). */
-    std::vector<ChannelPair> channels_;
+    /**
+     * Every flit link's arrival-slot ring, back to back: two links per
+     * mesh edge, SlotClock(hopDelay).slots() flits each. Sized once, so
+     * the ring pointers handed to routers stay valid.
+     */
+    std::vector<Flit> linkSlots_;
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<Nic>> nics_;
     /** Every node's injection lane, indexed by id (see InjectionLane). */

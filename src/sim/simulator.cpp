@@ -129,9 +129,6 @@ Simulator::run()
                         NOC_ASSERT(r.workItems() == r.bufferedFlits(),
                                    "idle-skip work counter out of sync "
                                    "with buffered flits");
-                        NOC_ASSERT(r.pendMirrorsConsistent(),
-                                   "incoming-occupancy mirror out of "
-                                   "sync with channel in-flight count");
                     }
                 }
 #endif

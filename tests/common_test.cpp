@@ -134,5 +134,35 @@ TEST(ConfigValidationDeathTest, RejectsTooFewVcsForModularRouters)
     EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1), "VCs");
 }
 
+TEST(ConfigValidationDeathTest, RejectsOutOfRangeHopDelay)
+{
+    // A link of delay L keeps bit_ceil(L + 1) arrival slots in one
+    // mask byte, so 7 is the longest; 0 would deliver in-cycle.
+    for (int bad : {0, kMaxLinkDelay + 1}) {
+        SimConfig cfg;
+        cfg.hopDelay = bad;
+        EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
+                    "hopDelay out of range")
+            << bad;
+    }
+    SimConfig ok;
+    ok.hopDelay = kMaxLinkDelay;
+    ok.validate();
+}
+
+TEST(ConfigValidationDeathTest, RejectsOutOfRangeCreditDelay)
+{
+    for (int bad : {0, kMaxLinkDelay + 1}) {
+        SimConfig cfg;
+        cfg.creditDelay = bad;
+        EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
+                    "creditDelay out of range")
+            << bad;
+    }
+    SimConfig ok;
+    ok.creditDelay = kMaxLinkDelay;
+    ok.validate();
+}
+
 } // namespace
 } // namespace noc

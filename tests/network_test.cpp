@@ -102,23 +102,31 @@ TEST_P(NetworkArchTest, EveryPairDelivers)
 
 TEST_P(NetworkArchTest, ZeroLoadLatencyScalesWithHops)
 {
-    SimConfig cfg = quietConfig(GetParam());
-    cfg.meshWidth = 8;
-    cfg.meshHeight = 8;
-    Network net(cfg);
-    std::uint64_t id = 1;
-    net.nic(0).enqueuePacket(7, 0, id, true); // 7 hops east
-    runUntilDrained(net, 0, 500);
-    double lat7 = net.nic(7).latency().mean();
+    // Every link ring shape: hop delay 1 leaves the generic router a
+    // zero-cycle ejection pipe, 3 and 7 fill their rings, 2 rounds up.
+    for (int hopDelay : {1, 2, 3, 7}) {
+        SCOPED_TRACE(testing::Message() << "hopDelay " << hopDelay);
+        SimConfig cfg = quietConfig(GetParam());
+        cfg.meshWidth = 8;
+        cfg.meshHeight = 8;
+        cfg.hopDelay = hopDelay;
+        Network net(cfg);
+        std::uint64_t id = 1;
+        net.nic(0).enqueuePacket(7, 0, id, true); // 7 hops east
+        runUntilDrained(net, 0, 500);
+        ASSERT_EQ(net.nic(7).deliveredPackets(), 1u);
+        double lat7 = net.nic(7).latency().mean();
 
-    Network net2(cfg);
-    id = 1;
-    net2.nic(0).enqueuePacket(1, 0, id, true); // 1 hop
-    runUntilDrained(net2, 0, 500);
-    double lat1 = net2.nic(1).latency().mean();
+        Network net2(cfg);
+        id = 1;
+        net2.nic(0).enqueuePacket(1, 0, id, true); // 1 hop
+        runUntilDrained(net2, 0, 500);
+        ASSERT_EQ(net2.nic(1).deliveredPackets(), 1u);
+        double lat1 = net2.nic(1).latency().mean();
 
-    // Six extra hops at hopDelay cycles each, uncontended.
-    EXPECT_NEAR(lat7 - lat1, 6.0 * cfg.hopDelay, 1.0);
+        // Six extra hops at hopDelay cycles each, uncontended.
+        EXPECT_NEAR(lat7 - lat1, 6.0 * cfg.hopDelay, 1.0);
+    }
 }
 
 TEST_P(NetworkArchTest, ActivityCountersMove)

@@ -7,12 +7,36 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "check/invariant.h"
 #include "router/pathsensitive/ps_router.h"
 #include "router/roco/roco_router.h"
 #include "sim/network.h"
 
 namespace noc {
 namespace {
+
+/** Collects invariant violations while in scope. */
+class ViolationLog : public check::ViolationRecorder
+{
+  public:
+    ViolationLog() : prev_(check::setViolationRecorder(this))
+    {
+        check::setInvariantsEnabled(true);
+    }
+    ~ViolationLog() override { check::setViolationRecorder(prev_); }
+
+    void onViolation(const check::Violation &v) override
+    {
+        got.push_back(v);
+    }
+
+    std::vector<check::Violation> got;
+
+  private:
+    check::ViolationRecorder *prev_;
+};
 
 /** 3x3 mesh, node 4 in the middle; traffic driven by hand. */
 class WhiteboxFixture : public testing::Test
@@ -181,6 +205,58 @@ TEST_F(WhiteboxFixture, CreditProtocolQuiescentAfterDrain)
             }
         }
     }
+}
+
+TEST_F(WhiteboxFixture, DrainedDropTailAndNextHeadReturnTwoCreditsAtOnce)
+{
+    // Generic router, one VC per port, 2-flit packets, node 2 off-line.
+    // Node 0 sends three packets east into node 1, all on VC 0: P0 turns
+    // north there, P1 is bound past the dead node 2 so node 1 discards
+    // it at VA, and P2 ejects at node 1. In one cycle node 1 drains
+    // P1's tail and P2's head wins VA plus its speculative SA from the
+    // same VC, so the link back to node 0 carries two credits for VC 0
+    // in that cycle.
+    SimConfig cfg = config(RouterArch::Generic);
+    cfg.vcsPerPort = 1;
+    cfg.flitsPerPacket = 2;
+    FaultSpec dead;
+    dead.node = 2;
+    dead.component = FaultComponent::Crossbar;
+    Network net(cfg, {dead});
+    ViolationLog log;
+    net.nic(0).enqueuePacket(4, 0, id_, true); // P0
+    net.nic(0).enqueuePacket(5, 0, id_, true); // P1, discarded at 1
+    net.nic(0).enqueuePacket(1, 0, id_, true); // P2
+
+    const Router &up = net.router(0);
+    std::vector<int> inFlight;
+    bool doubled = false;
+    Cycle doubledAt = 0;
+    for (Cycle t = 0; t < 100; ++t) {
+        const OutputVc before = up.outputVcAt(Direction::East, 0);
+        net.step(t, false, false);
+        net.checkProtocolInvariants(t);
+        if (doubled && t == doubledAt + cfg.creditDelay) {
+            // Both credits land together, creditDelay cycles later.
+            const OutputVc &after = up.outputVcAt(Direction::East, 0);
+            EXPECT_EQ(after.credits, before.credits + 2);
+            EXPECT_EQ(after.outstanding, before.outstanding - 2);
+        }
+        up.countCreditsIn(Direction::East, inFlight);
+        if (!doubled && inFlight[0] == 2) {
+            doubled = true;
+            doubledAt = t;
+        }
+        if (t > doubledAt + cfg.creditDelay && net.flitsInFlight() == 0 &&
+            net.nic(0).queuedFlits() == 0)
+            break;
+    }
+    ASSERT_TRUE(doubled) << "no cycle returned two credits for one VC";
+    EXPECT_EQ(net.nic(4).deliveredPackets(), 1u);
+    EXPECT_EQ(net.nic(5).deliveredPackets(), 0u);
+    EXPECT_EQ(net.nic(1).deliveredPackets(), 1u);
+    EXPECT_TRUE(up.creditsQuiescent());
+    EXPECT_TRUE(log.got.empty()) << log.got.front().describe();
 }
 
 TEST_F(WhiteboxFixture, EjectionBandwidthIsPerInputPort)

@@ -34,7 +34,6 @@ src/sim/run_control.h
 src/svc/protocol.h
 src/svc/protocol.cpp
 src/topology/channel.h
-src/topology/channel.cpp
 src/topology/mesh.h
 src/topology/mesh.cpp
 src/router/arbiter.h

@@ -15,6 +15,7 @@ toString(InvariantKind k)
       case InvariantKind::WormholeOrder: return "wormhole-order";
       case InvariantKind::PathSetDiscipline: return "path-set-discipline";
       case InvariantKind::FaultConsistency: return "fault-consistency";
+      case InvariantKind::StageMask: return "stage-mask";
     }
     return "?";
 }

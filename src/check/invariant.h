@@ -2,7 +2,7 @@
  * @file
  * Runtime protocol invariant checker.
  *
- * Four families of invariants guard the simulator's flow-control
+ * Five families of invariants guard the simulator's flow-control
  * protocol while it runs (independent of NDEBUG):
  *
  *   CreditConservation - for every (link, VC slot): upstream credits +
@@ -15,6 +15,9 @@
  *   FaultConsistency   - per-node fault state obeys the Table 3
  *                        recycling rules (RoCo degrades per component;
  *                        unified designs only ever go whole-node dead).
+ *   StageMask          - each router's cached VA-wait, SA-ready and
+ *                        drain-ready bits equal the bits its VC state
+ *                        calls for (router/pipeline.h).
  *
  * Cost model: compiled in when the NOC_INVARIANTS CMake option is ON
  * (the default; it defines NOC_INVARIANT_CHECKS=1).  When compiled
@@ -49,6 +52,7 @@ enum class InvariantKind : std::uint8_t {
     WormholeOrder = 1,
     PathSetDiscipline = 2,
     FaultConsistency = 3,
+    StageMask = 4,
 };
 
 const char *toString(InvariantKind k);

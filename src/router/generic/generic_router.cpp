@@ -181,42 +181,26 @@ GenericRouter::requestVc(const PacketCtl &, const Flit &head,
 void
 GenericRouter::allocateSwitch(Cycle now)
 {
-    // Stage 1: one winner per input port; requests from packets that
-    // won VA this very cycle are speculative and yield to committed
-    // ones. Only VCs holding a packet can request: each port walks its
-    // slice of the ctl-occupancy mask. Each winner's output is latched
-    // into the stage-2 request masks right away — commits below mutate
-    // the control queues, so reading them lazily would be stale.
+    // Stage 1: one winner per input port among its SA-ready VCs;
+    // requests from packets that won VA this very cycle are
+    // speculative and yield to committed ones. Each winner's output is
+    // latched into the stage-2 request masks right away — commits
+    // below mutate the control queues, so reading them lazily would be
+    // stale.
     int stage1[kNumPorts] = {};
     std::uint64_t outReq[kNumPorts] = {};     // bit p: port p wants out
     std::uint64_t outCommit[kNumPorts] = {};  // ... non-speculatively
     unsigned outs = 0;                        // bit out: outReq[out] != 0
     const std::uint64_t portVcs = (1ull << numVcs_) - 1;
     for (int p = 0; p < kNumPorts; ++p) {
-        std::uint64_t scan = (ctlMask_ >> (p * numVcs_)) & portVcs;
-        std::uint64_t mask = 0;
-        std::uint64_t specMask = 0;
-        for (; scan; scan &= scan - 1) {
-            const int v = std::countr_zero(scan);
-            InputVc &ivc = vc(p, v);
-            if (ivc.buf.empty())
-                continue;
-            const PacketCtl &ctl = ivc.ctl.front();
-            if (ctl.stage != PacketCtl::Stage::Active)
-                continue;
-            if (ivc.buf.front().packetId != ctl.owner)
-                continue; // active packet's flits not buffered yet
-            if (outSlot(ctl.outDir, ctl.outSlot).credits <= 0)
-                continue;
-            if (ctl.vaGrantCycle == now && isHead(ivc.buf.front().type))
-                specMask |= 1ull << v;
-            else
-                mask |= 1ull << v;
-        }
-        if ((mask | specMask) == 0)
+        const std::uint64_t ready =
+            (stage_.saReady >> (p * numVcs_)) & portVcs;
+        if (ready == 0)
             continue;
+        const std::uint64_t spec = ready & (vaWon_ >> (p * numVcs_));
+        const std::uint64_t mask = ready & ~spec;
         ++act_.saLocalArbs;
-        stage1[p] = saPort_[p].arbitrate(mask ? mask : specMask);
+        stage1[p] = saPort_[p].arbitrate(mask ? mask : spec);
         const int out =
             static_cast<int>(vc(p, stage1[p]).ctl.front().outDir);
         outReq[out] |= 1ull << p;

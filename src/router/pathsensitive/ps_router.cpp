@@ -187,43 +187,24 @@ PathSensitiveRouter::requestVc(const PacketCtl &ctl, const Flit &head,
 void
 PathSensitiveRouter::allocateSwitch(Cycle now)
 {
-    // Stage 1: each path set commits to one candidate head before
-    // output conflicts are visible (the chained dependency). Only VCs
-    // holding a packet can request: each set walks its slice of the
-    // ctl-occupancy mask, and latches its winner's output into the
-    // stage-2 request masks before any commit mutates the queues.
+    // Stage 1: each path set commits to one candidate head among its
+    // SA-ready VCs before output conflicts are visible (the chained
+    // dependency), and latches its winner's output into the stage-2
+    // request masks before any commit mutates the queues.
     int setWin[kNumQuadrants] = {};
     std::uint64_t outReq[kNumCardinal] = {};    // bit q: set q wants out
     std::uint64_t outCommit[kNumCardinal] = {}; // ... non-speculatively
     unsigned outs = 0;                          // bit out: outReq[out] != 0
     const std::uint64_t setVcs = (1ull << numVcs_) - 1;
     for (int q = 0; q < kNumQuadrants; ++q) {
-        std::uint64_t scan = (ctlMask_ >> (q * numVcs_)) & setVcs;
-        std::uint64_t mask = 0;
-        std::uint64_t specMask = 0;
-        for (; scan; scan &= scan - 1) {
-            const int v = std::countr_zero(scan);
-            InputVc &ivc = vc(q, v);
-            if (ivc.buf.empty())
-                continue;
-            const PacketCtl &ctl = ivc.ctl.front();
-            if (ctl.stage != PacketCtl::Stage::Active)
-                continue;
-            if (ivc.buf.front().packetId != ctl.owner)
-                continue; // active packet's flits not buffered yet
-            if (ctl.outSlot != kEjectSlot &&
-                outputVc(ctl.outDir, ctl.outSlot).credits <= 0) {
-                continue;
-            }
-            if (ctl.vaGrantCycle == now && isHead(ivc.buf.front().type))
-                specMask |= 1ull << v;
-            else
-                mask |= 1ull << v;
-        }
-        if ((mask | specMask) == 0)
+        const std::uint64_t ready =
+            (stage_.saReady >> (q * numVcs_)) & setVcs;
+        if (ready == 0)
             continue;
+        const std::uint64_t spec = ready & (vaWon_ >> (q * numVcs_));
+        const std::uint64_t mask = ready & ~spec;
         ++act_.saLocalArbs;
-        setWin[q] = saSet_[q].arbitrate(mask ? mask : specMask);
+        setWin[q] = saSet_[q].arbitrate(mask ? mask : spec);
         const int out = static_cast<int>(vc(q, setWin[q]).ctl.front().outDir);
         outReq[out] |= 1ull << q;
         if (mask)

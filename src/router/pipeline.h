@@ -9,7 +9,8 @@
  * architecture's switch allocator, whose grants commit through
  * commitTraversal(). Everything an architecture may vary is a hook on
  * @p Arch, resolved at compile time (CRTP), so step() is the only
- * virtual call a router makes per cycle.
+ * virtual call a router makes per cycle. The drain, VA and SA walk the
+ * stage bits of the VCs that can act in them (stage_), never every VC.
  *
  * Required hooks on @p Arch (friends may keep them private):
  *   void beginCycle(Cycle now)                  per-cycle resets
@@ -50,18 +51,20 @@ class RouterPipeline : public Router
             return; // off-line: no receive, no credits, full backpressure
 
         self().beginCycle(now);
-        receiveCredits(now, [this](Direction d, unsigned vcId) {
-            OutputVc &o = outputVc(d, static_cast<int>(vcId));
-            ++o.credits;
-            --o.outstanding;
-            NOC_ASSERT(o.credits <= depth_, "credit overflow");
-            NOC_ASSERT(o.outstanding >= 0, "credit without a send");
-        });
+        applyCredits(now);
         receiveFlits(now);
         pullInjection(now);
         drainDropped(now);
         allocateVcs(now);
         self().allocateSwitch(now);
+    }
+
+    StageMasks stageMasks() const final { return stage_; }
+
+    void
+    debugCorruptStageMask(std::uint64_t StageMasks::*mask, int idx) final
+    {
+        stage_.*mask ^= 1ull << idx;
     }
 
   protected:
@@ -74,7 +77,6 @@ class RouterPipeline : public Router
 
     /** One input VC's request in a VA round (scratch, see vaReqs_). */
     struct VaRequest {
-        int inIdx;
         Direction dir;    ///< output at this router
         int slot;         ///< downstream VC slot
         Direction nextLa; ///< output at the next router
@@ -95,7 +97,7 @@ class RouterPipeline : public Router
         vaArb_.reserve(static_cast<size_t>(keys));
         for (int i = 0; i < keys; ++i)
             vaArb_.emplace_back(layout.inputVcs);
-        vaReqs_.reserve(in_.size());
+        vaReqs_.resize(in_.size());
         vaMasks_.assign(static_cast<size_t>(keys), 0);
     }
 
@@ -142,7 +144,7 @@ class RouterPipeline : public Router
      * (crossbar bookkeeping stays with the caller): the flit leaves
      * straight from its buffer slot, downstream credit is consumed,
      * the freed slot's credit returns upstream and a tail releases the
-     * output VC.
+     * output VC and brings the next packet to the front.
      */
     NOC_PHASE_FN(send)
     void
@@ -164,12 +166,14 @@ class RouterPipeline : public Router
         const bool tail = isTail(f.type);
         ivc.buf.drop();
         noteFlitUnbuffered();
+        bool stalled = ivc.buf.empty(); // the next flit is still upstream
         // Links consume a downstream credit; the PE behind a generic
         // router's Local output sinks every flit and never returns one.
         if (ctl.outSlot != kEjectSlot && outDir != Direction::Local) {
             OutputVc &ov = self().outSlot(outDir, ctl.outSlot);
             --ov.credits;
             ++ov.outstanding;
+            stalled = stalled || ov.credits == 0;
         }
 
         // Return the freed buffer slot upstream (not for injection).
@@ -180,28 +184,64 @@ class RouterPipeline : public Router
         }
 
         if (tail) {
-            if (ctl.outSlot != kEjectSlot) {
-                OutputVc &o = self().outSlot(outDir, ctl.outSlot);
-                o.busy = false;
-                o.ownerPacket = 0;
-            }
+            if (ctl.outSlot != kEjectSlot)
+                self().outSlot(outDir, ctl.outSlot).busy = false;
             ivc.ctl.pop_front();
-            if (ivc.ctl.empty())
-                ctlMask_ &= ~(1ull << idx);
+            classify(idx);
+        } else if (stalled) {
+            stage_.saReady &= ~(1ull << idx); // until a flit or credit
         }
     }
 
     /**
-     * Bit i set iff in_[i].ctl is non-empty. The allocation, drain and
-     * injection scans walk set bits instead of every VC — at low load
-     * a router holds one or two packets, so the scans shrink to the
-     * VCs that can actually act.
+     * Which input VCs can act in VA, SA and the drain now: a cache of
+     * Router::stageOf, updated only at the events that change it. A
+     * new front packet, a flit landing in an empty buffer, a drained
+     * flit and a VA grant or Drop verdict re-run the rule (classify);
+     * the frequent events flip one bit: a sent flit that empties the
+     * buffer or spends the last credit, and a credit back for a busy
+     * output VC. Network::checkProtocolInvariants audits the cache.
      */
-    NOC_OWNED_STATE(recv, send)
-    std::uint64_t ctlMask_ = 0;
+    NOC_OWNED_STATE(recv, alloc, send)
+    StageMasks stage_;
+    /**
+     * The VCs that won VA in this cycle's allocateVcs(). Their heads
+     * are still at the buffer front when SA runs, so their switch
+     * requests are *speculative* (stage 1 runs RC|VA|SA in parallel)
+     * and yield to committed requests — the paper's arbitration-depth
+     * argument: high-contention routers waste their speculative
+     * grants, low-contention ones keep them.
+     */
+    NOC_OWNED_STATE(alloc)
+    std::uint64_t vaWon_ = 0;
 
   private:
     Arch &self() { return static_cast<Arch &>(*this); }
+
+    /** Re-derives in_[@p idx]'s stage bits from its state. */
+    NOC_PHASE_FN(recv)
+    void classify(int idx) { stage_.set(idx, stageOf(idx)); }
+
+    /**
+     * Credit receive. A credit that lifts a busy output VC off zero
+     * makes its owner, the front packet of input VC ownerIn, ready for
+     * SA again if it has a flit buffered.
+     */
+    NOC_PHASE_FN(recv)
+    void
+    applyCredits(Cycle now)
+    {
+        receiveCredits(now, [this](Direction d, unsigned vcId) {
+            OutputVc &o = outputVc(d, static_cast<int>(vcId));
+            ++o.credits;
+            --o.outstanding;
+            NOC_ASSERT(o.credits <= depth_, "credit overflow");
+            NOC_ASSERT(o.outstanding >= 0, "credit without a send");
+            if (o.busy && o.credits == 1 &&
+                !in_[static_cast<size_t>(o.ownerIn)].buf.empty())
+                stage_.saReady |= 1ull << o.ownerIn;
+        });
+    }
 
     /**
      * Link receive: a flit whose look-ahead is Local ejects straight
@@ -260,23 +300,17 @@ class RouterPipeline : public Router
             return;
         }
 
-        int target = -1;
+        int target = injVc_;
         Direction la = front.lookahead;
         if (isHead(front.type)) {
             target = self().injectionVc(front, la);
         } else {
             // Body/tail flits follow their packet's injection VC.
-            for (std::uint64_t scan = ctlMask_; scan && target < 0;
-                 scan &= scan - 1) {
-                const int i = std::countr_zero(scan);
-                const PacketCtl &back = in_[static_cast<size_t>(i)].ctl.back();
-                if (back.owner == front.packetId &&
-                    back.srcDir == Direction::Local) {
-                    target = i;
-                    la = back.outDir;
-                }
-            }
-            NOC_ASSERT(target >= 0, "body flit lost its injection VC");
+            const PacketCtl &back =
+                in_[static_cast<size_t>(target)].ctl.back();
+            NOC_ASSERT(back.owner == front.packetId,
+                       "body flit lost its injection VC");
+            la = back.outDir;
         }
         if (target < 0 || in_[static_cast<size_t>(target)].buf.full())
             return; // injection stalls this cycle
@@ -285,6 +319,7 @@ class RouterPipeline : public Router
         f.lookahead = la;
         f.vc = static_cast<std::uint8_t>(wireSlot(target, Direction::Local));
         bufferFlit(target, f, Direction::Local, now);
+        injVc_ = target;
     }
 
     /** Buffer-write bookkeeping shared by link arrivals and injection. */
@@ -304,16 +339,17 @@ class RouterPipeline : public Router
             ctl.srcDir = srcDir;
             self().latchHead(ctl, f, idx, now);
             ++act_.rcComputations; // RC as the head is latched (stage 1)
-            if (ctl.stage == PacketCtl::Stage::Drop)
-                ++dropPending_;
             ivc.ctl.push_back(ctl);
-            ctlMask_ |= 1ull << idx;
         }
         NOC_ASSERT(!ivc.ctl.empty() && ivc.ctl.back().owner == f.packetId,
                    "flit interleaving within a VC");
         ivc.occupantLink = srcDir;
+        const bool wasEmpty = ivc.buf.empty();
         ivc.buf.push(f);
         noteFlitBuffered();
+        // Only a flit that lands at the buffer front can change a stage.
+        if (wasEmpty)
+            classify(idx);
         // The reservation handshake releases the slot once the tail is
         // safely buffered; the next upstream sees the true occupancy.
         if (isTail(f.type) && ivc.reservedPacket == f.packetId) {
@@ -331,16 +367,10 @@ class RouterPipeline : public Router
     void
     drainDropped(Cycle now)
     {
-        if (dropPending_ == 0)
-            return;
-        for (std::uint64_t scan = ctlMask_; scan; scan &= scan - 1) {
+        for (std::uint64_t scan = stage_.drainReady; scan; scan &= scan - 1) {
             const int i = std::countr_zero(scan);
             InputVc &ivc = in_[static_cast<size_t>(i)];
             const PacketCtl &ctl = ivc.ctl.front();
-            if (ctl.stage != PacketCtl::Stage::Drop)
-                continue;
-            if (ivc.buf.empty() || ivc.buf.front().packetId != ctl.owner)
-                continue;
             const Flit &f = ivc.buf.front();
             const bool tail = isTail(f.type);
             const std::uint64_t packetId = f.packetId;
@@ -361,10 +391,8 @@ class RouterPipeline : public Router
                     ivc.reservedPacket = 0;
                 }
                 ivc.ctl.pop_front();
-                if (ivc.ctl.empty())
-                    ctlMask_ &= ~(1ull << i);
-                --dropPending_;
             }
+            classify(i);
         }
     }
 
@@ -381,44 +409,42 @@ class RouterPipeline : public Router
         // Request mask per output VC: key = dir * outputSlots() + slot.
         // Both scratch buffers are members (vaMasks_ re-zeroes itself:
         // every set key is cleared when its arbitration below fires).
-        std::vector<VaRequest> &reqs = vaReqs_;
+        std::vector<VaRequest> &reqs = vaReqs_; // by input VC
         std::vector<std::uint64_t> &masks = vaMasks_;
-        reqs.clear();
+        std::uint64_t requested = 0;
+        vaWon_ = 0;
         const int slots = outputSlots();
 
-        for (std::uint64_t scan = ctlMask_; scan; scan &= scan - 1) {
+        for (std::uint64_t scan = stage_.vaWait; scan; scan &= scan - 1) {
             const int i = std::countr_zero(scan);
             InputVc &ivc = in_[static_cast<size_t>(i)];
-            if (!ivc.headWaiting(now))
-                continue;
             PacketCtl &ctl = ivc.ctl.front();
-            VaRequest r{i, Direction::Invalid, -1, Direction::Invalid};
+            if (now < ctl.vaEligible)
+                continue; // a faulty RC unit's double-routing cycle
+            VaRequest r{Direction::Invalid, -1, Direction::Invalid};
             switch (self().requestVc(ctl, ivc.buf.front(), r)) {
               case VaPick::Wait:
                 break;
               case VaPick::Drop:
+                // The drain starts with the next cycle's drainDropped().
                 ctl.stage = PacketCtl::Stage::Drop;
-                ++dropPending_;
+                classify(i);
                 break;
               case VaPick::Request:
                 masks[static_cast<size_t>(static_cast<int>(r.dir)) * slots +
                       r.slot] |= 1ull << i;
-                reqs.push_back(r);
+                reqs[static_cast<size_t>(i)] = r;
+                requested |= 1ull << i;
                 break;
             }
         }
-        if (reqs.empty())
-            return;
 
-        // Index requests by input VC so a grant applies the *winner's*
-        // own request (its slot and its look-ahead choice).
-        int reqOf[64];
-        for (auto &x : reqOf)
-            x = -1;
-        for (int ri = 0; ri < static_cast<int>(reqs.size()); ++ri)
-            reqOf[reqs[static_cast<size_t>(ri)].inIdx] = ri;
-
-        for (const VaRequest &r0 : reqs) {
+        // Each requested output VC arbitrates once, in the order of its
+        // first requester; a grant applies the *winner's* own request
+        // (its slot and its look-ahead choice).
+        for (; requested; requested &= requested - 1) {
+            const VaRequest &r0 =
+                reqs[static_cast<size_t>(std::countr_zero(requested))];
             const size_t key =
                 static_cast<size_t>(static_cast<int>(r0.dir)) * slots +
                 r0.slot;
@@ -426,10 +452,9 @@ class RouterPipeline : public Router
                 continue; // this output VC already granted this cycle
             ++act_.vaGlobalArbs;
             const int winner = vaArb_[key].arbitrate(masks[key]);
-            NOC_ASSERT(winner >= 0 && reqOf[winner] >= 0,
-                       "VA arbiter returned no winner");
+            NOC_ASSERT(winner >= 0, "VA arbiter returned no winner");
             masks[key] = 0;
-            const VaRequest &r = reqs[static_cast<size_t>(reqOf[winner])];
+            const VaRequest &r = reqs[static_cast<size_t>(winner)];
 
             InputVc &ivc = in_[static_cast<size_t>(winner)];
             PacketCtl &ctl = ivc.ctl.front();
@@ -443,29 +468,25 @@ class RouterPipeline : public Router
                 NOC_ASSERT(ok, "reservation vanished between probe and grant");
             }
             o.busy = true;
-            o.ownerPacket = ctl.owner;
+            o.ownerIn = winner;
             ctl.outDir = r.dir;
             ctl.outSlot = r.slot;
             ctl.nextLa = r.nextLa; // commit the adaptive look-ahead choice
             ctl.stage = PacketCtl::Stage::Active;
-            ctl.vaGrantCycle = now;
-            NOC_OBS(if (obs_ && !ivc.buf.empty() &&
-                        ivc.buf.front().packetId == ctl.owner)
-                        obs_->record(obs::Stage::VaGrant, ivc.buf.front(),
-                                     id(), now, moduleOfVc(winner), winner));
+            classify(winner);
+            vaWon_ |= 1ull << winner;
+            NOC_OBS(if (obs_) obs_->record(obs::Stage::VaGrant,
+                                           ivc.buf.front(), id(), now,
+                                           moduleOfVc(winner), winner));
             self().onVaGrant(r);
         }
     }
 
     NOC_OWNED_STATE(recv)
     std::uint64_t droppingPacket_ = 0; ///< source packet being discarded
-    /**
-     * Packets in Drop stage across all input VCs. drainDropped() scans
-     * the occupied VCs; fault-free runs (the common case) skip it
-     * entirely.
-     */
-    NOC_OWNED_STATE(recv, alloc)
-    int dropPending_ = 0;
+    /** in_ index of the last injected packet, which its body follows. */
+    NOC_OWNED_STATE(recv)
+    int injVc_ = -1;
     /** Wormhole-order invariant trackers, one per input VC. */
     std::vector<check::WormholeOrderTracker> order_;
 

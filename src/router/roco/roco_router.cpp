@@ -287,42 +287,26 @@ RocoRouter::allocateSwitch(Cycle now)
         if (fs.isModuleDead(m))
             continue;
 
-        // Only VCs holding a packet can request; walk the module's
-        // slice of the ctl-occupancy mask.
+        // The module's SA-ready VCs request their packets' outputs;
+        // those that won VA this cycle request speculatively.
         const int moduleSlots = kPortsPerModule * numVcs_;
-        std::uint64_t mScan = (ctlMask_ >> (mi * moduleSlots)) &
-                              ((1ull << moduleSlots) - 1);
+        const int base = mi * moduleSlots;
+        std::uint64_t ready =
+            (stage_.saReady >> base) & ((1ull << moduleSlots) - 1);
+        if (ready == 0)
+            continue; // allocate() is a stateless no-op with no requests
+        const std::uint64_t won = vaWon_ >> base;
 
         std::uint64_t reqs[2][2] = {{0, 0}, {0, 0}};
         std::uint64_t specReqs[2][2] = {{0, 0}, {0, 0}};
-        bool any = false;
-        for (; mScan; mScan &= mScan - 1) {
-            const int local = std::countr_zero(mScan);
+        for (; ready; ready &= ready - 1) {
+            const int local = std::countr_zero(ready);
             const int p = local / numVcs_;
-            const int v = local % numVcs_;
-            const InputVc &ivc =
-                in_[static_cast<size_t>(mi * moduleSlots + local)];
-            if (ivc.buf.empty())
-                continue;
-            const PacketCtl &ctl = ivc.ctl.front();
-            if (ctl.stage != PacketCtl::Stage::Active)
-                continue;
-            if (ivc.buf.front().packetId != ctl.owner)
-                continue; // active packet's flits not here yet
-            if (ctl.outSlot != kEjectSlot &&
-                outputVc(ctl.outDir, ctl.outSlot).credits <= 0) {
-                continue;
-            }
-            bool spec = ctl.vaGrantCycle == now &&
-                        isHead(ivc.buf.front().type);
-            if (spec)
-                specReqs[p][outIndex(ctl.outDir)] |= 1ull << v;
-            else
-                reqs[p][outIndex(ctl.outDir)] |= 1ull << v;
-            any = true;
+            const int out = outIndex(
+                in_[static_cast<size_t>(base + local)].ctl.front().outDir);
+            ((won >> local) & 1 ? specReqs : reqs)[p][out] |=
+                1ull << (local % numVcs_);
         }
-        if (!any)
-            continue; // allocate() is a stateless no-op with no requests
 
         // SA fault: grants ride the VA's idle arbiters (Figure 7) —
         // one grant at most, and none while the VA is busy.

@@ -173,6 +173,15 @@ Router::debugCorruptCredit(Direction d, int slot)
     --outputVc(d, slot).credits;
 }
 
+StageMasks
+Router::stageMasksFromState() const
+{
+    StageMasks m;
+    for (int i = 0; i < static_cast<int>(in_.size()); ++i)
+        m.set(i, stageOf(i));
+    return m;
+}
+
 DirectionSet
 Router::lookaheadCandidates(Direction outDir, const Flit &f) const
 {

@@ -91,22 +91,39 @@ struct PacketCtl {
     Direction nextLa = Direction::Invalid;  ///< output at next router
     int outSlot = -1;                       ///< downstream VC slot
     Cycle vaEligible = 0; ///< earliest VA cycle (double-routing delay)
-    /**
-     * Cycle the packet won VC allocation. A switch request issued in
-     * the same cycle is *speculative* (stage 1 runs RC|VA|SA in
-     * parallel) and yields to non-speculative requests — the paper's
-     * arbitration-depth argument: high-contention routers waste their
-     * speculative grants, low-contention ones keep them.
-     */
-    Cycle vaGrantCycle = 0;
 };
 
 /** Upstream-side state of one downstream virtual channel. */
 struct OutputVc {
     bool busy = false;              ///< allocated to an in-flight packet
-    std::uint64_t ownerPacket = 0;  ///< packet holding the VC
+    int ownerIn = -1;               ///< holder's input VC, while busy
     int credits = 0;                ///< sendable flits under my reservation
     int outstanding = 0;            ///< my flits sent, credits not yet back
+};
+
+/** The pipeline stage an input VC's front packet can act in now. */
+enum class VcStage : std::uint8_t {
+    Idle,    ///< empty, or waiting on a flit or a downstream credit
+    VaWait,  ///< the front head waits for VC allocation
+    SaReady, ///< the front flit may request the switch
+    Drain,   ///< the front packet is discarded and has a flit buffered
+};
+
+/** Stage bits over a router's input VCs, bit i = input VC i. */
+struct StageMasks {
+    std::uint64_t vaWait = 0;     ///< VcStage::VaWait
+    std::uint64_t saReady = 0;    ///< VcStage::SaReady
+    std::uint64_t drainReady = 0; ///< VcStage::Drain
+
+    /** Puts input VC @p idx in the mask of @p s and no other. */
+    void
+    set(int idx, VcStage s)
+    {
+        const std::uint64_t bit = 1ull << idx;
+        vaWait = (vaWait & ~bit) | (s == VcStage::VaWait ? bit : 0);
+        saReady = (saReady & ~bit) | (s == VcStage::SaReady ? bit : 0);
+        drainReady = (drainReady & ~bit) | (s == VcStage::Drain ? bit : 0);
+    }
 };
 
 /**
@@ -298,6 +315,17 @@ class Router
      */
     void debugCorruptCredit(Direction d, int slot);
 
+    /** The stage bits the pipeline keeps (router/pipeline.h). */
+    virtual StageMasks stageMasks() const = 0;
+    /** The stage bits recomputed from VC state (the mask audit). */
+    StageMasks stageMasksFromState() const;
+    /**
+     * Testing hook: flips input VC @p idx's bit in @p mask so the mask
+     * audit has something to catch.
+     */
+    virtual void debugCorruptStageMask(std::uint64_t StageMasks::*mask,
+                                       int idx) = 0;
+
   protected:
     /** True when port @p d exists (mesh interior or edge). */
     bool
@@ -335,17 +363,6 @@ class Router
         std::uint64_t reservedPacket = 0;
         /** Link whose flits currently occupy the buffer. */
         Direction occupantLink = Direction::Invalid;
-
-        /** True when the front packet's head awaits VC allocation. */
-        bool
-        headWaiting(Cycle now) const
-        {
-            return !ctl.empty() &&
-                   ctl.front().stage == PacketCtl::Stage::VaWait &&
-                   now >= ctl.front().vaEligible && !buf.empty() &&
-                   isHead(buf.front().type) &&
-                   buf.front().packetId == ctl.front().owner;
-        }
     };
 
     /**
@@ -402,6 +419,31 @@ class Router
         return const_cast<Router *>(this)->outputVc(d, slot);
     }
     int outputSlots() const { return slotsPerDir_; }
+
+    /**
+     * The stage rule (DESIGN §6): the stage in_[@p idx] can act in,
+     * from its state alone. A buffered flit always belongs to the
+     * front packet, because a VC takes a new head only after the
+     * previous tail.
+     */
+    VcStage
+    stageOf(int idx) const
+    {
+        const InputVc &ivc = in_[static_cast<size_t>(idx)];
+        if (ivc.ctl.empty() || ivc.buf.empty())
+            return VcStage::Idle;
+        const PacketCtl &ctl = ivc.ctl.front();
+        switch (ctl.stage) {
+          case PacketCtl::Stage::VaWait: return VcStage::VaWait;
+          case PacketCtl::Stage::Drop: return VcStage::Drain;
+          case PacketCtl::Stage::Active: break;
+        }
+        // Early ejection and the generic router's PE need no credit.
+        return ctl.outSlot == kEjectSlot || ctl.outDir == Direction::Local ||
+                       outputVc(ctl.outDir, ctl.outSlot).credits > 0
+                   ? VcStage::SaReady
+                   : VcStage::Idle;
+    }
 
     /**
      * Writes @p f into the arrival slot of the link behind @p d, marks

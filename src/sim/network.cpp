@@ -1,6 +1,8 @@
 #include "sim/network.h"
 
+#include <bit>
 #include <cstdlib>
+#include <utility>
 
 #include "check/invariant.h"
 #include "router/generic/generic_router.h"
@@ -355,6 +357,27 @@ Network::checkProtocolInvariants(Cycle now) const
                           Direction::Invalid, -1,
                           "unified router carries component-level fault "
                           "state; any fault must collapse to node death");
+        }
+
+        // Stage masks: the bits the pipeline keeps are a cache of the
+        // bits the VC state calls for.
+        const StageMasks have = u.stageMasks();
+        const StageMasks want = u.stageMasksFromState();
+        for (const auto &[mask, name] :
+             {std::pair{&StageMasks::vaWait, "VA-wait"},
+              std::pair{&StageMasks::saReady, "SA-ready"},
+              std::pair{&StageMasks::drainReady, "drain-ready"}}) {
+            for (std::uint64_t bad = have.*mask ^ want.*mask; bad;
+                 bad &= bad - 1) {
+                const int vc = std::countr_zero(bad);
+                NOC_INVARIANT(false, check::InvariantKind::StageMask, now,
+                              n, Direction::Invalid, vc,
+                              std::string(name) + " bit of input VC " +
+                                  std::to_string(vc) +
+                                  (have.*mask >> vc & 1 ? " is set"
+                                                        : " is clear") +
+                                  " against the VC's state");
+            }
         }
 
         // Credit conservation: for every (link, slot), the upstream

@@ -208,10 +208,11 @@ class Network
 
     /**
      * Sweeps the protocol invariants that need a network-wide view
-     * (src/check/invariant.h): per-link credit conservation and the
-     * Table 3 fault-state consistency rules. Call between cycles —
-     * the conservation equation is exact only when no router is
-     * mid-step. No-op when invariants are compiled out or disabled.
+     * (src/check/invariant.h): per-link credit conservation, the
+     * Table 3 fault-state consistency rules and each router's stage
+     * masks. Call between cycles — the conservation equation is exact
+     * only when no router is mid-step. No-op when invariants are
+     * compiled out or disabled.
      */
     void checkProtocolInvariants(Cycle now) const;
 

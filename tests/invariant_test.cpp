@@ -2,11 +2,13 @@
  * @file
  * Protocol invariant checker tests: the wormhole order tracker on
  * hand-crafted flit streams, credit-conservation detection of an
- * injected credit leak, and silence across healthy end-to-end runs of
- * all three architectures.
+ * injected credit leak, stage-mask detection of a flipped stage bit,
+ * and silence across healthy end-to-end runs of all three
+ * architectures.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "check/invariant.h"
@@ -147,6 +149,57 @@ TEST_F(InvariantTest, CreditLeakIsDetectedOnEveryArchitecture)
         EXPECT_EQ(v.router, 4u);
         EXPECT_EQ(v.port, Direction::East);
         EXPECT_EQ(v.vc, 0);
+    }
+}
+
+TEST_F(InvariantTest, StageMaskCorruptionIsDetectedOnEveryArchitecture)
+{
+    for (RouterArch arch : {RouterArch::Generic, RouterArch::PathSensitive,
+                            RouterArch::Roco}) {
+        SimConfig cfg;
+        cfg.meshWidth = 3;
+        cfg.meshHeight = 3;
+        cfg.arch = arch;
+        cfg.injectionRate = 0.0;
+        Network net(cfg);
+        // 3 -> 5 and 4 -> 5 contend for node 4's East output, so some
+        // cycle ends with a flit of node 4 holding a stage bit.
+        std::uint64_t packetId = 1;
+        for (NodeId src : {3u, 4u, 3u, 4u})
+            net.nic(src).enqueuePacket(5, 0, packetId, true);
+        std::uint64_t held = 0;
+        for (Cycle t = 0; t < 50 && held == 0; ++t) {
+            net.step(t, false, false);
+            const StageMasks m = net.router(4).stageMasks();
+            held = m.vaWait | m.saReady | m.drainReady;
+        }
+        ASSERT_NE(held, 0u) << toString(arch);
+
+        Recorder rec;
+        net.checkProtocolInvariants(100);
+        EXPECT_TRUE(rec.got.empty()) << toString(arch);
+        for (std::uint64_t StageMasks::*mask :
+             {&StageMasks::vaWait, &StageMasks::saReady,
+              &StageMasks::drainReady}) {
+            // A bit on a VC with nothing to do, and a flipped bit on a
+            // VC that holds one.
+            for (int vc : {std::countr_zero(~held), std::countr_zero(held)}) {
+                net.router(4).debugCorruptStageMask(mask, vc);
+                net.checkProtocolInvariants(101);
+                ASSERT_EQ(rec.got.size(), 1u) << toString(arch);
+                const Violation &v = rec.got.front();
+                EXPECT_EQ(v.kind, InvariantKind::StageMask);
+                EXPECT_EQ(v.cycle, 101u);
+                EXPECT_EQ(v.router, 4u);
+                EXPECT_EQ(v.vc, vc);
+                EXPECT_NE(v.describe().find("stage-mask"),
+                          std::string::npos);
+                net.router(4).debugCorruptStageMask(mask, vc); // undo
+                rec.got.clear();
+                net.checkProtocolInvariants(102);
+                EXPECT_TRUE(rec.got.empty()) << toString(arch);
+            }
+        }
     }
 }
 

@@ -7,7 +7,9 @@
  *
  *   CreditConservation - for every (link, VC slot): upstream credits +
  *                        flits on the wire + credits on the wire +
- *                        downstream occupancy == buffer depth.
+ *                        downstream occupancy == buffer depth; and
+ *                        the flit ledger's outstanding count == the
+ *                        flits in source queues, buffers and links.
  *   WormholeOrder      - each input VC sees HEAD, BODY*, TAIL with
  *                        contiguous sequence numbers per packet.
  *   PathSetDiscipline  - a flit sorted into a RoCo row path set never
@@ -17,7 +19,9 @@
  *                        unified designs only ever go whole-node dead).
  *   StageMask          - each router's cached VA-wait, SA-ready and
  *                        drain-ready bits equal the bits its VC state
- *                        calls for (router/pipeline.h).
+ *                        calls for (router/pipeline.h), and its
+ *                        idle-skip work counter equals its buffered
+ *                        flits.
  *
  * Cost model: compiled in when the NOC_INVARIANTS CMake option is ON
  * (the default; it defines NOC_INVARIANT_CHECKS=1).  When compiled

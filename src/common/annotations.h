@@ -28,18 +28,16 @@
  *            no phase-guarded state directly
  *   engine   the cycle drivers (Network::step, the shard workers):
  *            idle-skip flags and step counters
- *   epilogue the sharded engine's in-barrier epilogue: reductions and
- *            run-control updates, strictly single-threaded
+ *   epilogue the run loop's end-of-cycle step (inside the barrier when
+ *            sharded): reductions and run-control updates, strictly
+ *            single-threaded
  *   setup    construction / wiring; may initialise anything
  *
  * NOC_PHASE_FN(phase) annotates a function; NOC_PHASE_STATE(p1, ...)
  * annotates a data member with the set of phases allowed to write it.
- * Constructors of the owning class are implicitly `setup`. Under
- * clang the macros expand to [[clang::annotate]] so the AST engine of
- * noc_lint sees them; elsewhere they expand to nothing (they carry no
- * codegen meaning). The portable noc_lint engine reads the macro
- * tokens straight from the source text, so the checks run even where
- * no Clang development headers exist.
+ * Constructors of the owning class are implicitly `setup`. The macros
+ * expand to nothing (they carry no codegen meaning): noc_lint reads
+ * the macro tokens straight from the source text.
  *
  * Ownership vocabulary (DESIGN section 14). On top of the phase set,
  * every annotated member declares *who may reach it across the shard
@@ -58,37 +56,25 @@
  *                              reachable from a neighbour only through
  *                              the sanctioned mirror / reserveInputVc
  *                              APIs (cross-router-access).
- *   NOC_EPILOGUE_STATE         written only by the sharded engine's
- *                              in-barrier epilogue (or setup); any
+ *   NOC_EPILOGUE_STATE         written only by the run loop's
+ *                              end-of-cycle step (or setup); any
  *                              other phase writing it escapes the
  *                              single-threaded window the barrier
  *                              release/acquire pair publishes
  *                              (own-epilogue-escape).
  *
  * The dynamic counterpart is src/par/race_check.h: under
- * -DNOC_RACE_CHECK=ON the engines log per-step access records for the
+ * -DNOC_RACE_CHECK=ON the run loop logs per-step access records for the
  * owned/shared footprints and validate after every superstep that the
  * schedule kept them disjoint.
  */
 #ifndef ROCOSIM_COMMON_ANNOTATIONS_H_
 #define ROCOSIM_COMMON_ANNOTATIONS_H_
 
-#if defined(__clang__)
-#define NOC_PHASE_FN(phase) [[clang::annotate("noc_phase_fn:" #phase)]]
-#define NOC_PHASE_STATE(...) \
-    [[clang::annotate("noc_phase_state:" #__VA_ARGS__)]]
-#define NOC_OWNED_STATE(...) \
-    [[clang::annotate("noc_owned_state:" #__VA_ARGS__)]]
-#define NOC_SHARED_ATOMIC(...) \
-    [[clang::annotate("noc_shared_atomic:" #__VA_ARGS__)]]
-#define NOC_EPILOGUE_STATE \
-    [[clang::annotate("noc_epilogue_state:epilogue")]]
-#else
 #define NOC_PHASE_FN(phase)
 #define NOC_PHASE_STATE(...)
 #define NOC_OWNED_STATE(...)
 #define NOC_SHARED_ATOMIC(...)
 #define NOC_EPILOGUE_STATE
-#endif
 
 #endif // ROCOSIM_COMMON_ANNOTATIONS_H_

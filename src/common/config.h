@@ -172,8 +172,9 @@ struct SimConfig {
     /**
      * Worker shards for the deterministic parallel engine (src/par).
      * 0 = auto (the NOC_SHARDS environment variable, default 1);
-     * 1 runs the classic serial loop. Results are bit-identical for
-     * every shard count — this is purely a wall-clock knob.
+     * 1 steps the whole mesh on the calling thread. Results are
+     * bit-identical for every shard count — this is purely a
+     * wall-clock knob.
      */
     int shards = 0;
 

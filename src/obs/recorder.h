@@ -131,9 +131,9 @@ class Recorder
     /** Open cursors, one table per stripe: a table is only touched
      *  under its stripe's lock, so two shards never mutate one table. */
     std::unordered_map<std::uint64_t, Cursor> cursors_[kCursorStripes];
-    /** One Summary per shard lane; lanes_[0] doubles as the serial
+    /** One Summary per shard lane; lanes_[0] doubles as the 1-shard
      *  summary (samplePathSetOccupancy always records there — it runs
-     *  in the engine's single-threaded epilogue). */
+     *  in the run loop's single-threaded end-of-cycle step). */
     std::vector<Summary> lanes_{1};
     std::vector<int> laneOf_; ///< node -> lane; empty = all lane 0
     /** Cursor-table stripe locks; allocated only when lanes > 1. */

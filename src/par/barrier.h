@@ -93,8 +93,9 @@ class SpinBarrier
         //     fetch_add from the released waiters.
         //   * epoch_.store(release) / epoch_.load(acquire) is the
         //     hand-off that publishes everything the single-threaded
-        //     epilogue wrote (sh.now / sh.stop / sh.totals — the
-        //     NOC_EPILOGUE_STATE members) to every waiter's next cycle.
+        //     epilogue wrote (the loop's now / stop — the
+        //     NOC_EPILOGUE_STATE members — and the reduced ledger) to
+        //     every waiter's next cycle.
         std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
         if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             parties_) {

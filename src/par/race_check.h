@@ -73,7 +73,7 @@ class RaceChecker
     RaceChecker(int width, int height);
 
     /** Sizes the per-shard record lanes; call before the first cycle
-     *  (and again when the shard count changes). */
+     *  (par::run does, with the run's shard count). */
     void beginRun(int shards);
 
     /**
@@ -95,9 +95,9 @@ class RaceChecker
      * commuting wake-flag store, that every mirror access was atomic,
      * and that no object an interior-window step touched was touched
      * by another shard in any phase of the cycle. Must run
-     * single-threaded (the serial loop between cycles, or the sharded
-     * engine's in-barrier epilogue). Clears the lanes for the next
-     * cycle.
+     * single-threaded: the run loop calls it from its end-of-cycle
+     * step (par/shard_engine.h), inside the barrier when sharded.
+     * Clears the lanes for the next cycle.
      */
     NOC_PHASE_FN(epilogue)
     void endCycle(Cycle now);
@@ -105,6 +105,7 @@ class RaceChecker
     /** When set, endCycle prints and aborts on the first finding
      *  instead of accumulating (the env-created checker's mode). */
     void setFailFast(bool on) { failFast_ = on; }
+    bool failFast() const { return failFast_; }
 
     /** Accumulated findings, in deterministic order (capped; see
      *  findingsTotal() for the uncapped count). */

@@ -1,12 +1,16 @@
 #include "par/shard_engine.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "check/invariant.h"
 #include "common/annotations.h"
+#include "common/log.h"
 #include "obs/recorder.h"
 #include "par/barrier.h"
 #include "topology/partition.h"
@@ -14,6 +18,81 @@
 namespace noc::par {
 
 namespace {
+
+/** What the end-of-cycle step reads and decides, at any shard count. */
+struct Loop {
+    Network &net;
+    RunControl &ctl;
+    obs::Recorder *obs;
+    NOC_EPILOGUE_STATE
+    Cycle now = 0; // cycle the body is about to run
+    NOC_EPILOGUE_STATE
+    bool stop = false;
+    NOC_EPILOGUE_STATE
+    bool hitCap = false; // the maxCycles cap, not RunControl, stopped it
+};
+
+/**
+ * Top-of-cycle bookkeeping for cycle l.now: RunControl's phase flags,
+ * and the probe reset when the measurement window opens.
+ */
+NOC_PHASE_FN(epilogue)
+void
+startCycle(Loop &l)
+{
+    if (l.ctl.beginCycle(l.now, l.net.traceExhausted(),
+                         l.net.packetsGenerated())) {
+        l.net.resetActivity();
+        l.net.resetContention();
+    }
+}
+
+/**
+ * End of cycle l.now, the one copy for every shard count. Runs
+ * single-threaded after the cycle's body: inline at one shard, inside
+ * the barrier after the ledger reduction when sharded.
+ */
+NOC_PHASE_FN(epilogue)
+void
+endOfCycle(Loop &l)
+{
+    Network &net = l.net;
+#if NOC_RACE_CHECK_BUILT
+    // Superstep validation: every step of the cycle has logged its
+    // footprint, and no step runs again until this returns.
+    if (RaceChecker *race = net.raceChecker())
+        race->endCycle(l.now);
+#endif
+    const Cycle done = l.now + 1; // cycles completed
+
+    // Coarse path-set occupancy probe; the period keeps its cost
+    // negligible against the per-cycle work.
+    NOC_OBS(if (l.obs && (done & 255u) == 0)
+                l.obs->samplePathSetOccupancy(net));
+
+    // The stop rule: RunControl's (drained, or blocked past the idle
+    // window) before the cycle cap, so that a run draining on its last
+    // allowed cycle is not a timeout.
+    const bool drained =
+        l.ctl.endCycle(done, net.quiescent(), net.lastDeliveryCycle(),
+                       net.ledger().svcPending);
+    const bool capped = !drained && done >= net.config().maxCycles;
+
+#if NOC_INVARIANTS_BUILT
+    // Network-wide protocol audit (credit and flit conservation,
+    // fault-state consistency, stage masks): periodic, and once more
+    // on the run's last cycle.
+    if (((done & 1023u) == 0 || drained || capped) &&
+        check::invariantsEnabled())
+        net.checkProtocolInvariants(done);
+#endif
+
+    l.now = done;
+    l.stop = drained || capped;
+    l.hitCap = capped;
+    if (!l.stop)
+        startCycle(l);
+}
 
 /** Per-shard cycle-local counter, padded against false sharing. */
 struct alignas(64) ShardCount {
@@ -46,15 +125,12 @@ struct ShardSteps {
 };
 
 /** Everything the workers share. Each per-shard slot is written only
- *  by its own worker; the other mutable fields only in the
- *  single-threaded barrier epilogue, and the barrier's release /
- *  acquire pair publishes them to every worker. */
+ *  by its own worker; the loop state only in the single-threaded
+ *  barrier epilogue, and the barrier's release / acquire pair
+ *  publishes it to every worker. */
 struct Shared {
-    Network &net;
-    const SimConfig &cfg;
+    Loop &loop;
     const ShardPlan &plan;
-    RunControl &ctl;
-    obs::Recorder *obs;
     SpinBarrier barrier;
     const bool spin; // waitUntil's rule for this pool (see barrier.h)
     std::vector<ShardSteps> steps;        // one per shard
@@ -62,17 +138,10 @@ struct Shared {
     std::vector<ShardLedger> ledgers;     // one per shard
     std::vector<ShardCount> generated;    // this cycle, per shard
     std::vector<ShardCount> stepsExec;    // whole run, per shard
-    NOC_EPILOGUE_STATE
-    Cycle now = 0;   // cycle the workers are about to run
-    NOC_EPILOGUE_STATE
-    bool stop = false;
-    NOC_EPILOGUE_STATE
-    FlitLedger totals; // reduction of ledgers, maintained in epilogue
 
-    Shared(Network &n, const SimConfig &c, const ShardPlan &p,
-           RunControl &rc, obs::Recorder *o)
-        : net(n), cfg(c), plan(p), ctl(rc), obs(o),
-          barrier(p.shards()), spin(spinFriendly(p.shards())),
+    Shared(Loop &l, const ShardPlan &p)
+        : loop(l), plan(p), barrier(p.shards()),
+          spin(spinFriendly(p.shards())),
           steps(static_cast<std::size_t>(p.shards())),
           progress(static_cast<std::size_t>(p.shards())),
           ledgers(static_cast<std::size_t>(p.shards())),
@@ -82,34 +151,27 @@ struct Shared {
         for (int s = 0; s < p.shards(); ++s) {
             ShardSteps &st = steps[static_cast<std::size_t>(s)];
             for (int ph = 0; ph < kNumStepPhases; ++ph) {
-                st.boundary[ph] = n.stepList(p.boundaryNodes(s, ph));
-                st.interior[ph] = n.stepList(p.interiorNodes(s, ph));
+                st.boundary[ph] = l.net.stepList(p.boundaryNodes(s, ph));
+                st.interior[ph] = l.net.stepList(p.interiorNodes(s, ph));
             }
         }
     }
 };
 
 /**
- * End-of-cycle epilogue, run by the last barrier arriver while every
- * other worker is parked: mirrors one trip around the serial loop in
- * Simulator::run (probe cadence included) so the two drivers make
- * identical decisions at identical cycles.
+ * The barrier epilogue, run by the last arriver while every other
+ * worker is parked: folds the shards' generation counts and flit
+ * ledgers into the network, then runs the end-of-cycle step.
  */
 NOC_PHASE_FN(epilogue)
 void
 epilogue(Shared &sh)
 {
-#if NOC_RACE_CHECK_BUILT
-    // Superstep validation runs here because the epilogue is the one
-    // single-threaded window per cycle: every worker's lane writes are
-    // published by its barrier arrival (acq_rel on the counter).
-    if (par::RaceChecker *race = sh.net.raceChecker())
-        race->endCycle(sh.now);
-#endif
+    Network &net = sh.loop.net;
     std::uint64_t gen = 0;
     for (const ShardCount &g : sh.generated)
         gen += g.value;
-    sh.net.addGenerated(gen);
+    net.addGenerated(gen);
 
     FlitLedger sum;
     for (const ShardLedger &sl : sh.ledgers) {
@@ -124,49 +186,9 @@ epilogue(Shared &sh)
         }
         sum.svcPending += l.svcPending;
     }
-    sh.totals = sum;
+    net.setLedgerTotals(sum);
 
-    Cycle done = sh.now + 1; // cycles completed, == serial's post-step now
-
-    NOC_OBS(if (sh.obs && (done & 255u) == 0)
-                sh.obs->samplePathSetOccupancy(sh.net));
-#if NOC_INVARIANTS_BUILT
-    if ((done & 1023u) == 0 && check::invariantsEnabled())
-        sh.net.checkProtocolInvariants(done);
-#endif
-
-    bool stop = false;
-    if (!sh.ctl.generating()) {
-#ifndef NDEBUG
-        if ((done & 63u) == 0) {
-            bool queued = false;
-            for (int i = 0; i < sh.net.numNodes() && !queued; ++i) {
-                queued =
-                    sh.net.nic(static_cast<NodeId>(i)).queuedFlits() > 0;
-            }
-            // Flit half of the ledger only: service mode also tracks
-            // scheduled-not-yet-injected replies (svcPending), which
-            // no network scan can see.
-            NOC_ASSERT((sum.created == sum.retired) ==
-                           (!queued && sh.net.flitsInFlight() == 0),
-                       "shard ledgers out of sync with network scan");
-        }
-#endif
-        stop = sh.ctl.endCycle(done, sum.quiescent(), sum.lastDelivery,
-                               sum.svcPending);
-    }
-    if (!stop && done >= sh.cfg.maxCycles)
-        stop = true;
-
-    if (!stop) {
-        if (sh.ctl.beginCycle(done, sh.net.traceExhausted(),
-                              sh.net.packetsGenerated())) {
-            sh.net.resetActivity();
-            sh.net.resetContention();
-        }
-    }
-    sh.now = done;
-    sh.stop = stop;
+    endOfCycle(sh.loop);
 }
 
 /**
@@ -185,7 +207,7 @@ NOC_PHASE_FN(engine)
 void
 work(Shared &sh, int s)
 {
-    Network &net = sh.net;
+    Network &net = sh.loop.net;
     const ShardPlan &plan = sh.plan;
     const ShardSteps &steps = sh.steps[static_cast<std::size_t>(s)];
     const std::vector<int> &border = plan.borderShards(s);
@@ -195,19 +217,19 @@ work(Shared &sh, int s)
     for (;;) {
         // Cycle state is stable between barriers: the epilogue is the
         // only writer and it runs inside the previous barrier.
-        Cycle now = sh.now;
-        bool generating = sh.ctl.generating();
-        bool measuring = sh.ctl.measuring();
+        Cycle now = sh.loop.now;
+        bool generating = sh.loop.ctl.generating();
+        bool measuring = sh.loop.ctl.measuring();
 
-        // This shard's sources, through the serial engine's routine.
+        // This shard's sources, through Network::step's routine.
         sh.generated[static_cast<std::size_t>(s)].value =
             net.generateTraffic(plan.nodes(s), now, generating, measuring);
 
-        // Identical idle-skip decisions to the serial loop: only this
+        // Identical idle-skip decisions to Network::step: only this
         // thread clears its routers' flags, and every neighbour that
         // may set one is ordered against the clear by the schedule
         // (same shard: program order; another shard: the progress
-        // hand-off below), so every read sees exactly the serial value.
+        // hand-off below), so every read sees exactly the 1-shard value.
         const std::uint64_t base = now * kNumStepPhases;
         for (int ph = 0; ph < kNumStepPhases; ++ph) {
             if (!steps.boundary[ph].empty()) {
@@ -231,68 +253,39 @@ work(Shared &sh, int s)
             stepsExec += net.stepRouters(steps.interior[ph], now, ph, s, true);
         }
         sh.barrier.arriveAndWait([&sh] { epilogue(sh); });
-        if (sh.stop) {
+        if (sh.loop.stop) {
             sh.stepsExec[static_cast<std::size_t>(s)].value = stepsExec;
             return;
         }
     }
 }
 
-} // namespace
-
-int
-effectiveShards(const SimConfig &cfg, int numNodes)
-{
-    int shards = cfg.shards;
-    if (shards == 0) {
-        if (const char *v = std::getenv("NOC_SHARDS")) {
-            long n = std::strtol(v, nullptr, 10);
-            if (n >= 1)
-                shards = static_cast<int>(n);
-        }
-    }
-    return std::clamp(shards, 1, numNodes);
-}
-
+/** The sharded body: @p shards workers until the loop stops. */
 NOC_PHASE_FN(epilogue)
-RunOutcome
-runSharded(Network &net, const SimConfig &cfg, int shards,
-           obs::Recorder *obs, RunControl &ctl)
+void
+runShards(Loop &loop, int shards)
 {
-    ShardPlan plan(cfg.meshWidth, cfg.meshHeight, shards);
-    Shared sh(net, cfg, plan, ctl, obs);
-
-#if NOC_RACE_CHECK_BUILT
-    // Re-lane the race checker for this shard count (the serial
-    // attach sized it for one lane).
-    if (par::RaceChecker *race = net.raceChecker())
-        race->beginRun(plan.shards());
-#endif
+    Network &net = loop.net;
+    ShardPlan plan(net.config().meshWidth, net.config().meshHeight, shards);
+    Shared sh(loop, plan);
 
     // Per-shard ledgers keep flit-lifecycle counting lock-free; the
-    // epilogue reduces them, and the master ledger is restored (with
-    // the reduced totals) before returning.
+    // epilogue reduces them into the master ledger, which every node
+    // is bound back to before returning.
     for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n)
         net.bindNodeLedger(n, &sh.ledgers[static_cast<std::size_t>(
                                               plan.shardOf(n))]
                                    .value);
-    if (obs != nullptr) {
+    if (loop.obs != nullptr) {
         std::vector<int> laneOf(static_cast<std::size_t>(net.numNodes()));
         for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n)
             laneOf[n] = plan.shardOf(n);
-        obs->setShardLanes(plan.shards(), std::move(laneOf));
+        loop.obs->setShardLanes(plan.shards(), std::move(laneOf));
     }
 #if NOC_INVARIANTS_BUILT
     // Warm the lazy env read before the pool shares it.
     check::invariantsEnabled();
 #endif
-
-    // Mirror the serial loop's first top-of-cycle bookkeeping (cycle 0
-    // flags are decided before any step).
-    if (ctl.beginCycle(0, net.traceExhausted(), net.packetsGenerated())) {
-        net.resetActivity();
-        net.resetContention();
-    }
 
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(plan.shards() - 1));
@@ -304,16 +297,66 @@ runSharded(Network &net, const SimConfig &cfg, int shards,
 
     for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n)
         net.bindNodeLedger(n, nullptr);
-    net.setLedgerTotals(sh.totals);
     std::uint64_t executed = 0;
     for (const ShardCount &c : sh.stepsExec)
         executed += c.value;
-    // Every node is scheduled once per cycle, as in the serial loop.
-    net.addRouterSteps(executed, static_cast<std::uint64_t>(sh.now) *
+    // Every node is scheduled once per cycle, as in Network::step.
+    net.addRouterSteps(executed, static_cast<std::uint64_t>(loop.now) *
                                      static_cast<std::uint64_t>(
                                          net.numNodes()));
+}
 
-    return RunOutcome{sh.now};
+} // namespace
+
+int
+effectiveShards(const SimConfig &cfg, int numNodes)
+{
+    int shards = cfg.shards;
+    if (shards == 0) {
+        shards = 1;
+        if (const char *v = std::getenv("NOC_SHARDS")) {
+            const char *end = v + std::strlen(v);
+            auto [last, ec] = std::from_chars(v, end, shards);
+            if (ec != std::errc() || last != end || shards < 1) {
+                fatal(("NOC_SHARDS='" + std::string(v) +
+                       "' is not a whole number in [1, INT_MAX]")
+                          .c_str());
+            }
+        }
+    }
+    return std::clamp(shards, 1, numNodes);
+}
+
+NOC_PHASE_FN(epilogue)
+RunOutcome
+run(Network &net, obs::Recorder *obs, RunControl &ctl)
+{
+    const int shards = effectiveShards(net.config(), net.numNodes());
+#if NOC_RACE_CHECK_BUILT
+    RaceChecker *const race = net.raceChecker();
+    if (race)
+        race->beginRun(shards);
+#endif
+
+    Loop loop{net, ctl, obs};
+    startCycle(loop); // cycle 0; endOfCycle starts every later one
+    if (shards == 1) {
+        do {
+            net.step(loop.now, ctl.generating(), ctl.measuring());
+            endOfCycle(loop);
+        } while (!loop.stop);
+    } else {
+        runShards(loop, shards);
+    }
+
+#if NOC_RACE_CHECK_BUILT
+    // A fail-fast checker aborts inside endCycle on its first finding;
+    // a passive one keeps its findings for the caller to inspect.
+    if (race && race->failFast())
+        NOC_ASSERT(race->findingsTotal() == 0,
+                   "NOC_RACE_CHECK findings escaped the per-cycle gate");
+#endif
+    return RunOutcome{loop.now, loop.hitCap};
 }
 
 } // namespace noc::par

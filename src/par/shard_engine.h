@@ -1,15 +1,22 @@
 /**
  * @file
- * Deterministic bulk-synchronous sharded execution engine.
+ * The run loop: every simulation runs through it, at any shard count.
  *
- * Cuts the mesh into row bands (topology/partition.h) and advances
- * each band on its own worker thread. Within a cycle every worker
- * generates its own NICs' traffic, then steps its routers phase by
- * phase of the pentachromatic schedule. Routers in one phase are at
- * Manhattan distance >= 3 from each other, so their step footprints —
- * own state, both directions of the attached links, and the
- * neighbour state the RoCo / path-sensitive reserveInputVc handshake
- * touches — are disjoint, and the steps commute.
+ * par::run advances a network cycle by cycle, and each cycle is a body
+ * followed by one end-of-cycle step.
+ *
+ * At one shard the body is Network::step on the calling thread: no
+ * worker thread, no barrier, no per-shard list or ledger.
+ *
+ * At more shards the body is bulk-synchronous. The mesh is cut into
+ * row bands (topology/partition.h), each advanced by its own worker
+ * thread. Within a cycle every worker generates its own NICs' traffic,
+ * then steps its routers phase by phase of the pentachromatic
+ * schedule. Routers in one phase are at Manhattan distance >= 3 from
+ * each other, so their step footprints — own state, both directions of
+ * the attached links, and the neighbour state the RoCo /
+ * path-sensitive reserveInputVc handshake touches — are disjoint, and
+ * the steps commute.
  *
  * Across phases only steps within distance 2 of each other conflict,
  * and across shards those are boundary steps only. So each phase runs
@@ -18,14 +25,16 @@
  * boundary steps of every earlier phase, steps its own boundary nodes,
  * publishes, then steps its interior nodes with no wait at all. Every
  * conflicting pair of steps stays in schedule order, so the result is
- * bit-identical to the serial loop (which runs the identical schedule)
+ * bit-identical to Network::step (which runs the identical schedule)
  * for any shard count. Shards are a pure wall-clock knob.
  *
- * The last arriver at the cycle's one barrier runs the epilogue
- * single-threaded: reduces the per-shard generation counts and flit
- * ledgers, runs the periodic observability / invariant probes, and
- * makes the warm-up/measure/drain decisions through the same
- * RunControl the serial loop uses.
+ * The end-of-cycle step runs single-threaded after either body — when
+ * sharded, by the last arriver inside the cycle's one barrier, once the
+ * per-shard generation counts and flit ledgers are reduced into the
+ * network. It is the only copy of the race checker's superstep
+ * validation, the periodic occupancy probe and invariant audit, the
+ * warm-up/measure/drain decisions (RunControl) and the stop rule, so
+ * every shard count makes the same decisions at the same cycles.
  */
 #ifndef ROCOSIM_PAR_SHARD_ENGINE_H_
 #define ROCOSIM_PAR_SHARD_ENGINE_H_
@@ -39,24 +48,27 @@ namespace noc::par {
 
 /**
  * Shard count a run should use: cfg.shards, else the NOC_SHARDS
- * environment variable, else 1; clamped to [1, @p numNodes].
+ * environment variable, else 1; clamped to [1, @p numNodes]. A
+ * NOC_SHARDS that is not a whole number in [1, INT_MAX] is fatal().
  */
 int effectiveShards(const SimConfig &cfg, int numNodes);
 
 struct RunOutcome {
-    Cycle endCycle = 0; ///< cycles completed when the run stopped
+    Cycle endCycle = 0;    ///< cycles completed when the run stopped
+    bool timedOut = false; ///< the maxCycles cap stopped the run
 };
 
 /**
- * Runs @p net's whole warm-up/measure/drain protocol on @p shards
- * worker threads (the calling thread drives shard 0), leaving the
- * network and @p ctl in exactly the state the serial loop would.
- * @p obs may be null; when present it is switched to per-shard lanes
- * for the rest of its lifetime (summaries merge back losslessly).
+ * Runs @p net's whole warm-up/measure/drain protocol on
+ * effectiveShards(net.config(), ...) shards (the calling thread drives
+ * shard 0), leaving the network and @p ctl in the same state at every
+ * shard count. Feeds the network's race checker, if one is attached.
+ * @p obs may be null; when present and the run is sharded it is
+ * switched to per-shard lanes for the rest of its lifetime (summaries
+ * merge back losslessly).
  */
 NOC_PHASE_FN(epilogue)
-RunOutcome runSharded(Network &net, const SimConfig &cfg, int shards,
-                      obs::Recorder *obs, RunControl &ctl);
+RunOutcome run(Network &net, obs::Recorder *obs, RunControl &ctl);
 
 } // namespace noc::par
 

@@ -53,7 +53,7 @@ Network::build(const std::vector<FaultSpec> &faults)
             TraceSchedule::load(cfg_.traceFile, n));
     }
 
-    // Idle-skip state: everyone starts awake; the engines clear flags
+    // Idle-skip state: everyone starts awake; the step loops clear flags
     // as routers quiesce. The env override serves the equivalence
     // tests and benchmarks (NOC_IDLE_SKIP=0 forces every step).
     idleSkip_ = cfg_.idleSkip;
@@ -199,10 +199,6 @@ Network::step(Cycle now, bool generationEnabled, bool measured)
             now, ph, 0, true);
     }
     stepsScheduled_ += flatPhases_.size();
-#if NOC_RACE_CHECK_BUILT
-    if (race_)
-        race_->endCycle(now);
-#endif
 }
 
 int
@@ -262,14 +258,6 @@ Network::traceExhausted() const
     return true;
 }
 
-Cycle
-Network::lastDeliveryCycle() const
-{
-    // Every delivery bumps the ledger, so its high-water mark equals
-    // the max over the per-NIC counters without the O(nodes) walk.
-    return ledger_.lastDelivery;
-}
-
 ActivityCounters
 Network::totalActivity() const
 {
@@ -327,9 +315,22 @@ Network::checkProtocolInvariants(Cycle now) const
                       "aggregate created/retired totals");
     }
 
+    std::uint64_t held = 0; // flits in source queues, buffers and links
     std::vector<int> flits, credits;
     for (NodeId n = 0; n < static_cast<NodeId>(numNodes()); ++n) {
         const Router &u = *routers_[n];
+        const int buffered = u.bufferedFlits();
+        held += nics_[n]->queuedFlits() +
+                static_cast<std::uint64_t>(buffered + u.flitsInbound());
+
+        // Idle-skip work counter: a count that drifts from the real
+        // buffer occupancy would silently freeze (or spin) a router.
+        NOC_INVARIANT(u.workItems() == buffered,
+                      check::InvariantKind::StageMask, now, n,
+                      Direction::Invalid, -1,
+                      "idle-skip work counter " +
+                          std::to_string(u.workItems()) +
+                          " != buffered flits " + std::to_string(buffered));
 
         // Fault-state consistency (Table 3): RoCo recycles per
         // component and never goes whole-node dead through apply();
@@ -416,6 +417,16 @@ Network::checkProtocolInvariants(Cycle now) const
             }
         }
     }
+
+    // Flit conservation: the incremental ledger behind quiescent() must
+    // count exactly the flits the walk found.
+    const std::uint64_t outstanding = ledger_.created - ledger_.retired;
+    NOC_INVARIANT(outstanding == held,
+                  check::InvariantKind::CreditConservation, now, 0,
+                  Direction::Invalid, -1,
+                  "flit ledger has " + std::to_string(outstanding) +
+                      " flits outstanding, the network holds " +
+                      std::to_string(held));
 #else
     (void)now;
 #endif

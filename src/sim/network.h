@@ -49,9 +49,12 @@ class Network
      * never deliver in the cycle they were written, but the RoCo /
      * path-sensitive reserveInputVc handshake acts on the neighbour
      * within the cycle, so the phase structure — not link latency
-     * alone — is what makes the step order canonical. The sharded
-     * engine (src/par) runs the identical schedule, which keeps its
-     * results bit-identical to this loop.
+     * alone — is what makes the step order canonical. It is the run
+     * loop's 1-shard body; the sharded body (src/par) runs the
+     * identical schedule, which keeps its results bit-identical. The
+     * end-of-cycle work (race checker, probes, audits) is the run
+     * loop's, not this call's: a caller stepping by hand runs only
+     * the cycle.
      */
     NOC_PHASE_FN(engine)
     void step(Cycle now, bool generationEnabled, bool measured);
@@ -63,7 +66,7 @@ class Network
     };
     static_assert(std::is_trivially_copyable_v<StepEntry> &&
                       sizeof(StepEntry) == 2 * sizeof(void *),
-                  "StepEntry is both engines' inner-loop stride; keep it "
+                  "StepEntry is every step loop's inner stride; keep it "
                   "two raw pointers, nothing else");
 
     /** The flat step list of @p nodes, in the given order. */
@@ -72,8 +75,8 @@ class Network
 
     /**
      * Steps the routers of @p list in order for cycle @p now: the one
-     * idle-skip step routine of both engines (step() per phase, the
-     * shard engine per phase and window). With idle-skip on, a router
+     * idle-skip step routine of every shard count (step() per phase,
+     * a shard worker per phase and window). With idle-skip on, a router
      * whose flag is clear is skipped and a router left without local
      * work has its flag cleared. @p phase, @p shard and @p interior
      * only label the steps for the race checker (NOC_RACE_CHECK
@@ -85,8 +88,8 @@ class Network
 
     /**
      * Runs the traffic sources of @p nodes for cycle @p now and returns
-     * the packets they generated: the one generation routine of both
-     * engines (step() over every node, the shard engine over each
+     * the packets they generated: the one generation routine of every
+     * shard count (step() over every node, a shard worker over its
      * shard's nodes). When every NIC is lane-driven it sweeps the
      * nodes' injection lanes and calls into a NIC only when its draw
      * fires; otherwise (service mode, trace replay, non-Bernoulli
@@ -126,7 +129,7 @@ class Network
 
     /**
      * Attaches the shard-ownership race checker (null detaches). The
-     * engines only feed it in NOC_RACE_CHECK builds; attaching is
+     * run loop only feeds it in NOC_RACE_CHECK builds; attaching is
      * always legal (see par/race_check.h).
      */
     void setRaceChecker(par::RaceChecker *rc) { race_ = rc; }
@@ -137,9 +140,9 @@ class Network
     std::uint64_t routerStepsExecuted() const { return stepsExecuted_; }
     /** Router step opportunities seen by the engine. */
     std::uint64_t routerStepsScheduled() const { return stepsScheduled_; }
-    /** Folds a shard worker's step counts in (sharded engine); the
-     *  skip decisions are bit-identical to serial, so the reduced
-     *  totals match the serial loop's. */
+    /** Folds the shard workers' step counts in (sharded runs); the
+     *  skip decisions are bit-identical to step()'s, so the reduced
+     *  totals match a 1-shard run's. */
     NOC_PHASE_FN(epilogue)
     void addRouterSteps(std::uint64_t executed, std::uint64_t scheduled)
     {
@@ -150,7 +153,7 @@ class Network
     /** Base-1 generation counter: 1 + packets generated so far. */
     std::uint64_t packetsGenerated() const { return generatedBase1_; }
 
-    /** Folds externally-counted generated packets in (sharded engine). */
+    /** Folds externally-counted generated packets in (sharded runs). */
     NOC_PHASE_FN(epilogue)
     void addGenerated(std::uint64_t n) { generatedBase1_ += n; }
 
@@ -179,7 +182,8 @@ class Network
      */
     void bindNodeLedger(NodeId n, FlitLedger *l);
 
-    /** Overwrites the master ledger with reduced shard totals. */
+    /** Overwrites the master ledger with the reduced shard totals
+     *  (each cycle of a sharded run, before the end-of-cycle step). */
     NOC_PHASE_FN(epilogue)
     void setLedgerTotals(const FlitLedger &l) { ledger_ = l; }
 
@@ -195,7 +199,9 @@ class Network
     std::uint64_t totalInjectedMeasured() const;
     std::uint64_t totalDelivered() const;
     std::uint64_t totalDeliveredMeasured() const;
-    Cycle lastDeliveryCycle() const;
+    /** Every delivery bumps the ledger, so its high-water mark is the
+     *  max over the NICs without the O(nodes) walk (read per cycle). */
+    Cycle lastDeliveryCycle() const { return ledger_.lastDelivery; }
 
     /** Aggregated router activity for the energy model. */
     ActivityCounters totalActivity() const;
@@ -208,11 +214,12 @@ class Network
 
     /**
      * Sweeps the protocol invariants that need a network-wide view
-     * (src/check/invariant.h): per-link credit conservation, the
-     * Table 3 fault-state consistency rules and each router's stage
-     * masks. Call between cycles — the conservation equation is exact
-     * only when no router is mid-step. No-op when invariants are
-     * compiled out or disabled.
+     * (src/check/invariant.h): per-link credit conservation, flit
+     * conservation against the ledger, the Table 3 fault-state
+     * consistency rules, and each router's stage masks and idle-skip
+     * work counter. Call between cycles — the conservation equations
+     * are exact only when no router is mid-step. No-op when invariants
+     * are compiled out or disabled.
      */
     void checkProtocolInvariants(Cycle now) const;
 
@@ -261,7 +268,7 @@ class Network
     /** Shard-ownership race checker, when attached (see race_check.h). */
     par::RaceChecker *race_ = nullptr;
     /**
-     * The serial engine's step list: every node in schedule order
+     * step()'s list, the 1-shard body's: every node in schedule order
      * (phase, then ascending id), phase p at phaseOfs_[p] ..
      * phaseOfs_[p+1].
      */
@@ -269,7 +276,7 @@ class Network
     std::uint32_t phaseOfs_[kNumStepPhases + 1] = {};
 };
 
-// Inline so the serial loop keeps its per-phase loop inside step().
+// Inline so step() keeps its per-phase loop in one function.
 inline std::uint64_t
 Network::stepRouters(std::span<const StepEntry> list, Cycle now,
                      [[maybe_unused]] int phase, [[maybe_unused]] int shard,

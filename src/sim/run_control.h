@@ -2,12 +2,11 @@
  * @file
  * Warm-up / measurement / drain phase control for one run.
  *
- * The serial loop (Simulator::run) and the sharded engine (src/par)
- * must make identical phase decisions at identical cycles for sharded
- * runs to be bit-identical to serial ones, so the decision logic lives
- * here and both drivers call it at the same points of the cycle:
- * beginCycle() with the generation counter as of the previous cycle,
- * endCycle() with the post-cycle drain state.
+ * The run loop (par::run, src/par) calls it from its end-of-cycle step,
+ * the one copy for every shard count, so every shard count makes the
+ * same phase decisions at the same cycles: beginCycle() with the
+ * generation counter as of the previous cycle, endCycle() with the
+ * post-cycle drain state.
  */
 #ifndef ROCOSIM_SIM_RUN_CONTROL_H_
 #define ROCOSIM_SIM_RUN_CONTROL_H_

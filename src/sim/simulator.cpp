@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "check/deadlock.h"
-#include "check/invariant.h"
 #include "model/liveness.h"
 #include "obs/perfetto.h"
 #include "obs/recorder.h"
@@ -50,10 +49,6 @@ Simulator::run()
     }
 #endif
 
-    RunControl ctl(cfg_);
-    Cycle now = 0;
-    int shards = par::effectiveShards(cfg_, net_.numNodes());
-
 #if NOC_RACE_CHECK_BUILT
     // Shard-ownership race checker (par/race_check.h): compiled in by
     // -DNOC_RACE_CHECK=ON, runtime-gated by the NOC_RACE_CHECK env var
@@ -64,99 +59,23 @@ Simulator::run()
         par::RaceChecker::enabledFromEnv()) {
         race = std::make_unique<par::RaceChecker>(cfg_.meshWidth,
                                                   cfg_.meshHeight);
-        race->beginRun(1); // runSharded re-lanes for shards > 1
         race->setFailFast(true);
         net_.setRaceChecker(race.get());
     }
 #endif
 
-    if (shards > 1) {
-        // Sharded bulk-synchronous engine: bit-identical to the serial
-        // loop below for any shard count (see par/shard_engine.h).
-        now = par::runSharded(net_, cfg_, shards, obs_.get(), ctl)
-                  .endCycle;
-    } else {
-        while (now < cfg_.maxCycles) {
-            if (ctl.beginCycle(now, net_.traceExhausted(),
-                               net_.packetsGenerated())) {
-                net_.resetActivity();
-                net_.resetContention();
-            }
-
-            net_.step(now, ctl.generating(), ctl.measuring());
-            ++now;
-
-            // Coarse path-set occupancy probe; period keeps the
-            // probe's cost negligible against the per-cycle work.
-            NOC_OBS(if (obs_ && (now & 255u) == 0)
-                        obs_->samplePathSetOccupancy(net_));
-
-#if NOC_INVARIANTS_BUILT
-            // Periodic network-wide protocol audit (credit
-            // conservation, fault-state consistency).
-            if ((now & 1023u) == 0 && check::invariantsEnabled())
-                net_.checkProtocolInvariants(now);
-#endif
-
-            if (!ctl.generating()) {
-                // Drain detection is O(1): the ledger counts every
-                // flit at creation and retirement. A debug-only
-                // periodic cross-check keeps the incremental counters
-                // honest against the full network walk.
-#ifndef NDEBUG
-                if ((now & 63u) == 0) {
-                    bool queued = false;
-                    for (int i = 0; i < net_.numNodes() && !queued;
-                         ++i) {
-                        queued = net_.nic(static_cast<NodeId>(i))
-                                     .queuedFlits() > 0;
-                    }
-                    // Compare the flit half of the ledger only: in
-                    // service mode quiescent() also waits on scheduled
-                    // replies (svcPending), which no network scan sees.
-                    const FlitLedger &led = net_.ledger();
-                    NOC_ASSERT((led.created == led.retired) ==
-                                   (!queued &&
-                                    net_.flitsInFlight() == 0),
-                               "flit ledger out of sync with network "
-                               "scan");
-                    // The idle-skip work counters must track the real
-                    // buffer occupancy exactly — a drifting counter
-                    // would silently freeze a router.
-                    for (int i = 0; i < net_.numNodes(); ++i) {
-                        const Router &r =
-                            net_.router(static_cast<NodeId>(i));
-                        NOC_ASSERT(r.workItems() == r.bufferedFlits(),
-                                   "idle-skip work counter out of sync "
-                                   "with buffered flits");
-                    }
-                }
-#endif
-                if (ctl.endCycle(now, net_.quiescent(),
-                                 net_.lastDeliveryCycle(),
-                                 net_.ledger().svcPending))
-                    break; // drained, or blocked past the idle window
-            }
-        }
-    }
-
-#if NOC_INVARIANTS_BUILT
-    if (check::invariantsEnabled())
-        net_.checkProtocolInvariants(now); // final audit at drain
-#endif
+    // The run loop, at every shard count (par/shard_engine.h).
+    RunControl ctl(cfg_);
+    const par::RunOutcome out = par::run(net_, obs_.get(), ctl);
+    const Cycle now = out.endCycle;
 
 #if NOC_RACE_CHECK_BUILT
-    if (race) {
-        // Fail-fast already aborted inside endCycle on any finding;
-        // this assert also covers a zero-cycle run's bookkeeping.
-        NOC_ASSERT(race->findingsTotal() == 0,
-                   "NOC_RACE_CHECK findings escaped the per-cycle gate");
+    if (race)
         net_.setRaceChecker(nullptr);
-    }
 #endif
 
     SimResult r;
-    r.timedOut = now >= cfg_.maxCycles;
+    r.timedOut = out.timedOut;
     r.cycles = ctl.measuring() ? now - ctl.measureStart() : now;
 
     RunningStat lat;
@@ -200,8 +119,8 @@ Simulator::run()
     r.drainCycles = now;
 
     if (cfg_.svc.enabled) {
-        // Per-class merge in node order, matching the sharded engine's
-        // reduction order so service results stay bit-identical.
+        // Per-class merge in node order, so service results are the
+        // same bytes at every shard count.
         svc::ClassStats merged[kNumMsgClasses];
         for (int i = 0; i < net_.numNodes(); ++i) {
             const Nic &nic = net_.nic(static_cast<NodeId>(i));

@@ -42,7 +42,7 @@ struct SimResult {
 
     // Diagnostics.
     Cycle cycles = 0;      ///< measurement-window length
-    bool timedOut = false; ///< hit maxCycles before draining
+    bool timedOut = false; ///< the maxCycles cap stopped the run
     double rowContention = 0; ///< Fig 3a probe
     double colContention = 0; ///< Fig 3b probe
 
@@ -77,9 +77,11 @@ struct SimResult {
  * inactivity window of twice the expected drain time or at maxCycles,
  * and undelivered measured packets lower the completion probability.
  *
- * With cfg.shards > 1 (or NOC_SHARDS set) the run executes on the
- * deterministic sharded engine (src/par) with bit-identical results;
- * shard count only changes wall-clock time.
+ * The constructor runs the proofs; run() attaches the recorder and
+ * race checker, drives the run loop of src/par (par::run) and reduces
+ * the result. With cfg.shards > 1
+ * (or NOC_SHARDS set) that loop runs sharded, with bit-identical
+ * results; shard count only changes wall-clock time.
  */
 class Simulator
 {

@@ -16,8 +16,9 @@
  *     inside one phase have disjoint footprints and commute exactly.
  *     Stepping phase 0..4 in order therefore yields the same network
  *     state no matter how the nodes of a phase are distributed over
- *     threads. The serial engine uses the identical schedule, which is
- *     what makes sharded runs bit-identical to serial ones.
+ *     threads. Network::step, the run loop's 1-shard body, uses the
+ *     identical schedule, which is what makes sharded runs
+ *     bit-identical to 1-shard ones.
  *
  *  2. ShardPlan: the node set cut into row bands, one per worker
  *     thread: contiguous node-id ranges (shardOf(id) = id * shards /

@@ -320,17 +320,17 @@ expectCleanRun(SimConfig cfg, const std::vector<FaultSpec> &faults,
     SCOPED_TRACE(what);
     cfg.shards = shards;
     par::RaceChecker race(cfg.meshWidth, cfg.meshHeight);
-    race.beginRun(1); // runSharded re-lanes for shards > 1
     Simulator sim(cfg, faults);
     sim.network().setRaceChecker(&race);
-    sim.run();
+    const SimResult r = sim.run();
     sim.network().setRaceChecker(nullptr);
     EXPECT_EQ(race.findingsTotal(), 0u)
         << (race.findings().empty() ? std::string("(capped)")
                                     : race.findings().front());
     EXPECT_GT(race.recordsLogged(), 0u)
         << "the NOC_RACE_CHECK hooks logged nothing — are they built?";
-    EXPECT_GT(race.cyclesChecked(), 0u);
+    // Exactly one superstep validation per simulated cycle.
+    EXPECT_EQ(race.cyclesChecked(), r.drainCycles);
 }
 
 TEST(RaceCheckMatrixTest, CleanTreeOverArchRoutingAndFaultMatrix)

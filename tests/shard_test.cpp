@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -171,6 +172,17 @@ TEST(ShardPlanTest, EffectiveShardsPrefersConfigOverEnvironment)
     EXPECT_EQ(par::effectiveShards(cfg, 64), 1);
     cfg.shards = 500;
     EXPECT_EQ(par::effectiveShards(cfg, 64), 64);
+
+    // A malformed NOC_SHARDS is fatal, never a silent serial run.
+    cfg.shards = 0;
+    for (const char *bad : {"4x", "four", "0", "-2", "99999999999"}) {
+        ASSERT_EQ(setenv("NOC_SHARDS", bad, 1), 0);
+        EXPECT_EXIT(par::effectiveShards(cfg, 64),
+                    testing::ExitedWithCode(1),
+                    std::string("NOC_SHARDS='") + bad + "'")
+            << bad;
+    }
+    ASSERT_EQ(unsetenv("NOC_SHARDS"), 0);
 }
 
 // ---------------------------------------------------------------- barrier

@@ -250,6 +250,35 @@ TEST(SimulatorTest, IdleSkipEquivalenceMatrix)
         << "idle-skip never skipped a step anywhere in the matrix";
 }
 
+/**
+ * A run that drains on its last allowed cycle was stopped by the drain,
+ * not by the cycle cap: timedOut stays false and no statistic moves, at
+ * one shard and sharded. One cycle less is a timeout.
+ */
+TEST(SimulatorTest, DrainOnTheLastAllowedCycleIsNotATimeout)
+{
+    for (int shards : {1, 2}) {
+        SimConfig cfg = smallRun(RouterArch::Roco);
+        cfg.warmupPackets = 10;
+        cfg.measurePackets = 100;
+        cfg.shards = shards;
+        SkipObservation free = observeSkipRun(cfg, {}, true);
+        ASSERT_FALSE(free.r.timedOut);
+        ASSERT_EQ(free.r.delivered, free.r.injected);
+
+        char what[32];
+        std::snprintf(what, sizeof what, "%d shards", shards);
+        cfg.maxCycles = free.r.drainCycles;
+        SkipObservation last = observeSkipRun(cfg, {}, true);
+        EXPECT_FALSE(last.r.timedOut) << what;
+        EXPECT_EQ(last.r.drainCycles, free.r.drainCycles) << what;
+        expectSkipIdentical(free, last, what);
+
+        cfg.maxCycles = free.r.drainCycles - 1;
+        EXPECT_TRUE(observeSkipRun(cfg, {}, true).r.timedOut) << what;
+    }
+}
+
 /** The sharded engine honours idle-skip off: shards x skip matrix. */
 TEST(SimulatorTest, IdleSkipEquivalenceAcrossShards)
 {

@@ -17,11 +17,9 @@
  *                      (DESIGN section 12), marked inline with
  *                      `// noc-lint:allow(flit-copy)`
  *
- * Two engines produce the same diagnostics: a portable token-level
- * engine (this header + lint_core.cpp, no dependencies) that runs
- * everywhere, and a clang libTooling engine (clang_engine.cpp) built
- * only where Clang development headers exist. Suppression comments,
- * stale-allow detection and baseline comparison are shared.
+ * The engine is token-level (this header + lint_core.cpp, no
+ * dependencies), so it runs everywhere. It also owns the suppression
+ * comments, stale-allow detection and baseline comparison.
  *
  * Rule ids:
  *   phase-cross-write      write from a function in a different phase

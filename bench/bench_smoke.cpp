@@ -39,6 +39,7 @@
 #include <unistd.h>
 
 #include "bench_util.h"
+#include "farm/farm.h"
 #include "fault/fault_injector.h"
 #include "obs/obs.h"
 #include "obs/recorder.h"

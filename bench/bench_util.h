@@ -21,11 +21,8 @@
 #include <cstdlib>
 #include <string>
 
-#include <sys/stat.h>
-
 #include "exp/json_out.h"
 #include "exp/sweep.h"
-#include "farm/farm.h"
 #include "sim/simulator.h"
 
 namespace noc::bench {
@@ -90,34 +87,10 @@ makeSpec(const char *name)
 /**
  * Runs @p spec on the shared pool, writes BENCH_<name>.json, and
  * prints the seed/threads header every bench output carries.
- *
- * With NOC_FARM_DIR set, the grid additionally runs through the
- * multi-process sweep farm (src/farm): the spec's jobs are journaled
- * under $NOC_FARM_DIR/<name> and executed by NOC_FARM_WORKERS forked
- * workers (default 2), writing the farm's schema-4 canonical json next
- * to the journal. The in-process results below are still what the
- * printed tables use — farm results are bit-identical per point (same
- * config, same seed), so this is a checkpointed second lane, not a
- * fork of the numbers. A crashed bench machine resumes by re-running
- * the bench with the same NOC_FARM_DIR.
  */
 inline exp::SweepResults
 runSweep(const exp::SweepSpec &spec)
 {
-    if (const char *farmDir = std::getenv("NOC_FARM_DIR");
-        farmDir != nullptr && *farmDir != '\0') {
-        ::mkdir(farmDir, 0777); // per-bench journals nest underneath
-        farm::FarmOptions fopts;
-        fopts.dir = std::string(farmDir) + "/" + spec.name;
-        fopts.workers =
-            static_cast<int>(envOr("NOC_FARM_WORKERS", 2));
-        farm::FarmRun fr = farm::runFarm(spec, fopts);
-        if (fr.complete)
-            std::printf("farm: %s (%zu jobs, %zu reused)\n",
-                        fr.jsonPath.c_str(), fr.jobs, fr.reused);
-        else
-            std::printf("farm: INCOMPLETE — %s\n", fr.error.c_str());
-    }
     exp::SweepRunner runner;
     exp::SweepResults res = runner.run(spec);
     exp::writeSweepJson(spec, res);

@@ -4,7 +4,8 @@
  *
  *   noc_farm --dir <journal> [options]
  *     --dir <path>        journal directory (created on first run)
- *     --workers <n>       worker processes to fork (default 2)
+ *     --workers <n>       worker processes to fork (default 2, at
+ *                         most 256)
  *     --resume            require an existing journal (same spec!)
  *     --ttl <sec>         lease-expiry steal backstop (default 60)
  *     --out <path>        final json path (default <dir>/BENCH_<name>.json)
@@ -38,17 +39,20 @@
 
 #include "exp/sweep.h"
 #include "farm/farm.h"
-#include "farm/wire.h"
 
 namespace {
 
 using namespace noc;
 
+/** --workers forks this many processes at once: a typo must not
+ *  fork-bomb the host. */
+constexpr int kMaxWorkers = 256;
+
 [[noreturn]] void
-usage(const char *msg)
+usage(const std::string &msg)
 {
     std::fprintf(stderr, "noc_farm: %s (see the file header for options)\n",
-                 msg);
+                 msg.c_str());
     std::exit(2);
 }
 
@@ -84,61 +88,62 @@ main(int argc, char **argv)
             usage("missing argument value");
         return argv[++i];
     };
+    // Reads the value of option argv[i] (each comma-separated item of
+    // it for the axis lists) through @p parse, a spelling table or
+    // parseNumber; a value it rejects is a usage error that names the
+    // option.
+    auto take = [&](int &i, auto parse, auto &out) {
+        const std::string opt = argv[i];
+        const std::string v = need(i);
+        auto parsed = parse(v);
+        if (!parsed)
+            usage("bad " + opt + " value '" + v + "'");
+        out = *parsed;
+    };
+    auto takeList = [&](int &i, auto parse, auto &out) {
+        const std::string opt = argv[i];
+        for (const std::string &v : splitCsv(need(i))) {
+            auto parsed = parse(v);
+            if (!parsed)
+                usage("bad " + opt + " item '" + v + "'");
+            out.push_back(*parsed);
+        }
+    };
+    using U64 = std::uint64_t;
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--dir") opts.dir = need(i);
-        else if (a == "--workers") opts.workers = std::atoi(need(i).c_str());
+        else if (a == "--workers") take(i, parseNumber<int>, opts.workers);
         else if (a == "--resume") resume = true;
-        else if (a == "--ttl") opts.leaseTtlSec = std::atof(need(i).c_str());
+        else if (a == "--ttl") take(i, parseNumber<double>, opts.leaseTtlSec);
         else if (a == "--out") opts.outPath = need(i);
         else if (a == "--provenance") opts.provenance = true;
         else if (a == "--name") spec.name = need(i);
-        else if (a == "--archs") {
-            for (const std::string &s : splitCsv(need(i))) {
-                auto v = farm::parseArch(s);
-                if (!v) usage("unknown arch in --archs");
-                spec.archs.push_back(*v);
-            }
-        }
-        else if (a == "--routings") {
-            for (const std::string &s : splitCsv(need(i))) {
-                auto v = farm::parseRouting(s);
-                if (!v) usage("unknown routing in --routings");
-                spec.routings.push_back(*v);
-            }
-        }
-        else if (a == "--traffics") {
-            for (const std::string &s : splitCsv(need(i))) {
-                auto v = farm::parseTraffic(s);
-                if (!v) usage("unknown traffic in --traffics");
-                spec.traffics.push_back(*v);
-            }
-        }
-        else if (a == "--rates") {
-            for (const std::string &s : splitCsv(need(i)))
-                spec.rates.push_back(std::atof(s.c_str()));
-        }
+        else if (a == "--archs") takeList(i, parseArch, spec.archs);
+        else if (a == "--routings") takeList(i, parseRouting, spec.routings);
+        else if (a == "--traffics") takeList(i, parseTraffic, spec.traffics);
+        else if (a == "--rates") takeList(i, parseNumber<double>, spec.rates);
         else if (a == "--mesh") {
-            spec.base.meshWidth = std::atoi(need(i).c_str());
+            take(i, parseNumber<int>, spec.base.meshWidth);
             spec.base.meshHeight = spec.base.meshWidth;
         }
-        else if (a == "--vcs") spec.base.vcsPerPort = std::atoi(need(i).c_str());
-        else if (a == "--seed")
-            spec.base.seed = std::strtoull(need(i).c_str(), nullptr, 10);
+        else if (a == "--vcs") take(i, parseNumber<int>, spec.base.vcsPerPort);
+        else if (a == "--seed") take(i, parseNumber<U64>, spec.base.seed);
         else if (a == "--packets")
-            spec.base.measurePackets =
-                std::strtoull(need(i).c_str(), nullptr, 10);
+            take(i, parseNumber<U64>, spec.base.measurePackets);
         else if (a == "--warmup")
-            spec.base.warmupPackets =
-                std::strtoull(need(i).c_str(), nullptr, 10);
+            take(i, parseNumber<U64>, spec.base.warmupPackets);
         else if (a == "--max-cycles")
-            spec.base.maxCycles = std::strtoull(need(i).c_str(), nullptr, 10);
+            take(i, parseNumber<U64>, spec.base.maxCycles);
         else if (a == "--service") spec.base.svc.enabled = true;
-        else usage("unknown option");
+        else usage("unknown option " + a);
     }
     if (opts.dir.empty())
         usage("--dir is required");
+    if (opts.workers < 1 || opts.workers > kMaxWorkers)
+        usage("--workers must be in [1, " + std::to_string(kMaxWorkers) +
+              "]");
     if (resume && ::access((opts.dir + "/MANIFEST.json").c_str(), R_OK) != 0)
         usage("--resume given but the journal has no manifest");
     if (std::getenv("NOC_FARM_PROVENANCE") != nullptr &&

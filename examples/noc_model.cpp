@@ -29,6 +29,7 @@
  */
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "model/arbiter_check.h"
@@ -45,8 +46,8 @@ constexpr RoutingKind kRoutings[] = {RoutingKind::XY, RoutingKind::XYYX,
                                      RoutingKind::Adaptive};
 
 int
-auditMatrix(const char *archFilter, const char *routingFilter,
-            bool refine)
+auditMatrix(std::optional<RouterArch> archFilter,
+            std::optional<RoutingKind> routingFilter, bool refine)
 {
     std::printf("noc_model: exhaustive liveness audit%s\n\n",
                 refine ? " + Simulator refinement" : "");
@@ -73,11 +74,10 @@ auditMatrix(const char *archFilter, const char *routingFilter,
     }
 
     for (RouterArch arch : kArchs) {
-        if (archFilter && std::strcmp(toString(arch), archFilter) != 0)
+        if (archFilter && arch != *archFilter)
             continue;
         for (RoutingKind kind : kRoutings) {
-            if (routingFilter &&
-                std::strcmp(toString(kind), routingFilter) != 0)
+            if (routingFilter && kind != *routingFilter)
                 continue;
             std::printf("\n%s / %s:\n", toString(arch), toString(kind));
             for (int dim : {2, 3}) {
@@ -174,26 +174,32 @@ auditBroken(const char *which)
 int
 main(int argc, char **argv)
 {
-    const char *archFilter = nullptr;
-    const char *routingFilter = nullptr;
+    std::optional<RouterArch> archFilter;
+    std::optional<RoutingKind> routingFilter;
     const char *broken = nullptr;
     bool refine = false;
+    auto usage = [] {
+        std::fprintf(stderr, "usage: noc_model [--arch roco|generic|ps] "
+                             "[--routing xy|xyyx|adaptive] [--refine] "
+                             "[--broken VARIANT]\n");
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--arch") == 0 && i + 1 < argc) {
-            archFilter = argv[++i];
-        } else if (std::strcmp(argv[i], "--routing") == 0 &&
-                   i + 1 < argc) {
-            routingFilter = argv[++i];
-        } else if (std::strcmp(argv[i], "--broken") == 0 &&
-                   i + 1 < argc) {
+        const bool hasValue = i + 1 < argc;
+        if (std::strcmp(argv[i], "--arch") == 0 && hasValue) {
+            archFilter = parseArch(argv[++i]);
+            if (!archFilter)
+                return usage();
+        } else if (std::strcmp(argv[i], "--routing") == 0 && hasValue) {
+            routingFilter = parseRouting(argv[++i]);
+            if (!routingFilter)
+                return usage();
+        } else if (std::strcmp(argv[i], "--broken") == 0 && hasValue) {
             broken = argv[++i];
         } else if (std::strcmp(argv[i], "--refine") == 0) {
             refine = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: noc_model [--arch A] [--routing R] "
-                         "[--refine] [--broken VARIANT]\n");
-            return 2;
+            return usage();
         }
     }
     return broken ? auditBroken(broken)

@@ -23,7 +23,6 @@
  */
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,20 +38,11 @@ namespace {
 using namespace noc;
 
 [[noreturn]] void
-usage(const char *msg)
+usage(const std::string &msg)
 {
     std::fprintf(stderr, "noc_trace: %s (see the file header for "
-                         "options)\n", msg);
+                         "options)\n", msg.c_str());
     std::exit(2);
-}
-
-RouterArch
-parseArch(const std::string &s)
-{
-    if (s == "generic") return RouterArch::Generic;
-    if (s == "ps" || s == "pathsensitive") return RouterArch::PathSensitive;
-    if (s == "roco") return RouterArch::Roco;
-    usage("unknown --arch");
 }
 
 /**
@@ -99,23 +89,34 @@ main(int argc, char **argv)
             usage("missing argument value");
         return argv[++i];
     };
+    // Reads the value of option argv[i] through @p parse (a spelling
+    // table or parseNumber); a value it rejects is a usage error that
+    // names the option.
+    auto take = [&](int &i, auto parse, auto &out) {
+        const std::string opt = argv[i];
+        const std::string v = need(i);
+        auto parsed = parse(v);
+        if (!parsed)
+            usage("bad " + opt + " value '" + v + "'");
+        out = *parsed;
+    };
+    using U64 = std::uint64_t;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--arch") cfg.arch = parseArch(need(i));
+        if (a == "--arch") take(i, parseArch, cfg.arch);
         else if (a == "--mesh") {
-            cfg.meshWidth = std::atoi(need(i).c_str());
+            take(i, parseNumber<int>, cfg.meshWidth);
             cfg.meshHeight = cfg.meshWidth;
         }
-        else if (a == "--rate") cfg.injectionRate = std::atof(need(i).c_str());
+        else if (a == "--rate")
+            take(i, parseNumber<double>, cfg.injectionRate);
         else if (a == "--packets")
-            cfg.measurePackets = std::strtoull(need(i).c_str(), nullptr, 10);
-        else if (a == "--warmup")
-            cfg.warmupPackets = std::strtoull(need(i).c_str(), nullptr, 10);
-        else if (a == "--sample")
-            sample = std::strtoull(need(i).c_str(), nullptr, 10);
+            take(i, parseNumber<U64>, cfg.measurePackets);
+        else if (a == "--warmup") take(i, parseNumber<U64>, cfg.warmupPackets);
+        else if (a == "--sample") take(i, parseNumber<U64>, sample);
         else if (a == "--faulty") faulty = true;
         else if (a == "--out") out = need(i);
-        else usage("unknown option");
+        else usage("unknown option " + a);
     }
     cfg.validate();
 

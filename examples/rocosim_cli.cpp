@@ -36,7 +36,6 @@
  */
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include <unistd.h>
@@ -50,46 +49,11 @@ namespace {
 using namespace noc;
 
 [[noreturn]] void
-usage(const char *msg)
+usage(const std::string &msg)
 {
     std::fprintf(stderr, "rocosim_cli: %s (see the file header for "
-                         "options)\n", msg);
+                         "options)\n", msg.c_str());
     std::exit(2);
-}
-
-RouterArch
-parseArch(const std::string &s)
-{
-    if (s == "generic") return RouterArch::Generic;
-    if (s == "ps" || s == "pathsensitive") return RouterArch::PathSensitive;
-    if (s == "roco") return RouterArch::Roco;
-    usage("unknown --arch");
-}
-
-RoutingKind
-parseRouting(const std::string &s)
-{
-    if (s == "xy") return RoutingKind::XY;
-    if (s == "xyyx") return RoutingKind::XYYX;
-    if (s == "adaptive") return RoutingKind::Adaptive;
-    usage("unknown --routing");
-}
-
-TrafficKind
-parseTraffic(const std::string &s)
-{
-    if (s == "uniform") return TrafficKind::Uniform;
-    if (s == "transpose") return TrafficKind::Transpose;
-    if (s == "bitcomp") return TrafficKind::BitComplement;
-    if (s == "hotspot") return TrafficKind::Hotspot;
-    if (s == "tornado") return TrafficKind::Tornado;
-    if (s == "neighbor") return TrafficKind::NearestNeighbor;
-    if (s == "selfsimilar") return TrafficKind::SelfSimilar;
-    if (s == "mpeg") return TrafficKind::Mpeg;
-    if (s == "bitreverse") return TrafficKind::BitReverse;
-    if (s == "shuffle") return TrafficKind::Shuffle;
-    if (s == "trace") return TrafficKind::Trace;
-    usage("unknown --traffic");
 }
 
 } // namespace
@@ -109,27 +73,37 @@ main(int argc, char **argv)
             usage("missing argument value");
         return argv[++i];
     };
+    // Reads the value of option argv[i] through @p parse (a spelling
+    // table or parseNumber); a value it rejects is a usage error that
+    // names the option.
+    auto take = [&](int &i, auto parse, auto &out) {
+        const std::string opt = argv[i];
+        const std::string v = need(i);
+        auto parsed = parse(v);
+        if (!parsed)
+            usage("bad " + opt + " value '" + v + "'");
+        out = *parsed;
+    };
+    using U64 = std::uint64_t;
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--arch") cfg.arch = parseArch(need(i));
-        else if (a == "--routing") cfg.routing = parseRouting(need(i));
-        else if (a == "--traffic") cfg.traffic = parseTraffic(need(i));
+        if (a == "--arch") take(i, parseArch, cfg.arch);
+        else if (a == "--routing") take(i, parseRouting, cfg.routing);
+        else if (a == "--traffic") take(i, parseTraffic, cfg.traffic);
         else if (a == "--trace") cfg.traceFile = need(i);
-        else if (a == "--rate") cfg.injectionRate = std::atof(need(i).c_str());
+        else if (a == "--rate")
+            take(i, parseNumber<double>, cfg.injectionRate);
         else if (a == "--mesh") {
-            cfg.meshWidth = std::atoi(need(i).c_str());
+            take(i, parseNumber<int>, cfg.meshWidth);
             cfg.meshHeight = cfg.meshWidth;
         }
         else if (a == "--packets")
-            cfg.measurePackets = std::strtoull(need(i).c_str(), nullptr, 10);
-        else if (a == "--warmup")
-            cfg.warmupPackets = std::strtoull(need(i).c_str(), nullptr, 10);
-        else if (a == "--seed")
-            cfg.seed = std::strtoull(need(i).c_str(), nullptr, 10);
-        else if (a == "--faults") numFaults = std::atoi(need(i).c_str());
-        else if (a == "--fault-seed")
-            faultSeed = std::strtoull(need(i).c_str(), nullptr, 10);
+            take(i, parseNumber<U64>, cfg.measurePackets);
+        else if (a == "--warmup") take(i, parseNumber<U64>, cfg.warmupPackets);
+        else if (a == "--seed") take(i, parseNumber<U64>, cfg.seed);
+        else if (a == "--faults") take(i, parseNumber<int>, numFaults);
+        else if (a == "--fault-seed") take(i, parseNumber<U64>, faultSeed);
         else if (a == "--fault-class") {
             std::string c = need(i);
             if (c == "critical")
@@ -139,16 +113,15 @@ main(int argc, char **argv)
             else
                 usage("unknown --fault-class");
         }
-        else if (a == "--shards") cfg.shards = std::atoi(need(i).c_str());
-        else if (a == "--threads") threads = std::atoi(need(i).c_str());
+        else if (a == "--shards") take(i, parseNumber<int>, cfg.shards);
+        else if (a == "--threads") take(i, parseNumber<int>, threads);
         else if (a == "--service") cfg.svc.enabled = true;
         else if (a == "--mshrs")
-            cfg.svc.mshrsPerNode = std::atoi(need(i).c_str());
+            take(i, parseNumber<int>, cfg.svc.mshrsPerNode);
         else if (a == "--service-latency")
-            cfg.svc.serviceLatency = std::strtoull(need(i).c_str(),
-                                                   nullptr, 10);
+            take(i, parseNumber<U64>, cfg.svc.serviceLatency);
         else if (a == "--high-frac")
-            cfg.svc.highTierFraction = std::atof(need(i).c_str());
+            take(i, parseNumber<double>, cfg.svc.highTierFraction);
         else if (a == "--csv") csv = true;
         else if (a == "--csv-header") {
             std::puts("arch,routing,traffic,rate,faults,latency,p50,"
@@ -156,7 +129,7 @@ main(int argc, char **argv)
                       "timed_out");
             return 0;
         }
-        else usage("unknown option");
+        else usage("unknown option " + a);
     }
 
     // --threads gives a budget without pinning a shard count: an

@@ -155,8 +155,8 @@ std::uint64_t proofFingerprint(const SimConfig &cfg, ProofScope scope);
 
 /**
  * Process-wide count of deadlock proofs actually performed (memo
- * misses in validateConfigOrDie). Monotonic; for tests and noc_serve
- * stats, not for control flow.
+ * misses in validateConfigOrDie). Monotonic; for tests and
+ * rocobench's proof counts, not for control flow.
  */
 std::uint64_t deadlockProofsPerformed();
 

@@ -74,7 +74,6 @@ reportViolation(Violation v)
     std::abort();
 }
 
-#if NOC_INVARIANTS_BUILT
 void
 WormholeOrderTracker::reportDisorder(const Flit &f, Cycle now,
                                      NodeId router, Direction port,
@@ -112,6 +111,5 @@ WormholeOrderTracker::reportDisorder(const Flit &f, Cycle now,
                           std::to_string(nextSeq_) + ")");
     }
 }
-#endif // NOC_INVARIANTS_BUILT
 
 } // namespace noc::check

@@ -23,11 +23,9 @@
  *                        idle-skip work counter equals its buffered
  *                        flits.
  *
- * Cost model: compiled in when the NOC_INVARIANTS CMake option is ON
- * (the default; it defines NOC_INVARIANT_CHECKS=1).  When compiled
- * out, every hook collapses to nothing.  When compiled in, checks are
- * additionally gated at runtime: setting the NOC_INVARIANT environment
- * variable to 0 (or calling setInvariantsEnabled(false)) disables them.
+ * Cost model: always compiled in (independent of NDEBUG) and gated at
+ * runtime: setting the NOC_INVARIANT environment variable to 0 (or
+ * calling setInvariantsEnabled(false)) disables every check.
  *
  * Each violation reports the cycle, router, port and VC; the default
  * handler prints the report and aborts, tests install a recorder.
@@ -42,11 +40,9 @@
 #include "common/flit.h"
 #include "common/types.h"
 
-#if defined(NOC_INVARIANT_CHECKS) && NOC_INVARIANT_CHECKS
+// Always 1: the checker is always built. The constant stays because
+// rocobench records it in every result header.
 #define NOC_INVARIANTS_BUILT 1
-#else
-#define NOC_INVARIANTS_BUILT 0
-#endif
 
 namespace noc::check {
 
@@ -122,7 +118,6 @@ void reportViolation(Violation v);
 class WormholeOrderTracker
 {
   public:
-#if NOC_INVARIANTS_BUILT
     void
     onFlit(const Flit &f, Cycle now, NodeId router, Direction port, int vc)
     {
@@ -140,19 +135,11 @@ class WormholeOrderTracker
         packetId_ = f.packetId;
         nextSeq_ = static_cast<std::uint16_t>(f.flitSeq + 1);
     }
-#else
-    void
-    onFlit(const Flit &, Cycle, NodeId, Direction, int)
-    {
-    }
-#endif
 
   private:
-#if NOC_INVARIANTS_BUILT
     /** Reports each order rule @p f breaks (the cold path of onFlit). */
     void reportDisorder(const Flit &f, Cycle now, NodeId router,
                         Direction port, int vc) const;
-#endif
 
     bool open_ = false;            ///< inside a packet (head seen, no tail)
     std::uint64_t packetId_ = 0;
@@ -162,14 +149,13 @@ class WormholeOrderTracker
 } // namespace noc::check
 
 /**
- * Checks @p cond when invariants are compiled in and enabled;
- * @p detailExpr (any expression convertible to std::string) is only
- * evaluated on the failure path.
+ * Checks @p cond when invariants are enabled; @p detailExpr (any
+ * expression convertible to std::string) is only evaluated on the
+ * failure path.
  */
 #define NOC_INVARIANT(cond, kindV, cycleV, routerV, portV, vcV, detailExpr) \
     do {                                                                    \
-        if (NOC_INVARIANTS_BUILT && ::noc::check::invariantsEnabled() &&    \
-            !(cond)) {                                                      \
+        if (::noc::check::invariantsEnabled() && !(cond)) {                 \
             ::noc::check::reportViolation(::noc::check::Violation{          \
                 (kindV), (cycleV), (routerV), (portV), (vcV),               \
                 (detailExpr)});                                             \

@@ -1,5 +1,10 @@
 #include "common/config.h"
 
+#include <charconv>
+#include <cmath>
+#include <limits>
+#include <type_traits>
+
 #include "common/log.h"
 
 namespace noc {
@@ -22,6 +27,92 @@ toString(TrafficKind t)
     }
     return "?";
 }
+
+namespace {
+
+template <typename E>
+struct Spelling {
+    std::string_view name;
+    E value;
+};
+
+constexpr Spelling<RouterArch> kArchSpellings[] = {
+    {"generic", RouterArch::Generic},
+    {"ps", RouterArch::PathSensitive},
+    {"pathsensitive", RouterArch::PathSensitive},
+    {"roco", RouterArch::Roco},
+};
+
+constexpr Spelling<RoutingKind> kRoutingSpellings[] = {
+    {"xy", RoutingKind::XY},
+    {"xyyx", RoutingKind::XYYX},
+    {"adaptive", RoutingKind::Adaptive},
+};
+
+constexpr Spelling<TrafficKind> kTrafficSpellings[] = {
+    {"uniform", TrafficKind::Uniform},
+    {"transpose", TrafficKind::Transpose},
+    {"bitcomp", TrafficKind::BitComplement},
+    {"hotspot", TrafficKind::Hotspot},
+    {"tornado", TrafficKind::Tornado},
+    {"neighbor", TrafficKind::NearestNeighbor},
+    {"selfsimilar", TrafficKind::SelfSimilar},
+    {"mpeg", TrafficKind::Mpeg},
+    {"bitreverse", TrafficKind::BitReverse},
+    {"shuffle", TrafficKind::Shuffle},
+    {"trace", TrafficKind::Trace},
+};
+
+template <typename E, std::size_t N>
+std::optional<E>
+lookup(const Spelling<E> (&table)[N], std::string_view s)
+{
+    for (const Spelling<E> &e : table)
+        if (e.name == s)
+            return e.value;
+    return std::nullopt;
+}
+
+} // namespace
+
+std::optional<RouterArch>
+parseArch(std::string_view s)
+{
+    return lookup(kArchSpellings, s);
+}
+
+std::optional<RoutingKind>
+parseRouting(std::string_view s)
+{
+    return lookup(kRoutingSpellings, s);
+}
+
+std::optional<TrafficKind>
+parseTraffic(std::string_view s)
+{
+    return lookup(kTrafficSpellings, s);
+}
+
+template <typename T>
+std::optional<T>
+parseNumber(std::string_view s)
+{
+    T v{};
+    const char *end = s.data() + s.size();
+    auto [last, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || last != end)
+        return std::nullopt;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(v))
+            return std::nullopt;
+    }
+    return v;
+}
+
+template std::optional<int> parseNumber<int>(std::string_view);
+template std::optional<std::uint64_t>
+    parseNumber<std::uint64_t>(std::string_view);
+template std::optional<double> parseNumber<double>(std::string_view);
 
 int
 SimConfig::bufferDepth() const
@@ -67,6 +158,11 @@ SimConfig::validate() const
         fatal("trace traffic requires a traceFile");
     if (maxCycles == 0)
         fatal("maxCycles must be positive");
+    // RunControl's generation target is the sum; a wrapped sum stops
+    // generation before measurement opens and reports an empty run.
+    if (measurePackets >
+        std::numeric_limits<std::uint64_t>::max() - warmupPackets)
+        fatal("warmupPackets + measurePackets overflows 64 bits");
     if (shards < 0)
         fatal("shards must be >= 0 (0 = auto via NOC_SHARDS)");
     if (svc.enabled) {

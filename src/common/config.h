@@ -10,7 +10,9 @@
 #define ROCOSIM_COMMON_CONFIG_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/types.h"
 
@@ -41,6 +43,27 @@ enum class TrafficKind : std::uint8_t {
 
 /** Human-readable traffic name. */
 const char *toString(TrafficKind t);
+
+/**
+ * The command-line spellings every CLI accepts, one table each
+ * (exact, case-sensitive; nullopt for anything else):
+ *   arch     generic | ps (alias pathsensitive) | roco
+ *   routing  xy | xyyx | adaptive
+ *   traffic  uniform | transpose | bitcomp | hotspot | tornado |
+ *            neighbor | selfsimilar | mpeg | bitreverse | shuffle | trace
+ */
+std::optional<RouterArch> parseArch(std::string_view s);
+std::optional<RoutingKind> parseRouting(std::string_view s);
+std::optional<TrafficKind> parseTraffic(std::string_view s);
+
+/**
+ * A command-line or environment number: all of @p s must be one value
+ * of T under std::from_chars (no whitespace, no '+', no '-' for an
+ * unsigned T, in range; a double must also be finite); nullopt
+ * otherwise. Defined for int, std::uint64_t and double.
+ */
+template <typename T>
+std::optional<T> parseNumber(std::string_view s);
 
 /**
  * Closed-loop traffic service knobs (src/svc).

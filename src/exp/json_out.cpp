@@ -210,15 +210,6 @@ appendObs(std::string &out, const obs::Summary &s)
 } // namespace
 
 std::string
-resultJson(const SimResult &r)
-{
-    std::string out;
-    out.reserve(640);
-    appendResult(out, r);
-    return out;
-}
-
-std::string
 sweepJsonHeader(const SweepSpec &spec, int threads, double totalWallMs,
                 const obs::Summary *obsSum, const JsonOptions &opts)
 {

@@ -121,9 +121,6 @@ std::string pointJson(const SweepPoint &p, const PointResult &r,
                       const JsonOptions &opts);
 const char *sweepJsonFooter();
 
-/** One SimResult as a single-line JSON object (noc_serve replies). */
-std::string resultJson(const SimResult &r);
-
 /**
  * Writes sweepJson() to BENCH_<spec.name>.json.
  *

@@ -308,99 +308,6 @@ decodePointResult(const std::string &bytes)
     return d;
 }
 
-std::optional<RouterArch>
-parseArch(const std::string &s)
-{
-    if (s == "generic")
-        return RouterArch::Generic;
-    if (s == "ps" || s == "pathsensitive")
-        return RouterArch::PathSensitive;
-    if (s == "roco")
-        return RouterArch::Roco;
-    return std::nullopt;
-}
-
-std::optional<RoutingKind>
-parseRouting(const std::string &s)
-{
-    if (s == "xy")
-        return RoutingKind::XY;
-    if (s == "xyyx")
-        return RoutingKind::XYYX;
-    if (s == "adaptive")
-        return RoutingKind::Adaptive;
-    return std::nullopt;
-}
-
-std::optional<TrafficKind>
-parseTraffic(const std::string &s)
-{
-    if (s == "uniform")
-        return TrafficKind::Uniform;
-    if (s == "transpose")
-        return TrafficKind::Transpose;
-    if (s == "bitcomp")
-        return TrafficKind::BitComplement;
-    if (s == "hotspot")
-        return TrafficKind::Hotspot;
-    if (s == "tornado")
-        return TrafficKind::Tornado;
-    if (s == "neighbor")
-        return TrafficKind::NearestNeighbor;
-    if (s == "selfsimilar")
-        return TrafficKind::SelfSimilar;
-    if (s == "mpeg")
-        return TrafficKind::Mpeg;
-    if (s == "bitreverse")
-        return TrafficKind::BitReverse;
-    if (s == "shuffle")
-        return TrafficKind::Shuffle;
-    if (s == "trace")
-        return TrafficKind::Trace;
-    return std::nullopt;
-}
-
-const char *
-wireName(RouterArch a)
-{
-    switch (a) {
-    case RouterArch::Generic: return "generic";
-    case RouterArch::PathSensitive: return "ps";
-    case RouterArch::Roco: return "roco";
-    }
-    return "roco";
-}
-
-const char *
-wireName(RoutingKind k)
-{
-    switch (k) {
-    case RoutingKind::XY: return "xy";
-    case RoutingKind::XYYX: return "xyyx";
-    case RoutingKind::Adaptive: return "adaptive";
-    }
-    return "xy";
-}
-
-const char *
-wireName(TrafficKind t)
-{
-    switch (t) {
-    case TrafficKind::Uniform: return "uniform";
-    case TrafficKind::Transpose: return "transpose";
-    case TrafficKind::BitComplement: return "bitcomp";
-    case TrafficKind::Hotspot: return "hotspot";
-    case TrafficKind::Tornado: return "tornado";
-    case TrafficKind::NearestNeighbor: return "neighbor";
-    case TrafficKind::SelfSimilar: return "selfsimilar";
-    case TrafficKind::Mpeg: return "mpeg";
-    case TrafficKind::BitReverse: return "bitreverse";
-    case TrafficKind::Shuffle: return "shuffle";
-    case TrafficKind::Trace: return "trace";
-    }
-    return "uniform";
-}
-
 namespace {
 
 void
@@ -505,15 +412,6 @@ FlatJson::parse(const std::string &ln)
     }
 }
 
-bool
-FlatJson::has(const std::string &key) const
-{
-    for (const Entry &e : entries_)
-        if (e.key == key)
-            return true;
-    return false;
-}
-
 std::string
 FlatJson::str(const std::string &key, const std::string &fallback) const
 {
@@ -534,80 +432,6 @@ FlatJson::num(const std::string &key, double fallback) const
         }
     }
     return fallback;
-}
-
-bool
-FlatJson::boolean(const std::string &key, bool fallback) const
-{
-    for (const Entry &e : entries_) {
-        if (e.key == key && !e.isString) {
-            if (e.value == "true")
-                return true;
-            if (e.value == "false")
-                return false;
-        }
-    }
-    return fallback;
-}
-
-bool
-applyConfigRequest(const FlatJson &req, SimConfig &cfg, std::string *err)
-{
-    if (req.has("arch")) {
-        auto a = parseArch(req.str("arch"));
-        if (!a) {
-            if (err)
-                *err = "unknown arch";
-            return false;
-        }
-        cfg.arch = *a;
-    }
-    if (req.has("routing")) {
-        auto r = parseRouting(req.str("routing"));
-        if (!r) {
-            if (err)
-                *err = "unknown routing";
-            return false;
-        }
-        cfg.routing = *r;
-    }
-    if (req.has("traffic")) {
-        auto t = parseTraffic(req.str("traffic"));
-        if (!t) {
-            if (err)
-                *err = "unknown traffic";
-            return false;
-        }
-        cfg.traffic = *t;
-    }
-    if (req.has("rate"))
-        cfg.injectionRate = req.num("rate", cfg.injectionRate);
-    if (req.has("mesh")) {
-        int n = static_cast<int>(req.num("mesh", 0));
-        if (n < 2) {
-            if (err)
-                *err = "mesh must be >= 2";
-            return false;
-        }
-        cfg.meshWidth = cfg.meshHeight = n;
-    }
-    if (req.has("vcs"))
-        cfg.vcsPerPort = static_cast<int>(req.num("vcs", cfg.vcsPerPort));
-    if (req.has("seed"))
-        cfg.seed = static_cast<std::uint64_t>(
-            req.num("seed", static_cast<double>(cfg.seed)));
-    if (req.has("warmup"))
-        cfg.warmupPackets = static_cast<std::uint64_t>(
-            req.num("warmup", static_cast<double>(cfg.warmupPackets)));
-    if (req.has("measure"))
-        cfg.measurePackets = static_cast<std::uint64_t>(
-            req.num("measure", static_cast<double>(cfg.measurePackets)));
-    if (req.has("maxCycles"))
-        cfg.maxCycles = static_cast<Cycle>(
-            req.num("maxCycles", static_cast<double>(cfg.maxCycles)));
-    if (req.has("svc"))
-        cfg.svc.enabled = req.boolean("svc", cfg.svc.enabled);
-    return true;
 }
 
 } // namespace noc::farm

@@ -1,6 +1,6 @@
 /**
  * @file
- * Exact on-disk / on-socket encodings for the sweep farm.
+ * Exact on-disk encodings for the sweep farm.
  *
  * The farm's byte-identity contract ("a resumed multi-process sweep
  * emits the same BENCH json as an uninterrupted in-process run")
@@ -11,11 +11,10 @@
  * the canonical decimal JSON from decoded shards and land on the same
  * bytes the in-process serialiser produces.
  *
- * The same header also carries the tiny flat-JSON request parser and
- * the enum name tables shared by noc_serve and noc_farm — both CLIs
- * speak line-delimited JSON with only string/number/bool values, which
- * is all this parser accepts (nested objects are rejected, not
- * skipped; the protocol never sends them).
+ * The same header also carries the tiny flat-JSON parser the journal
+ * reads its manifest and leases with: string/number/bool values only
+ * (nested objects are rejected, not skipped; the journal never writes
+ * them).
  */
 #ifndef ROCOSIM_FARM_WIRE_H_
 #define ROCOSIM_FARM_WIRE_H_
@@ -24,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "common/config.h"
 #include "exp/sweep.h"
 
 namespace noc::farm {
@@ -56,19 +54,11 @@ struct DecodedShard {
 };
 std::optional<DecodedShard> decodePointResult(const std::string &bytes);
 
-/** Enum <-> wire-name maps (the rocosim_cli spellings). */
-std::optional<RouterArch> parseArch(const std::string &s);
-std::optional<RoutingKind> parseRouting(const std::string &s);
-std::optional<TrafficKind> parseTraffic(const std::string &s);
-const char *wireName(RouterArch a);
-const char *wireName(RoutingKind k);
-const char *wireName(TrafficKind t);
-
 /**
  * A parsed flat JSON object: {"key": "str" | number | true|false, ...}
- * in declaration order. Values keep their literal spelling; has/str/
- * num do the lookup and conversion. Nested arrays/objects make parse()
- * fail (the farm protocols are flat by design).
+ * in declaration order. Values keep their literal spelling; str/num
+ * do the lookup and conversion. Nested arrays/objects make parse()
+ * fail (the journal's files are flat by design).
  */
 class FlatJson
 {
@@ -76,13 +66,11 @@ class FlatJson
     /** Parses one object; nullopt on any syntax error. */
     static std::optional<FlatJson> parse(const std::string &line);
 
-    bool has(const std::string &key) const;
     /** String value (unescaped); @p fallback when absent or non-string. */
     std::string str(const std::string &key,
                     const std::string &fallback = "") const;
     /** Numeric value; @p fallback when absent or non-numeric. */
     double num(const std::string &key, double fallback = 0) const;
-    bool boolean(const std::string &key, bool fallback = false) const;
 
   private:
     struct Entry {
@@ -92,15 +80,6 @@ class FlatJson
     };
     std::vector<Entry> entries_;
 };
-
-/**
- * Applies the farm/serve config keys of a flat request to @p cfg:
- * arch, routing, traffic, rate, mesh, vcs, seed, warmup, measure,
- * maxCycles, svc. Returns false (with *err set) on an unknown enum
- * spelling; keys that are absent keep cfg's current value.
- */
-bool applyConfigRequest(const FlatJson &req, SimConfig &cfg,
-                        std::string *err);
 
 } // namespace noc::farm
 

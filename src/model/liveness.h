@@ -50,7 +50,7 @@ void validateConfigLiveness(const SimConfig &cfg);
 
 /**
  * Process-wide count of liveness proofs actually performed (memo
- * misses). Monotonic; for tests and noc_serve stats.
+ * misses). Monotonic; for tests and rocobench's proof counts.
  */
 std::uint64_t livenessProofsPerformed();
 

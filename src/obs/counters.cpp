@@ -49,15 +49,6 @@ constexpr Metric kAllMetrics[] = {
 
 } // namespace
 
-std::vector<double>
-perRouter(const Network &net, Metric m)
-{
-    std::vector<double> out(static_cast<std::size_t>(net.numNodes()));
-    for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n)
-        out[n] = static_cast<double>(pick(net.router(n).activity(), m));
-    return out;
-}
-
 CounterSummary
 snapshot(const Network &net, Cycle cycles)
 {

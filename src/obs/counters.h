@@ -3,7 +3,7 @@
  * Counter-level observability: per-router metric extraction and the
  * derived network-wide rates (link utilisation, crossbar grant rate,
  * mirror-allocator tie rate, early-ejection hit rate) exported to the
- * BENCH JSON / CSV dumps and the heatmap example.
+ * BENCH JSON / CSV dumps.
  *
  * These read the routers' ActivityCounters directly, so they work in
  * every build — the NOC_OBS option only gates the flit-level tracing
@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 
@@ -24,7 +23,7 @@ class Network;
 
 namespace noc::obs {
 
-/** Per-router activity metrics exposed for heatmaps / dumps. */
+/** Per-router activity metrics exposed for the CSV dump. */
 enum class Metric : std::uint8_t {
     BufferWrites = 0,
     BufferReads,
@@ -38,9 +37,6 @@ enum class Metric : std::uint8_t {
 
 /** Human-readable metric name (stable: used as CSV column header). */
 const char *toString(Metric m);
-
-/** One value of @p m per router, indexed by NodeId. */
-std::vector<double> perRouter(const Network &net, Metric m);
 
 /** Network-wide counter snapshot with the derived rates. */
 struct CounterSummary {

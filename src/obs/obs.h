@@ -15,9 +15,6 @@
  *                  Simulator attaches one automatically when the
  *                  NOC_TRACE env var is set (NOC_TRACE_SAMPLE thins
  *                  the traced packet stream deterministically).
- *
- * This mirrors the NOC_INVARIANTS / NOC_INVARIANT pattern in
- * src/check/invariant.h.
  */
 #ifndef ROCOSIM_OBS_OBS_H_
 #define ROCOSIM_OBS_OBS_H_

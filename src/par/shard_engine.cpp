@@ -1,9 +1,8 @@
 #include "par/shard_engine.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,14 +77,12 @@ endOfCycle(Loop &l)
                        net.ledger().svcPending);
     const bool capped = !drained && done >= net.config().maxCycles;
 
-#if NOC_INVARIANTS_BUILT
     // Network-wide protocol audit (credit and flit conservation,
     // fault-state consistency, stage masks): periodic, and once more
     // on the run's last cycle.
     if (((done & 1023u) == 0 || drained || capped) &&
         check::invariantsEnabled())
         net.checkProtocolInvariants(done);
-#endif
 
     l.now = done;
     l.stop = drained || capped;
@@ -282,10 +279,8 @@ runShards(Loop &loop, int shards)
             laneOf[n] = plan.shardOf(n);
         loop.obs->setShardLanes(plan.shards(), std::move(laneOf));
     }
-#if NOC_INVARIANTS_BUILT
     // Warm the lazy env read before the pool shares it.
     check::invariantsEnabled();
-#endif
 
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(plan.shards() - 1));
@@ -315,13 +310,13 @@ effectiveShards(const SimConfig &cfg, int numNodes)
     if (shards == 0) {
         shards = 1;
         if (const char *v = std::getenv("NOC_SHARDS")) {
-            const char *end = v + std::strlen(v);
-            auto [last, ec] = std::from_chars(v, end, shards);
-            if (ec != std::errc() || last != end || shards < 1) {
+            std::optional<int> n = parseNumber<int>(v);
+            if (!n || *n < 1) {
                 fatal(("NOC_SHARDS='" + std::string(v) +
                        "' is not a whole number in [1, INT_MAX]")
                           .c_str());
             }
+            shards = *n;
         }
     }
     return std::clamp(shards, 1, numNodes);

@@ -284,7 +284,6 @@ Network::resetContention()
 void
 Network::checkProtocolInvariants(Cycle now) const
 {
-#if NOC_INVARIANTS_BUILT
     if (!check::invariantsEnabled())
         return;
 
@@ -427,9 +426,6 @@ Network::checkProtocolInvariants(Cycle now) const
                   "flit ledger has " + std::to_string(outstanding) +
                       " flits outstanding, the network holds " +
                       std::to_string(held));
-#else
-    (void)now;
-#endif
 }
 
 RatioStat

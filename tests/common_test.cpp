@@ -1,4 +1,8 @@
-/** @file Unit tests for common/types.h and common/flit.h. */
+/** @file Unit tests for common/types.h, common/config.h and common/flit.h. */
+#include <cstdint>
+#include <iterator>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/config.h"
@@ -111,6 +115,48 @@ TEST(ConfigTest, BufferDepthPerArch)
     EXPECT_EQ(cfg.bufferDepth(), 5);
 }
 
+TEST(ConfigTest, CommandLineSpellingsReachEveryValue)
+{
+    EXPECT_EQ(parseArch("generic"), RouterArch::Generic);
+    EXPECT_EQ(parseArch("ps"), RouterArch::PathSensitive);
+    EXPECT_EQ(parseArch("pathsensitive"), RouterArch::PathSensitive);
+    EXPECT_EQ(parseArch("roco"), RouterArch::Roco);
+    EXPECT_EQ(parseRouting("xy"), RoutingKind::XY);
+    EXPECT_EQ(parseRouting("xyyx"), RoutingKind::XYYX);
+    EXPECT_EQ(parseRouting("adaptive"), RoutingKind::Adaptive);
+    // In enum order, so spelling i names TrafficKind i.
+    const char *traffics[] = {"uniform", "transpose", "bitcomp", "hotspot",
+                              "tornado", "neighbor", "selfsimilar", "mpeg",
+                              "bitreverse", "shuffle", "trace"};
+    static_assert(std::size(traffics) ==
+                  static_cast<std::size_t>(TrafficKind::Trace) + 1);
+    for (std::size_t i = 0; i < std::size(traffics); ++i)
+        EXPECT_EQ(parseTraffic(traffics[i]), static_cast<TrafficKind>(i))
+            << traffics[i];
+
+    // Exact and case-sensitive: display names and padding are rejected.
+    for (const char *bad : {"", "XY", "roco ", "quantum"}) {
+        EXPECT_FALSE(parseArch(bad).has_value()) << bad;
+        EXPECT_FALSE(parseRouting(bad).has_value()) << bad;
+        EXPECT_FALSE(parseTraffic(bad).has_value()) << bad;
+    }
+}
+
+TEST(ConfigTest, ParseNumberTakesOnlyWholeStrings)
+{
+    EXPECT_EQ(parseNumber<int>("4"), 4);
+    EXPECT_EQ(parseNumber<int>("-3"), -3);
+    EXPECT_EQ(parseNumber<std::uint64_t>("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(parseNumber<double>("0.25"), 0.25);
+    for (const char *bad : {"", "4x", " 4", "+4", "two", "99999999999"})
+        EXPECT_FALSE(parseNumber<int>(bad).has_value()) << bad;
+    for (const char *bad : {"-5", "18446744073709551616"})
+        EXPECT_FALSE(parseNumber<std::uint64_t>(bad).has_value()) << bad;
+    for (const char *bad : {"abc", "0.1,", "nan", "inf", "1e999"})
+        EXPECT_FALSE(parseNumber<double>(bad).has_value()) << bad;
+}
+
 TEST(ConfigValidationDeathTest, RejectsBadMesh)
 {
     SimConfig cfg;
@@ -162,6 +208,18 @@ TEST(ConfigValidationDeathTest, RejectsOutOfRangeCreditDelay)
     SimConfig ok;
     ok.creditDelay = kMaxLinkDelay;
     ok.validate();
+}
+
+TEST(ConfigValidationDeathTest, RejectsPacketBudgetOverflow)
+{
+    // The run generates warmupPackets + measurePackets; a wrapped sum
+    // would stop generation before measurement opens.
+    SimConfig cfg;
+    cfg.warmupPackets = 20;
+    cfg.measurePackets = std::numeric_limits<std::uint64_t>::max() - 4;
+    EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1), "overflows");
+    cfg.warmupPackets = 4; // the sum is exactly the maximum: it fits
+    cfg.validate();
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * The sweep farm's contracts (src/farm): shard wire encoding, journal
- * state machine, crash/resume byte-identity, serve request handling
- * and the sweep progress hook.
+ * state machine, crash/resume byte-identity and the sweep progress
+ * hook.
  *
  * The headline test is FarmTest.KillResumeByteIdentical — the module's
  * acceptance criterion: a sweep whose workers are SIGKILLed mid-lease
@@ -25,14 +25,11 @@
 
 #include <gtest/gtest.h>
 
-#include "check/deadlock.h"
 #include "exp/json_out.h"
 #include "exp/sweep.h"
 #include "farm/farm.h"
 #include "farm/journal.h"
-#include "farm/serve.h"
 #include "farm/wire.h"
-#include "model/liveness.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define FARM_TSAN 1
@@ -200,8 +197,6 @@ TEST(WireTest, FlatJsonParsesFlatRejectsNested)
     ASSERT_TRUE(j.has_value());
     EXPECT_EQ(j->str("op"), "sim");
     EXPECT_DOUBLE_EQ(j->num("rate"), 0.25);
-    EXPECT_TRUE(j->boolean("service"));
-    EXPECT_FALSE(j->has("mesh"));
     EXPECT_DOUBLE_EQ(j->num("mesh", 8), 8);
 
     EXPECT_FALSE(farm::FlatJson::parse("{\"a\": {\"b\": 1}}").has_value());
@@ -496,61 +491,6 @@ TEST(FarmTest, ProvenanceBreaksByteIdentityOnPurpose)
     std::vector<std::string> ids = farm::jobIds(res.points);
     jopts.jobIds = &ids;
     EXPECT_NE(bytes, exp::sweepJson(spec, res, jopts));
-}
-
-// --------------------------------------------------------------- serve
-
-TEST(ServeTest, HandleRequestRoundTrip)
-{
-    farm::ServeOptions opts;
-    opts.base.meshWidth = opts.base.meshHeight = 4;
-    opts.base.warmupPackets = 10;
-    opts.base.measurePackets = 80;
-    opts.base.maxCycles = 20000;
-
-    std::string pong = farm::handleRequest("{\"op\": \"ping\"}", opts);
-    EXPECT_NE(pong.find("\"ok\": true"), std::string::npos) << pong;
-
-    std::string sim = farm::handleRequest(
-        "{\"op\": \"sim\", \"arch\": \"roco\", \"routing\": \"xy\", "
-        "\"rate\": 0.1}",
-        opts);
-    EXPECT_NE(sim.find("\"ok\": true"), std::string::npos) << sim;
-    EXPECT_NE(sim.find("\"avgLatency\""), std::string::npos) << sim;
-
-    // A repeat of the same design must not re-prove it: the memoized
-    // deadlock/liveness caches are the server's whole reason to exist.
-    std::uint64_t dl0 = check::deadlockProofsPerformed();
-    std::uint64_t lv0 = model::livenessProofsPerformed();
-    std::string again = farm::handleRequest(
-        "{\"op\": \"sim\", \"arch\": \"roco\", \"routing\": \"xy\", "
-        "\"rate\": 0.1}",
-        opts);
-    EXPECT_NE(again.find("\"ok\": true"), std::string::npos);
-    EXPECT_EQ(check::deadlockProofsPerformed(), dl0);
-    EXPECT_EQ(model::livenessProofsPerformed(), lv0);
-
-    // Determinism across requests: identical result payloads.
-    EXPECT_EQ(sim, again);
-
-    std::string stats = farm::handleRequest("{\"op\": \"stats\"}", opts);
-    EXPECT_NE(stats.find("\"deadlockProofs\""), std::string::npos) << stats;
-    EXPECT_NE(stats.find("\"livenessProofs\""), std::string::npos) << stats;
-
-    std::string sweep = farm::handleRequest(
-        "{\"op\": \"sweep\", \"rates\": \"0.05,0.1\", \"arch\": "
-        "\"generic\"}",
-        opts);
-    EXPECT_NE(sweep.find("\"ok\": true"), std::string::npos) << sweep;
-    EXPECT_NE(sweep.find("\"points\""), std::string::npos) << sweep;
-
-    std::string bad = farm::handleRequest("{\"op\": \"launch\"}", opts);
-    EXPECT_NE(bad.find("\"ok\": false"), std::string::npos) << bad;
-    std::string malformed = farm::handleRequest("{nope", opts);
-    EXPECT_NE(malformed.find("\"ok\": false"), std::string::npos);
-    std::string badEnum = farm::handleRequest(
-        "{\"op\": \"sim\", \"arch\": \"quantum\"}", opts);
-    EXPECT_NE(badEnum.find("\"ok\": false"), std::string::npos) << badEnum;
 }
 
 // ------------------------------------------------------------ progress

@@ -47,17 +47,7 @@ flit(FlitType type, std::uint64_t packet, std::uint16_t seq)
     return f;
 }
 
-class InvariantTest : public testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        if (!NOC_INVARIANTS_BUILT)
-            GTEST_SKIP() << "invariant checker compiled out "
-                            "(NOC_INVARIANTS=OFF)";
-    }
-};
+using InvariantTest = testing::Test;
 
 TEST_F(InvariantTest, TrackerAcceptsWellFormedStreams)
 {

@@ -16,17 +16,15 @@ repo=$(CDPATH= cd -- "$(dirname -- "$0")/../.." && pwd)
 # Files under the guarded directories that legitimately carry no phase
 # annotations: pure data, config, tables or leaf utilities that never
 # touch per-cycle router state. The src/farm sources are process
-# orchestration (journal, fork driver, socket server) around whole
-# simulations — they never enter the router pipeline, so the whole
-# module is exempt; noc_lint still applies its determinism and
-# wall-clock rules to them file-by-file.
+# orchestration (journal, fork driver) around whole simulations —
+# they never enter the router pipeline, so the whole module is
+# exempt; noc_lint still applies its determinism and wall-clock
+# rules to them file-by-file.
 allow='
 src/farm/farm.h
 src/farm/farm.cpp
 src/farm/journal.h
 src/farm/journal.cpp
-src/farm/serve.h
-src/farm/serve.cpp
 src/farm/wire.h
 src/farm/wire.cpp
 src/par/barrier.h

@@ -37,18 +37,6 @@ meshConfig(RouterArch a, int k)
     return cfg;
 }
 
-/** Deterministic engine => every reported quantity matches exactly. */
-bool
-identical(const SimResult &a, const SimResult &b)
-{
-    return a.avgLatency == b.avgLatency && a.maxLatency == b.maxLatency &&
-           a.p99Latency == b.p99Latency &&
-           a.throughputFlits == b.throughputFlits &&
-           a.injected == b.injected && a.delivered == b.delivered &&
-           a.energyPerPacketNj == b.energyPerPacketNj &&
-           a.cycles == b.cycles && a.timedOut == b.timedOut;
-}
-
 } // namespace
 
 int
@@ -119,7 +107,7 @@ main()
         }
         bool same = true;
         for (std::size_t s = 1; s < std::size(shardCounts); ++s)
-            same = same && identical(results[0], results[s]);
+            same = same && results[0] == results[s];
         char mesh[16];
         std::snprintf(mesh, sizeof mesh, "%dx%d", k, k);
         std::printf("%-8s | %8.2fx %8.2fx %8.2fx %8.2fx | %s\n", mesh,

@@ -79,11 +79,7 @@ comparePools(const exp::SweepResults &serial, const exp::SweepResults &pooled)
 {
     int bad = 0;
     for (std::size_t i = 0; i < serial.results.size(); ++i) {
-        const SimResult &a = serial.results[i].result;
-        const SimResult &b = pooled.results[i].result;
-        if (a.avgLatency != b.avgLatency || a.cycles != b.cycles ||
-            a.delivered != b.delivered ||
-            a.energyPerPacketNj != b.energyPerPacketNj) {
+        if (serial.results[i].result != pooled.results[i].result) {
             std::fprintf(stderr, "point %zu diverged across pools\n", i);
             ++bad;
         }
@@ -185,11 +181,17 @@ checkDisabledOverhead()
     return 0;
 }
 
-/** One shard-equivalence observation: results + ledger + obs summary. */
+/**
+ * One shard-equivalence observation: results + ledger + obs summary.
+ * Equality takes the whole ledger, per-class counters included: a shard
+ * mis-binning a flit's class fails even when the aggregates match.
+ */
 struct ShardRun {
     SimResult r;
     FlitLedger ledger;
     std::uint64_t e2eCount = 0, e2eMeasured = 0, sampled = 0;
+
+    bool operator==(const ShardRun &) const = default;
 };
 
 ShardRun
@@ -217,35 +219,6 @@ shardRun(SimConfig cfg, const std::vector<FaultSpec> &faults, int shards)
         out.sampled = s.counters.sampledPackets;
     }
     return out;
-}
-
-bool
-shardRunsIdentical(const ShardRun &a, const ShardRun &b)
-{
-    // Per-class packet counts are part of the identity gate: open-loop
-    // traffic books everything under class 0, service runs spread
-    // across all four, and either way a shard mis-binning a flit's
-    // class must fail the bench even when the aggregates still match.
-    for (int c = 0; c < kNumMsgClasses; ++c) {
-        if (a.ledger.createdByClass[c] != b.ledger.createdByClass[c] ||
-            a.ledger.retiredByClass[c] != b.ledger.retiredByClass[c])
-            return false;
-    }
-    return a.r.avgLatency == b.r.avgLatency &&
-           a.r.maxLatency == b.r.maxLatency &&
-           a.r.p99Latency == b.r.p99Latency &&
-           a.r.throughputFlits == b.r.throughputFlits &&
-           a.r.injected == b.r.injected &&
-           a.r.delivered == b.r.delivered &&
-           a.r.completion == b.r.completion &&
-           a.r.energyPerPacketNj == b.r.energyPerPacketNj &&
-           a.r.cycles == b.r.cycles && a.r.timedOut == b.r.timedOut &&
-           a.ledger.created == b.ledger.created &&
-           a.ledger.retired == b.ledger.retired &&
-           a.ledger.lastDelivery == b.ledger.lastDelivery &&
-           a.ledger.flitCycles == b.ledger.flitCycles &&
-           a.e2eCount == b.e2eCount && a.e2eMeasured == b.e2eMeasured &&
-           a.sampled == b.sampled;
 }
 
 /**
@@ -282,8 +255,7 @@ checkShardEquivalence()
                     f ? critFaults : std::vector<FaultSpec>{};
                 ShardRun serial = shardRun(cfg, faults, 1);
                 for (int shards : {2, 4}) {
-                    if (!shardRunsIdentical(serial,
-                                            shardRun(cfg, faults, shards))) {
+                    if (serial != shardRun(cfg, faults, shards)) {
                         std::fprintf(stderr,
                                      "shard divergence: %s/%s %s at %d "
                                      "shards\n",
@@ -326,27 +298,22 @@ checkShardSpeedup()
         c.shards = 1;
         Simulator s1(c);
         auto t0 = std::chrono::steady_clock::now();
-        SimResult r1 = s1.run();
+        serialR = s1.run();
         serialMs = std::min(
             serialMs, std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count());
-        serialR = r1;
 
         c.shards = 4;
         Simulator s4(c);
         t0 = std::chrono::steady_clock::now();
-        SimResult r4 = s4.run();
+        shardedR = s4.run();
         shardedMs = std::min(
             shardedMs, std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - t0)
                            .count());
-        shardedR = r4;
     }
-    bool same = serialR.avgLatency == shardedR.avgLatency &&
-                serialR.delivered == shardedR.delivered &&
-                serialR.cycles == shardedR.cycles &&
-                serialR.energyPerPacketNj == shardedR.energyPerPacketNj;
+    bool same = serialR == shardedR;
     double speedup = serialMs / shardedMs;
     unsigned hw = std::thread::hardware_concurrency();
     std::printf("bench_smoke: 16x16 speedup at 4 shards: %.2fx "
@@ -411,9 +378,7 @@ checkThroughputRegression()
     }
 
     int bad = 0;
-    if (onR.avgLatency != offR.avgLatency || onR.cycles != offR.cycles ||
-        onR.delivered != offR.delivered ||
-        onR.energyPerPacketNj != offR.energyPerPacketNj) {
+    if (onR != offR) {
         std::fprintf(stderr, "idle-skip on/off results diverged\n");
         ++bad;
     }
@@ -549,9 +514,7 @@ checkRecorderInert()
     traced.attachObserver(rec);
     SimResult b = traced.run();
 
-    if (a.avgLatency != b.avgLatency || a.cycles != b.cycles ||
-        a.delivered != b.delivered ||
-        a.energyPerPacketNj != b.energyPerPacketNj) {
+    if (a != b) {
         std::fprintf(stderr, "recorder perturbed simulation results\n");
         return 1;
     }

@@ -49,6 +49,8 @@ svcConfig(RouterArch arch, RoutingKind routing)
 struct SvcRun {
     SimResult r;
     FlitLedger ledger;
+
+    bool operator==(const SvcRun &) const = default;
 };
 
 SvcRun
@@ -60,39 +62,6 @@ svcRun(SimConfig cfg, const std::vector<FaultSpec> &faults, int shards)
     out.r = sim.run();
     out.ledger = sim.network().ledger();
     return out;
-}
-
-bool
-identical(const SvcRun &a, const SvcRun &b)
-{
-    if (a.r.avgLatency != b.r.avgLatency || a.r.cycles != b.r.cycles ||
-        a.r.injected != b.r.injected || a.r.delivered != b.r.delivered ||
-        a.r.drainCycles != b.r.drainCycles ||
-        a.r.replyCount != b.r.replyCount ||
-        a.r.mshrThrottled != b.r.mshrThrottled ||
-        a.r.svcTimeouts != b.r.svcTimeouts ||
-        a.r.svcLateReplies != b.r.svcLateReplies ||
-        a.ledger.created != b.ledger.created ||
-        a.ledger.retired != b.ledger.retired ||
-        a.ledger.svcPending != b.ledger.svcPending)
-        return false;
-    if (a.r.classes.size() != b.r.classes.size())
-        return false;
-    for (std::size_t c = 0; c < a.r.classes.size(); ++c) {
-        const SimResult::ClassResult &x = a.r.classes[c];
-        const SimResult::ClassResult &y = b.r.classes[c];
-        if (x.injected != y.injected || x.delivered != y.delivered ||
-            x.avgLatency != y.avgLatency || x.p99Latency != y.p99Latency ||
-            x.avgRtt != y.avgRtt || x.rttCount != y.rttCount ||
-            x.sloViolations != y.sloViolations)
-            return false;
-    }
-    for (int c = 0; c < kNumMsgClasses; ++c) {
-        if (a.ledger.createdByClass[c] != b.ledger.createdByClass[c] ||
-            a.ledger.retiredByClass[c] != b.ledger.retiredByClass[c])
-            return false;
-    }
-    return true;
 }
 
 /** Conservation at drain; faults may strand flits but never over-retire. */
@@ -158,7 +127,7 @@ checkServiceMatrix(std::string &verdicts)
                 }
                 bool same = true;
                 for (int shards : {2, 4}) {
-                    if (!identical(serial, svcRun(cfg, faults, shards))) {
+                    if (serial != svcRun(cfg, faults, shards)) {
                         std::fprintf(stderr,
                                      "%s diverged at %d shards\n", what,
                                      shards);

@@ -82,22 +82,7 @@ runOnce(SimConfig cfg)
 bool
 identical(const RunObs &a, const RunObs &b)
 {
-    return a.r.avgLatency == b.r.avgLatency &&
-           a.r.latencyStddev == b.r.latencyStddev &&
-           a.r.maxLatency == b.r.maxLatency &&
-           a.r.p50Latency == b.r.p50Latency &&
-           a.r.p99Latency == b.r.p99Latency &&
-           a.r.throughputFlits == b.r.throughputFlits &&
-           a.r.injected == b.r.injected &&
-           a.r.delivered == b.r.delivered &&
-           a.r.completion == b.r.completion &&
-           a.r.energyPerPacketNj == b.r.energyPerPacketNj &&
-           a.r.edp == b.r.edp && a.r.pef == b.r.pef &&
-           a.r.cycles == b.r.cycles && a.r.timedOut == b.r.timedOut &&
-           a.ledger.created == b.ledger.created &&
-           a.ledger.retired == b.ledger.retired &&
-           a.ledger.lastDelivery == b.ledger.lastDelivery &&
-           a.ledger.flitCycles == b.ledger.flitCycles;
+    return a.r == b.r && a.ledger == b.ledger;
 }
 
 const ThroughputBaseline *

@@ -18,7 +18,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "exp/json_out.h"
@@ -27,11 +26,11 @@
 
 namespace noc::bench {
 
+/** A NOC_BENCH_* knob; a malformed value is fatal (common/config.h). */
 inline std::uint64_t
 envOr(const char *name, std::uint64_t fallback)
 {
-    const char *v = std::getenv(name);
-    return v ? std::strtoull(v, nullptr, 10) : fallback;
+    return envNumber<std::uint64_t>(name, fallback);
 }
 
 /** Base RNG seed for every bench run (NOC_BENCH_SEED to override). */

@@ -23,7 +23,9 @@
  */
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "check/deadlock.h"
 #include "common/config.h"
@@ -206,12 +208,21 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--service") == 0) {
             service = true;
         } else if (std::strcmp(argv[i], "--mesh") == 0 && i + 1 < argc) {
-            if (std::sscanf(argv[++i], "%dx%d", &width, &height) != 2 ||
-                width < 2 || height < 2) {
+            // WxH: both halves whole numbers, each at least 2.
+            const std::string_view v = argv[++i];
+            const std::size_t x = v.find('x');
+            const std::optional<int> w = parseNumber<int>(v.substr(0, x));
+            const std::optional<int> h =
+                x == std::string_view::npos
+                    ? std::nullopt
+                    : parseNumber<int>(v.substr(x + 1));
+            if (!w || !h || *w < 2 || *h < 2) {
                 std::fprintf(stderr, "noc_check: bad --mesh '%s'\n",
                              argv[i]);
                 return 2;
             }
+            width = *w;
+            height = *h;
         } else {
             std::fprintf(stderr, "usage: noc_check [--mesh WxH] "
                                  "[--broken] [--service]\n");

@@ -10,8 +10,7 @@
  *     --ttl <sec>         lease-expiry steal backstop (default 60)
  *     --out <path>        final json path (default <dir>/BENCH_<name>.json)
  *     --provenance        emit per-point attempt/worker/wallMs blocks
- *                         (breaks the byte-identity contract on purpose;
- *                         NOC_FARM_PROVENANCE=1 does the same)
+ *                         (breaks the byte-identity contract on purpose)
  *     --name <s>          sweep name (default "farm")
  *
  *   Sweep axes (comma lists) and base config:
@@ -23,15 +22,14 @@
  * The same command, re-run after any number of kill -9s, completes the
  * journal and writes a byte-identical final json (the journal manifest
  * rejects a spec that doesn't match). Exit codes: 0 complete, 3
- * incomplete (workers died; resume to continue), 2 usage or journal
- * error.
+ * incomplete (workers died, resume to continue; or a committed shard
+ * is corrupt, and the message names it), 2 usage or journal error.
  *
  * Progress lines on stderr are on when stderr is a terminal; NOC_PROGRESS
  * =0/1 overrides.
  */
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -146,9 +144,6 @@ main(int argc, char **argv)
               "]");
     if (resume && ::access((opts.dir + "/MANIFEST.json").c_str(), R_OK) != 0)
         usage("--resume given but the journal has no manifest");
-    if (std::getenv("NOC_FARM_PROVENANCE") != nullptr &&
-        std::strcmp(std::getenv("NOC_FARM_PROVENANCE"), "0") != 0)
-        opts.provenance = true;
 
     opts.progress = exp::progressEnabled(::isatty(2) != 0);
 

@@ -208,8 +208,8 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(r.svcTimeouts),
                     static_cast<unsigned long long>(r.drainCycles));
         for (const SimResult::ClassResult &c : r.classes) {
-            std::printf("    %-9s %6llu pkts | lat %7.2f (p99 %7.1f)",
-                        c.name,
+            std::printf("    %-9.*s %6llu pkts | lat %7.2f (p99 %7.1f)",
+                        static_cast<int>(c.name.size()), c.name.data(),
                         static_cast<unsigned long long>(c.delivered),
                         c.avgLatency, c.p99Latency);
             if (c.rttCount > 0)

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <type_traits>
 
@@ -113,6 +114,28 @@ template std::optional<int> parseNumber<int>(std::string_view);
 template std::optional<std::uint64_t>
     parseNumber<std::uint64_t>(std::string_view);
 template std::optional<double> parseNumber<double>(std::string_view);
+
+template <typename T>
+T
+envNumber(const char *name, T fallback, T lo, T hi)
+{
+    const char *v = std::getenv(name);
+    if (v == nullptr)
+        return fallback;
+    std::optional<T> n = parseNumber<T>(v);
+    if (!n || *n < lo || *n > hi) {
+        fatal((std::string(name) + "='" + v +
+               "' is not a whole number in [" + std::to_string(lo) +
+               ", " + std::to_string(hi) + "]")
+                  .c_str());
+    }
+    return *n;
+}
+
+template int envNumber<int>(const char *, int, int, int);
+template std::uint64_t envNumber<std::uint64_t>(const char *, std::uint64_t,
+                                                std::uint64_t,
+                                                std::uint64_t);
 
 int
 SimConfig::bufferDepth() const

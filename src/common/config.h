@@ -10,6 +10,7 @@
 #define ROCOSIM_COMMON_CONFIG_H_
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -64,6 +65,17 @@ std::optional<TrafficKind> parseTraffic(std::string_view s);
  */
 template <typename T>
 std::optional<T> parseNumber(std::string_view s);
+
+/**
+ * The numeric environment knob @p name, read with parseNumber<T>:
+ * @p fallback when unset; a value that is not a T in [@p lo, @p hi]
+ * (an empty one included) is a fatal() error naming the variable, as
+ * for NOC_SHARDS. Defined for int and std::uint64_t.
+ */
+template <typename T>
+T envNumber(const char *name, T fallback,
+            T lo = std::numeric_limits<T>::min(),
+            T hi = std::numeric_limits<T>::max());
 
 /**
  * Closed-loop traffic service knobs (src/svc).

@@ -197,6 +197,9 @@ struct FlitLedger {
 
     /** True when no flit — and no scheduled reply — is outstanding. */
     bool quiescent() const { return created == retired && svcPending == 0; }
+
+    /** Every counter equal: the ledger half of the identity gates. */
+    bool operator==(const FlitLedger &) const = default;
 };
 
 } // namespace noc

@@ -6,9 +6,7 @@
 #include <cstring>
 
 namespace noc::exp {
-namespace {
 
-/** Shortest representation that round-trips a double (%.17g is exact). */
 void
 appendNum(std::string &out, double v)
 {
@@ -34,10 +32,12 @@ appendNum(std::string &out, std::uint64_t v)
     out += buf;
 }
 
+namespace {
+
 /** The fault labels / names we emit contain no characters needing escapes,
  *  but guard anyway so a future label can't corrupt the file. */
 void
-appendStr(std::string &out, const std::string &s)
+appendStr(std::string &out, std::string_view s)
 {
     out += '"';
     for (char c : s) {
@@ -56,8 +56,11 @@ appendStr(std::string &out, const std::string &s)
     out += '"';
 }
 
+/** `"key": v, ` (no comma after the @p last field); T is double or
+ *  std::uint64_t. */
+template <typename T>
 void
-appendField(std::string &out, const char *key, double v, bool last = false)
+appendField(std::string &out, const char *key, T v, bool last = false)
 {
     out += '"';
     out += key;
@@ -67,21 +70,13 @@ appendField(std::string &out, const char *key, double v, bool last = false)
         out += ", ";
 }
 
-void
-appendField(std::string &out, const char *key, std::uint64_t v,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendNum(out, v);
-    if (!last)
-        out += ", ";
-}
+} // namespace
 
-void
-appendResult(std::string &out, const SimResult &r)
+std::string
+resultJson(const SimResult &r)
 {
+    std::string out;
+    out.reserve(512);
     out += "{";
     appendField(out, "avgLatency", r.avgLatency);
     appendField(out, "latencyStddev", r.latencyStddev);
@@ -141,7 +136,10 @@ appendResult(std::string &out, const SimResult &r)
     appendField(out, "rowContention", r.rowContention);
     appendField(out, "colContention", r.colContention, true);
     out += "}";
+    return out;
 }
+
+namespace {
 
 /** One histogram as {count, overflow, min, max, mean, pXX...}. */
 void
@@ -239,7 +237,8 @@ sweepJsonHeader(const SweepSpec &spec, int threads, double totalWallMs,
 }
 
 std::string
-pointJson(const SweepPoint &p, const PointResult &r, const JsonOptions &opts)
+pointJson(const SweepPoint &p, std::uint64_t seed, double wallMs,
+          std::string_view result, const JsonOptions &opts)
 {
     std::string out;
     out.reserve(640);
@@ -256,8 +255,8 @@ pointJson(const SweepPoint &p, const PointResult &r, const JsonOptions &opts)
     out += "\"faults\": ";
     appendStr(out, p.faultLabel);
     out += ", ";
-    appendField(out, "seed", r.seed);
-    appendField(out, "wallMs", opts.canonical ? 0.0 : r.wallMs);
+    appendField(out, "seed", seed);
+    appendField(out, "wallMs", opts.canonical ? 0.0 : wallMs);
     if (opts.jobIds != nullptr && p.index < opts.jobIds->size()) {
         out += "\"job\": {\"id\": ";
         appendStr(out, (*opts.jobIds)[p.index]);
@@ -276,7 +275,7 @@ pointJson(const SweepPoint &p, const PointResult &r, const JsonOptions &opts)
         out += "}, ";
     }
     out += "\"result\": ";
-    appendResult(out, r.result);
+    out += result;
     out += "}";
     return out;
 }
@@ -296,19 +295,15 @@ sweepJson(const SweepSpec &spec, const SweepResults &res,
     out += sweepJsonHeader(spec, res.threads, res.totalWallMs,
                            res.obs.get(), opts);
     for (std::size_t i = 0; i < res.points.size(); ++i) {
-        out += pointJson(res.points[i], res.results[i], opts);
+        const PointResult &r = res.results[i];
+        out += pointJson(res.points[i], r.seed, r.wallMs,
+                         resultJson(r.result), opts);
         if (i + 1 < res.points.size())
             out += ",";
         out += "\n";
     }
     out += sweepJsonFooter();
     return out;
-}
-
-std::string
-sweepJson(const SweepSpec &spec, const SweepResults &res)
-{
-    return sweepJson(spec, res, JsonOptions{});
 }
 
 std::string

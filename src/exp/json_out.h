@@ -6,11 +6,18 @@
  * and regression tooling can consume results without screen-scraping.
  * The serialiser is a deliberately tiny hand-rolled emitter — the
  * schema is flat and fixed, and the container ships no JSON library.
+ *
+ * This is the one place a SimResult's field list is written out:
+ * resultJson() renders the "result" object of every BENCH json, the
+ * farm's result shards store that same text and its aggregator copies
+ * it unchanged, and the tests print a SimResult that fails a
+ * comparison through it.
  */
 #ifndef ROCOSIM_EXP_JSON_OUT_H_
 #define ROCOSIM_EXP_JSON_OUT_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/sweep.h"
@@ -36,7 +43,7 @@ namespace noc::exp {
  *    committing worker and real wall time. That block is operational
  *    truth (it differs between a resumed and an uninterrupted run), so
  *    turning it on deliberately trades the byte-identity contract; the
- *    farm only emits it under NOC_FARM_PROVENANCE=1.
+ *    farm only emits it under `noc_farm --provenance`.
  *
  * Schema-3 readers that ignore unknown keys see only the version bump.
  */
@@ -91,13 +98,11 @@ struct JsonOptions {
  * histograms overall / measured-only / per Manhattan distance, stage
  * event counts, sampling + ring-drop diagnostics and the RoCo
  * row/column path-set occupancy averages). Histograms serialise as
- * {count, overflow, min, max, mean, p50, p90, p99, p999}.
+ * {count, overflow, min, max, mean, p50, p90, p99, p999}. @p opts
+ * selects schema 4 (the farm's format, see JsonOptions).
  */
-std::string sweepJson(const SweepSpec &spec, const SweepResults &res);
-
-/** sweepJson with explicit serialisation options (schema 4, farm). */
 std::string sweepJson(const SweepSpec &spec, const SweepResults &res,
-                      const JsonOptions &opts);
+                      const JsonOptions &opts = {});
 
 /**
  * The pieces sweepJson is assembled from, exposed so the farm's
@@ -106,20 +111,38 @@ std::string sweepJson(const SweepSpec &spec, const SweepResults &res,
  * file is exactly:
  *
  *   sweepJsonHeader(...) + for each point in index order:
- *       pointJson(point, result, opts) + ("," if not last) + "\n"
+ *       pointJson(point, seed, wallMs, resultJson(result), opts)
+ *       + ("," if not last) + "\n"
  *   + sweepJsonFooter()
  *
  * pointJson returns the single-line "    {...}" fragment with no
- * trailing comma or newline. Byte-identity between farm-aggregated
- * and in-process files is a tested contract (farm_test, bench_smoke),
- * so change these only in lockstep.
+ * trailing comma or newline, with @p result embedded verbatim as its
+ * "result" value. Byte-identity between farm-aggregated and
+ * in-process files is a tested contract (farm_test, bench_smoke), so
+ * change these only in lockstep.
  */
 std::string sweepJsonHeader(const SweepSpec &spec, int threads,
                             double totalWallMs, const obs::Summary *obsSum,
                             const JsonOptions &opts);
-std::string pointJson(const SweepPoint &p, const PointResult &r,
+std::string pointJson(const SweepPoint &p, std::uint64_t seed,
+                      double wallMs, std::string_view result,
                       const JsonOptions &opts);
 const char *sweepJsonFooter();
+
+/**
+ * One SimResult as a single-line JSON object: every field, energy
+ * nested, plus the "classes" block and service counters for
+ * closed-loop runs (the "result" value documented at sweepJson).
+ */
+std::string resultJson(const SimResult &r);
+
+/**
+ * How every number in a BENCH json is written: a double as the
+ * shortest decimal spelling that parses back to the same value, an
+ * integer in plain decimal.
+ */
+void appendNum(std::string &out, double v);
+void appendNum(std::string &out, std::uint64_t v);
 
 /**
  * Writes sweepJson() to BENCH_<spec.name>.json.

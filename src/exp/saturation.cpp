@@ -1,9 +1,8 @@
 #include "exp/saturation.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+
+#include "exp/json_out.h"
 
 namespace noc::exp {
 namespace {
@@ -43,22 +42,6 @@ probe(const SaturationSpec &spec, const std::vector<double> &rates)
     if (!spec.faults.empty() || !spec.faultLabel.empty())
         sw.faultSets = {{spec.faultLabel, spec.faults}};
     return SweepRunner(spec.threads).run(sw);
-}
-
-void
-appendNum(std::string &out, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (int prec = 1; prec < 17; ++prec) {
-        char shorter[40];
-        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-        if (std::strtod(shorter, nullptr) == v) {
-            out += shorter;
-            return;
-        }
-    }
-    out += buf;
 }
 
 } // namespace
@@ -192,11 +175,11 @@ saturationJson(const SaturationSpec &spec, const SaturationResult &res,
     out += "\",\n  \"kneeFactor\": ";
     appendNum(out, spec.kneeFactor);
     out += ",\n  \"rounds\": ";
-    appendNum(out, res.rounds);
+    appendNum(out, static_cast<double>(res.rounds));
     out += ",\n  \"probesPerRound\": ";
-    appendNum(out, spec.probesPerRound);
+    appendNum(out, static_cast<double>(spec.probesPerRound));
     out += ",\n  \"threads\": ";
-    appendNum(out, res.threads);
+    appendNum(out, static_cast<double>(res.threads));
     out += ",\n  \"probedRates\": [";
     for (std::size_t i = 0; i < res.probedRates.size(); ++i) {
         if (i)

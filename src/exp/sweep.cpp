@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "check/deadlock.h"
+#include "common/config.h"
 #include "common/log.h"
 #include "model/liveness.h"
 #include "obs/recorder.h"
@@ -83,13 +84,9 @@ expand(const SweepSpec &spec)
 int
 SweepRunner::defaultThreads()
 {
-    if (const char *v = std::getenv("NOC_BENCH_THREADS")) {
-        long n = std::strtol(v, nullptr, 10);
-        if (n >= 1)
-            return static_cast<int>(n);
-    }
     unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+    return envNumber<int>("NOC_BENCH_THREADS",
+                          hw > 0 ? static_cast<int>(hw) : 1, 1);
 }
 
 SweepRunner::SweepRunner(int threads)

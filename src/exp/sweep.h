@@ -179,7 +179,8 @@ int autoShards(const SimConfig &cfg, int spare);
  * Threads pull points off a shared atomic counter; each result slot is
  * written by exactly one thread, so no locking is needed and the
  * collected vector is in deterministic point order. threads == 0 reads
- * NOC_BENCH_THREADS, falling back to std::thread::hardware_concurrency.
+ * NOC_BENCH_THREADS (a whole number >= 1; anything else is fatal),
+ * falling back to std::thread::hardware_concurrency.
  *
  * The thread budget covers both axes of parallelism: when the grid has
  * fewer points than threads, the spare threads are handed to each

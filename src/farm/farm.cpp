@@ -2,14 +2,13 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "check/deadlock.h"
+#include "common/config.h"
 #include "exp/json_out.h"
 #include "model/liveness.h"
 
@@ -25,10 +24,8 @@ CrashInjection
 crashInjectionFromEnv()
 {
     CrashInjection ci;
-    if (const char *v = std::getenv("NOC_FARM_CRASH_AFTER"))
-        ci.afterLeases = std::atoi(v);
-    if (const char *v = std::getenv("NOC_FARM_CRASH_WORKER"))
-        ci.onlyWorker = std::atoi(v);
+    ci.afterLeases = envNumber<int>("NOC_FARM_CRASH_AFTER", 0, 0);
+    ci.onlyWorker = envNumber<int>("NOC_FARM_CRASH_WORKER", -1, -1);
     return ci;
 }
 
@@ -40,9 +37,8 @@ crashInjectionFromEnv()
  */
 int
 runWorker(Journal &journal, const std::vector<exp::SweepPoint> &points,
-          int worker, const FarmOptions &opts)
+          int worker, const FarmOptions &opts, const CrashInjection &ci)
 {
-    CrashInjection ci = crashInjectionFromEnv();
     int leased = 0;
     std::size_t n = journal.jobCount();
     // Stagger start offsets so workers don't stampede the same jobs.
@@ -74,9 +70,7 @@ runWorker(Journal &journal, const std::vector<exp::SweepPoint> &points,
                 ::raise(SIGKILL);
             }
             exp::PointResult r = exp::runSweepPoint(points[i]);
-            std::string bytes =
-                encodePointResult(journal.ids()[i], r, *attempt, worker);
-            journal.commit(i, bytes);
+            journal.commit(i, r, *attempt, worker);
             progressed = true;
             if (opts.progress)
                 std::fprintf(stderr,
@@ -114,34 +108,20 @@ reapWorkers(std::vector<pid_t> &pids)
     return failures;
 }
 
-} // namespace
-
-FarmRun
-aggregateFarm(const exp::SweepSpec &spec, const FarmOptions &opts)
+/**
+ * Streams the aggregate json of a complete journal to opts.outPath
+ * (written via temp + rename): sets run.complete and run.jsonPath, or
+ * run.error naming the first unreadable shard.
+ */
+void
+aggregate(const exp::SweepSpec &spec,
+          const std::vector<exp::SweepPoint> &points, const Journal &journal,
+          const FarmOptions &opts, FarmRun &run)
 {
-    FarmRun run;
-    std::vector<exp::SweepPoint> points = exp::expand(spec);
-    std::vector<std::string> ids = jobIds(points);
-    run.jobs = points.size();
-
-    std::string err;
-    auto journal = Journal::open(opts.dir, spec, ids, &err);
-    if (!journal) {
-        run.error = err;
-        return run;
-    }
-    journal->leaseTtlSec = opts.leaseTtlSec;
-    run.reused = journal->doneCount();
-    if (run.reused != run.jobs) {
-        run.error = "journal incomplete: " + std::to_string(run.reused) +
-                    "/" + std::to_string(run.jobs) + " jobs committed";
-        return run;
-    }
-
     exp::JsonOptions jopts;
     jopts.schema = 4;
     jopts.canonical = true;
-    jopts.jobIds = &ids;
+    jopts.jobIds = &journal.ids();
     // Provenance metadata is tiny (a few words per point); the results
     // themselves still stream through one shard at a time.
     std::vector<exp::JsonOptions::PointProvenance> prov;
@@ -157,7 +137,7 @@ aggregateFarm(const exp::SweepSpec &spec, const FarmOptions &opts)
     std::FILE *f = std::fopen(tmpPath.c_str(), "wb");
     if (f == nullptr) {
         run.error = "cannot write " + tmpPath;
-        return run;
+        return;
     }
 
     auto emit = [&](const std::string &s) {
@@ -165,18 +145,23 @@ aggregateFarm(const exp::SweepSpec &spec, const FarmOptions &opts)
     };
     bool ok = emit(exp::sweepJsonHeader(spec, 0, 0, nullptr, jopts));
     for (std::size_t i = 0; ok && i < points.size(); ++i) {
-        auto shard = journal->readShard(i);
-        if (!shard) {
-            run.error = "shard " + ids[i] + " missing or corrupt";
+        auto shard = journal.readShard(i);
+        if (!shard || shard->seed != points[i].cfg.seed) {
+            run.error = "shard " + opts.dir + "/shards/" +
+                        journal.ids()[i] +
+                        " is unreadable or corrupt; delete it and resume "
+                        "to re-run its job";
             ok = false;
             break;
         }
         if (opts.provenance) {
             prov[i].attempt = shard->attempt;
             prov[i].worker = shard->worker;
-            prov[i].wallMs = shard->point.wallMs;
+            prov[i].wallMs = shard->wallMs;
         }
-        std::string frag = exp::pointJson(points[i], shard->point, jopts);
+        std::string frag = exp::pointJson(points[i], shard->seed,
+                                          shard->wallMs, shard->result,
+                                          jopts);
         if (i + 1 < points.size())
             frag += ",";
         frag += "\n";
@@ -193,12 +178,13 @@ aggregateFarm(const exp::SweepSpec &spec, const FarmOptions &opts)
         ::unlink(tmpPath.c_str());
         if (run.error.empty())
             run.error = "aggregation I/O failure on " + outPath;
-        return run;
+        return;
     }
     run.complete = true;
     run.jsonPath = outPath;
-    return run;
 }
+
+} // namespace
 
 FarmRun
 runFarm(const exp::SweepSpec &spec, const FarmOptions &opts)
@@ -227,13 +213,14 @@ runFarm(const exp::SweepSpec &spec, const FarmOptions &opts)
         }
 
         int workers = opts.workers > 0 ? opts.workers : 1;
+        CrashInjection ci = crashInjectionFromEnv();
         std::fflush(nullptr); // no duplicated stdio buffers in children
         std::vector<pid_t> pids;
         pids.reserve(static_cast<std::size_t>(workers));
         for (int w = 0; w < workers; ++w) {
             pid_t pid = ::fork();
             if (pid == 0) {
-                int rc = runWorker(*journal, points, w, opts);
+                int rc = runWorker(*journal, points, w, opts, ci);
                 ::_exit(rc);
             }
             if (pid > 0)
@@ -253,13 +240,8 @@ runFarm(const exp::SweepSpec &spec, const FarmOptions &opts)
         return run;
     }
 
-    FarmOptions aggOpts = opts;
-    FarmRun agg = aggregateFarm(spec, aggOpts);
-    agg.jobs = run.jobs;
-    agg.reused = run.reused;
-    agg.ran = run.ran;
-    agg.workerFailures = run.workerFailures;
-    return agg;
+    aggregate(spec, points, *journal, opts, run);
+    return run;
 }
 
 } // namespace noc::farm

@@ -10,10 +10,13 @@
  * most that worker's leased points: the survivors steal the dead
  * holder's leases immediately (dead-pid detection), and a later
  * `noc_farm --resume` against the same journal completes whatever is
- * left. Because every job is a pure function of config + seed and the
- * aggregator serialises canonical schema-4 json, the final BENCH file
- * is byte-identical no matter how many times the sweep was interrupted
- * or how many processes ran it — the tested contract of this module.
+ * left. Because every job is a pure function of config + seed, each
+ * shard stores its result as exp::resultJson text and the aggregator
+ * copies that text unchanged into canonical schema-4 json, the final
+ * BENCH file is byte-identical no matter how many times the sweep was
+ * interrupted or how many processes ran it — the tested contract of
+ * this module. A shard whose result line fails its digest is named in
+ * FarmRun::error and no file is written.
  *
  * Workers are forked, not exec'd: they inherit the expanded spec and
  * the warm deadlock/liveness memo caches (the parent pre-proves every
@@ -41,7 +44,8 @@ struct FarmOptions {
     int workers = 2;          ///< worker processes to fork
     double leaseTtlSec = 60;  ///< lease-expiry steal backstop
     bool provenance = false;  ///< emit per-point attempt/worker/wallMs
-                              ///< (breaks byte-identity; see json_out.h)
+                              ///< from the shard headers (breaks
+                              ///< byte-identity; see json_out.h)
     bool progress = false;    ///< per-point stderr progress lines
     /**
      * Final json path; empty = "BENCH_<spec.name>.json" in the
@@ -63,19 +67,13 @@ struct FarmRun {
 /**
  * Runs @p spec to completion through the journal at opts.dir (fresh or
  * resumed — the manifest fingerprint decides whether the directory
- * matches the spec). Blocks until every forked worker exits. When all
- * jobs are committed, streams the aggregate json to opts.outPath one
- * point at a time and reports complete=true; otherwise the journal is
- * left ready for a future --resume.
+ * matches the spec). Forks workers only when jobs are pending, and
+ * blocks until every one exits. When all jobs are committed, streams
+ * the aggregate json to opts.outPath one point at a time and reports
+ * complete=true; otherwise (or when a shard is corrupt, which the
+ * error names) the journal is left ready for a future --resume.
  */
 FarmRun runFarm(const exp::SweepSpec &spec, const FarmOptions &opts);
-
-/**
- * Aggregates an already-complete journal without forking workers
- * (what runFarm does after its workers finish). Fails (error set)
- * when any shard is missing or undecodable.
- */
-FarmRun aggregateFarm(const exp::SweepSpec &spec, const FarmOptions &opts);
 
 } // namespace noc::farm
 

@@ -11,6 +11,8 @@
 #include <time.h>
 #include <unistd.h>
 
+#include "exp/json_out.h"
+
 namespace noc::farm {
 namespace {
 
@@ -77,23 +79,51 @@ readFile(const std::string &path, std::string &out)
     return ok;
 }
 
-/** write-temp-then-rename: readers never observe a partial file. */
+/** Writes @p bytes to @p path and fsyncs it; no file on failure. */
 bool
-writeFileAtomic(const std::string &path, const std::string &bytes)
+writeDurable(const std::string &path, const std::string &bytes)
 {
-    std::string tmp = path + ".tmp." + std::to_string(::getpid());
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    std::FILE *f = std::fopen(path.c_str(), "wb");
     if (f == nullptr)
         return false;
     bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
     ok = std::fflush(f) == 0 && ok;
     ok = ::fsync(::fileno(f)) == 0 && ok;
     ok = std::fclose(f) == 0 && ok;
-    if (ok)
-        ok = ::rename(tmp.c_str(), path.c_str()) == 0;
     if (!ok)
-        ::unlink(tmp.c_str());
+        ::unlink(path.c_str());
     return ok;
+}
+
+/** write-temp-then-rename: readers never observe a partial file. */
+bool
+writeFileAtomic(const std::string &path, const std::string &bytes)
+{
+    std::string tmp = path + ".tmp." + std::to_string(::getpid());
+    if (!writeDurable(tmp, bytes))
+        return false;
+    if (::rename(tmp.c_str(), path.c_str()) == 0)
+        return true;
+    ::unlink(tmp.c_str());
+    return false;
+}
+
+/** 16 lower-case hex digits, the spelling of job ids and digests. */
+std::string
+hex16(std::uint64_t v)
+{
+    char buf[20];
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
+    return buf;
+}
+
+/** The FNV-1a digest a shard header records for its result line. */
+std::string
+resultDigest(const std::string &result)
+{
+    Fnv h;
+    h.bytes(result.data(), result.size());
+    return hex16(h.h);
 }
 
 bool
@@ -170,9 +200,7 @@ jobKey(const exp::SweepPoint &p)
 std::string
 jobId(const exp::SweepPoint &p)
 {
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, jobKey(p));
-    return buf;
+    return hex16(jobKey(p));
 }
 
 std::vector<std::string>
@@ -194,9 +222,7 @@ specFingerprint(const exp::SweepSpec &spec,
     h.u64(ids.size());
     for (const std::string &id : ids)
         h.str(id);
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, h.h);
-    return buf;
+    return hex16(h.h);
 }
 
 std::optional<Journal>
@@ -223,7 +249,7 @@ Journal::open(const std::string &dir, const exp::SweepSpec &spec,
         if (m->str("bench") != spec.name)
             return fail("journal belongs to bench '" + m->str("bench") +
                         "', not '" + spec.name + "'");
-        if (static_cast<std::size_t>(m->num("points", 0)) != ids.size() ||
+        if (m->num<std::uint64_t>("points") != ids.size() ||
             m->str("fingerprint") != fp)
             return fail("journal spec fingerprint mismatch — the journal "
                         "was created from a different sweep spec");
@@ -279,10 +305,11 @@ Journal::readLease(std::size_t i) const
     if (!j)
         return std::nullopt;
     LeaseInfo info;
-    info.pid = static_cast<long>(j->num("pid", 0));
-    info.worker = static_cast<int>(j->num("worker", -1));
-    info.attempt = static_cast<std::uint32_t>(j->num("attempt", 1));
-    info.sinceMs = static_cast<std::uint64_t>(j->num("sinceMs", 0));
+    info.pid = j->num<int>("pid").value_or(0);
+    info.worker = j->num<int>("worker").value_or(-1);
+    info.attempt = static_cast<std::uint32_t>(
+        j->num<std::uint64_t>("attempt").value_or(1));
+    info.sinceMs = j->num<std::uint64_t>("sinceMs").value_or(0);
     return info;
 }
 
@@ -354,45 +381,67 @@ Journal::tryLease(std::size_t i, int worker)
 }
 
 bool
-Journal::commit(std::size_t i, const std::string &bytes)
+Journal::commit(std::size_t i, const exp::PointResult &r,
+                std::uint32_t attempt, int worker)
 {
+    std::string result = exp::resultJson(r.result);
+    std::string bytes = "{\"shard\": 2, \"job\": \"" + ids_[i] +
+                        "\", \"index\": " + std::to_string(r.index) +
+                        ", \"seed\": " + std::to_string(r.seed) +
+                        ", \"attempt\": " + std::to_string(attempt) +
+                        ", \"worker\": " + std::to_string(worker) +
+                        ", \"wallMs\": ";
+    exp::appendNum(bytes, r.wallMs);
+    bytes += ", \"digest\": \"" + resultDigest(result) + "\"}\n";
+    bytes += result;
+    bytes += '\n';
+
     std::string tmp =
         shardPath(i) + ".tmp." + std::to_string(::getpid());
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr)
+    if (!writeDurable(tmp, bytes))
         return false;
-    bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    ok = std::fflush(f) == 0 && ok;
-    ok = ::fsync(::fileno(f)) == 0 && ok;
-    ok = std::fclose(f) == 0 && ok;
-    if (!ok) {
-        ::unlink(tmp.c_str());
-        return false;
-    }
-
     // link() publishes the fully-written temp file under the final
     // name atomically; EEXIST is a duplicate commit of the same
     // deterministic job — the first writer's (identical) bytes stand.
     bool created = ::link(tmp.c_str(), shardPath(i).c_str()) == 0;
-    if (!created && errno != EEXIST) {
-        ::unlink(tmp.c_str());
-        return false;
-    }
+    bool duplicate = !created && errno == EEXIST;
     ::unlink(tmp.c_str());
-    ::unlink(leasePath(i).c_str());
+    if (created || duplicate)
+        ::unlink(leasePath(i).c_str());
     return created;
 }
 
-std::optional<DecodedShard>
+std::optional<Shard>
 Journal::readShard(std::size_t i) const
 {
     std::string bytes;
     if (!readFile(shardPath(i), bytes))
         return std::nullopt;
-    auto d = decodePointResult(bytes);
-    if (!d || d->jobId != ids_[i] || d->point.index != i)
+    // Exactly two newline-terminated lines: header, then result.
+    std::size_t eol = bytes.find('\n');
+    if (eol == std::string::npos ||
+        bytes.find('\n', eol + 1) != bytes.size() - 1)
         return std::nullopt;
-    return d;
+    auto h = FlatJson::parse(bytes.substr(0, eol));
+    if (!h)
+        return std::nullopt;
+
+    Shard s;
+    s.result = bytes.substr(eol + 1, bytes.size() - eol - 2);
+    auto seed = h->num<std::uint64_t>("seed");
+    auto attempt = h->num<std::uint64_t>("attempt");
+    auto worker = h->num<int>("worker");
+    auto wallMs = h->num<double>("wallMs");
+    if (h->num<int>("shard") != 2 || h->str("job") != ids_[i] ||
+        h->num<std::uint64_t>("index") != i || !seed || !attempt ||
+        *attempt < 1 || *attempt > UINT32_MAX || !worker || *worker < 0 ||
+        !wallMs || h->str("digest") != resultDigest(s.result))
+        return std::nullopt;
+    s.seed = *seed;
+    s.attempt = static_cast<std::uint32_t>(*attempt);
+    s.worker = *worker;
+    s.wallMs = *wallMs;
+    return s;
 }
 
 } // namespace noc::farm

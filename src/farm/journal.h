@@ -8,7 +8,7 @@
  *   MANIFEST.json            bench name, point count, spec fingerprint
  *   leases/<id>              live lease (flat JSON: pid/worker/attempt)
  *   leases/<id>.stale.<n>    tombstones of stolen leases
- *   shards/<id>              committed result (wire.h shard encoding)
+ *   shards/<id>              committed result (two lines, see Shard)
  *   shards/<id>.tmp.<pid>    in-flight commit, never read by others
  *
  * A job's state is derived purely from the filesystem — there is no
@@ -70,6 +70,27 @@ std::vector<std::string> jobIds(const std::vector<exp::SweepPoint> &points);
 std::string specFingerprint(const exp::SweepSpec &spec,
                             const std::vector<std::string> &ids);
 
+/**
+ * One committed result, as readShard returns it. On disk a shard is
+ * two lines: a flat-JSON header
+ *
+ *   {"shard": 2, "job": "<id>", "index": i, "seed": s, "attempt": a,
+ *    "worker": w, "wallMs": t, "digest": "<16 hex>"}
+ *
+ * then the point's exp::resultJson text, whose FNV-1a hash is the
+ * digest. The aggregator copies that text into the BENCH json
+ * unchanged, so farm output and in-process output are the same bytes
+ * by construction, and a changed or missing byte in the result line
+ * fails the digest.
+ */
+struct Shard {
+    std::uint64_t seed = 0;
+    std::uint32_t attempt = 1; ///< lease attempts incl. the committer
+    int worker = 0;            ///< committing worker index
+    double wallMs = 0;         ///< real wall time of the committed run
+    std::string result;        ///< exp::resultJson text, no newline
+};
+
 /** A live lease, as read back from its file. */
 struct LeaseInfo {
     long pid = 0;
@@ -109,19 +130,24 @@ class Journal
     std::optional<std::uint32_t> tryLease(std::size_t i, int worker);
 
     /**
-     * Commits job @p i: writes the shard bytes to a pid-unique temp
-     * file and links it to the final name. Returns true when this call
-     * created the shard, false on a duplicate commit (idempotent — the
-     * first committed bytes stand). Drops the temp file and our lease
-     * either way.
+     * Commits @p r, job @p i's result, run under lease @p attempt by
+     * @p worker: writes the shard (see Shard) to a pid-unique temp
+     * file, fsyncs it and links it to the final name. Returns true
+     * when this call created the shard, false on a duplicate commit
+     * (idempotent — the first committed bytes stand) or an I/O
+     * failure. Drops the temp file either way, and our lease unless
+     * the write failed.
      */
-    bool commit(std::size_t i, const std::string &bytes);
+    bool commit(std::size_t i, const exp::PointResult &r,
+                std::uint32_t attempt = 1, int worker = 0);
 
     /**
-     * Reads and decodes job @p i's shard; nullopt when missing, torn,
-     * or recorded under a different job id than the manifest expects.
+     * Reads job @p i's shard; nullopt when it is missing, torn (not
+     * exactly two lines), corrupt (a malformed header, or a result
+     * line that does not match the digest), in another format, or
+     * filed under another job id or index than the manifest expects.
      */
-    std::optional<DecodedShard> readShard(std::size_t i) const;
+    std::optional<Shard> readShard(std::size_t i) const;
 
     /** The live lease of job @p i, if any. */
     std::optional<LeaseInfo> readLease(std::size_t i) const;

@@ -21,16 +21,8 @@ mix(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *s = std::getenv(name);
-    if (s == nullptr || *s == '\0')
-        return fallback;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    return (end != nullptr && *end == '\0') ? v : fallback;
-}
+/** NOC_TRACE_BUF's ceiling: one ring per router must stay allocatable. */
+constexpr std::uint64_t kMaxRingCapacity = std::uint64_t{1} << 20;
 
 } // namespace
 
@@ -56,9 +48,9 @@ Recorder::fromEnv(const SimConfig &cfg)
     opt.meshWidth = cfg.meshWidth;
     opt.meshHeight = cfg.meshHeight;
     opt.arch = cfg.arch;
-    opt.sampleEvery = envU64("NOC_TRACE_SAMPLE", 1);
-    opt.ringCapacity =
-        static_cast<std::size_t>(envU64("NOC_TRACE_BUF", 2048));
+    opt.sampleEvery = envNumber<std::uint64_t>("NOC_TRACE_SAMPLE", 1);
+    opt.ringCapacity = static_cast<std::size_t>(
+        envNumber<std::uint64_t>("NOC_TRACE_BUF", 2048, 0, kMaxRingCapacity));
     return std::make_shared<Recorder>(opt);
 }
 

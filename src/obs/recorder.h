@@ -62,7 +62,7 @@ class Recorder
      * Builds a recorder from the environment, or nullptr when tracing
      * is off. NOC_TRACE=1 enables; NOC_TRACE_SAMPLE=N samples 1/N
      * packets (default every packet); NOC_TRACE_BUF=N sizes the
-     * per-router rings.
+     * per-router rings (N <= 2^20). A malformed number is fatal.
      */
     static std::shared_ptr<Recorder> fromEnv(const SimConfig &cfg);
 

@@ -46,6 +46,8 @@ struct EnergyBreakdown {
 
     double dynamicPj() const;
     double totalPj() const { return dynamicPj() + leakagePj; }
+
+    bool operator==(const EnergyBreakdown &) const = default;
 };
 
 /** Stateless calculator from (counters, params, time, router count). */

@@ -7,6 +7,7 @@
 #define ROCOSIM_SIM_SIMULATOR_H_
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/config.h"
@@ -49,7 +50,7 @@ struct SimResult {
     // Closed-loop traffic service (cfg.svc.enabled runs only).
     /** Per-message-class latency/SLO block (BENCH json "classes"). */
     struct ClassResult {
-        const char *name = "";     ///< msgClassName()
+        std::string_view name;     ///< msgClassName(): a static string
         std::uint64_t injected = 0;
         std::uint64_t delivered = 0;
         double avgLatency = 0;     ///< one-way, measured packets
@@ -59,6 +60,8 @@ struct SimResult {
         double p99Rtt = 0;
         std::uint64_t rttCount = 0;
         std::uint64_t sloViolations = 0;
+
+        bool operator==(const ClassResult &) const = default;
     };
     std::vector<ClassResult> classes; ///< kNumMsgClasses entries, or empty
     std::uint64_t replyCount = 0;     ///< reply packets delivered
@@ -66,6 +69,12 @@ struct SimResult {
     std::uint64_t svcTimeouts = 0;    ///< MSHRs reclaimed by timeout
     std::uint64_t svcLateReplies = 0; ///< replies after MSHR timeout
     Cycle drainCycles = 0;            ///< total run length incl. drain
+
+    /**
+     * Every field equal (doubles by ==): what "identical" means in
+     * every serial / shard / idle-skip / pool identity gate.
+     */
+    bool operator==(const SimResult &) const = default;
 };
 
 /**

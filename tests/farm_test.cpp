@@ -1,8 +1,8 @@
 /**
  * @file
- * The sweep farm's contracts (src/farm): shard wire encoding, journal
- * state machine, crash/resume byte-identity and the sweep progress
- * hook.
+ * The sweep farm's contracts (src/farm): the result shard format,
+ * journal state machine, crash/resume byte-identity and the sweep
+ * progress hook.
  *
  * The headline test is FarmTest.KillResumeByteIdentical — the module's
  * acceptance criterion: a sweep whose workers are SIGKILLed mid-lease
@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "farm/farm.h"
 #include "farm/journal.h"
 #include "farm/wire.h"
+#include "result_print.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define FARM_TSAN 1
@@ -94,6 +96,22 @@ struct TempJournal {
     }
 };
 
+/** tinySpec(@p name) and a fresh journal for it (j; nullopt on error). */
+struct TestJournal : TempJournal {
+    exp::SweepSpec spec;
+    std::vector<exp::SweepPoint> points;
+    std::vector<std::string> ids;
+    std::optional<farm::Journal> j;
+
+    explicit TestJournal(const char *name)
+        : TempJournal(name), spec(tinySpec(name)), points(exp::expand(spec)),
+          ids(farm::jobIds(points)),
+          j(farm::Journal::open(dir, spec, ids, nullptr))
+    {
+    }
+    std::string shard(std::size_t i) const { return dir + "/shards/" + ids[i]; }
+};
+
 std::string
 readFile(const std::string &path)
 {
@@ -106,6 +124,15 @@ readFile(const std::string &path)
         std::fclose(f);
     }
     return out;
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
 }
 
 bool
@@ -127,67 +154,79 @@ deadPid()
     return pid;
 }
 
-exp::PointResult
-runPoint0(const exp::SweepSpec &spec)
-{
-    std::vector<exp::SweepPoint> points = exp::expand(spec);
-    return exp::runSweepPoint(points[0]);
-}
-
 // ---------------------------------------------------------------- wire
+
+/** @p shard with the first digit of @p key's value in its result line
+ *  moved by one (20.05 -> 21.05, say); unchanged when @p key is absent. */
+std::string
+bumpDigit(std::string shard, const std::string &key)
+{
+    const std::string field = "\"" + key + "\": ";
+    std::size_t at = shard.find(field, shard.find('\n'));
+    if (at != std::string::npos) {
+        char &d = shard[at + field.size()];
+        d = d == '9' ? '8' : static_cast<char>(d + 1);
+    }
+    return shard;
+}
 
 TEST(WireTest, ShardRoundTripIsBitExact)
 {
-    exp::SweepSpec spec = tinySpec("wire_rt");
-    std::vector<exp::SweepPoint> points = exp::expand(spec);
-    exp::PointResult r = exp::runSweepPoint(points[1]);
-    r.wallMs = 12.345678901234567; // survives only via %a hex-floats
+    TestJournal t("wire_rt");
+    ASSERT_TRUE(t.j.has_value());
+    auto &j = t.j;
 
-    std::string bytes =
-        farm::encodePointResult(farm::jobId(points[1]), r, 3, 7);
-    auto dec = farm::decodePointResult(bytes);
-    ASSERT_TRUE(dec.has_value());
-    EXPECT_EQ(dec->jobId, farm::jobId(points[1]));
-    EXPECT_EQ(dec->attempt, 3u);
-    EXPECT_EQ(dec->worker, 7);
-    EXPECT_EQ(dec->point.index, r.index);
-    EXPECT_EQ(dec->point.seed, r.seed);
-    // Bit-exact doubles: memcmp, not ==, so -0.0 and NaN patterns
-    // would also be caught.
-    EXPECT_EQ(std::memcmp(&dec->point.wallMs, &r.wallMs, sizeof(double)),
-              0);
-    EXPECT_EQ(std::memcmp(&dec->point.result.avgLatency,
-                          &r.result.avgLatency, sizeof(double)),
-              0);
-    EXPECT_EQ(dec->point.result.cycles, r.result.cycles);
-    EXPECT_EQ(dec->point.result.delivered, r.result.delivered);
-    EXPECT_EQ(std::memcmp(&dec->point.result.energyPerPacketNj,
-                          &r.result.energyPerPacketNj, sizeof(double)),
-              0);
+    exp::PointResult r = exp::runSweepPoint(t.points[1]);
+    r.wallMs = 12.345678901234567; // needs all 17 significant digits
+    r.seed = 0xfedcba9876543211ull; // not representable as a double
+    ASSERT_TRUE(j->commit(1, r, 3, 7));
+
+    // Line two is json_out's result text, byte for byte.
+    std::string bytes = readFile(t.shard(1));
+    ASSERT_NE(bytes.find('\n'), std::string::npos);
+    EXPECT_EQ(bytes.substr(bytes.find('\n') + 1),
+              exp::resultJson(r.result) + "\n");
+
+    auto back = j->readShard(1);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->seed, r.seed);
+    EXPECT_EQ(back->attempt, 3u);
+    EXPECT_EQ(back->worker, 7);
+    // Bit-exact wall time: memcmp, not ==.
+    EXPECT_EQ(std::memcmp(&back->wallMs, &r.wallMs, sizeof(double)), 0);
+    EXPECT_EQ(back->result, exp::resultJson(r.result));
 }
 
 TEST(WireTest, TornShardRejected)
 {
-    exp::SweepSpec spec = tinySpec("wire_torn");
-    exp::PointResult r = runPoint0(spec);
-    std::string bytes = farm::encodePointResult("00000000deadbeef", r);
+    TestJournal t("wire_torn");
+    ASSERT_TRUE(t.j.has_value());
+    auto &j = t.j;
+    ASSERT_TRUE(j->commit(0, exp::runSweepPoint(t.points[0])));
 
-    // Missing trailer (the torn-write signature).
-    std::string noEnd = bytes.substr(0, bytes.rfind("end"));
-    EXPECT_FALSE(farm::decodePointResult(noEnd).has_value());
+    const std::string good = readFile(t.shard(0));
+    auto rejected = [&](const std::string &bytes) {
+        writeFile(t.shard(0), bytes);
+        return !j->readShard(0).has_value();
+    };
 
-    // Truncated mid-line.
-    EXPECT_FALSE(
-        farm::decodePointResult(bytes.substr(0, bytes.size() / 2))
-            .has_value());
+    // One digit of the result line changed.
+    EXPECT_TRUE(rejected(bumpDigit(good, "avgLatency")));
 
-    // Unknown field: reject the whole shard, never skip silently.
-    std::string unknown = bytes;
-    unknown.insert(unknown.rfind("end"), "bogusField 1\n");
-    EXPECT_FALSE(farm::decodePointResult(unknown).has_value());
+    // Truncated: mid-file, at the header, or just the final newline.
+    EXPECT_TRUE(rejected(good.substr(0, good.size() / 2)));
+    EXPECT_TRUE(rejected(good.substr(0, good.find('\n') + 1)));
+    EXPECT_TRUE(rejected(good.substr(0, good.size() - 1)));
+    // A trailing line is not part of the format either.
+    EXPECT_TRUE(rejected(good + "{}\n"));
 
-    // The pristine bytes still decode (the edits above are at fault).
-    EXPECT_TRUE(farm::decodePointResult(bytes).has_value());
+    // A shard in the older line-per-field format.
+    EXPECT_TRUE(rejected("rocosim-shard 1\njob " + t.ids[0] +
+                         "\nattempt 1\nworker 0\nindex 0\n"
+                         "avgLatency 0x1.4p+4\nend\n"));
+
+    // The pristine bytes still read (the edits above are at fault).
+    EXPECT_FALSE(rejected(good));
 }
 
 TEST(WireTest, FlatJsonParsesFlatRejectsNested)
@@ -196,8 +235,10 @@ TEST(WireTest, FlatJsonParsesFlatRejectsNested)
         "{\"op\": \"sim\", \"rate\": 0.25, \"service\": true}");
     ASSERT_TRUE(j.has_value());
     EXPECT_EQ(j->str("op"), "sim");
-    EXPECT_DOUBLE_EQ(j->num("rate"), 0.25);
-    EXPECT_DOUBLE_EQ(j->num("mesh", 8), 8);
+    EXPECT_EQ(j->num<double>("rate"), 0.25);
+    EXPECT_FALSE(j->num<int>("rate").has_value()); // not a whole number
+    EXPECT_FALSE(j->num<double>("op").has_value()); // a string
+    EXPECT_FALSE(j->num<double>("mesh").has_value()); // absent
 
     EXPECT_FALSE(farm::FlatJson::parse("{\"a\": {\"b\": 1}}").has_value());
     EXPECT_FALSE(farm::FlatJson::parse("{\"a\": [1, 2]}").has_value());
@@ -238,12 +279,9 @@ TEST(JournalTest, JobIdStableAndBlindToOperationalKnobs)
 
 TEST(JournalTest, LeaseIsExclusive)
 {
-    exp::SweepSpec spec = tinySpec("lease");
-    std::vector<std::string> ids = farm::jobIds(exp::expand(spec));
-    TempJournal tmp("lease");
-    std::string err;
-    auto j = farm::Journal::open(tmp.dir, spec, ids, &err);
-    ASSERT_TRUE(j.has_value()) << err;
+    TestJournal t("lease");
+    ASSERT_TRUE(t.j.has_value());
+    auto &j = t.j;
 
     auto first = j->tryLease(0, /*worker=*/0);
     ASSERT_TRUE(first.has_value());
@@ -256,17 +294,14 @@ TEST(JournalTest, LeaseIsExclusive)
 
 TEST(JournalTest, DeadHolderLeaseStolenWithAttemptBump)
 {
-    exp::SweepSpec spec = tinySpec("steal");
-    std::vector<std::string> ids = farm::jobIds(exp::expand(spec));
-    TempJournal tmp("steal");
-    std::string err;
-    auto j = farm::Journal::open(tmp.dir, spec, ids, &err);
-    ASSERT_TRUE(j.has_value()) << err;
+    TestJournal t("steal");
+    ASSERT_TRUE(t.j.has_value());
+    auto &j = t.j;
 
     // Forge job 0's lease as held (attempt 3) by a reaped pid — the
     // kill -9'd worker, as the journal sees it. The timestamp is fresh,
     // so only the dead-holder path can justify the steal.
-    std::string lease = tmp.dir + "/leases/" + ids[0];
+    std::string lease = t.dir + "/leases/" + t.ids[0];
     std::string body = "{\"pid\": " + std::to_string(deadPid()) +
                        ", \"worker\": 0, \"attempt\": 3, \"sinceMs\": "
                        "9999999999999}";
@@ -287,12 +322,9 @@ TEST(JournalTest, DeadHolderLeaseStolenWithAttemptBump)
 
 TEST(JournalTest, ExpiredLeaseStolenViaTtlBackstop)
 {
-    exp::SweepSpec spec = tinySpec("ttl");
-    std::vector<std::string> ids = farm::jobIds(exp::expand(spec));
-    TempJournal tmp("ttl");
-    std::string err;
-    auto j = farm::Journal::open(tmp.dir, spec, ids, &err);
-    ASSERT_TRUE(j.has_value()) << err;
+    TestJournal t("ttl");
+    ASSERT_TRUE(t.j.has_value());
+    auto &j = t.j;
     j->leaseTtlSec = 0.001;
 
     ASSERT_TRUE(j->tryLease(0, /*worker=*/0).has_value());
@@ -306,20 +338,15 @@ TEST(JournalTest, ExpiredLeaseStolenViaTtlBackstop)
 
 TEST(JournalTest, CommitIsIdempotentAndClearsLease)
 {
-    exp::SweepSpec spec = tinySpec("commit");
-    std::vector<exp::SweepPoint> points = exp::expand(spec);
-    std::vector<std::string> ids = farm::jobIds(points);
-    TempJournal tmp("commit");
-    std::string err;
-    auto j = farm::Journal::open(tmp.dir, spec, ids, &err);
-    ASSERT_TRUE(j.has_value()) << err;
+    TestJournal t("commit");
+    ASSERT_TRUE(t.j.has_value());
+    auto &j = t.j;
 
-    exp::PointResult r = exp::runSweepPoint(points[0]);
-    std::string bytes = farm::encodePointResult(ids[0], r);
+    exp::PointResult r = exp::runSweepPoint(t.points[0]);
 
     ASSERT_TRUE(j->tryLease(0, 0).has_value());
     EXPECT_FALSE(j->isDone(0));
-    EXPECT_TRUE(j->commit(0, bytes));
+    EXPECT_TRUE(j->commit(0, r));
     EXPECT_TRUE(j->isDone(0));
     EXPECT_EQ(j->doneCount(), 1u);
     // The lease is gone: a done job is never re-leased.
@@ -328,33 +355,50 @@ TEST(JournalTest, CommitIsIdempotentAndClearsLease)
 
     // A duplicate commit (the stolen-then-both-finish race) is a no-op:
     // first writer wins, and the first bytes stand.
-    std::string other = farm::encodePointResult(ids[0], r, 9, 9);
-    EXPECT_FALSE(j->commit(0, other));
+    EXPECT_FALSE(j->commit(0, r, 9, 9));
     auto back = j->readShard(0);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->attempt, 1u);
 
     // No temp files left behind by either commit.
-    std::string tmpShard = tmp.dir + "/shards/" + ids[0] + ".tmp." +
-                           std::to_string(::getpid());
-    EXPECT_FALSE(fileExists(tmpShard));
+    EXPECT_FALSE(fileExists(t.shard(0) + ".tmp." +
+                            std::to_string(::getpid())));
 }
 
 TEST(JournalTest, ShardUnderWrongJobIdRejected)
 {
-    exp::SweepSpec spec = tinySpec("wrongid");
-    std::vector<exp::SweepPoint> points = exp::expand(spec);
-    std::vector<std::string> ids = farm::jobIds(points);
-    TempJournal tmp("wrongid");
-    std::string err;
-    auto j = farm::Journal::open(tmp.dir, spec, ids, &err);
-    ASSERT_TRUE(j.has_value()) << err;
+    TestJournal t("wrongid");
+    ASSERT_TRUE(t.j.has_value());
+    auto &j = t.j;
 
-    // Job 1's shard file recorded under job 0's id: decodable bytes,
-    // wrong identity — readShard must refuse it.
-    exp::PointResult r = exp::runSweepPoint(points[1]);
-    ASSERT_TRUE(j->commit(1, farm::encodePointResult(ids[0], r)));
+    // Job 0's shard filed as job 1's: intact bytes, wrong identity —
+    // readShard must refuse it.
+    ASSERT_TRUE(j->commit(0, exp::runSweepPoint(t.points[0])));
+    writeFile(t.shard(1), readFile(t.shard(0)));
+    EXPECT_TRUE(j->readShard(0).has_value());
     EXPECT_FALSE(j->readShard(1).has_value());
+}
+
+TEST(FarmTest, CorruptShardIsNamedAndNoJsonWritten)
+{
+    TestJournal t("corrupt");
+    ASSERT_TRUE(t.j.has_value());
+    for (std::size_t i = 0; i < t.points.size(); ++i)
+        ASSERT_TRUE(t.j->commit(i, exp::runSweepPoint(t.points[i])));
+
+    farm::FarmOptions opts;
+    opts.dir = t.dir;
+    farm::FarmRun good = farm::runFarm(t.spec, opts);
+    ASSERT_TRUE(good.complete) << good.error;
+    ASSERT_EQ(::unlink(good.jsonPath.c_str()), 0);
+
+    // One digit changed in shard 2's result line.
+    writeFile(t.shard(2), bumpDigit(readFile(t.shard(2)), "cycles"));
+
+    farm::FarmRun bad = farm::runFarm(t.spec, opts);
+    EXPECT_FALSE(bad.complete);
+    EXPECT_NE(bad.error.find(t.ids[2]), std::string::npos) << bad.error;
+    EXPECT_FALSE(fileExists(good.jsonPath));
 }
 
 TEST(JournalTest, ManifestRejectsADifferentSpec)
@@ -524,14 +568,8 @@ TEST(ProgressTest, CallbackFiresOncePerPointWithoutPerturbingResults)
     }
 
     // Observing progress never changes results.
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(withHook.results[i].result.avgLatency,
-                  plain.results[i].result.avgLatency);
-        EXPECT_EQ(withHook.results[i].result.cycles,
-                  plain.results[i].result.cycles);
-        EXPECT_EQ(withHook.results[i].result.energyPerPacketNj,
-                  plain.results[i].result.energyPerPacketNj);
-    }
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(withHook.results[i].result, plain.results[i].result);
 }
 
 TEST(ProgressTest, EnvOverridesDefault)

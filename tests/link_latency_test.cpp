@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fault/fault_injector.h"
+#include "result_print.h"
 #include "sim/simulator.h"
 
 namespace noc {
@@ -58,23 +59,8 @@ void
 expectSame(const LinkRun &a, const LinkRun &b, const char *what)
 {
     SCOPED_TRACE(what);
-    EXPECT_EQ(a.r.avgLatency, b.r.avgLatency);
-    EXPECT_EQ(a.r.latencyStddev, b.r.latencyStddev);
-    EXPECT_EQ(a.r.maxLatency, b.r.maxLatency);
-    EXPECT_EQ(a.r.p99Latency, b.r.p99Latency);
-    EXPECT_EQ(a.r.throughputFlits, b.r.throughputFlits);
-    EXPECT_EQ(a.r.injected, b.r.injected);
-    EXPECT_EQ(a.r.delivered, b.r.delivered);
-    EXPECT_EQ(a.r.completion, b.r.completion);
-    EXPECT_EQ(a.r.energy.totalPj(), b.r.energy.totalPj());
-    EXPECT_EQ(a.r.pef, b.r.pef);
-    EXPECT_EQ(a.r.cycles, b.r.cycles);
-    EXPECT_EQ(a.r.rowContention, b.r.rowContention);
-    EXPECT_EQ(a.r.colContention, b.r.colContention);
-    EXPECT_EQ(a.ledger.created, b.ledger.created);
-    EXPECT_EQ(a.ledger.retired, b.ledger.retired);
-    EXPECT_EQ(a.ledger.lastDelivery, b.ledger.lastDelivery);
-    EXPECT_EQ(a.ledger.flitCycles, b.ledger.flitCycles);
+    EXPECT_EQ(a.r, b.r);
+    EXPECT_EQ(a.ledger, b.ledger);
     EXPECT_EQ(a.stepsScheduled, b.stepsScheduled);
 }
 

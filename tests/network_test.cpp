@@ -242,10 +242,7 @@ TEST_P(EngineGenerationTest, StepMatchesPerNodeGenerate)
         const FlitLedger &a = engine.ledger();
         const FlitLedger &b = twin.ledger();
         EXPECT_GT(a.created, 0u);
-        EXPECT_EQ(a.created, b.created);
-        EXPECT_EQ(a.retired, b.retired);
-        EXPECT_EQ(a.flitCycles, b.flitCycles);
-        EXPECT_EQ(a.lastDelivery, b.lastDelivery);
+        EXPECT_EQ(a, b);
         for (int i = 0; i < engine.numNodes(); ++i) {
             const NodeId n = static_cast<NodeId>(i);
             EXPECT_EQ(engine.nic(n).injectedPackets(),

@@ -26,6 +26,7 @@
 #include "obs/perfetto.h"
 #include "obs/recorder.h"
 #include "obs/ring_buffer.h"
+#include "result_print.h"
 #include "sim/simulator.h"
 
 // --- allocation counter ---------------------------------------------
@@ -367,6 +368,36 @@ smallConfig()
     return cfg;
 }
 
+TEST(RecorderEnvDeathTest, MalformedTraceKnobsAreFatal)
+{
+    // Values a lax parser misreads: -1 as 2^64-1 (a ring too large to
+    // allocate, or a sample rate that traces nothing), the others as
+    // the default.
+    const SimConfig cfg = smallConfig();
+    ASSERT_EQ(setenv("NOC_TRACE", "1", 1), 0);
+    for (const char *var : {"NOC_TRACE_BUF", "NOC_TRACE_SAMPLE"}) {
+        for (const char *bad : {"-1", "abc", "8x", ""}) {
+            ASSERT_EQ(setenv(var, bad, 1), 0);
+            EXPECT_EXIT(Recorder::fromEnv(cfg), testing::ExitedWithCode(1),
+                        std::string(var) + "='" + bad + "'")
+                << var << "=" << bad;
+        }
+        ASSERT_EQ(unsetenv(var), 0);
+    }
+    // Above the ring ceiling: out of range, not an allocation failure.
+    ASSERT_EQ(setenv("NOC_TRACE_BUF", "99999999999", 1), 0);
+    EXPECT_EXIT(Recorder::fromEnv(cfg), testing::ExitedWithCode(1),
+                "NOC_TRACE_BUF='99999999999'");
+
+    // Well-formed values still build a recorder.
+    ASSERT_EQ(setenv("NOC_TRACE_BUF", "0", 1), 0);
+    ASSERT_EQ(setenv("NOC_TRACE_SAMPLE", "4", 1), 0);
+    EXPECT_NE(Recorder::fromEnv(cfg), nullptr);
+    ASSERT_EQ(unsetenv("NOC_TRACE_BUF"), 0);
+    ASSERT_EQ(unsetenv("NOC_TRACE_SAMPLE"), 0);
+    ASSERT_EQ(unsetenv("NOC_TRACE"), 0);
+}
+
 TEST(ObsSimulatorTest, RecorderDoesNotPerturbResults)
 {
     SimConfig cfg = smallConfig();
@@ -385,10 +416,7 @@ TEST(ObsSimulatorTest, RecorderDoesNotPerturbResults)
         }()));
     SimResult b = traced.run();
 
-    EXPECT_DOUBLE_EQ(a.avgLatency, b.avgLatency);
-    EXPECT_EQ(a.delivered, b.delivered);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_DOUBLE_EQ(a.energyPerPacketNj, b.energyPerPacketNj);
+    EXPECT_EQ(a, b);
 }
 
 TEST(ObsSimulatorTest, CapturesFullLifecycle)

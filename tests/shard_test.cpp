@@ -24,6 +24,7 @@
 #include "obs/recorder.h"
 #include "par/barrier.h"
 #include "par/shard_engine.h"
+#include "result_print.h"
 #include "sim/simulator.h"
 #include "topology/partition.h"
 
@@ -318,26 +319,8 @@ expectIdentical(const RunObservation &serial, const RunObservation &sharded,
                 const char *what)
 {
     SCOPED_TRACE(what);
-    EXPECT_EQ(serial.r.avgLatency, sharded.r.avgLatency);
-    EXPECT_EQ(serial.r.latencyStddev, sharded.r.latencyStddev);
-    EXPECT_EQ(serial.r.maxLatency, sharded.r.maxLatency);
-    EXPECT_EQ(serial.r.p50Latency, sharded.r.p50Latency);
-    EXPECT_EQ(serial.r.p99Latency, sharded.r.p99Latency);
-    EXPECT_EQ(serial.r.throughputFlits, sharded.r.throughputFlits);
-    EXPECT_EQ(serial.r.injected, sharded.r.injected);
-    EXPECT_EQ(serial.r.delivered, sharded.r.delivered);
-    EXPECT_EQ(serial.r.completion, sharded.r.completion);
-    EXPECT_EQ(serial.r.energyPerPacketNj, sharded.r.energyPerPacketNj);
-    EXPECT_EQ(serial.r.energy.totalPj(), sharded.r.energy.totalPj());
-    EXPECT_EQ(serial.r.edp, sharded.r.edp);
-    EXPECT_EQ(serial.r.pef, sharded.r.pef);
-    EXPECT_EQ(serial.r.cycles, sharded.r.cycles);
-    EXPECT_EQ(serial.r.timedOut, sharded.r.timedOut);
-    EXPECT_EQ(serial.r.rowContention, sharded.r.rowContention);
-    EXPECT_EQ(serial.r.colContention, sharded.r.colContention);
-    EXPECT_EQ(serial.ledger.created, sharded.ledger.created);
-    EXPECT_EQ(serial.ledger.retired, sharded.ledger.retired);
-    EXPECT_EQ(serial.ledger.lastDelivery, sharded.ledger.lastDelivery);
+    EXPECT_EQ(serial.r, sharded.r);
+    EXPECT_EQ(serial.ledger, sharded.ledger);
     EXPECT_EQ(serial.genPackets, sharded.genPackets);
     EXPECT_EQ(serial.obsE2e, sharded.obsE2e);
     EXPECT_EQ(serial.obsMeasured, sharded.obsMeasured);

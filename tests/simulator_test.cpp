@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_injector.h"
+#include "result_print.h"
 #include "sim/simulator.h"
 
 namespace noc {
@@ -45,10 +46,7 @@ TEST(SimulatorTest, DeterministicAcrossRuns)
     SimConfig cfg = smallRun(RouterArch::Roco);
     SimResult a = Simulator(cfg).run();
     SimResult b = Simulator(cfg).run();
-    EXPECT_DOUBLE_EQ(a.avgLatency, b.avgLatency);
-    EXPECT_EQ(a.delivered, b.delivered);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_DOUBLE_EQ(a.energyPerPacketNj, b.energyPerPacketNj);
+    EXPECT_EQ(a, b);
 }
 
 TEST(SimulatorTest, SeedChangesTheRun)
@@ -159,27 +157,8 @@ expectSkipIdentical(const SkipObservation &on, const SkipObservation &off,
                     const char *what)
 {
     SCOPED_TRACE(what);
-    EXPECT_EQ(on.r.avgLatency, off.r.avgLatency);
-    EXPECT_EQ(on.r.latencyStddev, off.r.latencyStddev);
-    EXPECT_EQ(on.r.maxLatency, off.r.maxLatency);
-    EXPECT_EQ(on.r.p50Latency, off.r.p50Latency);
-    EXPECT_EQ(on.r.p99Latency, off.r.p99Latency);
-    EXPECT_EQ(on.r.throughputFlits, off.r.throughputFlits);
-    EXPECT_EQ(on.r.injected, off.r.injected);
-    EXPECT_EQ(on.r.delivered, off.r.delivered);
-    EXPECT_EQ(on.r.completion, off.r.completion);
-    EXPECT_EQ(on.r.energyPerPacketNj, off.r.energyPerPacketNj);
-    EXPECT_EQ(on.r.energy.totalPj(), off.r.energy.totalPj());
-    EXPECT_EQ(on.r.edp, off.r.edp);
-    EXPECT_EQ(on.r.pef, off.r.pef);
-    EXPECT_EQ(on.r.cycles, off.r.cycles);
-    EXPECT_EQ(on.r.timedOut, off.r.timedOut);
-    EXPECT_EQ(on.r.rowContention, off.r.rowContention);
-    EXPECT_EQ(on.r.colContention, off.r.colContention);
-    EXPECT_EQ(on.ledger.created, off.ledger.created);
-    EXPECT_EQ(on.ledger.retired, off.ledger.retired);
-    EXPECT_EQ(on.ledger.lastDelivery, off.ledger.lastDelivery);
-    EXPECT_EQ(on.ledger.flitCycles, off.ledger.flitCycles);
+    EXPECT_EQ(on.r, off.r);
+    EXPECT_EQ(on.ledger, off.ledger);
 }
 
 SimConfig

@@ -12,6 +12,7 @@
 #include "common/flit.h"
 #include "exp/saturation.h"
 #include "fault/fault_injector.h"
+#include "result_print.h"
 #include "sim/run_control.h"
 #include "sim/simulator.h"
 #include "svc/protocol.h"
@@ -311,7 +312,7 @@ TEST(ClosedLoopTest, ConservationAndPerClassAccounting)
     for (int c = 0; c < kNumMsgClasses; ++c) {
         const SimResult::ClassResult &cr =
             r.classes[static_cast<std::size_t>(c)];
-        EXPECT_STREQ(cr.name, msgClassName(static_cast<MsgClass>(c)));
+        EXPECT_EQ(cr.name, msgClassName(static_cast<MsgClass>(c)));
         // Fault-free: every packet of every class arrives.
         EXPECT_EQ(cr.injected, cr.delivered);
         if (isReplyClass(static_cast<MsgClass>(c)))
@@ -386,17 +387,6 @@ TEST(ClosedLoopTest, InFlightRepliesOutliveTheIdleWindow)
     EXPECT_GT(r.drainCycles, cfg.svc.serviceLatency);
 }
 
-bool
-sameClassResult(const SimResult::ClassResult &a,
-                const SimResult::ClassResult &b)
-{
-    return a.injected == b.injected && a.delivered == b.delivered &&
-           a.avgLatency == b.avgLatency && a.p50Latency == b.p50Latency &&
-           a.p99Latency == b.p99Latency && a.avgRtt == b.avgRtt &&
-           a.p99Rtt == b.p99Rtt && a.rttCount == b.rttCount &&
-           a.sloViolations == b.sloViolations;
-}
-
 TEST(ClosedLoopTest, SerialAndShardedRunsAreBitIdentical)
 {
     for (RouterArch arch : {RouterArch::Generic, RouterArch::Roco,
@@ -411,22 +401,8 @@ TEST(ClosedLoopTest, SerialAndShardedRunsAreBitIdentical)
         cfg.shards = 4;
         SimResult sharded = Simulator(cfg).run();
 
-        EXPECT_EQ(serial.avgLatency, sharded.avgLatency);
-        EXPECT_EQ(serial.injected, sharded.injected);
-        EXPECT_EQ(serial.delivered, sharded.delivered);
-        EXPECT_EQ(serial.cycles, sharded.cycles);
-        EXPECT_EQ(serial.drainCycles, sharded.drainCycles);
-        EXPECT_EQ(serial.replyCount, sharded.replyCount);
-        EXPECT_EQ(serial.mshrThrottled, sharded.mshrThrottled);
-        EXPECT_EQ(serial.svcTimeouts, sharded.svcTimeouts);
-        ASSERT_EQ(serial.classes.size(), sharded.classes.size());
-        for (std::size_t c = 0; c < serial.classes.size(); ++c) {
-            EXPECT_TRUE(
-                sameClassResult(serial.classes[c], sharded.classes[c]))
-                << toString(arch) << " class "
-                << msgClassName(static_cast<MsgClass>(c))
-                << " diverged across engines";
-        }
+        EXPECT_EQ(serial, sharded) << toString(arch)
+                                   << " diverged across engines";
     }
 }
 

@@ -13,6 +13,7 @@
 #include "exp/sweep.h"
 #include "fault/fault_injector.h"
 #include "model/liveness.h"
+#include "result_print.h"
 #include "topology/mesh.h"
 
 namespace noc::exp {
@@ -92,24 +93,6 @@ TEST(SweepSpecTest, GridExpansionOrderAndFlatIndex)
     EXPECT_EQ(points[idx].cfg.arch, RouterArch::Generic);
 }
 
-bool
-sameResult(const SimResult &a, const SimResult &b)
-{
-    return a.avgLatency == b.avgLatency &&
-           a.latencyStddev == b.latencyStddev &&
-           a.maxLatency == b.maxLatency && a.p50Latency == b.p50Latency &&
-           a.p99Latency == b.p99Latency &&
-           a.throughputFlits == b.throughputFlits &&
-           a.injected == b.injected && a.delivered == b.delivered &&
-           a.completion == b.completion &&
-           a.energy.totalPj() == b.energy.totalPj() &&
-           a.energyPerPacketNj == b.energyPerPacketNj && a.edp == b.edp &&
-           a.pef == b.pef && a.cycles == b.cycles &&
-           a.timedOut == b.timedOut &&
-           a.rowContention == b.rowContention &&
-           a.colContention == b.colContention;
-}
-
 TEST(SweepRunnerTest, ParallelMatchesSerialBitExact)
 {
     MeshTopology topo(4, 4);
@@ -136,8 +119,7 @@ TEST(SweepRunnerTest, ParallelMatchesSerialBitExact)
         EXPECT_EQ(serial.results[i].index, i);
         EXPECT_EQ(pooled.results[i].index, i);
         EXPECT_EQ(serial.results[i].seed, pooled.results[i].seed);
-        EXPECT_TRUE(
-            sameResult(serial.results[i].result, pooled.results[i].result))
+        EXPECT_EQ(serial.results[i].result, pooled.results[i].result)
             << "point " << i << " diverged across thread counts";
     }
 }
@@ -161,8 +143,7 @@ TEST(SweepRunnerTest, BurstyTrafficDeterministicAcrossPools)
     ASSERT_EQ(serial.results.size(), spec.pointCount());
     ASSERT_EQ(pooled.results.size(), serial.results.size());
     for (std::size_t i = 0; i < serial.results.size(); ++i) {
-        EXPECT_TRUE(
-            sameResult(serial.results[i].result, pooled.results[i].result))
+        EXPECT_EQ(serial.results[i].result, pooled.results[i].result)
             << "bursty point " << i << " diverged across thread counts";
         EXPECT_GT(serial.results[i].result.delivered, 0u)
             << "bursty point " << i << " delivered nothing";
@@ -176,6 +157,20 @@ TEST(SweepRunnerTest, ThreadsEnvOverride)
     ASSERT_EQ(unsetenv("NOC_BENCH_THREADS"), 0);
     EXPECT_GE(SweepRunner().threads(), 1);
     EXPECT_EQ(SweepRunner(5).threads(), 5);
+}
+
+TEST(SweepRunnerDeathTest, MalformedThreadsEnvIsFatal)
+{
+    // Values a lax parser misreads: "3x" as 3, the others as the
+    // hardware thread count.
+    for (const char *bad : {"3x", "abc", "0", "-2", ""}) {
+        ASSERT_EQ(setenv("NOC_BENCH_THREADS", bad, 1), 0);
+        EXPECT_EXIT(SweepRunner::defaultThreads(),
+                    testing::ExitedWithCode(1),
+                    std::string("NOC_BENCH_THREADS='") + bad + "'")
+            << bad;
+    }
+    ASSERT_EQ(unsetenv("NOC_BENCH_THREADS"), 0);
 }
 
 TEST(SweepRunnerTest, LedgerStaysConsistentAfterRuns)
@@ -281,7 +276,9 @@ TEST(JsonOutTest, FragmentsAssembleToWholeFile)
         sweepJsonHeader(spec, res.threads, res.totalWallMs, res.obs.get(),
                         opts);
     for (std::size_t i = 0; i < res.points.size(); ++i) {
-        assembled += pointJson(res.points[i], res.results[i], opts);
+        const PointResult &r = res.results[i];
+        assembled += pointJson(res.points[i], r.seed, r.wallMs,
+                               resultJson(r.result), opts);
         if (i + 1 < res.points.size())
             assembled += ",";
         assembled += "\n";

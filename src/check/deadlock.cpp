@@ -19,8 +19,8 @@ namespace noc::check {
 namespace {
 
 // Slot numbering, labelling and eligibility rules live in
-// check/slot_rules.h, shared with the liveness model checker; CDG
-// vertex ids are node * slotsPerNode + slot.
+// check/slot_rules.h, shared with the liveness model checker and the
+// routers' VC allocation; CDG vertex ids are node * slotsPerNode + slot.
 
 /**
  * Escape-tier canonical pool: strict-quadrant destinations keep their
@@ -281,9 +281,10 @@ provePathSensitive(const MeshTopology &topo, RoutingKind kind,
                   Quadrant d0 = quadrantOf(topo, nn, f.dst, false);
                   Quadrant d1 = quadrantOf(topo, nn, f.dst, true);
                   // A packet requests every slot of both downstream
-                  // pools (downstreamSlots()); the escape tier narrows
-                  // the request to the canonical pool, which is always
-                  // a subset of what the router actually waits on.
+                  // pools (PathSensitiveRouter::requestVc); the escape
+                  // tier narrows the request to the canonical pool,
+                  // which is always a subset of what the router
+                  // actually waits on.
                   std::uint64_t vStrict = psPoolMask(d0, vcsPerPort) |
                                           psPoolMask(d1, vcsPerPort);
                   std::uint64_t vEscape = psPoolMask(

@@ -8,11 +8,12 @@
  * The vertices are every input-VC slot of every router; an edge u -> v
  * means "a packet can hold u while waiting for v".  The enumeration
  * walks every (source, destination) pair through the real routing
- * functions (makeRouting) and mirrors each router's slot-eligibility
- * rules exactly: RoCo's guided-queuing classes dx/dy/txy/tyx with the
- * XY-YX order partition and injection classes (Table 1), the generic
- * router's per-port VCs with the XY-YX slot partition, and the
- * Path-Sensitive router's pooled quadrant path sets.
+ * functions (makeRouting) and asks the slot-eligibility rules the
+ * routers allocate through (check/slot_rules.h): RoCo's guided-queuing
+ * classes dx/dy/txy/tyx with the XY-YX order partition and injection
+ * classes (Table 1), the generic router's per-port VCs with the XY-YX
+ * slot partition, and the Path-Sensitive router's pooled quadrant path
+ * sets.
  *
  * Two proof tiers:
  *  1. Strict CDG acyclic (Dally & Seitz) — sufficient on its own.

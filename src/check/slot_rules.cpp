@@ -64,8 +64,11 @@ rocoSlotMask(const RocoCheckOptions &o, RoutingKind kind, Direction arrival,
     int count = o.table.countClass(m, p, cls);
     bool partition = kind == RoutingKind::XYYX && o.orderPartition &&
                      (cls == VcClass::Dx || cls == VcClass::Dy) && count >= 2;
-    // Mirror of eligibleSlots(): the dimension order that owns fewer
-    // packets of this class gets the last slot, the other the rest.
+    // Only port p, the arrival link's canonical port, is eligible:
+    // pooling across ports would let opposite directions share buffers
+    // and reintroduce head-on deadlock. XY-YX order partition: the
+    // dimension order that owns fewer packets of this class gets the
+    // last slot, the other the rest.
     bool minority = cls == VcClass::Dx ? yxOrder : !yxOrder;
     int ordinal = 0;
     for (int v = 0; v < kVcsPerSet; ++v) {
@@ -93,7 +96,9 @@ genericSlotMask(RoutingKind kind, int port, int vcsPerPort, bool yxOrder)
         return all; // injection claims any idle Local VC
     if (kind != RoutingKind::XYYX)
         return all;
-    // slotAllowed(): YX packets own the last VC, XY packets the rest.
+    // XY-YX: YX packets own the last VC, XY packets the rest. Each
+    // partition's dependency graph is acyclic on its own (the role of
+    // the paper's extra VCs); XY and west-first adaptive need none.
     std::uint64_t last = 1ull << (port * vcsPerPort + vcsPerPort - 1);
     return yxOrder ? last : all & ~last;
 }
@@ -105,10 +110,10 @@ genericSvcSlotMask(RoutingKind kind, int port, int vcsPerPort, bool yxOrder,
     if (!classPartition ||
         port != static_cast<int>(Direction::Local))
         return genericSlotMask(kind, port, vcsPerPort, yxOrder);
-    // Service-mode injection partition: injectionVc() reserves the
-    // last Local VC for replies (YX order) and the rest for requests
-    // (XY order), extending the XYYX order split to the one port the
-    // open-loop rule leaves shared.
+    // Service-mode injection partition: the last Local VC is reserved
+    // for replies (YX order) and the rest for requests (XY order),
+    // extending the XYYX order split to the one port the open-loop
+    // rule leaves shared.
     std::uint64_t all = ((1ull << vcsPerPort) - 1) << (port * vcsPerPort);
     std::uint64_t last = 1ull << (port * vcsPerPort + vcsPerPort - 1);
     return yxOrder ? last : all & ~last;

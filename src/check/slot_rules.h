@@ -3,13 +3,13 @@
  * Shared slot-eligibility rules: which input-VC slots of a router a
  * packet may occupy, given how it arrives and where it is heading.
  *
- * These functions are the verification-side mirror of the routers'
- * VC-allocation hooks (router/pipeline.h): RocoRouter::eligibleSlots,
- * the generic router's slotAllowed partition and the Path-Sensitive
- * quadrant pools of PathSensitiveRouter::downstreamSlots.  Two independent verifiers consume them: the extended-CDG
- * deadlock prover (check/deadlock.h) and the explicit-state liveness
- * model checker (model/micro_model.h), so a single definition keeps
- * both proofs aligned with each other and with the implementation.
+ * This is the one definition of that decision. The routers allocate
+ * through it at injection and in VC allocation (RoCo's Table 1
+ * classes, the generic router's order partitions, the Path-Sensitive
+ * quadrant pools), and two independent verifiers prove it: the
+ * extended-CDG deadlock prover (check/deadlock.h) and the
+ * explicit-state liveness model checker (model/micro_model.h). The
+ * proofs therefore speak about the rule the routers run.
  *
  * Slot ids are local to a node and use each architecture's natural
  * numbering — the same numbering flits carry on the wire:
@@ -88,9 +88,9 @@ struct RocoCheckOptions {
 
 /**
  * The slots a flit arriving on @p arrival and leaving on @p outHere may
- * occupy at a RoCo router — the verifier-side mirror of
- * RocoRouter::eligibleSlots(), parameterised by the audit knobs.
- * @p arrival == Local selects the injection classes.
+ * occupy at a RoCo router, parameterised by the audit knobs (the
+ * router allocates with RocoCheckOptions::shipped). @p arrival ==
+ * Local selects the injection classes.
  */
 std::uint64_t rocoSlotMask(const RocoCheckOptions &o, RoutingKind kind,
                            Direction arrival, Direction outHere,
@@ -103,8 +103,8 @@ std::uint64_t genericSlotMask(RoutingKind kind, int port, int vcsPerPort,
 /**
  * Service-mode variant: with the request/reply class partition in
  * force, the Local (injection) VCs are split by dimension order too —
- * replies (YX) own the last Local VC, requests (XY) the rest —
- * mirroring the generic router's svc-gated injectionVc() rule.
+ * replies (YX) own the last Local VC, requests (XY) the rest — the
+ * generic router's injection claim under that partition.
  * Falls back to genericSlotMask when @p classPartition is off.
  */
 std::uint64_t genericSvcSlotMask(RoutingKind kind, int port, int vcsPerPort,

@@ -157,7 +157,7 @@ SimConfig::validate() const
 {
     if (meshWidth < 2 || meshHeight < 2)
         fatal("mesh must be at least 2x2");
-    if (meshWidth > 256 || meshHeight > 256)
+    if (meshWidth > kMaxMeshSide || meshHeight > kMaxMeshSide)
         fatal("mesh dimension too large");
     if (vcsPerPort < 1 || vcsPerPort > 8)
         fatal("vcsPerPort out of range [1,8]");

@@ -27,6 +27,9 @@ namespace noc {
  */
 inline constexpr int kMaxLinkDelay = 7;
 
+/** Longest side a mesh may have, in nodes (SimConfig::validate). */
+inline constexpr int kMaxMeshSide = 256;
+
 /** Workloads used in the evaluation (Figures 8-10, 13). */
 enum class TrafficKind : std::uint8_t {
     Uniform = 0,         ///< uniform random destinations, Bernoulli process

@@ -15,8 +15,8 @@
  * copies that text unchanged into canonical schema-4 json, the final
  * BENCH file is byte-identical no matter how many times the sweep was
  * interrupted or how many processes ran it — the tested contract of
- * this module. A shard whose result line fails its digest is named in
- * FarmRun::error and no file is written.
+ * this module. A shard whose header or result line fails its digest is
+ * named in FarmRun::error and no file is written.
  *
  * Workers are forked, not exec'd: they inherit the expanded spec and
  * the warm deadlock/liveness memo caches (the parent pre-proves every

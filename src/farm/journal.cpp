@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -117,13 +118,27 @@ hex16(std::uint64_t v)
     return buf;
 }
 
-/** The FNV-1a digest a shard header records for its result line. */
+/** Where a shard header's digest field starts: it is the last field. */
+constexpr std::string_view kDigestField = ", \"digest\": \"";
+
+/**
+ * Shard line one: @p head (every header field but the digest) closed
+ * by the digest field, the FNV-1a hash of @p head, a newline and the
+ * result line @p result. An edit to any header field or to the result
+ * then fails the digest.
+ */
 std::string
-resultDigest(const std::string &result)
+sealedHeader(std::string_view head, const std::string &result)
 {
     Fnv h;
+    h.bytes(head.data(), head.size());
+    h.bytes("\n", 1);
     h.bytes(result.data(), result.size());
-    return hex16(h.h);
+    std::string line(head);
+    line += kDigestField;
+    line += hex16(h.h);
+    line += "\"}";
+    return line;
 }
 
 bool
@@ -385,14 +400,15 @@ Journal::commit(std::size_t i, const exp::PointResult &r,
                 std::uint32_t attempt, int worker)
 {
     std::string result = exp::resultJson(r.result);
-    std::string bytes = "{\"shard\": 2, \"job\": \"" + ids_[i] +
-                        "\", \"index\": " + std::to_string(r.index) +
-                        ", \"seed\": " + std::to_string(r.seed) +
-                        ", \"attempt\": " + std::to_string(attempt) +
-                        ", \"worker\": " + std::to_string(worker) +
-                        ", \"wallMs\": ";
-    exp::appendNum(bytes, r.wallMs);
-    bytes += ", \"digest\": \"" + resultDigest(result) + "\"}\n";
+    std::string head = "{\"shard\": 3, \"job\": \"" + ids_[i] +
+                       "\", \"index\": " + std::to_string(r.index) +
+                       ", \"seed\": " + std::to_string(r.seed) +
+                       ", \"attempt\": " + std::to_string(attempt) +
+                       ", \"worker\": " + std::to_string(worker) +
+                       ", \"wallMs\": ";
+    exp::appendNum(head, r.wallMs);
+    std::string bytes = sealedHeader(head, result);
+    bytes += '\n';
     bytes += result;
     bytes += '\n';
 
@@ -422,20 +438,24 @@ Journal::readShard(std::size_t i) const
     if (eol == std::string::npos ||
         bytes.find('\n', eol + 1) != bytes.size() - 1)
         return std::nullopt;
-    auto h = FlatJson::parse(bytes.substr(0, eol));
-    if (!h)
-        return std::nullopt;
-
+    const std::string_view header(bytes.data(), eol);
     Shard s;
     s.result = bytes.substr(eol + 1, bytes.size() - eol - 2);
+    const std::size_t sealAt = header.rfind(kDigestField);
+    if (sealAt == std::string_view::npos ||
+        header != sealedHeader(header.substr(0, sealAt), s.result))
+        return std::nullopt;
+    auto h = FlatJson::parse(std::string(header));
+    if (!h)
+        return std::nullopt;
     auto seed = h->num<std::uint64_t>("seed");
     auto attempt = h->num<std::uint64_t>("attempt");
     auto worker = h->num<int>("worker");
     auto wallMs = h->num<double>("wallMs");
-    if (h->num<int>("shard") != 2 || h->str("job") != ids_[i] ||
+    if (h->num<int>("shard") != 3 || h->str("job") != ids_[i] ||
         h->num<std::uint64_t>("index") != i || !seed || !attempt ||
         *attempt < 1 || *attempt > UINT32_MAX || !worker || *worker < 0 ||
-        !wallMs || h->str("digest") != resultDigest(s.result))
+        !wallMs)
         return std::nullopt;
     s.seed = *seed;
     s.attempt = static_cast<std::uint32_t>(*attempt);

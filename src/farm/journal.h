@@ -74,14 +74,15 @@ std::string specFingerprint(const exp::SweepSpec &spec,
  * One committed result, as readShard returns it. On disk a shard is
  * two lines: a flat-JSON header
  *
- *   {"shard": 2, "job": "<id>", "index": i, "seed": s, "attempt": a,
+ *   {"shard": 3, "job": "<id>", "index": i, "seed": s, "attempt": a,
  *    "worker": w, "wallMs": t, "digest": "<16 hex>"}
  *
- * then the point's exp::resultJson text, whose FNV-1a hash is the
- * digest. The aggregator copies that text into the BENCH json
- * unchanged, so farm output and in-process output are the same bytes
- * by construction, and a changed or missing byte in the result line
- * fails the digest.
+ * then the point's exp::resultJson text. The digest is the FNV-1a
+ * hash of the header bytes before the digest field, a newline and the
+ * result line, so a changed or missing byte in any header field or in
+ * the result fails it. The aggregator copies the result text into the
+ * BENCH json unchanged, so farm output and in-process output are the
+ * same bytes by construction.
  */
 struct Shard {
     std::uint64_t seed = 0;
@@ -143,8 +144,8 @@ class Journal
 
     /**
      * Reads job @p i's shard; nullopt when it is missing, torn (not
-     * exactly two lines), corrupt (a malformed header, or a result
-     * line that does not match the digest), in another format, or
+     * exactly two lines), corrupt (a malformed header, or a header or
+     * result line that does not match the digest), in another format, or
      * filed under another job id or index than the manifest expects.
      */
     std::optional<Shard> readShard(std::size_t i) const;

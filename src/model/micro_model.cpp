@@ -277,8 +277,9 @@ MicroModel::enumerate(std::uint64_t s, std::vector<Transition> &out) const
         switch (stage(s, pkt)) {
         case Stage::Queued: {
             // Inject: claim an eligible injection slot whose planned
-            // output survives the look-ahead fault filter (mirror of
-            // RouterPipeline::pullInjection's drop-or-buffer decision).
+            // output survives the look-ahead fault filter, the
+            // drop-or-buffer decision RouterPipeline::pullInjection
+            // makes over the same slot rules.
             entryOptions(s, pkt, spec.src, Direction::Local, false, opts);
             std::uint64_t seen = 0;
             bool anyLive = false;

@@ -6,49 +6,6 @@
 
 namespace noc::obs {
 
-const char *
-toString(Metric m)
-{
-    switch (m) {
-      case Metric::BufferWrites: return "bufferWrites";
-      case Metric::BufferReads: return "bufferReads";
-      case Metric::CrossbarTraversals: return "crossbarTraversals";
-      case Metric::LinkTraversals: return "linkTraversals";
-      case Metric::VaGlobalArbs: return "vaGlobalArbs";
-      case Metric::SaGlobalArbs: return "saGlobalArbs";
-      case Metric::MirrorTies: return "mirrorTies";
-      case Metric::EarlyEjections: return "earlyEjections";
-    }
-    return "?";
-}
-
-namespace {
-
-std::uint64_t
-pick(const ActivityCounters &a, Metric m)
-{
-    switch (m) {
-      case Metric::BufferWrites: return a.bufferWrites;
-      case Metric::BufferReads: return a.bufferReads;
-      case Metric::CrossbarTraversals: return a.crossbarTraversals;
-      case Metric::LinkTraversals: return a.linkTraversals;
-      case Metric::VaGlobalArbs: return a.vaGlobalArbs;
-      case Metric::SaGlobalArbs: return a.saGlobalArbs;
-      case Metric::MirrorTies: return a.saMirrorTies;
-      case Metric::EarlyEjections: return a.earlyEjections;
-    }
-    return 0;
-}
-
-constexpr Metric kAllMetrics[] = {
-    Metric::BufferWrites,   Metric::BufferReads,
-    Metric::CrossbarTraversals, Metric::LinkTraversals,
-    Metric::VaGlobalArbs,   Metric::SaGlobalArbs,
-    Metric::MirrorTies,     Metric::EarlyEjections,
-};
-
-} // namespace
-
 CounterSummary
 snapshot(const Network &net, Cycle cycles)
 {
@@ -112,31 +69,6 @@ countersJson(const CounterSummary &s)
     num("earlyEjectionRate", s.earlyEjectionRate);
     num("mirrorTieRate", s.mirrorTieRate, true);
     out += "}";
-    return out;
-}
-
-std::string
-countersCsv(const Network &net)
-{
-    std::string out = "node,x,y";
-    for (Metric m : kAllMetrics) {
-        out += ',';
-        out += toString(m);
-    }
-    out += '\n';
-    int w = net.topology().width();
-    for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%u,%u,%u", n, n % w, n / w);
-        out += buf;
-        const ActivityCounters &a = net.router(n).activity();
-        for (Metric m : kAllMetrics) {
-            std::snprintf(buf, sizeof(buf), ",%llu",
-                          static_cast<unsigned long long>(pick(a, m)));
-            out += buf;
-        }
-        out += '\n';
-    }
     return out;
 }
 

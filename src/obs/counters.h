@@ -1,9 +1,9 @@
 /**
  * @file
- * Counter-level observability: per-router metric extraction and the
- * derived network-wide rates (link utilisation, crossbar grant rate,
+ * Counter-level observability: the network-wide activity totals and
+ * their derived rates (link utilisation, crossbar grant rate,
  * mirror-allocator tie rate, early-ejection hit rate) exported to the
- * BENCH JSON / CSV dumps.
+ * BENCH JSON.
  *
  * These read the routers' ActivityCounters directly, so they work in
  * every build — the NOC_OBS option only gates the flit-level tracing
@@ -22,21 +22,6 @@ class Network;
 } // namespace noc
 
 namespace noc::obs {
-
-/** Per-router activity metrics exposed for the CSV dump. */
-enum class Metric : std::uint8_t {
-    BufferWrites = 0,
-    BufferReads,
-    CrossbarTraversals,
-    LinkTraversals,
-    VaGlobalArbs,
-    SaGlobalArbs,
-    MirrorTies,
-    EarlyEjections,
-};
-
-/** Human-readable metric name (stable: used as CSV column header). */
-const char *toString(Metric m);
 
 /** Network-wide counter snapshot with the derived rates. */
 struct CounterSummary {
@@ -63,12 +48,6 @@ CounterSummary snapshot(const Network &net, Cycle cycles);
 
 /** The summary as a flat JSON object. */
 std::string countersJson(const CounterSummary &s);
-
-/**
- * Per-router metric table as CSV: one row per router
- * (node,x,y,<metric...>), one column per Metric.
- */
-std::string countersCsv(const Network &net);
 
 } // namespace noc::obs
 

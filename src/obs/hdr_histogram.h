@@ -51,7 +51,6 @@ class HdrHistogram
     double mean() const;
     std::uint64_t min() const { return count_ ? min_ : 0; }
     std::uint64_t max() const { return max_; }
-    std::uint64_t maxTrackable() const { return maxValue_; }
 
     // --- bucket geometry (exposed for the unit tests) ----------------
 
@@ -62,7 +61,6 @@ class HdrHistogram
     /** Number of distinct values sharing bucket @p i. */
     static std::uint64_t bucketWidth(std::size_t i);
     std::size_t bucketCount() const { return counts_.size(); }
-    std::uint64_t bucketValue(std::size_t i) const { return counts_[i]; }
 
   private:
     std::uint64_t maxValue_;

@@ -3,6 +3,7 @@
 #include <bit>
 #include <limits>
 
+#include "check/slot_rules.h"
 #include "obs/recorder.h"
 #include "svc/protocol.h"
 
@@ -65,65 +66,22 @@ GenericRouter::beginCycle(Cycle now)
     }
 }
 
-bool
-GenericRouter::permanentlyBlocked(const Flit &head) const
-{
-    if (!faults_)
-        return false;
-    if (destinationDead(head))
-        return true;
-    for (Direction d : routing_.route(id(), head)) {
-        if (d == Direction::Local)
-            return false;
-        if (!hasPort(d))
-            continue;
-        auto nb = topo_.neighbor(id(), d);
-        if (nb && !faults_->state(*nb).nodeDead)
-            return false;
-    }
-    return true;
-}
-
 int
 GenericRouter::injectionVc(const Flit &head, Direction &)
 {
-    // Claim a completely idle injection VC for the new packet.
-    // Under the service-mode class partition the claimable range
-    // splits by dimension order: replies (YX) own the last Local
-    // VC, requests (XY) the rest — the injection half of the
-    // prover's end-to-end partition argument.
-    const int local = static_cast<int>(Direction::Local);
-    int lo = 0;
-    int hi = numVcs_;
-    if (svcInjPartition_) {
-        if (head.yxOrder)
-            lo = numVcs_ - 1;
-        else
-            hi = numVcs_ - 1;
-    }
-    for (int v = lo; v < hi; ++v) {
-        if (vc(local, v).ctl.empty())
-            return inIndex(Direction::Local, v);
+    // Claim a completely idle injection VC for the new packet. Under
+    // the service-mode class partition the slot rules split the Local
+    // VCs by dimension order — the injection half of the prover's
+    // end-to-end partition argument.
+    const std::uint64_t slots = check::genericSvcSlotMask(
+        routingKind(), static_cast<int>(Direction::Local), numVcs_,
+        head.yxOrder, svcInjPartition_);
+    for (std::uint64_t m = slots; m; m &= m - 1) {
+        const int idx = std::countr_zero(m);
+        if (in_[static_cast<size_t>(idx)].ctl.empty())
+            return idx;
     }
     return -1;
-}
-
-bool
-GenericRouter::slotAllowed(Direction d, int slot, const Flit &head) const
-{
-    if (d == Direction::Local)
-        return true;
-    // XY-YX partitions VCs by dimension order: the last VC belongs to
-    // YX packets, the rest to XY packets.  Each partition's channel
-    // dependency graph is acyclic on its own, so the oblivious scheme
-    // stays deadlock-free (the role of the paper's extra VCs).
-    if (routingKind() == RoutingKind::XYYX) {
-        bool yxSlot = slot == numVcs_ - 1;
-        return head.yxOrder == yxSlot;
-    }
-    // XY is dimension-ordered and west-first adaptive is turn-model
-    // safe; neither restricts VC usage.
-    return true;
 }
 
 bool
@@ -146,10 +104,18 @@ GenericRouter::pickVcRequest(const Flit &head, Direction &dirOut,
                     continue; // never send into a dead node
             }
         }
-        int slots = d == Direction::Local ? numVcs_ : outputSlots();
-        for (int s = 0; s < slots; ++s) {
-            if (!slotAllowed(d, s, head))
-                continue;
+        // The PE sinks every flit, so ejection may take any PE-side
+        // VC; a link offers the VCs the slot rules allow the packet
+        // at the downstream input port.
+        std::uint64_t slots = (1ull << numVcs_) - 1;
+        if (d != Direction::Local) {
+            const int port = static_cast<int>(opposite(d));
+            slots = check::genericSlotMask(routingKind(), port, numVcs_,
+                                           head.yxOrder) >>
+                    (port * numVcs_);
+        }
+        for (; slots; slots &= slots - 1) {
+            const int s = std::countr_zero(slots);
             const OutputVc &o = outSlot(d, s);
             if (o.busy)
                 continue;
@@ -171,7 +137,7 @@ GenericRouter::requestVc(const PacketCtl &, const Flit &head,
 {
     // Input-first separable VA (Figure 2a): RC happens here, at the
     // router holding the head, and picks one candidate output VC.
-    if (permanentlyBlocked(head))
+    if (nextHopsDead(head))
         return VaPick::Drop;
     ++act_.vaLocalArbs;
     return pickVcRequest(head, req.dir, req.slot) ? VaPick::Request

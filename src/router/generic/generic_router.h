@@ -46,11 +46,6 @@ class GenericRouter final : public RouterPipeline<GenericRouter>
     // --- pipeline hooks (router/pipeline.h) -------------------------
 
     NOC_PHASE_FN(step) void beginCycle(Cycle now);
-    bool
-    injectionBlocked(const Flit &head) const
-    {
-        return permanentlyBlocked(head);
-    }
     NOC_PHASE_FN(recv) int injectionVc(const Flit &head, Direction &);
     NOC_PHASE_FN(alloc)
     VaPick requestVc(const PacketCtl &, const Flit &head, VaRequest &req);
@@ -66,24 +61,17 @@ class GenericRouter final : public RouterPipeline<GenericRouter>
 
     InputVc &vc(int port, int v) { return in_[port * numVcs_ + v]; }
 
-    /** True when no minimal next hop can ever serve @p head. */
-    bool permanentlyBlocked(const Flit &head) const;
-
     /**
      * Picks the (direction, output slot) request for a waiting head, or
-     * false when nothing is available this cycle. Applies the XY-YX
-     * slot partition and adaptive credit-based selection.
+     * false when nothing is available this cycle: the slots the slot
+     * rules allow, chosen by adaptive credit-based selection.
      */
     bool pickVcRequest(const Flit &head, Direction &dirOut, int &slotOut);
 
-    /** True when output @p slot at @p d may hold @p head. */
-    bool slotAllowed(Direction d, int slot, const Flit &head) const;
-
     /**
      * Service-mode request/reply injection partition (src/svc): when
-     * the class-VC partition is in force, the last Local VC is
-     * reserved for replies (YX order) and the rest for requests (XY),
-     * extending the XYYX order split to the injection port. Off in
+     * the class-VC partition is in force, the slot rules split the
+     * Local VCs by dimension order (check::genericSvcSlotMask). Off in
      * every non-service configuration, so baselines are untouched.
      */
     bool svcInjPartition_;

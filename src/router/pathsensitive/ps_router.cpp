@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "check/slot_rules.h"
+
 namespace noc {
 
 PathSensitiveRouter::PathSensitiveRouter(NodeId id, const SimConfig &cfg,
@@ -31,20 +33,6 @@ PathSensitiveRouter::quadrantOccupancy(Quadrant q) const
     return n;
 }
 
-Direction
-PathSensitiveRouter::slotOwner(Quadrant q, int vcIdx)
-{
-    QuadrantPorts p = portsOf(q);
-    switch (vcIdx) {
-      case 0: return opposite(p.b); // horizontal arrival
-      case 1: return opposite(p.a); // vertical arrival
-      case 2: return Direction::Local;
-      default:
-        NOC_ASSERT(false, "path sets have exactly three VCs");
-        return Direction::Invalid;
-    }
-}
-
 void
 PathSensitiveRouter::latchHead(PacketCtl &ctl, const Flit &f, int idx,
                                Cycle)
@@ -64,49 +52,32 @@ PathSensitiveRouter::latchHead(PacketCtl &ctl, const Flit &f, int idx,
     }
 }
 
-bool
-PathSensitiveRouter::injectionBlocked(const Flit &head) const
-{
-    if (destinationDead(head))
-        return true;
-    for (Direction d : routing_.route(id(), head)) {
-        if (!isCardinal(d) || !hasPort(d))
-            continue;
-        auto nb = topo_.neighbor(id(), d);
-        if (nb && !faults_->state(*nb).nodeDead)
-            return false;
-    }
-    return true;
-}
-
 int
 PathSensitiveRouter::injectionVc(const Flit &head, Direction &lookahead)
 {
     Quadrant q =
         quadrantOf(topo_, id(), head.dst, (head.packetId & 1) != 0);
     // Claim a free VC from the quadrant pool (local demux reaches
-    // the whole path set); quietly fails when the set is full.
-    // Reuse a reservation this head already holds from a stalled
-    // earlier attempt before claiming a new slot.
-    int target = -1;
+    // the whole path set), highest VC first; quietly fails when the
+    // set is full. Reuse a reservation this head already holds from a
+    // stalled earlier attempt before claiming a new slot.
+    std::uint64_t held = 0;
+    std::uint64_t claimable = 0;
     int fs = 0;
-    for (int v = numVcs_ - 1; v >= 0 && target < 0; --v) {
-        int idx = static_cast<int>(q) * numVcs_ + v;
+    for (std::uint64_t m = check::psPoolMask(q, numVcs_); m; m &= m - 1) {
+        const int idx = std::countr_zero(m);
         const InputVc &ivc = in_[static_cast<size_t>(idx)];
         if (ivc.reservedFrom == Direction::Local &&
             ivc.reservedPacket == head.packetId) {
-            target = idx;
+            held |= 1ull << idx;
+        } else if (ivc.reservedFrom == Direction::Invalid &&
+                   reserveInputVc(idx, Direction::Local, head.packetId,
+                                  true, fs)) {
+            claimable |= 1ull << idx;
         }
     }
-    for (int v = numVcs_ - 1; v >= 0 && target < 0; --v) {
-        int idx = static_cast<int>(q) * numVcs_ + v;
-        const InputVc &ivc = in_[static_cast<size_t>(idx)];
-        if (ivc.reservedFrom == Direction::Invalid &&
-            reserveInputVc(idx, Direction::Local, head.packetId, true,
-                           fs)) {
-            target = idx;
-        }
-    }
+    const std::uint64_t pick = held ? held : claimable;
+    const int target = static_cast<int>(std::bit_width(pick)) - 1;
     if (target < 0)
         return -1;
     // Choose the output among the quadrant's ports, preferring the
@@ -124,29 +95,6 @@ PathSensitiveRouter::injectionVc(const Flit &head, Direction &lookahead)
     return target;
 }
 
-std::uint64_t
-PathSensitiveRouter::downstreamSlots(Direction outDir,
-                                     const Flit &head) const
-{
-    auto next = topo_.neighbor(id(), outDir);
-    NOC_ASSERT(next.has_value(), "output across the mesh edge");
-    if (faults_ && faults_->state(*next).nodeDead)
-        return 0;
-    Quadrant q =
-        quadrantOf(topo_, *next, head.dst, (head.packetId & 1) != 0);
-    Quadrant alt =
-        quadrantOf(topo_, *next, head.dst, (head.packetId & 1) == 0);
-    std::uint64_t mask = 0;
-    for (int v = 0; v < numVcs_; ++v)
-        mask |= 1ull << (static_cast<int>(q) * numVcs_ + v);
-    if (alt != q) {
-        // On-axis destination: either adjacent quadrant serves it.
-        for (int v = 0; v < numVcs_; ++v)
-            mask |= 1ull << (static_cast<int>(alt) * numVcs_ + v);
-    }
-    return mask;
-}
-
 PathSensitiveRouter::VaPick
 PathSensitiveRouter::requestVc(const PacketCtl &ctl, const Flit &head,
                                VaRequest &req)
@@ -154,15 +102,21 @@ PathSensitiveRouter::requestVc(const PacketCtl &ctl, const Flit &head,
     ++act_.vaLocalArbs;
     Router *down = neighbor(ctl.outDir);
     NOC_ASSERT(down, "look-ahead across the mesh edge");
-    std::uint64_t elig = downstreamSlots(ctl.outDir, head);
-    if (elig == 0)
-        return VaPick::Drop; // only a dead downstream node empties it
+    const NodeId next = *topo_.neighbor(id(), ctl.outDir);
+    if (faults_ && faults_->state(next).nodeDead)
+        return VaPick::Drop; // nothing buffers in a dead node
+
+    // The pooled VCs of the destination's quadrant at the downstream
+    // router; an on-axis destination is served by both adjacent pools.
+    const bool tb = (head.packetId & 1) != 0;
+    const std::uint64_t elig =
+        check::psPoolMask(quadrantOf(topo_, next, head.dst, tb), numVcs_) |
+        check::psPoolMask(quadrantOf(topo_, next, head.dst, !tb), numVcs_);
 
     int best = -1;
     int bestCredits = -1;
-    for (int sl = 0; sl < outputSlots(); ++sl) {
-        if (!(elig & (1ull << sl)))
-            continue;
+    for (std::uint64_t m = elig; m; m &= m - 1) {
+        const int sl = std::countr_zero(m);
         const OutputVc &o = outputVc(ctl.outDir, sl);
         if (o.busy)
             continue;

@@ -39,12 +39,6 @@ class PathSensitiveRouter final : public RouterPipeline<PathSensitiveRouter>
 
     RouterArch arch() const override { return RouterArch::PathSensitive; }
 
-    /**
-     * The arrival direction owning VC index @p vcIdx of quadrant @p q
-     * (0: horizontal arrival, 1: vertical arrival, 2: local).
-     */
-    static Direction slotOwner(Quadrant q, int vcIdx);
-
     /** Flits buffered in one quadrant path set (tests). */
     int quadrantOccupancy(Quadrant q) const;
 
@@ -60,7 +54,6 @@ class PathSensitiveRouter final : public RouterPipeline<PathSensitiveRouter>
     /** Look-ahead for the next hop; early ejection or discard. */
     NOC_PHASE_FN(recv)
     void latchHead(PacketCtl &ctl, const Flit &f, int idx, Cycle now);
-    bool injectionBlocked(const Flit &head) const;
     NOC_PHASE_FN(recv)
     int injectionVc(const Flit &head, Direction &lookahead);
     NOC_PHASE_FN(alloc)
@@ -71,15 +64,6 @@ class PathSensitiveRouter final : public RouterPipeline<PathSensitiveRouter>
     // --- path-set policy -----------------------------------------------
 
     InputVc &vc(int q, int v) { return in_[q * numVcs_ + v]; }
-
-    /**
-     * Downstream slots a head leaving via @p outDir may claim: the
-     * pooled VCs of the destination quadrant (both eligible quadrants
-     * for on-axis destinations), or 0 when the downstream node is
-     * dead. Bitmask over quadrant*v+vc slot ids.
-     */
-    std::uint64_t downstreamSlots(Direction outDir,
-                                  const Flit &head) const;
 
     Crossbar xbar_;
     std::vector<RoundRobinArbiter> saSet_; ///< stage 1, per path set

@@ -14,8 +14,6 @@
  *
  * Required hooks on @p Arch (friends may keep them private):
  *   void beginCycle(Cycle now)                  per-cycle resets
- *   bool injectionBlocked(const Flit &head)     source discard (faults
- *                                               are present when called)
  *   int  injectionVc(const Flit &head, Direction &lookahead)
  *                                               in_ index for a new
  *                                               packet, or -1 to stall
@@ -23,7 +21,11 @@
  *                                               VA candidate slot
  *   void allocateSwitch(Cycle now)              the switch allocator
  * Defaulted hooks an architecture may shadow:
- *   latchHead, outSlot, forward, onVaGrant (see below).
+ *   injectionBlocked, latchHead, outSlot, forward, onVaGrant (see
+ *   below).
+ * Which VC a head may claim, at injection and in VA, is not a hook:
+ * every architecture asks check/slot_rules.h, the rule the deadlock
+ * prover and the liveness model check.
  */
 #ifndef ROCOSIM_ROUTER_PIPELINE_H_
 #define ROCOSIM_ROUTER_PIPELINE_H_
@@ -36,6 +38,7 @@
 #include "obs/recorder.h"
 #include "router/arbiter.h"
 #include "router/router.h"
+#include "sim/nic.h"
 
 namespace noc {
 
@@ -102,6 +105,16 @@ class RouterPipeline : public Router
     }
 
     // --- defaulted hooks --------------------------------------------
+
+    /**
+     * Source discard, asked for each head at the NIC while faults are
+     * present. Default: every minimal next hop is a dead node.
+     */
+    bool
+    injectionBlocked(const Flit &head) const
+    {
+        return nextHopsDead(head);
+    }
 
     /**
      * Head-latch route policy, run as a packet's head is written into

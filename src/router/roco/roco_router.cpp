@@ -14,13 +14,20 @@ RocoRouter::RocoRouter(NodeId id, const SimConfig &cfg,
                               2 * kPortsPerModule * cfg.vcsPerPort,
                               /*perPortSlots=*/false,
                               kPortsPerModule * cfg.vcsPerPort}),
-      vcCfg_(RocoVcConfig::forRouting(routing.kind())),
+      rules_(check::RocoCheckOptions::shipped(routing.kind())),
+      deadHere_(check::rocoDeadSlotMask(faultState())),
       xbar_{Crossbar(2, 2), Crossbar(2, 2)},
       sa_{MirrorAllocator(cfg.vcsPerPort),
           MirrorAllocator(cfg.vcsPerPort)}
 {
     NOC_ASSERT(numVcs_ == kVcsPerSet,
                "RoCo path sets carry exactly 3 VCs (Table 1)");
+    if (faults) {
+        for (int d = 0; d < kNumCardinal; ++d) {
+            if (auto nb = topo.neighbor(id, static_cast<Direction>(d)))
+                deadDown_[d] = check::rocoDeadSlotMask(faults->state(*nb));
+        }
+    }
 }
 
 int
@@ -64,29 +71,26 @@ RocoRouter::beginCycle(Cycle)
     vaBusy_[0] = vaBusy_[1] = false;
 }
 
+std::uint64_t
+RocoRouter::injectionSlots(Direction d, const Flit &head) const
+{
+    if (!isCardinal(d) || !hasPort(d))
+        return 0;
+    return check::rocoSlotMask(rules_, routingKind(), Direction::Local, d,
+                               head.yxOrder) &
+           ~deadHere_;
+}
+
 bool
 RocoRouter::injectionBlocked(const Flit &head) const
 {
     if (destinationDead(head))
         return true;
-    // Statically blocked when every candidate direction's module is
-    // dead or has no surviving injection VC.
+    // Statically blocked when no candidate direction keeps a surviving
+    // injection slot (a dead module keeps none).
     for (Direction d : routing_.route(id(), head)) {
-        if (!isCardinal(d) || !hasPort(d))
-            continue;
-        Module dm = moduleOf(d);
-        if (faultState().isModuleDead(dm))
-            continue;
-        VcClass want =
-            dm == Module::Row ? VcClass::InjXy : VcClass::InjYx;
-        for (int p = 0; p < kPortsPerModule; ++p) {
-            for (int v = 0; v < numVcs_; ++v) {
-                if (vcCfg_.at(dm, p, v) == want &&
-                    !faultState().isVcDead(dm, p, v)) {
-                    return false;
-                }
-            }
-        }
+        if (injectionSlots(d, head) != 0)
+            return false;
     }
     return true;
 }
@@ -130,79 +134,19 @@ RocoRouter::latchHead(PacketCtl &ctl, const Flit &f, int idx, Cycle now)
 int
 RocoRouter::injectionVc(const Flit &head, Direction &lookahead)
 {
-    // Choose the first direction whose module is alive and has a
-    // free injection VC; candidates come in routing preference
-    // order (adaptive lists the X option first).
+    // Choose the first direction with a free injection slot;
+    // candidates come in routing preference order (adaptive lists
+    // the X option first).
     for (Direction d : routing_.route(id(), head)) {
-        if (!isCardinal(d) || !hasPort(d))
-            continue;
-        Module dm = moduleOf(d);
-        if (faultState().isModuleDead(dm))
-            continue;
-        VcClass want = dm == Module::Row ? VcClass::InjXy : VcClass::InjYx;
-        for (int p = 0; p < kPortsPerModule; ++p) {
-            for (int v = 0; v < numVcs_; ++v) {
-                if (vcCfg_.at(dm, p, v) != want ||
-                    faultState().isVcDead(dm, p, v)) {
-                    continue;
-                }
-                const int idx = vcIndex(dm, p, v);
-                if (in_[static_cast<size_t>(idx)].ctl.empty()) {
-                    lookahead = d;
-                    return idx;
-                }
+        for (std::uint64_t m = injectionSlots(d, head); m; m &= m - 1) {
+            const int idx = std::countr_zero(m);
+            if (in_[static_cast<size_t>(idx)].ctl.empty()) {
+                lookahead = d;
+                return idx;
             }
         }
     }
     return -1; // no free injection VC this cycle
-}
-
-std::uint64_t
-RocoRouter::eligibleSlots(Direction outDir, Direction nextLa,
-                          const Flit &head) const
-{
-    Direction arrival = opposite(outDir);
-    Module m2 = moduleForOutput(nextLa);
-    // Guided queuing steers a link's flits to its canonical module
-    // port; pooling across ports would let opposite directions share
-    // buffers and reintroduce head-on deadlock.
-    int p2 = portSideFor(m2, arrival);
-    VcClass cls = classifyFlit(arrival, nextLa);
-
-    auto next = topo_.neighbor(id(), outDir);
-    NOC_ASSERT(next.has_value(), "output across the mesh edge");
-    const NodeFaultState *down =
-        faults_ ? &faults_->state(*next) : nullptr;
-    if (down && (down->nodeDead ||
-                 down->moduleDead[static_cast<int>(m2)])) {
-        return 0; // never allocate into a dead node/module
-    }
-
-    // XY-YX order partition: txy/tyx classes are order-exclusive by
-    // construction; where Table 1 provides two dx/dy slots, one is set
-    // aside for the minority order (the paper's extra VCs).
-    bool partition = routingKind() == RoutingKind::XYYX &&
-                     (cls == VcClass::Dx || cls == VcClass::Dy) &&
-                     vcCfg_.countClass(m2, p2, cls) >= 2;
-    bool minority = cls == VcClass::Dx ? head.yxOrder : !head.yxOrder;
-
-    std::uint64_t mask = 0;
-    int seen = 0;
-    for (int v = 0; v < numVcs_; ++v) {
-        if (vcCfg_.at(m2, p2, v) != cls)
-            continue;
-        int ordinal = seen++;
-        if (partition) {
-            bool lastSlot =
-                ordinal == vcCfg_.countClass(m2, p2, cls) - 1;
-            if (minority != lastSlot)
-                continue;
-        }
-        if (down && down->isVcDead(m2, p2, v))
-            continue;
-        mask |= 1ull << vcIndex(m2, p2, v);
-    }
-    return mask;
 }
 
 RocoRouter::VaPick
@@ -231,15 +175,20 @@ RocoRouter::requestVc(const PacketCtl &ctl, const Flit &head,
     Router *down = neighbor(ctl.outDir);
     NOC_ASSERT(down, "look-ahead across the mesh edge");
     const Direction arrivalAtDown = opposite(ctl.outDir);
+    const std::uint64_t deadDown = deadDown_[static_cast<int>(ctl.outDir)];
 
     int best = -1;
     int bestCredits = -1;
     Direction bestLa = ctl.nextLa;
+    std::uint64_t statically = 0; // eligible slots, free or not
     for (Direction la : laCands) {
-        std::uint64_t elig = eligibleSlots(ctl.outDir, la, head);
-        for (int s = 0; s < outputSlots(); ++s) {
-            if (!(elig & (1ull << s)))
-                continue;
+        const std::uint64_t elig =
+            check::rocoSlotMask(rules_, routingKind(), arrivalAtDown, la,
+                                head.yxOrder) &
+            ~deadDown;
+        statically |= elig;
+        for (std::uint64_t m = elig; m; m &= m - 1) {
+            const int s = std::countr_zero(m);
             const OutputVc &o = outputVc(ctl.outDir, s);
             if (o.busy)
                 continue;
@@ -259,9 +208,6 @@ RocoRouter::requestVc(const PacketCtl &ctl, const Flit &head,
         // Distinguish transient contention from static blockage:
         // a head with no *statically* eligible slot for any
         // look-ahead candidate can never progress.
-        std::uint64_t statically = 0;
-        for (Direction la : laCands)
-            statically |= eligibleSlots(ctl.outDir, la, head);
         return statically == 0 ? VaPick::Drop : VaPick::Wait;
     }
     req.dir = ctl.outDir;

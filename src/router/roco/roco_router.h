@@ -24,6 +24,7 @@
 #ifndef ROCOSIM_ROUTER_ROCO_ROCO_ROUTER_H_
 #define ROCOSIM_ROUTER_ROCO_ROCO_ROUTER_H_
 
+#include "check/slot_rules.h"
 #include "router/crossbar.h"
 #include "router/pipeline.h"
 #include "router/roco/mirror_allocator.h"
@@ -38,9 +39,6 @@ class RocoRouter final : public RouterPipeline<RocoRouter>
                const RoutingAlgorithm &routing, const FaultMap *faults);
 
     RouterArch arch() const override { return RouterArch::Roco; }
-
-    /** The Table 1 layout in force. */
-    const RocoVcConfig &vcConfig() const { return vcCfg_; }
 
     /** Flits buffered in one module (tests: guided-queuing placement). */
     int moduleOccupancy(Module m) const;
@@ -84,21 +82,25 @@ class RocoRouter final : public RouterPipeline<RocoRouter>
     }
 
     /**
-     * Downstream VC slots a head leaving via @p outDir with look-ahead
-     * @p nextLa may claim, as a bitmask over the downstream input VC
-     * pool ((module*ports+port)*v+vc). Class matching spans both
-     * module ports — the guided-queuing demux distributes a link's
-     * flits across path sets — and applies the XY-YX order partition
-     * and downstream fault awareness.
+     * Injection slots @p head may claim toward candidate output @p d:
+     * the Table 1 injection class of d's module, less the slots this
+     * router's faults retired; 0 for a missing port.
      */
-    std::uint64_t eligibleSlots(Direction outDir, Direction nextLa,
-                                const Flit &head) const;
+    std::uint64_t injectionSlots(Direction d, const Flit &head) const;
 
     /** Module output index (Row: E=0/W=1; Column: N=0/S=1). */
     static int outIndex(Direction d);
     static Direction outDirOf(Module m, int outIdx);
 
-    RocoVcConfig vcCfg_;
+    /** The shipped Table 1 layout, as check/slot_rules reads it. */
+    check::RocoCheckOptions rules_;
+    /**
+     * Slots retired by faults (Table 3 recycling; whole modules and
+     * nodes included), here and behind each cardinal output. Faults
+     * are applied before the routers are built and never change.
+     */
+    std::uint64_t deadHere_;
+    std::uint64_t deadDown_[kNumCardinal] = {};
     Crossbar xbar_[2];        ///< one 2x2 per module
     MirrorAllocator sa_[2];
     NOC_OWNED_STATE(step, alloc)

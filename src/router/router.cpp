@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "sim/nic.h"
+
 namespace noc {
 
 namespace {
@@ -22,6 +24,13 @@ Router::Router(NodeId id, const SimConfig &cfg, const MeshTopology &topo,
       flitClock_(cfg.hopDelay), creditClock_(cfg.creditDelay),
       routingKind_(routing.kind())
 {
+}
+
+void
+Router::setNic(Nic *nic)
+{
+    nic_ = nic;
+    srcQueue_ = &nic->sourceQueue();
 }
 
 void
@@ -236,6 +245,25 @@ bool
 Router::destinationDead(const Flit &f) const
 {
     return faults_ && faults_->state(f.dst).nodeDead;
+}
+
+bool
+Router::nextHopsDead(const Flit &head) const
+{
+    if (!faults_)
+        return false;
+    if (destinationDead(head))
+        return true;
+    for (Direction d : routing_.route(id_, head)) {
+        if (d == Direction::Local)
+            return false;
+        if (!hasPort(d))
+            continue;
+        auto nb = topo_.neighbor(id_, d);
+        if (nb && !faults_->state(*nb).nodeDead)
+            return false;
+    }
+    return true;
 }
 
 } // namespace noc

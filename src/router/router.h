@@ -36,25 +36,7 @@
 
 namespace noc {
 
-/**
- * The router's view of its network interface (PE side). Implemented by
- * sim::Nic; routers pull injection flits and push ejected flits through
- * this interface, which models the PE's single flit-wide local channel.
- */
-class NicIf
-{
-  public:
-    virtual ~NicIf() = default;
-
-    /** True when the source queue has a flit ready to inject. */
-    virtual bool hasPending() const = 0;
-    /** Front of the source queue; only valid when hasPending(). */
-    virtual const Flit &peekPending() const = 0;
-    /** Removes and returns the front of the source queue. */
-    virtual Flit popPending() = 0; // noc-lint:allow(flit-copy) injection hand-off out of the ring
-    /** Receives one ejected flit (the PE always sinks). */
-    virtual void deliverFlit(const Flit &f, Cycle now) = 0;
-};
+class Nic; // sim/nic.h: the PE side of a router
 
 /**
  * The flit rings of one network port (topology/channel.h), owned by the
@@ -143,17 +125,12 @@ class Router
 
     /** Attaches the flit rings of cardinal port @p d. */
     NOC_PHASE_FN(setup) void connectPort(Direction d, const PortIo &io);
-    /** Attaches the processing element. */
-    void setNic(NicIf *nic) { nic_ = nic; }
     /**
-     * Binds the NIC's source queue for devirtualized injection-side
-     * access (sim::Nic exposes its ring; see sim/nic.h). When bound,
-     * the per-cycle pending checks bypass the NicIf vtable; unit tests
-     * that stub NicIf simply leave it unbound and keep the virtual
-     * path. Ejection (deliverFlit) stays virtual — it only fires on
-     * actual delivery events, not every cycle.
+     * Attaches the processing element: the router pulls injection
+     * flits straight from @p nic's source queue and hands it every
+     * ejected flit.
      */
-    void setNicQueue(GrowRing<Flit> *q) { srcQueue_ = q; }
+    NOC_PHASE_FN(setup) void setNic(Nic *nic);
     /** Attaches the network-wide flit lifecycle counters (may be null). */
     void setLedger(FlitLedger *ledger) { ledger_ = ledger; }
     /**
@@ -562,6 +539,13 @@ class Router
     bool destinationDead(const Flit &f) const;
 
     /**
+     * True when @p head can never leave this router: its destination
+     * is off-line, or every minimal next hop is a dead node (a packet
+     * at its destination is never blocked).
+     */
+    bool nextHopsDead(const Flit &head) const;
+
+    /**
      * Counts a flit that leaves the network without being delivered
      * (fault drop at the source queue or in an input VC), keeping the
      * network's drain ledger and flit-cycle residency totals exact.
@@ -577,28 +561,19 @@ class Router
         }
     }
 
-    // --- devirtualized NIC fast path --------------------------------
+    // --- injection side of the NIC ------------------------------------
 
     /** True when the source queue has a flit ready to inject. */
-    bool
-    nicHasPending() const
-    {
-        return srcQueue_ ? !srcQueue_->empty()
-                         : (nic_ && nic_->hasPending());
-    }
+    bool nicHasPending() const { return !srcQueue_->empty(); }
 
     /** Front of the source queue; only valid when nicHasPending(). */
-    const Flit &
-    nicPeekPending() const
-    {
-        return srcQueue_ ? srcQueue_->front() : nic_->peekPending();
-    }
+    const Flit &nicPeekPending() const { return srcQueue_->front(); }
 
     /** Removes and returns the front of the source queue. */
     Flit // noc-lint:allow(flit-copy) injection hand-off out of the ring
     nicPopPending()
     {
-        return srcQueue_ ? srcQueue_->pop_front() : nic_->popPending();
+        return srcQueue_->pop_front();
     }
 
     /** Buffered-flit accounting for the idle-skip work counter; call
@@ -621,7 +596,7 @@ class Router
     const MeshTopology &topo_;
     const RoutingAlgorithm &routing_;
     const FaultMap *faults_;  ///< may be null (fault-free run)
-    NicIf *nic_ = nullptr;
+    Nic *nic_ = nullptr;
     FlitLedger *ledger_ = nullptr; ///< may be null (standalone tests)
     obs::Recorder *obs_ = nullptr; ///< may be null (tracing off)
     ActivityCounters act_;
@@ -647,7 +622,7 @@ class Router
     Router *neighbors_[kNumPorts] = {};
     /** Neighbour active flags, set on send (idle-skip wake-up). */
     std::atomic<std::uint8_t> *wake_[kNumPorts] = {};
-    /** Direct view of the NIC's source queue (may be null: test stubs). */
+    /** nic_'s source queue, bound by setNic(). */
     GrowRing<Flit> *srcQueue_ = nullptr;
     /** Flits buffered in this router's input VCs (incremental). */
     int workItems_ = 0;

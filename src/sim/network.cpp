@@ -74,7 +74,6 @@ Network::build(const std::vector<FaultSpec> &faults)
             makeRouter(id, cfg_, topo_, *routing_, faults_.get()));
         nics_.push_back(std::make_unique<Nic>(id, cfg_, topo_, &lanes_[id]));
         routers_.back()->setNic(nics_.back().get());
-        routers_.back()->setNicQueue(&nics_.back()->sourceQueue());
         routers_.back()->setLedger(&ledger_);
         nics_.back()->setLedger(&ledger_);
         nics_.back()->setWakeFlag(&active_[id]);

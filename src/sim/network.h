@@ -102,7 +102,6 @@ class Network
 
     const MeshTopology &topology() const { return topo_; }
     const SimConfig &config() const { return cfg_; }
-    const FaultMap &faultMap() const { return *faults_; }
 
     Router &router(NodeId n) { return *routers_[n]; }
     const Router &router(NodeId n) const { return *routers_[n]; }

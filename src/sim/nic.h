@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/annotations.h"
@@ -19,7 +20,7 @@
 #include "common/flit.h"
 #include "common/ring.h"
 #include "common/stats.h"
-#include "router/router.h"
+#include "obs/obs.h"
 #include "svc/service.h"
 #include "topology/mesh.h"
 #include "traffic/trace.h"
@@ -27,7 +28,7 @@
 
 namespace noc {
 
-class Nic : public NicIf
+class Nic
 {
   public:
     /**
@@ -85,7 +86,7 @@ class Nic : public NicIf
      */
     void setWakeFlag(std::atomic<std::uint8_t> *flag) { wake_ = flag; }
 
-    /** The source queue, for the router's devirtualized fast path. */
+    /** The source queue, which the router pulls injection flits from. */
     GrowRing<Flit> &sourceQueue() { return sourceQueue_; }
 
     /** Replays @p schedule entries for this node instead of the
@@ -103,11 +104,14 @@ class Nic : public NicIf
                                 std::uint64_t &nextPacketId,
                                 bool measured, bool yxOrder = false);
 
-    // NicIf
-    bool hasPending() const override { return !sourceQueue_.empty(); }
-    const Flit &peekPending() const override;
-    Flit popPending() override; // noc-lint:allow(flit-copy) ring hand-off
-    NOC_PHASE_FN(recv) void deliverFlit(const Flit &f, Cycle now) override;
+    /** True when the source queue has a flit ready to inject. */
+    bool hasPending() const { return !sourceQueue_.empty(); }
+    /** Front of the source queue; only valid when hasPending(). */
+    const Flit &peekPending() const;
+    /** Removes and returns the front of the source queue. */
+    Flit popPending(); // noc-lint:allow(flit-copy) ring hand-off
+    /** Receives one ejected flit (the PE always sinks). */
+    NOC_PHASE_FN(recv) void deliverFlit(const Flit &f, Cycle now);
 
     // Statistics
     std::uint64_t injectedPackets() const { return injected_; }

@@ -393,11 +393,28 @@ TEST(FarmTest, CorruptShardIsNamedAndNoJsonWritten)
     ASSERT_EQ(::unlink(good.jsonPath.c_str()), 0);
 
     // One digit changed in shard 2's result line.
-    writeFile(t.shard(2), bumpDigit(readFile(t.shard(2)), "cycles"));
+    const std::string shard2 = readFile(t.shard(2));
+    writeFile(t.shard(2), bumpDigit(shard2, "cycles"));
 
     farm::FarmRun bad = farm::runFarm(t.spec, opts);
     EXPECT_FALSE(bad.complete);
     EXPECT_NE(bad.error.find(t.ids[2]), std::string::npos) << bad.error;
+    EXPECT_FALSE(fileExists(good.jsonPath));
+
+    // Shard 2 restored; shard 1's header claims a seventh attempt. The
+    // digest covers the header too, so --provenance never sees it.
+    writeFile(t.shard(2), shard2);
+    std::string shard1 = readFile(t.shard(1));
+    const std::size_t at = shard1.find("\"attempt\": 1,");
+    ASSERT_NE(at, std::string::npos) << shard1;
+    shard1[at + std::string("\"attempt\": ").size()] = '7';
+    writeFile(t.shard(1), shard1);
+
+    opts.provenance = true;
+    farm::FarmRun edited = farm::runFarm(t.spec, opts);
+    EXPECT_FALSE(edited.complete);
+    EXPECT_NE(edited.error.find(t.ids[1]), std::string::npos)
+        << edited.error;
     EXPECT_FALSE(fileExists(good.jsonPath));
 }
 

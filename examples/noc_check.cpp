@@ -208,7 +208,8 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--service") == 0) {
             service = true;
         } else if (std::strcmp(argv[i], "--mesh") == 0 && i + 1 < argc) {
-            // WxH: both halves whole numbers in [2, kMaxMeshSide].
+            // WxH: both halves whole numbers in
+            // [kMinMeshSide, kMaxMeshSide].
             const std::string_view v = argv[++i];
             const std::size_t x = v.find('x');
             const std::optional<int> w = parseNumber<int>(v.substr(0, x));
@@ -216,8 +217,8 @@ main(int argc, char **argv)
                 x == std::string_view::npos
                     ? std::nullopt
                     : parseNumber<int>(v.substr(x + 1));
-            if (!w || !h || *w < 2 || *h < 2 || *w > kMaxMeshSide ||
-                *h > kMaxMeshSide) {
+            if (!w || !h || *w < kMinMeshSide || *h < kMinMeshSide ||
+                *w > kMaxMeshSide || *h > kMaxMeshSide) {
                 std::fprintf(stderr, "noc_check: bad --mesh '%s'\n",
                              argv[i]);
                 return 2;

@@ -22,18 +22,31 @@ Cdg::Cdg(int numVertices)
 }
 
 void
-Cdg::addEdge(int from, int to)
+Cdg::addEdges(int baseU, std::uint64_t u, int baseV, std::uint64_t v)
 {
-    NOC_ASSERT(from >= 0 && from < n_ && to >= 0 && to < n_,
+    if (u == 0 || v == 0)
+        return;
+    NOC_ASSERT(baseU >= 0 && baseU + 63 - __builtin_clzll(u) < n_ &&
+                   baseV >= 0 && baseV + 63 - __builtin_clzll(v) < n_,
                "CDG edge endpoint out of range");
-    std::uint64_t &word =
-        adj_[static_cast<std::size_t>(from) *
-                 static_cast<std::size_t>(words_) +
-             static_cast<std::size_t>(to / 64)];
-    std::uint64_t bit = 1ull << (to % 64);
-    if (!(word & bit)) {
-        word |= bit;
-        ++edges_;
+    // The request mask lands in at most two adjacent words of a row.
+    const std::size_t word = static_cast<std::size_t>(baseV / 64);
+    const int shift = baseV % 64;
+    const std::uint64_t lo = v << shift;
+    const std::uint64_t hi = shift == 0 ? 0 : v >> (64 - shift);
+    auto orIn = [this](std::uint64_t &w, std::uint64_t bits) {
+        edges_ +=
+            static_cast<std::size_t>(__builtin_popcountll(bits & ~w));
+        w |= bits;
+    };
+    for (std::uint64_t held = u; held; held &= held - 1) {
+        const std::size_t from =
+            static_cast<std::size_t>(baseU + countr_zero(held));
+        std::uint64_t *row =
+            &adj_[from * static_cast<std::size_t>(words_) + word];
+        orIn(row[0], lo);
+        if (hi)
+            orIn(row[1], hi);
     }
 }
 
@@ -46,6 +59,31 @@ Cdg::hasEdge(int from, int to) const
                      static_cast<std::size_t>(words_) +
                  static_cast<std::size_t>(to / 64)] &
             (1ull << (to % 64))) != 0;
+}
+
+std::uint64_t
+Cdg::digest(std::uint64_t h) const
+{
+    constexpr std::uint64_t kPrime = 0x100000001b3ull;
+    // A zero byte only multiplies by the prime, so a zero word (most
+    // of a sparse adjacency matrix) is one multiply by its 8th power.
+    constexpr std::uint64_t kPrime8 = [] {
+        std::uint64_t p = 1;
+        for (int i = 0; i < 8; ++i)
+            p *= kPrime;
+        return p;
+    }();
+    for (std::uint64_t word : adj_) {
+        if (word == 0) {
+            h *= kPrime8;
+            continue;
+        }
+        for (int b = 0; b < 8; ++b) {
+            h ^= (word >> (8 * b)) & 0xffu;
+            h *= kPrime;
+        }
+    }
+    return h;
 }
 
 namespace {

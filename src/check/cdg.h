@@ -28,19 +28,36 @@ namespace noc::check {
  * Vertices are the extended-CDG slots, numbered
  * node * slotsPerNode + slot by the prover; adjacency is a bitset
  * matrix (a full 8x8 RoCo mesh has 768 vertices — 74 KiB of bits), so
- * the walker can re-add the same dependency from every (src, dst) pair
- * without bookkeeping.
+ * the walker can re-add a dependency it meets again without
+ * bookkeeping.
  */
 class Cdg
 {
   public:
     explicit Cdg(int numVertices);
 
-    void addEdge(int from, int to);
+    /**
+     * Adds the edge baseU + i -> baseV + j for every set bit i of @p u
+     * and j of @p v: each held slot waits on every requested slot. The
+     * request mask is ORed into each held slot's adjacency row a word
+     * at a time, and only bits that were clear count as new edges.
+     */
+    void addEdges(int baseU, std::uint64_t u, int baseV, std::uint64_t v);
+    void addEdge(int from, int to) { addEdges(from, 1, to, 1); }
     bool hasEdge(int from, int to) const;
 
     int numVertices() const { return n_; }
     std::size_t numEdges() const { return edges_; }
+
+    /** FNV-1a offset basis: the digest of no graph at all. */
+    static constexpr std::uint64_t kDigestBasis = 0xcbf29ce484222325ull;
+
+    /**
+     * Folds the adjacency matrix, row by row and word by word (eight
+     * little-endian bytes each), into the FNV-1a hash @p h. Two graphs
+     * of one vertex count fold alike iff they have the same edges.
+     */
+    std::uint64_t digest(std::uint64_t h) const;
 
     /**
      * One dependency cycle as an ordered vertex list (the closing edge

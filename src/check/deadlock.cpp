@@ -42,21 +42,6 @@ canonicalQuadrant(const MeshTopology &topo, NodeId cur, NodeId dst)
     return d.x > c.x ? Quadrant::NE : Quadrant::SW;
 }
 
-/** Cross product of two slot masks, as CDG edges. */
-void
-addMaskEdges(Cdg &g, int baseU, std::uint64_t u, int baseV, std::uint64_t v)
-{
-    for (std::uint64_t ub = u; ub;) {
-        int i = __builtin_ctzll(ub);
-        ub &= ub - 1;
-        for (std::uint64_t vb = v; vb;) {
-            int j = __builtin_ctzll(vb);
-            vb &= vb - 1;
-            g.addEdge(baseU + i, baseV + j);
-        }
-    }
-}
-
 /** Packet flavours to enumerate: XY-YX packets pick an order at inject. */
 int
 flavorsOf(RoutingKind kind)
@@ -65,40 +50,78 @@ flavorsOf(RoutingKind kind)
 }
 
 /**
- * Shared per-pair reachability walk.  States are (node, arrival port);
- * @p visit receives each reachable state plus the routing candidates
- * there and decides what edges to record.  Walk state never includes
- * the destination: per-arch callers decide whether edges terminate
- * there (generic router) or the flit early-ejects (RoCo / PS).
+ * Which sources one walk starts from. The routing functions read a
+ * packet's destination and dimension order, never its source, so a
+ * state's transitions do not depend on which source reached it; only a
+ * visitor that reads f.src can tell sources apart. The two service
+ * visitors that do read it read only the signs of its offset from the
+ * destination (the reply's first hop, its quadrant).
+ */
+enum class Sources {
+    All,    ///< one walk from every source at once; f.src is unset
+    BySign, ///< one walk per sign class; f.src is one of its members
+};
+
+/**
+ * Reachability walk, one per (destination, flavour) — and per sign
+ * class of the source under Sources::BySign. States are (node, arrival
+ * port), each visited once per walk; the worklist starts from the
+ * Local port of every source of the walk. @p visit receives each
+ * transition (state, output, next node) and the walk's packet, and
+ * decides what edges to record. A walk visits exactly the union of the
+ * transitions that single-source walks of its sources would visit, so
+ * a visitor that reads the source only through its sign class records
+ * the same edges as one walk per (source, destination) pair. Walk
+ * state never includes the destination: per-arch callers decide
+ * whether edges terminate there (generic router) or the flit
+ * early-ejects (RoCo / PS).
  */
 template <typename Visit>
 void
-walkPairs(const MeshTopology &topo, RoutingKind kind, Visit &&visit)
+walkDestinations(const MeshTopology &topo, const RoutingAlgorithm &routing,
+                 Sources sources, Visit &&visit)
 {
-    auto routing = makeRouting(kind, topo);
-    int nodes = topo.numNodes();
+    const NodeId nodes = static_cast<NodeId>(topo.numNodes());
     std::vector<int> stamp(static_cast<std::size_t>(nodes) * kNumPorts, -1);
     std::vector<std::pair<NodeId, Direction>> work;
+    // The sources of each walk: group (sx + 1) * 3 + (sy + 1) holds the
+    // sources whose offset from dst has signs (sx, sy); Sources::All
+    // puts every source in group 0.
+    std::vector<NodeId> groups[9];
     int epoch = 0;
 
-    for (NodeId src = 0; src < static_cast<NodeId>(nodes); ++src) {
-        for (NodeId dst = 0; dst < static_cast<NodeId>(nodes); ++dst) {
+    for (NodeId dst = 0; dst < nodes; ++dst) {
+        const Coord d = topo.coord(dst);
+        for (std::vector<NodeId> &g : groups)
+            g.clear();
+        for (NodeId src = 0; src < nodes; ++src) {
             if (src == dst)
                 continue;
-            for (int fl = 0; fl < flavorsOf(kind); ++fl) {
+            const Coord c = topo.coord(src);
+            const int sx = (c.x > d.x) - (c.x < d.x);
+            const int sy = (c.y > d.y) - (c.y < d.y);
+            groups[sources == Sources::All ? 0 : (sx + 1) * 3 + sy + 1]
+                .push_back(src);
+        }
+        for (int fl = 0; fl < flavorsOf(routing.kind()); ++fl) {
+            for (const std::vector<NodeId> &group : groups) {
+                if (group.empty())
+                    continue;
                 Flit f;
-                f.src = src;
                 f.dst = dst;
                 f.yxOrder = fl == 1;
+                if (sources == Sources::BySign)
+                    f.src = group.front();
                 ++epoch;
+                // No transition arrives on a Local port, so the seeds
+                // need no stamp.
                 work.clear();
-                work.emplace_back(src, Direction::Local);
-                stamp[src * kNumPorts +
-                      static_cast<int>(Direction::Local)] = epoch;
+                for (NodeId src : group)
+                    work.emplace_back(src, Direction::Local);
                 while (!work.empty()) {
                     auto [n, arrival] = work.back();
                     work.pop_back();
-                    DirectionSet cand = routing->route(n, f);
+                    DirectionSet cand = routing.route(n, f);
                     for (Direction out : cand) {
                         NOC_ASSERT(isCardinal(out),
                                    "routing yielded Local before dst");
@@ -128,6 +151,7 @@ finish(ProofResult r, const Cdg &g, const MeshTopology &topo,
 {
     r.vertices = static_cast<std::size_t>(g.numVertices());
     r.edges = g.numEdges();
+    r.graphDigest = g.digest(Cdg::kDigestBasis);
     std::vector<int> cyc = g.findCycle();
     r.deadlockFree = cyc.empty();
     for (int v : cyc) {
@@ -136,6 +160,24 @@ finish(ProofResult r, const Cdg &g, const MeshTopology &topo,
         cn.at = topo.coord(cn.node);
         cn.slot = slotName(v % slotsPerNode);
         r.cycle.push_back(std::move(cn));
+    }
+    return r;
+}
+
+/**
+ * The escape tier (deadlock.h): when the strict CDG of @p r is cyclic,
+ * freedom still holds if the escape sub-relation is acyclic; the
+ * strict cycle stays in @p r for reference.
+ */
+ProofResult
+escapeTier(ProofResult r, const Cdg &escape)
+{
+    if (r.deadlockFree)
+        return r;
+    r.graphDigest = escape.digest(r.graphDigest);
+    if (escape.findCycle().empty()) {
+        r.deadlockFree = true;
+        r.viaEscape = true;
     }
     return r;
 }
@@ -206,26 +248,23 @@ proveRoco(const MeshTopology &topo, RoutingKind kind,
 {
     Cdg graph(topo.numNodes() * kRocoSlots);
     auto routing = makeRouting(kind, topo);
-    walkPairs(topo, kind,
-              [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-                  const Flit &f) {
-                  if (nn == f.dst)
-                      return; // early ejection: no downstream VC is held
-                  std::uint64_t u =
-                      rocoSlotMask(opts, kind, arrival, out, f.yxOrder);
-                  if (!u)
-                      return;
-                  // The head requests a slot for every look-ahead
-                  // candidate it can commit at the next router.
-                  DirectionSet la = routing->route(nn, f);
-                  for (Direction d2 : la) {
-                      std::uint64_t v = rocoSlotMask(opts, kind,
-                                                     opposite(out), d2,
-                                                     f.yxOrder);
-                      addMaskEdges(graph, n * kRocoSlots, u,
-                                   nn * kRocoSlots, v);
-                  }
-              });
+    const RocoSlotTable slots(opts, kind);
+    walkDestinations(
+        topo, *routing, Sources::All,
+        [&](NodeId n, Direction arrival, Direction out, NodeId nn,
+            const Flit &f) {
+            if (nn == f.dst)
+                return; // early ejection: no downstream VC is held
+            std::uint64_t u = slots.mask(arrival, out, f.yxOrder);
+            if (!u)
+                return;
+            // The head requests a slot for every look-ahead
+            // candidate it can commit at the next router.
+            for (Direction d2 : routing->route(nn, f)) {
+                graph.addEdges(n * kRocoSlots, u, nn * kRocoSlots,
+                               slots.mask(opposite(out), d2, f.yxOrder));
+            }
+        });
     ProofResult r;
     r.arch = RouterArch::Roco;
     r.routing = kind;
@@ -240,20 +279,21 @@ proveGeneric(const MeshTopology &topo, RoutingKind kind, int vcsPerPort)
                "generic VC count out of prover range");
     int slots = kNumPorts * vcsPerPort;
     Cdg graph(topo.numNodes() * slots);
-    walkPairs(topo, kind,
-              [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-                  const Flit &f) {
-                  // Generic flits buffer at the destination before the
-                  // Local output drains them, so edges into dst exist;
-                  // dst slots have no out-edges (infinite Local sink).
-                  std::uint64_t u = genericSlotMask(
-                      kind, static_cast<int>(arrival), vcsPerPort,
-                      f.yxOrder);
-                  std::uint64_t v = genericSlotMask(
-                      kind, static_cast<int>(opposite(out)), vcsPerPort,
-                      f.yxOrder);
-                  addMaskEdges(graph, n * slots, u, nn * slots, v);
-              });
+    walkDestinations(
+        topo, *makeRouting(kind, topo), Sources::All,
+        [&](NodeId n, Direction arrival, Direction out, NodeId nn,
+            const Flit &f) {
+            // Generic flits buffer at the destination before the
+            // Local output drains them, so edges into dst exist;
+            // dst slots have no out-edges (infinite Local sink).
+            std::uint64_t u = genericSlotMask(
+                kind, static_cast<int>(arrival), vcsPerPort,
+                f.yxOrder);
+            std::uint64_t v = genericSlotMask(
+                kind, static_cast<int>(opposite(out)), vcsPerPort,
+                f.yxOrder);
+            graph.addEdges(n * slots, u, nn * slots, v);
+        });
     ProofResult r;
     r.arch = RouterArch::Generic;
     r.routing = kind;
@@ -270,52 +310,45 @@ provePathSensitive(const MeshTopology &topo, RoutingKind kind,
     int slots = kNumQuadrants * vcsPerPort;
     Cdg strict(topo.numNodes() * slots);
     Cdg escape(topo.numNodes() * slots);
-    walkPairs(topo, kind,
-              [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-                  const Flit &f) {
-                  (void)arrival; // pools are arrival-independent
-                  if (nn == f.dst)
-                      return; // early ejection
-                  Quadrant q0 = quadrantOf(topo, n, f.dst, false);
-                  Quadrant q1 = quadrantOf(topo, n, f.dst, true);
-                  Quadrant d0 = quadrantOf(topo, nn, f.dst, false);
-                  Quadrant d1 = quadrantOf(topo, nn, f.dst, true);
-                  // A packet requests every slot of both downstream
-                  // pools (PathSensitiveRouter::requestVc); the escape
-                  // tier narrows the request to the canonical pool,
-                  // which is always a subset of what the router
-                  // actually waits on.
-                  std::uint64_t vStrict = psPoolMask(d0, vcsPerPort) |
-                                          psPoolMask(d1, vcsPerPort);
-                  std::uint64_t vEscape = psPoolMask(
-                      canonicalQuadrant(topo, nn, f.dst), vcsPerPort);
-                  const Quadrant pools[2] = {q0, q1};
-                  int numPools = q0 == q1 ? 1 : 2;
-                  for (int i = 0; i < numPools; ++i) {
-                      Quadrant q = pools[i];
-                      if (!quadrantServes(q, out))
-                          continue;
-                      std::uint64_t u = psPoolMask(q, vcsPerPort);
-                      addMaskEdges(strict, n * slots, u, nn * slots,
-                                   vStrict);
-                      addMaskEdges(escape, n * slots, u, nn * slots,
-                                   vEscape);
-                  }
-              });
+    walkDestinations(
+        topo, *makeRouting(kind, topo), Sources::All,
+        [&](NodeId n, Direction arrival, Direction out, NodeId nn,
+            const Flit &f) {
+            (void)arrival; // pools are arrival-independent
+            if (nn == f.dst)
+                return; // early ejection
+            Quadrant q0 = quadrantOf(topo, n, f.dst, false);
+            Quadrant q1 = quadrantOf(topo, n, f.dst, true);
+            Quadrant d0 = quadrantOf(topo, nn, f.dst, false);
+            Quadrant d1 = quadrantOf(topo, nn, f.dst, true);
+            // A packet requests every slot of both downstream
+            // pools (PathSensitiveRouter::requestVc); the escape
+            // tier narrows the request to the canonical pool,
+            // which is always a subset of what the router
+            // actually waits on.
+            std::uint64_t vStrict = psPoolMask(d0, vcsPerPort) |
+                                    psPoolMask(d1, vcsPerPort);
+            std::uint64_t vEscape = psPoolMask(
+                canonicalQuadrant(topo, nn, f.dst), vcsPerPort);
+            const Quadrant pools[2] = {q0, q1};
+            int numPools = q0 == q1 ? 1 : 2;
+            for (int i = 0; i < numPools; ++i) {
+                Quadrant q = pools[i];
+                if (!quadrantServes(q, out))
+                    continue;
+                std::uint64_t u = psPoolMask(q, vcsPerPort);
+                strict.addEdges(n * slots, u, nn * slots, vStrict);
+                escape.addEdges(n * slots, u, nn * slots, vEscape);
+            }
+        });
     ProofResult r;
     r.arch = RouterArch::PathSensitive;
     r.routing = kind;
     r = finish(std::move(r), strict, topo, slots,
                [=](int s) { return psSlotName(vcsPerPort, s); });
-    if (r.deadlockFree)
-        return r;
-    // Strict CDG is cyclic (the on-axis pool tie chains four straight
-    // packets NE->SE->SW->NW); check the escape sub-relation.
-    if (escape.findCycle().empty()) {
-        r.deadlockFree = true;
-        r.viaEscape = true;
-    }
-    return r;
+    // When the strict CDG is cyclic (the on-axis pool tie chains four
+    // straight packets NE->SE->SW->NW), the escape tier decides.
+    return escapeTier(std::move(r), escape);
 }
 
 ProofResult
@@ -332,6 +365,7 @@ proveServiceGeneric(const MeshTopology &topo, RoutingKind kind,
         return genericSvcSlotMask(kind, static_cast<int>(port), vcsPerPort,
                                   yx, partition);
     };
+    auto routing = makeRouting(kind, topo);
     // Reply-injection slots are route-independent for the generic
     // router: the Local VCs of the reply class's allowed flavours.
     std::uint64_t replyInj = 0;
@@ -343,29 +377,30 @@ proveServiceGeneric(const MeshTopology &topo, RoutingKind kind,
     }
     // Request class: network edges plus, at the final hop, the
     // protocol-dependence edge arrival-at-dst -> reply-injection-at-dst.
-    walkPairs(topo, kind,
-              [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-                  const Flit &f) {
-                  if (partition && f.yxOrder)
-                      return; // requests are pinned to XY
-                  std::uint64_t u = mask(arrival, f.yxOrder);
-                  std::uint64_t v = mask(opposite(out), f.yxOrder);
-                  addMaskEdges(graph, n * slots, u, nn * slots, v);
-                  if (protocol && nn == f.dst)
-                      addMaskEdges(graph, nn * slots, v, nn * slots,
-                                   replyInj);
-              });
+    walkDestinations(
+        topo, *routing, Sources::All,
+        [&](NodeId n, Direction arrival, Direction out, NodeId nn,
+            const Flit &f) {
+            if (partition && f.yxOrder)
+                return; // requests are pinned to XY
+            std::uint64_t u = mask(arrival, f.yxOrder);
+            std::uint64_t v = mask(opposite(out), f.yxOrder);
+            graph.addEdges(n * slots, u, nn * slots, v);
+            if (protocol && nn == f.dst)
+                graph.addEdges(nn * slots, v, nn * slots, replyInj);
+        });
     // Reply class: network edges only; replies are consumed
     // unconditionally at the requester, so their dst slots stay sinks.
-    walkPairs(topo, kind,
-              [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-                  const Flit &f) {
-                  if (partition && !f.yxOrder)
-                      return; // replies are pinned to YX
-                  std::uint64_t u = mask(arrival, f.yxOrder);
-                  std::uint64_t v = mask(opposite(out), f.yxOrder);
-                  addMaskEdges(graph, n * slots, u, nn * slots, v);
-              });
+    walkDestinations(
+        topo, *routing, Sources::All,
+        [&](NodeId n, Direction arrival, Direction out, NodeId nn,
+            const Flit &f) {
+            if (partition && !f.yxOrder)
+                return; // replies are pinned to YX
+            std::uint64_t u = mask(arrival, f.yxOrder);
+            std::uint64_t v = mask(opposite(out), f.yxOrder);
+            graph.addEdges(n * slots, u, nn * slots, v);
+        });
     ProofResult r;
     r.arch = RouterArch::Generic;
     r.routing = kind;
@@ -380,6 +415,7 @@ proveServiceRoco(const MeshTopology &topo, RoutingKind kind,
 {
     Cdg graph(topo.numNodes() * kRocoSlots);
     auto routing = makeRouting(kind, topo);
+    const RocoSlotTable slots(opts, kind);
     bool partition = scheme == svc::AvoidanceScheme::ClassPartition;
     bool protocol = scheme != svc::AvoidanceScheme::EndpointReserve;
     // Reply injection at a RoCo node is route-dependent: the injection
@@ -396,58 +432,52 @@ proveServiceRoco(const MeshTopology &topo, RoutingKind kind,
             rp.dst = requester;
             rp.yxOrder = ryx;
             for (Direction d : routing->route(server, rp))
-                m |= rocoSlotMask(opts, kind, Direction::Local, d, ryx);
+                m |= slots.mask(Direction::Local, d, ryx);
         }
         return m;
     };
     // Request class. RoCo heads early-eject, so the protocol edge
-    // originates at the *last-held* slot (penultimate router).
-    walkPairs(topo, kind,
-              [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-                  const Flit &f) {
-                  if (partition && f.yxOrder)
-                      return;
-                  std::uint64_t u =
-                      rocoSlotMask(opts, kind, arrival, out, f.yxOrder);
-                  if (!u)
-                      return;
-                  if (nn == f.dst) {
-                      if (protocol)
-                          addMaskEdges(graph, n * kRocoSlots, u,
-                                       nn * kRocoSlots,
-                                       replyInjMask(nn, f.src));
-                      return;
-                  }
-                  DirectionSet la = routing->route(nn, f);
-                  for (Direction d2 : la) {
-                      std::uint64_t v = rocoSlotMask(opts, kind,
-                                                     opposite(out), d2,
-                                                     f.yxOrder);
-                      addMaskEdges(graph, n * kRocoSlots, u,
-                                   nn * kRocoSlots, v);
-                  }
-              });
+    // originates at the *last-held* slot (penultimate router). The
+    // reply's first hop depends on the requester only through the
+    // signs of its offset, hence one walk per sign class when there
+    // are protocol edges to draw.
+    walkDestinations(
+        topo, *routing, protocol ? Sources::BySign : Sources::All,
+        [&](NodeId n, Direction arrival, Direction out, NodeId nn,
+            const Flit &f) {
+            if (partition && f.yxOrder)
+                return;
+            std::uint64_t u = slots.mask(arrival, out, f.yxOrder);
+            if (!u)
+                return;
+            if (nn == f.dst) {
+                if (protocol)
+                    graph.addEdges(n * kRocoSlots, u, nn * kRocoSlots,
+                                   replyInjMask(nn, f.src));
+                return;
+            }
+            for (Direction d2 : routing->route(nn, f)) {
+                graph.addEdges(n * kRocoSlots, u, nn * kRocoSlots,
+                               slots.mask(opposite(out), d2, f.yxOrder));
+            }
+        });
     // Reply class: base network edges, flavour-restricted.
-    walkPairs(topo, kind,
-              [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-                  const Flit &f) {
-                  if (partition && !f.yxOrder)
-                      return;
-                  if (nn == f.dst)
-                      return; // early ejection, unconditional
-                  std::uint64_t u =
-                      rocoSlotMask(opts, kind, arrival, out, f.yxOrder);
-                  if (!u)
-                      return;
-                  DirectionSet la = routing->route(nn, f);
-                  for (Direction d2 : la) {
-                      std::uint64_t v = rocoSlotMask(opts, kind,
-                                                     opposite(out), d2,
-                                                     f.yxOrder);
-                      addMaskEdges(graph, n * kRocoSlots, u,
-                                   nn * kRocoSlots, v);
-                  }
-              });
+    walkDestinations(
+        topo, *routing, Sources::All,
+        [&](NodeId n, Direction arrival, Direction out, NodeId nn,
+            const Flit &f) {
+            if (partition && !f.yxOrder)
+                return;
+            if (nn == f.dst)
+                return; // early ejection, unconditional
+            std::uint64_t u = slots.mask(arrival, out, f.yxOrder);
+            if (!u)
+                return;
+            for (Direction d2 : routing->route(nn, f)) {
+                graph.addEdges(n * kRocoSlots, u, nn * kRocoSlots,
+                               slots.mask(opposite(out), d2, f.yxOrder));
+            }
+        });
     ProofResult r;
     r.arch = RouterArch::Roco;
     r.routing = kind;
@@ -469,64 +499,59 @@ proveServicePathSensitive(const MeshTopology &topo, RoutingKind kind,
     }
     // SharedPool (and a forced ClassPartition, which the quadrant
     // pools cannot express): both classes share every pool, protocol
-    // edges included in the strict and the escape graph alike.
+    // edges included in the strict and the escape graph alike. The
+    // reply's pools depend on the requester only through the signs of
+    // its offset, hence one walk per sign class.
     NOC_ASSERT(vcsPerPort >= 1 && vcsPerPort * kNumQuadrants <= 64,
                "PS VC count out of prover range");
     int slots = kNumQuadrants * vcsPerPort;
     Cdg strict(topo.numNodes() * slots);
     Cdg escape(topo.numNodes() * slots);
-    walkPairs(topo, kind,
-              [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-                  const Flit &f) {
-                  (void)arrival;
-                  Quadrant q0 = quadrantOf(topo, n, f.dst, false);
-                  Quadrant q1 = quadrantOf(topo, n, f.dst, true);
-                  bool finalHop = nn == f.dst;
-                  std::uint64_t vStrict = 0;
-                  std::uint64_t vEscape = 0;
-                  if (finalHop) {
-                      // Protocol edge targets: the reply (dst -> src)
-                      // injects into its own destination pools.
-                      Quadrant r0 = quadrantOf(topo, nn, f.src, false);
-                      Quadrant r1 = quadrantOf(topo, nn, f.src, true);
-                      vStrict = psPoolMask(r0, vcsPerPort) |
-                                psPoolMask(r1, vcsPerPort);
-                      vEscape = psPoolMask(
-                          canonicalQuadrant(topo, nn, f.src), vcsPerPort);
-                  } else {
-                      Quadrant d0 = quadrantOf(topo, nn, f.dst, false);
-                      Quadrant d1 = quadrantOf(topo, nn, f.dst, true);
-                      vStrict = psPoolMask(d0, vcsPerPort) |
-                                psPoolMask(d1, vcsPerPort);
-                      vEscape = psPoolMask(
-                          canonicalQuadrant(topo, nn, f.dst), vcsPerPort);
-                  }
-                  const Quadrant pools[2] = {q0, q1};
-                  int numPools = q0 == q1 ? 1 : 2;
-                  for (int i = 0; i < numPools; ++i) {
-                      Quadrant q = pools[i];
-                      if (!quadrantServes(q, out))
-                          continue;
-                      std::uint64_t u = psPoolMask(q, vcsPerPort);
-                      addMaskEdges(strict, n * slots, u, nn * slots,
-                                   vStrict);
-                      addMaskEdges(escape, n * slots, u, nn * slots,
-                                   vEscape);
-                  }
-              });
+    walkDestinations(
+        topo, *makeRouting(kind, topo), Sources::BySign,
+        [&](NodeId n, Direction arrival, Direction out, NodeId nn,
+            const Flit &f) {
+            (void)arrival;
+            Quadrant q0 = quadrantOf(topo, n, f.dst, false);
+            Quadrant q1 = quadrantOf(topo, n, f.dst, true);
+            bool finalHop = nn == f.dst;
+            std::uint64_t vStrict = 0;
+            std::uint64_t vEscape = 0;
+            if (finalHop) {
+                // Protocol edge targets: the reply (dst -> src)
+                // injects into its own destination pools.
+                Quadrant r0 = quadrantOf(topo, nn, f.src, false);
+                Quadrant r1 = quadrantOf(topo, nn, f.src, true);
+                vStrict = psPoolMask(r0, vcsPerPort) |
+                          psPoolMask(r1, vcsPerPort);
+                vEscape = psPoolMask(
+                    canonicalQuadrant(topo, nn, f.src), vcsPerPort);
+            } else {
+                Quadrant d0 = quadrantOf(topo, nn, f.dst, false);
+                Quadrant d1 = quadrantOf(topo, nn, f.dst, true);
+                vStrict = psPoolMask(d0, vcsPerPort) |
+                          psPoolMask(d1, vcsPerPort);
+                vEscape = psPoolMask(
+                    canonicalQuadrant(topo, nn, f.dst), vcsPerPort);
+            }
+            const Quadrant pools[2] = {q0, q1};
+            int numPools = q0 == q1 ? 1 : 2;
+            for (int i = 0; i < numPools; ++i) {
+                Quadrant q = pools[i];
+                if (!quadrantServes(q, out))
+                    continue;
+                std::uint64_t u = psPoolMask(q, vcsPerPort);
+                strict.addEdges(n * slots, u, nn * slots, vStrict);
+                escape.addEdges(n * slots, u, nn * slots, vEscape);
+            }
+        });
     ProofResult r;
     r.arch = RouterArch::PathSensitive;
     r.routing = kind;
     r.scheme = svc::toString(scheme);
     r = finish(std::move(r), strict, topo, slots,
                [=](int s) { return psSlotName(vcsPerPort, s); });
-    if (r.deadlockFree)
-        return r;
-    if (escape.findCycle().empty()) {
-        r.deadlockFree = true;
-        r.viaEscape = true;
-    }
-    return r;
+    return escapeTier(std::move(r), escape);
 }
 
 ProofResult

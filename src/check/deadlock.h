@@ -7,13 +7,13 @@
  *
  * The vertices are every input-VC slot of every router; an edge u -> v
  * means "a packet can hold u while waiting for v".  The enumeration
- * walks every (source, destination) pair through the real routing
- * functions (makeRouting) and asks the slot-eligibility rules the
- * routers allocate through (check/slot_rules.h): RoCo's guided-queuing
- * classes dx/dy/txy/tyx with the XY-YX order partition and injection
- * classes (Table 1), the generic router's per-port VCs with the XY-YX
- * slot partition, and the Path-Sensitive router's pooled quadrant path
- * sets.
+ * walks the real routing functions (makeRouting) once per destination
+ * and routing flavour, from every source at once, and asks the
+ * slot-eligibility rules the routers allocate through
+ * (check/slot_rules.h): RoCo's guided-queuing classes dx/dy/txy/tyx
+ * with the XY-YX order partition and injection classes (Table 1), the
+ * generic router's per-port VCs with the XY-YX slot partition, and the
+ * Path-Sensitive router's pooled quadrant path sets.
  *
  * Two proof tiers:
  *  1. Strict CDG acyclic (Dally & Seitz) — sufficient on its own.
@@ -31,6 +31,7 @@
 #ifndef ROCOSIM_CHECK_DEADLOCK_H_
 #define ROCOSIM_CHECK_DEADLOCK_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,13 @@ struct ProofResult {
     bool viaEscape = false;
     std::size_t vertices = 0;
     std::size_t edges = 0;
+    /**
+     * FNV-1a over the adjacency of every graph the proof checked, the
+     * strict CDG first and then, when that tier ran, the escape graph
+     * (Cdg::digest): equal digests mean the proof examined the same
+     * dependencies, edge for edge.
+     */
+    std::uint64_t graphDigest = 0;
     /** Counterexample cycle (closing edge back to front() implicit). */
     std::vector<CycleNode> cycle;
     /**

@@ -88,6 +88,16 @@ rocoSlotMask(const RocoCheckOptions &o, RoutingKind kind, Direction arrival,
     return mask;
 }
 
+RocoSlotTable::RocoSlotTable(const RocoCheckOptions &o, RoutingKind kind)
+{
+    for (int a = 0; a < kNumPorts; ++a)
+        for (int d = 0; d < kNumCardinal; ++d)
+            for (int yx = 0; yx < 2; ++yx)
+                masks_[a][d][yx] = rocoSlotMask(
+                    o, kind, static_cast<Direction>(a),
+                    static_cast<Direction>(d), yx == 1);
+}
+
 std::uint64_t
 genericSlotMask(RoutingKind kind, int port, int vcsPerPort, bool yxOrder)
 {

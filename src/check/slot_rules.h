@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/log.h"
 #include "common/types.h"
 #include "fault/fault.h"
 #include "router/roco/vc_config.h"
@@ -95,6 +96,32 @@ struct RocoCheckOptions {
 std::uint64_t rocoSlotMask(const RocoCheckOptions &o, RoutingKind kind,
                            Direction arrival, Direction outHere,
                            bool yxOrder);
+
+/**
+ * rocoSlotMask's 40 answers for one (options, routing) pair: every
+ * arrival (Local included) x cardinal output x dimension order, filled
+ * once from rocoSlotMask itself. The rule keeps its one definition;
+ * the routers and the verifiers that ask it per flit or per transition
+ * index this table instead of re-counting Table 1 classes.
+ */
+class RocoSlotTable
+{
+  public:
+    RocoSlotTable(const RocoCheckOptions &o, RoutingKind kind);
+
+    /** rocoSlotMask(o, kind, arrival, outHere, yxOrder). */
+    std::uint64_t
+    mask(Direction arrival, Direction outHere, bool yxOrder) const
+    {
+        NOC_ASSERT(isCardinal(outHere),
+                   "RoCo flits buffer toward a cardinal");
+        return masks_[static_cast<int>(arrival)]
+                     [static_cast<int>(outHere)][yxOrder ? 1 : 0];
+    }
+
+  private:
+    std::uint64_t masks_[kNumPorts][kNumCardinal][2];
+};
 
 /** Generic-router slots a flit may occupy on input port @p port. */
 std::uint64_t genericSlotMask(RoutingKind kind, int port, int vcsPerPort,

@@ -155,7 +155,7 @@ SimConfig::totalBufferFlits() const
 void
 SimConfig::validate() const
 {
-    if (meshWidth < 2 || meshHeight < 2)
+    if (meshWidth < kMinMeshSide || meshHeight < kMinMeshSide)
         fatal("mesh must be at least 2x2");
     if (meshWidth > kMaxMeshSide || meshHeight > kMaxMeshSide)
         fatal("mesh dimension too large");

@@ -27,7 +27,8 @@ namespace noc {
  */
 inline constexpr int kMaxLinkDelay = 7;
 
-/** Longest side a mesh may have, in nodes (SimConfig::validate). */
+/** Shortest and longest mesh side, in nodes (SimConfig::validate). */
+inline constexpr int kMinMeshSide = 2;
 inline constexpr int kMaxMeshSide = 256;
 
 /** Workloads used in the evaluation (Figures 8-10, 13). */

@@ -43,7 +43,8 @@ MicroModel::MicroModel(const Scenario &sc)
     : sc_(sc), topo_(sc.width, sc.height),
       routing_(makeRouting(sc.routing, topo_)),
       faults_(topo_.numNodes(), sc.arch),
-      rocoOpts_(check::RocoCheckOptions::shipped(sc.routing))
+      rocoOpts_(check::RocoCheckOptions::shipped(sc.routing)),
+      rocoSlots_(rocoOpts_, sc.routing)
 {
     NOC_ASSERT(topo_.numNodes() <= kMaxNodes, "mesh too large for model");
     NOC_ASSERT(static_cast<int>(sc_.packets.size()) <= kMaxPackets,
@@ -180,8 +181,7 @@ MicroModel::slotAllowsOut(int pkt, int slot, Direction arr,
 {
     switch (sc_.arch) {
     case RouterArch::Roco:
-        return (check::rocoSlotMask(rocoOpts_, sc_.routing, arr, d,
-                                    sc_.packets[pkt].yxOrder) >>
+        return (rocoSlots_.mask(arr, d, sc_.packets[pkt].yxOrder) >>
                 slot) &
                1;
     case RouterArch::Generic:
@@ -222,9 +222,8 @@ MicroModel::entryOptions(std::uint64_t s, int pkt, NodeId n, Direction arr,
         std::uint64_t mask = 0;
         switch (sc_.arch) {
         case RouterArch::Roco: {
-            std::uint64_t m = check::rocoSlotMask(
-                rocoOpts_, sc_.routing, arr, d,
-                sc_.packets[pkt].yxOrder);
+            std::uint64_t m =
+                rocoSlots_.mask(arr, d, sc_.packets[pkt].yxOrder);
             NOC_ASSERT(m != 0, "no RoCo slot class for (arrival, out)");
             mask = m & ~dead;
             break;

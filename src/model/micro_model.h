@@ -203,6 +203,7 @@ class MicroModel
     std::unique_ptr<RoutingAlgorithm> routing_;
     FaultMap faults_;
     check::RocoCheckOptions rocoOpts_;
+    check::RocoSlotTable rocoSlots_; ///< rocoOpts_' slot rule, tabulated
     int slotsPerNode_;
 };
 

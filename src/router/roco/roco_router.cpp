@@ -14,7 +14,8 @@ RocoRouter::RocoRouter(NodeId id, const SimConfig &cfg,
                               2 * kPortsPerModule * cfg.vcsPerPort,
                               /*perPortSlots=*/false,
                               kPortsPerModule * cfg.vcsPerPort}),
-      rules_(check::RocoCheckOptions::shipped(routing.kind())),
+      slots_(check::RocoCheckOptions::shipped(routing.kind()),
+             routing.kind()),
       deadHere_(check::rocoDeadSlotMask(faultState())),
       xbar_{Crossbar(2, 2), Crossbar(2, 2)},
       sa_{MirrorAllocator(cfg.vcsPerPort),
@@ -76,9 +77,7 @@ RocoRouter::injectionSlots(Direction d, const Flit &head) const
 {
     if (!isCardinal(d) || !hasPort(d))
         return 0;
-    return check::rocoSlotMask(rules_, routingKind(), Direction::Local, d,
-                               head.yxOrder) &
-           ~deadHere_;
+    return slots_.mask(Direction::Local, d, head.yxOrder) & ~deadHere_;
 }
 
 bool
@@ -183,9 +182,7 @@ RocoRouter::requestVc(const PacketCtl &ctl, const Flit &head,
     std::uint64_t statically = 0; // eligible slots, free or not
     for (Direction la : laCands) {
         const std::uint64_t elig =
-            check::rocoSlotMask(rules_, routingKind(), arrivalAtDown, la,
-                                head.yxOrder) &
-            ~deadDown;
+            slots_.mask(arrivalAtDown, la, head.yxOrder) & ~deadDown;
         statically |= elig;
         for (std::uint64_t m = elig; m; m &= m - 1) {
             const int s = std::countr_zero(m);

@@ -92,8 +92,8 @@ class RocoRouter final : public RouterPipeline<RocoRouter>
     static int outIndex(Direction d);
     static Direction outDirOf(Module m, int outIdx);
 
-    /** The shipped Table 1 layout, as check/slot_rules reads it. */
-    check::RocoCheckOptions rules_;
+    /** The shipped Table 1 slot rule (check/slot_rules), tabulated. */
+    check::RocoSlotTable slots_;
     /**
      * Slots retired by faults (Table 3 recycling; whole modules and
      * nodes included), here and behind each cardinal output. Faults

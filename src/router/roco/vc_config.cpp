@@ -61,27 +61,4 @@ RocoVcConfig::countClass(Module m, int port, VcClass c) const
     return n;
 }
 
-Direction
-ownerDirection(Module m, int port, VcClass c)
-{
-    // Which input link's demux writes this VC (one write port each).
-    switch (c) {
-      case VcClass::InjXy:
-      case VcClass::InjYx:
-        return Direction::Local;
-      case VcClass::Dx:
-      case VcClass::Txy:
-        // X-dimension arrivals: West feeds port 0, East feeds port 1.
-        return port == 0 ? Direction::West : Direction::East;
-      case VcClass::Dy:
-      case VcClass::Tyx:
-        // Y-dimension arrivals: South feeds port 0, North feeds port 1.
-        return port == 0 ? Direction::South : Direction::North;
-    }
-    NOC_ASSERT(false, "unknown VC class");
-    return Direction::Invalid;
-    (void)m;
-}
-
-
 } // namespace noc

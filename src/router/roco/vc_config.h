@@ -95,13 +95,6 @@ classifyFlit(Direction arrival, Direction outHere)
     return isColumn(outHere) ? VcClass::Dy : VcClass::Tyx;
 }
 
-/**
- * The input link whose demux writes VC (module, port, class): every
- * buffer has a single physical write port, so upstream routers track
- * credits only for the slots their own link owns.
- */
-Direction ownerDirection(Module m, int port, VcClass c);
-
 /** Module that buffers a flit heading to @p outHere (by output dim). */
 inline Module
 moduleForOutput(Direction outHere)

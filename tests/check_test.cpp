@@ -7,8 +7,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "check/cdg.h"
 #include "check/deadlock.h"
@@ -142,6 +145,127 @@ TEST(Prover, LargeMeshesAreProvedOnTheSurrogate)
     cfg.routing = RoutingKind::Adaptive;
     ProofResult r = prove(cfg);
     EXPECT_TRUE(r.deadlockFree) << r.summary();
+}
+
+/** One proof of the oracle matrix, with the name it is reported by. */
+struct NamedProof {
+    std::string name;
+    ProofResult result;
+};
+
+/**
+ * Every proof of one (mesh, routing) cell: generic and Path-Sensitive
+ * at 2, 3 and 4 VCs, three RoCo option sets (shipped, no order
+ * partition, merged turn classes) and the three protocol-deadlock
+ * schemes for each architecture — 18 proofs.
+ */
+std::vector<NamedProof>
+proveCell(const MeshTopology &topo, RoutingKind kind)
+{
+    std::vector<NamedProof> out;
+    for (int vcs = 2; vcs <= 4; ++vcs) {
+        out.push_back({"generic v" + std::to_string(vcs),
+                       proveGeneric(topo, kind, vcs)});
+        out.push_back({"ps v" + std::to_string(vcs),
+                       provePathSensitive(topo, kind, vcs)});
+    }
+    RocoCheckOptions shipped = RocoCheckOptions::shipped(kind);
+    RocoCheckOptions noPartition = shipped;
+    noPartition.orderPartition = false;
+    RocoCheckOptions merged = noPartition;
+    merged.mergeTurnClasses = true;
+    out.push_back({"roco shipped", proveRoco(topo, kind, shipped)});
+    out.push_back(
+        {"roco no-partition", proveRoco(topo, kind, noPartition)});
+    out.push_back({"roco merged-turns", proveRoco(topo, kind, merged)});
+    for (svc::AvoidanceScheme scheme :
+         {svc::AvoidanceScheme::SharedPool,
+          svc::AvoidanceScheme::ClassPartition,
+          svc::AvoidanceScheme::EndpointReserve}) {
+        std::string tag = std::string(" svc ") + svc::toString(scheme);
+        out.push_back({"generic" + tag,
+                       proveServiceGeneric(topo, kind, 3, scheme)});
+        out.push_back({"roco" + tag,
+                       proveServiceRoco(topo, kind, shipped, scheme)});
+        out.push_back({"ps" + tag,
+                       proveServicePathSensitive(topo, kind, 3, scheme)});
+    }
+    return out;
+}
+
+/**
+ * Graph-identity oracle: the graphDigest of every proof in a (mesh,
+ * routing) cell, folded in order with FNV-1a, must equal the digest
+ * frozen from the pair-by-pair walk that the per-destination walk
+ * replaced. The walk and the edge insertion may be rewritten for
+ * speed; the graphs they build may not change by one edge.
+ */
+TEST(Prover, GraphsMatchFrozenDigests)
+{
+    struct Cell {
+        int width;
+        int height;
+        RoutingKind kind;
+        std::uint64_t digest;
+    };
+    using enum RoutingKind;
+    constexpr Cell kFrozen[] = {
+        {2, 2, XY, 0x62c689d20e85424eull},
+        {2, 2, XYYX, 0xaa40947d7b728d21ull},
+        {2, 2, Adaptive, 0xd4796d9cdf68713aull},
+        {3, 3, XY, 0xc105b18f05e67905ull},
+        {3, 3, XYYX, 0x25f80004f72cf6e7ull},
+        {3, 3, Adaptive, 0x124c24494ad8ba6aull},
+        {2, 5, XY, 0x29296c59be9ef0abull},
+        {2, 5, XYYX, 0xc64a876e89a1cb90ull},
+        {2, 5, Adaptive, 0x42f47a1c9dda123dull},
+        {5, 3, XY, 0x986282cbbaa4256cull},
+        {5, 3, XYYX, 0x2a385f9a710ac092ull},
+        {5, 3, Adaptive, 0x21bb69bf38f83c0ull},
+        {4, 7, XY, 0x97704b69b8bf3df1ull},
+        {4, 7, XYYX, 0xc7943acf5926658full},
+        {4, 7, Adaptive, 0x2f37182532013843ull},
+        {8, 8, XY, 0xedff9d8eda276093ull},
+        {8, 8, XYYX, 0x19faaf0a2e66a378ull},
+        {8, 8, Adaptive, 0x16b7ff6ebe7437b5ull},
+        {12, 12, XY, 0xea612b7987f77683ull},
+        {12, 12, XYYX, 0xf6138338b5a60ee5ull},
+        {12, 12, Adaptive, 0xf04bdd6c86cc48faull},
+        {6, 11, XY, 0xa5f34ff52e25c813ull},
+        {6, 11, XYYX, 0xe0f43ae13a691438ull},
+        {6, 11, Adaptive, 0x4f11882e50474e06ull},
+    };
+    for (const Cell &c : kFrozen) {
+        MeshTopology topo(c.width, c.height);
+        std::vector<NamedProof> proofs = proveCell(topo, c.kind);
+        std::uint64_t h = Cdg::kDigestBasis;
+        for (const NamedProof &p : proofs) {
+            for (int b = 0; b < 8; ++b) {
+                h ^= (p.result.graphDigest >> (8 * b)) & 0xffu;
+                h *= 0x100000001b3ull;
+            }
+        }
+        if (h == c.digest)
+            continue;
+        std::string detail;
+        for (const NamedProof &p : proofs) {
+            char line[192];
+            std::snprintf(line, sizeof line,
+                          "  %-28s %5zu vertices %7zu edges  %s%s  "
+                          "cycle %zu\n",
+                          p.name.c_str(), p.result.vertices,
+                          p.result.edges,
+                          p.result.deadlockFree ? "free" : "CYCLIC",
+                          p.result.viaEscape ? " (escape)" : "",
+                          p.result.cycle.size());
+            detail += line;
+        }
+        ADD_FAILURE() << c.width << "x" << c.height << " "
+                      << toString(c.kind) << ": digest 0x" << std::hex
+                      << h << " != frozen 0x" << c.digest << std::dec
+                      << "\n"
+                      << detail;
+    }
 }
 
 TEST(Prover, SkipCheckEnvironmentVariableIsHonoured)

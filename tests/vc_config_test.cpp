@@ -5,6 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "check/slot_rules.h"
 #include "router/roco/vc_config.h"
 
 namespace noc {
@@ -140,28 +144,47 @@ TEST(PortSideTest, ArrivalSidesMapToPorts)
 
 TEST(PortSideTest, OwnerWiringIsConsistentWithPortSides)
 {
-    // Every transit class's owning link must demux into the port that
-    // portSideFor() assigns to that link — the single-write-port
-    // invariant the credit protocol depends on.
-    struct Case {
-        Module m;
-        int port;
-        VcClass cls;
-    };
-    const Case cases[] = {
-        {Module::Row, 0, Dx},    {Module::Row, 1, Dx},
-        {Module::Row, 0, Tyx},   {Module::Row, 1, Tyx},
-        {Module::Column, 0, Dy}, {Module::Column, 1, Dy},
-        {Module::Column, 0, Txy}, {Module::Column, 1, Txy},
-    };
-    for (const Case &c : cases) {
-        Direction owner = ownerDirection(c.m, c.port, c.cls);
-        EXPECT_EQ(portSideFor(c.m, owner), c.port)
-            << toString(c.m) << " port " << c.port << " "
-            << toString(c.cls);
+    // Every buffer has one physical write port, so upstream routers
+    // track credits only for the slots their own link writes. Stated
+    // on the slot rule the routers allocate through and the prover
+    // proves (check::rocoSlotMask, shipped options): every non-injection
+    // slot is eligible from exactly one arrival link, on the port
+    // portSideFor() gives that link; injection slots from Local only.
+    for (RoutingKind kind :
+         {RoutingKind::XY, RoutingKind::XYYX, RoutingKind::Adaptive}) {
+        const check::RocoCheckOptions o =
+            check::RocoCheckOptions::shipped(kind);
+        // Every slot a flit arriving on @p arrival may occupy.
+        auto eligible = [&](Direction arrival) {
+            std::uint64_t mask = 0;
+            for (int out = 0; out < kNumCardinal; ++out) {
+                for (bool yx : {false, true})
+                    mask |= check::rocoSlotMask(
+                        o, kind, arrival, static_cast<Direction>(out), yx);
+            }
+            return mask;
+        };
+        const std::uint64_t fromLocal = eligible(Direction::Local);
+        for (int s = 0; s < check::kRocoSlots; ++s) {
+            const Module m = check::rocoSlotModule(s);
+            const int port = check::rocoSlotPort(s);
+            const VcClass cls = o.table.at(m, port, check::rocoSlotVc(s));
+            const bool inj = cls == InjXy || cls == InjYx;
+            const std::string name = std::string(toString(kind)) + " " +
+                                     check::rocoSlotName(o.table, s);
+            int links = 0;
+            for (int a = 0; a < kNumCardinal; ++a) {
+                const Direction arrival = static_cast<Direction>(a);
+                if (!((eligible(arrival) >> s) & 1))
+                    continue;
+                ++links;
+                EXPECT_EQ(portSideFor(m, arrival), port)
+                    << name << " from " << toString(arrival);
+            }
+            EXPECT_EQ(links, inj ? 0 : 1) << name;
+            EXPECT_EQ(((fromLocal >> s) & 1) != 0, inj) << name;
+        }
     }
-    EXPECT_EQ(ownerDirection(Module::Row, 0, InjXy), Direction::Local);
-    EXPECT_EQ(ownerDirection(Module::Column, 0, InjYx), Direction::Local);
 }
 
 TEST(ClassifyDeathTest, LocalOutputIsNeverBuffered)

@@ -63,6 +63,27 @@ enum class Sources {
 };
 
 /**
+ * Which flavours one walk enumerates: every flavour the routing has,
+ * or only the one a message class is pinned to (ClassPartition pins
+ * requests to XY and replies to YX).
+ */
+enum class Flavours {
+    All,
+    Xy,
+    Yx,
+};
+
+/** The flavours a class walk enumerates: its pinned one under
+ *  @p partition, else all. */
+Flavours
+classFlavours(bool partition, bool reply)
+{
+    if (!partition)
+        return Flavours::All;
+    return reply ? Flavours::Yx : Flavours::Xy;
+}
+
+/**
  * Reachability walk, one per (destination, flavour) — and per sign
  * class of the source under Sources::BySign. States are (node, arrival
  * port), each visited once per walk; the worklist starts from the
@@ -79,7 +100,8 @@ enum class Sources {
 template <typename Visit>
 void
 walkDestinations(const MeshTopology &topo, const RoutingAlgorithm &routing,
-                 Sources sources, Visit &&visit)
+                 Sources sources, Visit &&visit,
+                 Flavours flavours = Flavours::All)
 {
     const NodeId nodes = static_cast<NodeId>(topo.numNodes());
     std::vector<int> stamp(static_cast<std::size_t>(nodes) * kNumPorts, -1);
@@ -104,6 +126,9 @@ walkDestinations(const MeshTopology &topo, const RoutingAlgorithm &routing,
                 .push_back(src);
         }
         for (int fl = 0; fl < flavorsOf(routing.kind()); ++fl) {
+            if ((flavours == Flavours::Xy && fl != 0) ||
+                (flavours == Flavours::Yx && fl != 1))
+                continue;
             for (const std::vector<NodeId> &group : groups) {
                 if (group.empty())
                     continue;
@@ -381,26 +406,24 @@ proveServiceGeneric(const MeshTopology &topo, RoutingKind kind,
         topo, *routing, Sources::All,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
             const Flit &f) {
-            if (partition && f.yxOrder)
-                return; // requests are pinned to XY
             std::uint64_t u = mask(arrival, f.yxOrder);
             std::uint64_t v = mask(opposite(out), f.yxOrder);
             graph.addEdges(n * slots, u, nn * slots, v);
             if (protocol && nn == f.dst)
                 graph.addEdges(nn * slots, v, nn * slots, replyInj);
-        });
+        },
+        classFlavours(partition, false));
     // Reply class: network edges only; replies are consumed
     // unconditionally at the requester, so their dst slots stay sinks.
     walkDestinations(
         topo, *routing, Sources::All,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
             const Flit &f) {
-            if (partition && !f.yxOrder)
-                return; // replies are pinned to YX
             std::uint64_t u = mask(arrival, f.yxOrder);
             std::uint64_t v = mask(opposite(out), f.yxOrder);
             graph.addEdges(n * slots, u, nn * slots, v);
-        });
+        },
+        classFlavours(partition, true));
     ProofResult r;
     r.arch = RouterArch::Generic;
     r.routing = kind;
@@ -445,8 +468,6 @@ proveServiceRoco(const MeshTopology &topo, RoutingKind kind,
         topo, *routing, protocol ? Sources::BySign : Sources::All,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
             const Flit &f) {
-            if (partition && f.yxOrder)
-                return;
             std::uint64_t u = slots.mask(arrival, out, f.yxOrder);
             if (!u)
                 return;
@@ -460,14 +481,13 @@ proveServiceRoco(const MeshTopology &topo, RoutingKind kind,
                 graph.addEdges(n * kRocoSlots, u, nn * kRocoSlots,
                                slots.mask(opposite(out), d2, f.yxOrder));
             }
-        });
+        },
+        classFlavours(partition, false));
     // Reply class: base network edges, flavour-restricted.
     walkDestinations(
         topo, *routing, Sources::All,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
             const Flit &f) {
-            if (partition && !f.yxOrder)
-                return;
             if (nn == f.dst)
                 return; // early ejection, unconditional
             std::uint64_t u = slots.mask(arrival, out, f.yxOrder);
@@ -477,7 +497,8 @@ proveServiceRoco(const MeshTopology &topo, RoutingKind kind,
                 graph.addEdges(n * kRocoSlots, u, nn * kRocoSlots,
                                slots.mask(opposite(out), d2, f.yxOrder));
             }
-        });
+        },
+        classFlavours(partition, true));
     ProofResult r;
     r.arch = RouterArch::Roco;
     r.routing = kind;
@@ -557,9 +578,7 @@ proveServicePathSensitive(const MeshTopology &topo, RoutingKind kind,
 ProofResult
 proveService(const SimConfig &cfg)
 {
-    constexpr int kMaxProofDim = 12;
-    MeshTopology topo(std::min(cfg.meshWidth, kMaxProofDim),
-                      std::min(cfg.meshHeight, kMaxProofDim));
+    MeshTopology topo(proofSide(cfg.meshWidth), proofSide(cfg.meshHeight));
     svc::AvoidanceScheme scheme = svc::resolveScheme(cfg);
     switch (cfg.arch) {
       case RouterArch::Roco:
@@ -579,12 +598,7 @@ proveService(const SimConfig &cfg)
 ProofResult
 prove(const SimConfig &cfg)
 {
-    // Dependencies are local and translation-invariant, so any cycle in
-    // a large mesh already appears in a 12x12 window; cap the surrogate
-    // to keep the proof fast for huge sweeps.
-    constexpr int kMaxProofDim = 12;
-    MeshTopology topo(std::min(cfg.meshWidth, kMaxProofDim),
-                      std::min(cfg.meshHeight, kMaxProofDim));
+    MeshTopology topo(proofSide(cfg.meshWidth), proofSide(cfg.meshHeight));
     switch (cfg.arch) {
       case RouterArch::Roco:
         return proveRoco(topo, cfg.routing,
@@ -621,8 +635,8 @@ proofFingerprint(const SimConfig &cfg, ProofScope scope)
         // and mesh/VC-independent (see model/liveness.h).
         return key;
     }
-    key |= (static_cast<std::uint64_t>(std::min(cfg.meshWidth, 12)) << 32) |
-           (static_cast<std::uint64_t>(std::min(cfg.meshHeight, 12)) << 16) |
+    key |= (static_cast<std::uint64_t>(proofSide(cfg.meshWidth)) << 32) |
+           (static_cast<std::uint64_t>(proofSide(cfg.meshHeight)) << 16) |
            static_cast<std::uint64_t>(cfg.vcsPerPort);
     if (cfg.svc.enabled) {
         // Service mode proves a different (augmented) graph per

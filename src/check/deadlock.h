@@ -31,6 +31,7 @@
 #ifndef ROCOSIM_CHECK_DEADLOCK_H_
 #define ROCOSIM_CHECK_DEADLOCK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -125,18 +126,32 @@ ProofResult proveServicePathSensitive(const MeshTopology &topo,
                                       svc::AvoidanceScheme scheme);
 
 /**
+ * The widest and tallest mesh a proof walks. A larger mesh is proved
+ * on its surrogate, clipped to this bound per side: the dependency
+ * rules are translation-invariant and purely local, so every cycle
+ * shape present in a larger mesh already appears in a 12x12 window,
+ * and the cap keeps the proof fast for huge sweeps. prove(),
+ * proveService() and proofFingerprint() all clip through proofSide().
+ */
+inline constexpr int kMaxProofDim = 12;
+
+/** One side of a mesh's proof surrogate: @p side, clipped. */
+inline int
+proofSide(int side)
+{
+    return std::min(side, kMaxProofDim);
+}
+
+/**
  * Proves @p cfg's service-mode protocol layer with the scheme the
- * config actually resolves to (svc::resolveScheme). Same 12x12
- * surrogate rule as prove().
+ * config actually resolves to (svc::resolveScheme), on the same
+ * surrogate as prove().
  */
 ProofResult proveService(const SimConfig &cfg);
 
 /**
  * Proves the (arch, routing, mesh, VC) combination of @p cfg with the
- * shipped VC organisation.  Meshes larger than 12x12 are proved on a
- * 12x12 surrogate: the dependency rules are translation-invariant and
- * purely local, so every cycle shape present in a larger mesh already
- * appears there.
+ * shipped VC organisation, on its kMaxProofDim surrogate.
  */
 ProofResult prove(const SimConfig &cfg);
 

@@ -18,6 +18,9 @@ namespace noc {
 /** Simulation time, measured in router clock cycles. */
 using Cycle = std::uint64_t;
 
+/** A cycle no run reaches: the deadline of nothing scheduled. */
+constexpr Cycle kNever = ~Cycle{0};
+
 /** Flat node identifier within a topology (row-major for 2D mesh). */
 using NodeId = std::uint32_t;
 

@@ -102,6 +102,14 @@ class RaceChecker
     NOC_PHASE_FN(epilogue)
     void endCycle(Cycle now);
 
+    /**
+     * Counts @p n supersteps the run loop fast-forwarded: no step ran
+     * in them, so each is empty and checked. Single-threaded, like
+     * endCycle.
+     */
+    NOC_PHASE_FN(epilogue)
+    void skipCycles(Cycle n);
+
     /** When set, endCycle prints and aborts on the first finding
      *  instead of accumulating (the env-created checker's mode). */
     void setFailFast(bool on) { failFast_ = on; }

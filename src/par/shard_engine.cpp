@@ -18,6 +18,15 @@ namespace noc::par {
 
 namespace {
 
+/** Every completed-cycle count that is a multiple of this gets the
+ *  occupancy probe sample. */
+constexpr Cycle kProbePeriod = 256;
+/** ...and of this, the network-wide protocol audit. */
+constexpr Cycle kAuditPeriod = 1024;
+static_assert(kAuditPeriod % kProbePeriod == 0,
+              "a fast-forward stops at every probe cycle, so every audit "
+              "cycle must be one");
+
 /** What the end-of-cycle step reads and decides, at any shard count. */
 struct Loop {
     Network &net;
@@ -47,13 +56,48 @@ startCycle(Loop &l)
 }
 
 /**
- * End of cycle l.now, the one copy for every shard count. Runs
- * single-threaded after the cycle's body: inline at one shard, inside
- * the barrier after the ledger reduction when sharded.
+ * Fast-forwards a frozen network from cycle l.now, the next to run.
+ * The caller has seen a cycle with generation off in which no router
+ * step executed, so every wake flag is clear and only a NIC deadline
+ * can act again: until then each cycle's body does nothing and its
+ * end-of-cycle step only counts. The jump lands on the first cycle
+ * that may do more: a NIC deadline, the cycle whose end fires the stop
+ * rule or the cap, or the next cycle ending on a probe period, so
+ * every probe sample and audit still runs on its cycle.
  */
 NOC_PHASE_FN(epilogue)
 void
-endOfCycle(Loop &l)
+fastForward(Loop &l)
+{
+    Network &net = l.net;
+    // endCycle just said no for l.now completed cycles, so the stop
+    // rule fires at a count above l.now, and the cap above it too.
+    const Cycle stopAt = l.ctl.stopsAt(net.quiescent(),
+                                       net.lastDeliveryCycle(),
+                                       net.ledger().svcPending);
+    const Cycle next =
+        std::min({net.nextDue(), stopAt - 1, net.config().maxCycles - 1,
+                  l.now | (kProbePeriod - 1)});
+    if (next <= l.now)
+        return;
+    const Cycle skipped = next - l.now;
+    net.skipCycles(skipped);
+#if NOC_RACE_CHECK_BUILT
+    if (RaceChecker *race = net.raceChecker())
+        race->skipCycles(skipped);
+#endif
+    l.now = next;
+}
+
+/**
+ * End of cycle l.now, the one copy for every shard count. Runs
+ * single-threaded after the cycle's body: inline at one shard, inside
+ * the barrier after the ledger reduction when sharded. @p stepped is
+ * the router steps the body executed.
+ */
+NOC_PHASE_FN(epilogue)
+void
+endOfCycle(Loop &l, std::uint64_t stepped)
 {
     Network &net = l.net;
 #if NOC_RACE_CHECK_BUILT
@@ -66,7 +110,7 @@ endOfCycle(Loop &l)
 
     // Coarse path-set occupancy probe; the period keeps its cost
     // negligible against the per-cycle work.
-    NOC_OBS(if (l.obs && (done & 255u) == 0)
+    NOC_OBS(if (l.obs && done % kProbePeriod == 0)
                 l.obs->samplePathSetOccupancy(net));
 
     // The stop rule: RunControl's (drained, or blocked past the idle
@@ -80,15 +124,18 @@ endOfCycle(Loop &l)
     // Network-wide protocol audit (credit and flit conservation,
     // fault-state consistency, stage masks): periodic, and once more
     // on the run's last cycle.
-    if (((done & 1023u) == 0 || drained || capped) &&
+    if ((done % kAuditPeriod == 0 || drained || capped) &&
         check::invariantsEnabled())
         net.checkProtocolInvariants(done);
 
     l.now = done;
     l.stop = drained || capped;
     l.hitCap = capped;
-    if (!l.stop)
-        startCycle(l);
+    if (l.stop)
+        return;
+    if (stepped == 0 && !l.ctl.generating())
+        fastForward(l);
+    startCycle(l);
 }
 
 /** Per-shard cycle-local counter, padded against false sharing. */
@@ -104,10 +151,12 @@ struct alignas(64) ShardLedger {
 
 /**
  * A shard's progress through the cycle: after stepping the boundary
- * nodes of phase p in cycle c its worker stores c * kNumStepPhases +
- * p + 1 (release); a bordering worker acquires it before stepping its
- * own boundary nodes of a later phase. Monotonic over the run, and
- * padded so each worker spins on its own line.
+ * nodes of phase p in the k-th cycle it executes (from 0), its worker
+ * stores k * kNumStepPhases + p + 1 (release); a bordering worker
+ * acquires it before stepping its own boundary nodes of a later phase.
+ * k counts executed cycles, not the cycle number, so a fast-forward
+ * leaves no gap. Monotonic over the run, and padded so each worker
+ * spins on its own line.
  */
 struct alignas(64) ShardProgress {
     NOC_SHARED_ATOMIC(engine)
@@ -134,7 +183,7 @@ struct Shared {
     std::vector<ShardProgress> progress;  // one per shard
     std::vector<ShardLedger> ledgers;     // one per shard
     std::vector<ShardCount> generated;    // this cycle, per shard
-    std::vector<ShardCount> stepsExec;    // whole run, per shard
+    std::vector<ShardCount> stepped;      // this cycle, per shard
 
     Shared(Loop &l, const ShardPlan &p)
         : loop(l), plan(p), barrier(p.shards()),
@@ -143,7 +192,7 @@ struct Shared {
           progress(static_cast<std::size_t>(p.shards())),
           ledgers(static_cast<std::size_t>(p.shards())),
           generated(static_cast<std::size_t>(p.shards())),
-          stepsExec(static_cast<std::size_t>(p.shards()))
+          stepped(static_cast<std::size_t>(p.shards()))
     {
         for (int s = 0; s < p.shards(); ++s) {
             ShardSteps &st = steps[static_cast<std::size_t>(s)];
@@ -157,8 +206,8 @@ struct Shared {
 
 /**
  * The barrier epilogue, run by the last arriver while every other
- * worker is parked: folds the shards' generation counts and flit
- * ledgers into the network, then runs the end-of-cycle step.
+ * worker is parked: folds the shards' generation and step counts and
+ * flit ledgers into the network, then runs the end-of-cycle step.
  */
 NOC_PHASE_FN(epilogue)
 void
@@ -169,6 +218,12 @@ epilogue(Shared &sh)
     for (const ShardCount &g : sh.generated)
         gen += g.value;
     net.addGenerated(gen);
+    std::uint64_t stepped = 0;
+    for (const ShardCount &c : sh.stepped)
+        stepped += c.value;
+    // Every node is scheduled once per cycle, as in Network::step.
+    net.addRouterSteps(stepped,
+                       static_cast<std::uint64_t>(net.numNodes()));
 
     FlitLedger sum;
     for (const ShardLedger &sl : sh.ledgers) {
@@ -185,7 +240,7 @@ epilogue(Shared &sh)
     }
     net.setLedgerTotals(sum);
 
-    endOfCycle(sh.loop);
+    endOfCycle(sh.loop, stepped);
 }
 
 /**
@@ -210,7 +265,9 @@ work(Shared &sh, int s)
     const std::vector<int> &border = plan.borderShards(s);
     std::atomic<std::uint64_t> &mine =
         sh.progress[static_cast<std::size_t>(s)].published;
-    std::uint64_t stepsExec = 0;
+    // Phases every worker completed in the cycles executed before this
+    // one (see ShardProgress).
+    std::uint64_t base = 0;
     for (;;) {
         // Cycle state is stable between barriers: the epilogue is the
         // only writer and it runs inside the previous barrier.
@@ -227,7 +284,7 @@ work(Shared &sh, int s)
         // may set one is ordered against the clear by the schedule
         // (same shard: program order; another shard: the progress
         // hand-off below), so every read sees exactly the 1-shard value.
-        const std::uint64_t base = now * kNumStepPhases;
+        std::uint64_t stepped = 0;
         for (int ph = 0; ph < kNumStepPhases; ++ph) {
             if (!steps.boundary[ph].empty()) {
                 // Phase ph's boundary steps follow every bordering
@@ -242,18 +299,18 @@ work(Shared &sh, int s)
                         return theirs.load(std::memory_order_acquire) >= want;
                     });
                 }
-                stepsExec +=
+                stepped +=
                     net.stepRouters(steps.boundary[ph], now, ph, s, false);
             }
             mine.store(base + static_cast<std::uint64_t>(ph) + 1,
                        std::memory_order_release);
-            stepsExec += net.stepRouters(steps.interior[ph], now, ph, s, true);
+            stepped += net.stepRouters(steps.interior[ph], now, ph, s, true);
         }
+        sh.stepped[static_cast<std::size_t>(s)].value = stepped;
+        base += kNumStepPhases;
         sh.barrier.arriveAndWait([&sh] { epilogue(sh); });
-        if (sh.loop.stop) {
-            sh.stepsExec[static_cast<std::size_t>(s)].value = stepsExec;
+        if (sh.loop.stop)
             return;
-        }
     }
 }
 
@@ -292,13 +349,6 @@ runShards(Loop &loop, int shards)
 
     for (NodeId n = 0; n < static_cast<NodeId>(net.numNodes()); ++n)
         net.bindNodeLedger(n, nullptr);
-    std::uint64_t executed = 0;
-    for (const ShardCount &c : sh.stepsExec)
-        executed += c.value;
-    // Every node is scheduled once per cycle, as in Network::step.
-    net.addRouterSteps(executed, static_cast<std::uint64_t>(loop.now) *
-                                     static_cast<std::uint64_t>(
-                                         net.numNodes()));
 }
 
 } // namespace
@@ -337,8 +387,9 @@ run(Network &net, obs::Recorder *obs, RunControl &ctl)
     startCycle(loop); // cycle 0; endOfCycle starts every later one
     if (shards == 1) {
         do {
-            net.step(loop.now, ctl.generating(), ctl.measuring());
-            endOfCycle(loop);
+            const std::uint64_t stepped =
+                net.step(loop.now, ctl.generating(), ctl.measuring());
+            endOfCycle(loop, stepped);
         } while (!loop.stop);
     } else {
         runShards(loop, shards);

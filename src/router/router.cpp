@@ -15,8 +15,7 @@ const NodeFaultState kHealthy{};
 
 Router::Router(NodeId id, const SimConfig &cfg, const MeshTopology &topo,
                const RoutingAlgorithm &routing, const FaultMap *faults)
-    : cfg_(cfg), topo_(topo), routing_(routing), faults_(faults),
-      rng_(cfg.seed, 0x5EED0000ull + id), id_(id),
+    : cfg_(cfg), topo_(topo), routing_(routing), faults_(faults), id_(id),
       // The map's per-node states live in a vector sized once at
       // construction and mutated in place, so the reference is stable
       // for the router's lifetime (fault injection included).

@@ -23,7 +23,6 @@
 #include "common/config.h"
 #include "common/flit.h"
 #include "common/ring.h"
-#include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "fault/fault.h"
@@ -600,7 +599,6 @@ class Router
     FlitLedger *ledger_ = nullptr; ///< may be null (standalone tests)
     obs::Recorder *obs_ = nullptr; ///< may be null (tracing off)
     ActivityCounters act_;
-    Rng rng_; ///< deterministic tie-breaking
 
     int numVcs_ = 0; ///< VCs per port / path set
     int depth_ = 0;  ///< flit slots per input VC

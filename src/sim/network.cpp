@@ -1,5 +1,6 @@
 #include "sim/network.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <utility>
@@ -53,16 +54,23 @@ Network::build(const std::vector<FaultSpec> &faults)
             TraceSchedule::load(cfg_.traceFile, n));
     }
 
-    // Idle-skip state: everyone starts awake; the step loops clear flags
-    // as routers quiesce. The env override serves the equivalence
-    // tests and benchmarks (NOC_IDLE_SKIP=0 forces every step).
+    // Idle-skip state: every live router starts awake; the step loops
+    // clear flags as routers quiesce. A dead router (Generic/PS node
+    // death) has no wake flag: its step is a no-op (see
+    // RouterPipeline::step), so its flag stays clear and nothing sets
+    // it, however long its stranded source queue. The env override
+    // serves the equivalence tests and benchmarks (NOC_IDLE_SKIP=0
+    // forces every step).
     idleSkip_ = cfg_.idleSkip;
     if (const char *env = std::getenv("NOC_IDLE_SKIP"))
         idleSkip_ = env[0] != '0';
     active_ = std::make_unique<std::atomic<std::uint8_t>[]>(
         static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i)
-        active_[i].store(1, std::memory_order_relaxed);
+    auto wakeFlag = [&](NodeId id) -> std::atomic<std::uint8_t> * {
+        return faults_->state(id).nodeDead ? nullptr : &active_[id];
+    };
+    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id)
+        active_[id].store(wakeFlag(id) ? 1 : 0, std::memory_order_relaxed);
 
     routers_.reserve(static_cast<size_t>(n));
     nics_.reserve(static_cast<size_t>(n));
@@ -76,13 +84,15 @@ Network::build(const std::vector<FaultSpec> &faults)
         routers_.back()->setNic(nics_.back().get());
         routers_.back()->setLedger(&ledger_);
         nics_.back()->setLedger(&ledger_);
-        nics_.back()->setWakeFlag(&active_[id]);
+        nics_.back()->setWakeFlag(wakeFlag(id));
         if (trace_)
             nics_.back()->attachTrace(*trace_);
     }
-    laneSweep_ = true;
-    for (const auto &nic : nics_)
-        laneSweep_ = laneSweep_ && nic->laneDriven();
+    drive_ = nics_.front()->drive();
+    for (const auto &nic : nics_) {
+        if (nic->drive() != drive_)
+            drive_ = Nic::Drive::PerNode;
+    }
 
     // One flit ring per link direction. A flit link models switch
     // traversal plus link propagation after the allocation cycle: a
@@ -110,8 +120,8 @@ Network::build(const std::vector<FaultSpec> &faults)
 
             routers_[a]->setNeighbor(d, routers_[*b].get());
             routers_[*b]->setNeighbor(opposite(d), routers_[a].get());
-            routers_[a]->setWakeFlag(d, &active_[*b]);
-            routers_[*b]->setWakeFlag(opposite(d), &active_[a]);
+            routers_[a]->setWakeFlag(d, wakeFlag(*b));
+            routers_[*b]->setWakeFlag(opposite(d), wakeFlag(a));
         }
     }
 
@@ -160,44 +170,71 @@ std::uint64_t
 Network::generateTraffic(std::span<const NodeId> nodes, Cycle now,
                          bool generationEnabled, bool measured)
 {
-    // Sources must run every cycle while traffic is generated — each
-    // draws from its RNG stream per cycle — but disappear entirely in
-    // the drain phase. Service mode keeps its NICs alive through the
-    // drain: scheduled replies must still be pumped (with request
-    // generation off) or the closed loop would truncate.
+    // Sources draw from their streams every cycle while traffic is
+    // generated, and disappear in the drain phase, except that service
+    // endpoints must still pump scheduled replies and expire MSHRs
+    // (with request generation off) or the closed loop would truncate.
     std::uint64_t made = 0;
-    if (laneSweep_) {
+    InjectionLane *const lanes = lanes_.get();
+    switch (drive_) {
+      case Nic::Drive::Lane:
         if (!generationEnabled)
             return 0;
         // The draw Nic::generate would make, without visiting the NIC:
         // at low load all but a few percent of draws do not fire.
-        InjectionLane *const lanes = lanes_.get();
         for (NodeId n : nodes) {
             if (lanes[n].fires())
                 made += static_cast<std::uint64_t>(
                     nics_[n]->fire(now, measured));
         }
-    } else if (generationEnabled || cfg_.svc.enabled) {
-        for (NodeId n : nodes)
-            made += static_cast<std::uint64_t>(
-                nics_[n]->generate(now, measured, generationEnabled));
+        break;
+      case Nic::Drive::ServiceLane:
+        // Nic::generate's arrival draw, then the NIC only if the draw
+        // arrived or its endpoint has something due.
+        for (NodeId n : nodes) {
+            InjectionLane &lane = lanes[n];
+            const bool arrived = generationEnabled && lane.fires();
+            if (arrived || lane.due <= now)
+                made += static_cast<std::uint64_t>(
+                    nics_[n]->serve(now, measured, arrived));
+        }
+        break;
+      case Nic::Drive::PerNode:
+        if (generationEnabled || cfg_.svc.enabled) {
+            for (NodeId n : nodes)
+                made += static_cast<std::uint64_t>(
+                    nics_[n]->generate(now, measured, generationEnabled));
+        }
+        break;
     }
     return made;
 }
 
-void
+Cycle
+Network::nextDue() const
+{
+    Cycle due = kNever;
+    for (NodeId n = 0; n < static_cast<NodeId>(numNodes()); ++n)
+        due = std::min(due, lanes_[n].due);
+    return due;
+}
+
+std::uint64_t
 Network::step(Cycle now, bool generationEnabled, bool measured)
 {
     generatedBase1_ +=
         generateTraffic(allNodes_, now, generationEnabled, measured);
     const std::span<const StepEntry> all(flatPhases_);
+    std::uint64_t executed = 0;
     for (int ph = 0; ph < kNumStepPhases; ++ph) {
         // One shard: every node is interior (no other shard exists).
-        stepsExecuted_ += stepRouters(
+        executed += stepRouters(
             all.subspan(phaseOfs_[ph], phaseOfs_[ph + 1] - phaseOfs_[ph]),
             now, ph, 0, true);
     }
+    stepsExecuted_ += executed;
     stepsScheduled_ += flatPhases_.size();
+    return executed;
 }
 
 int

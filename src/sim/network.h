@@ -54,10 +54,10 @@ class Network
      * identical schedule, which keeps its results bit-identical. The
      * end-of-cycle work (race checker, probes, audits) is the run
      * loop's, not this call's: a caller stepping by hand runs only
-     * the cycle.
+     * the cycle. Returns the router steps executed.
      */
     NOC_PHASE_FN(engine)
-    void step(Cycle now, bool generationEnabled, bool measured);
+    std::uint64_t step(Cycle now, bool generationEnabled, bool measured);
 
     /** One entry of a flat step list: a router and its idle-skip flag. */
     struct StepEntry {
@@ -90,11 +90,12 @@ class Network
      * Runs the traffic sources of @p nodes for cycle @p now and returns
      * the packets they generated: the one generation routine of every
      * shard count (step() over every node, a shard worker over its
-     * shard's nodes). When every NIC is lane-driven it sweeps the
-     * nodes' injection lanes and calls into a NIC only when its draw
-     * fires; otherwise (service mode, trace replay, non-Bernoulli
-     * processes) it calls each NIC's generate(). Either way every
-     * source draws the same stream as a per-node Nic::generate loop.
+     * shard's nodes). Bernoulli sources are swept through their
+     * injection lanes: an open-loop NIC is called only when its draw
+     * fires, a service NIC only when its draw fires or its lane's
+     * deadline is due. Trace replay and non-Bernoulli processes call
+     * each NIC's generate(). Either way every source draws the same
+     * stream as a per-node Nic::generate loop.
      */
     NOC_PHASE_FN(inject)
     std::uint64_t generateTraffic(std::span<const NodeId> nodes, Cycle now,
@@ -139,6 +140,27 @@ class Network
     std::uint64_t routerStepsExecuted() const { return stepsExecuted_; }
     /** Router step opportunities seen by the engine. */
     std::uint64_t routerStepsScheduled() const { return stepsScheduled_; }
+    /** Whole cycles the run loop fast-forwarded (see skipCycles). */
+    Cycle cyclesSkipped() const { return cyclesSkipped_; }
+
+    /**
+     * The earliest cycle at which some NIC has work of its own due (a
+     * reply to pump, an MSHR to expire), or kNever. Read between
+     * cycles.
+     */
+    Cycle nextDue() const;
+
+    /**
+     * Counts @p n cycles the run loop skipped because nothing could act
+     * in them: every node's step was scheduled and none executed.
+     */
+    NOC_PHASE_FN(epilogue)
+    void
+    skipCycles(Cycle n)
+    {
+        stepsScheduled_ += n * static_cast<Cycle>(numNodes());
+        cyclesSkipped_ += n;
+    }
     /** Folds the shard workers' step counts in (sharded runs); the
      *  skip decisions are bit-identical to step()'s, so the reduced
      *  totals match a 1-shard run's. */
@@ -240,8 +262,9 @@ class Network
     /** Every node's injection lane, indexed by id (see InjectionLane). */
     NOC_OWNED_STATE(inject)
     std::unique_ptr<InjectionLane[]> lanes_;
-    /** True when every NIC is lane-driven (see generateTraffic). */
-    bool laneSweep_ = false;
+    /** How generateTraffic drives the NICs: their common Nic::drive(),
+     *  or PerNode when they differ. */
+    Nic::Drive drive_ = Nic::Drive::PerNode;
     /** Node ids 0 .. n-1: the generation list of step(). */
     std::vector<NodeId> allNodes_;
     std::unique_ptr<TraceSchedule> trace_;
@@ -264,6 +287,8 @@ class Network
     std::uint64_t stepsExecuted_ = 0;
     NOC_OWNED_STATE(engine, epilogue)
     std::uint64_t stepsScheduled_ = 0;
+    NOC_OWNED_STATE(epilogue)
+    Cycle cyclesSkipped_ = 0;
     /** Shard-ownership race checker, when attached (see race_check.h). */
     par::RaceChecker *race_ = nullptr;
     /**

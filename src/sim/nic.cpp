@@ -36,7 +36,8 @@ int
 Nic::generate(Cycle now, bool measured, bool generationEnabled)
 {
     if (svc_)
-        return generateService(now, measured, generationEnabled);
+        return serve(now, measured,
+                     generationEnabled && traffic_.arrives(now));
     if (!generationEnabled)
         return 0;
     if (trace_)
@@ -75,14 +76,16 @@ Nic::serviceOrder(MsgClass cls, bool draw) const
 }
 
 int
-Nic::generateService(Cycle now, bool measured, bool generationEnabled)
+Nic::serve(Cycle now, bool measured, bool arrived)
 {
     svc::ServiceEndpoint &ep = svc_->ep;
     ep.reclaim(now);
 
     // Pump every due reply first. This runs during the drain phase too
-    // (generationEnabled false): the closed loop must finish answering
-    // requests already consumed, or termination would truncate them.
+    // (no arrivals): the closed loop must finish answering requests
+    // already consumed, or termination would truncate them. The reply
+    // draws come from the NIC's own stream, the arrival draw from the
+    // lane's, so the draw may be taken before the pump.
     while (const svc::ServiceEndpoint::PendingReply *r = ep.dueReply(now)) {
         bool order = serviceOrder(r->cls, rng_.nextBool(0.5));
         enqueueWithId(r->requester, now, r->packetId, r->measured, order,
@@ -96,11 +99,16 @@ Nic::generateService(Cycle now, bool measured, bool generationEnabled)
         ep.popReply();
     }
 
-    if (!generationEnabled)
-        return 0;
-    NodeId dst = kInvalidNode;
-    if (auto d = traffic_.maybeGenerate(now))
-        dst = *d;
+    const int made = arrived ? request(now, measured) : 0;
+    traffic_.lane().due = ep.nextDeadline();
+    return made;
+}
+
+int
+Nic::request(Cycle now, bool measured)
+{
+    svc::ServiceEndpoint &ep = svc_->ep;
+    const NodeId dst = traffic_.destination();
     if (dst == kInvalidNode)
         return 0;
     // Draws are consumed whether or not the request is admitted, so
@@ -236,6 +244,7 @@ Nic::deliverFlit(const Flit &f, Cycle now)
                 // becomes a pending obligation the drain logic must
                 // wait out (ledger svcPending).
                 svc_->ep.onRequestDelivered(f, now);
+                traffic_.lane().due = svc_->ep.nextDeadline();
                 if (ledger_)
                     ++ledger_->svcPending;
             } else {

@@ -53,16 +53,28 @@ class Nic
     NOC_PHASE_FN(inject)
     int generate(Cycle now, bool measured, bool generationEnabled);
 
-    /**
-     * True when generate() is exactly the lane's fires() draw followed
-     * by fire(): a synthetic Bernoulli source, no service endpoint and
-     * no trace. The engines then sweep the lanes and call fire() only
-     * on a firing draw (Network::generateTraffic).
-     */
-    bool
-    laneDriven() const
+    /** How an engine drives this source (Network::generateTraffic). */
+    enum class Drive : std::uint8_t {
+        /** A synthetic Bernoulli source with no service endpoint and
+         *  no trace: generate() is the lane's fires() draw followed by
+         *  fire() when it fires. */
+        Lane,
+        /** A Bernoulli service endpoint: generate() is serve() given
+         *  the lane's fires() draw, and does nothing unless that draw
+         *  fires or the lane's deadline is due. */
+        ServiceLane,
+        /** Trace replay and non-Bernoulli processes: per-cycle state
+         *  of their own, so generate() runs every cycle. */
+        PerNode,
+    };
+    Drive
+    drive() const
     {
-        return !svc_ && !trace_ && traffic_.bernoulli();
+        if (!traffic_.bernoulli())
+            return Drive::PerNode;
+        if (svc_) // generate() serves an endpoint before any trace
+            return Drive::ServiceLane;
+        return trace_ ? Drive::PerNode : Drive::Lane;
     }
 
     /**
@@ -72,6 +84,15 @@ class Nic
      * when the pattern suppresses this source).
      */
     NOC_PHASE_FN(inject) int fire(Cycle now, bool measured);
+
+    /**
+     * Service-mode generation for cycle @p now once the arrival draw
+     * is known (@p arrived; false outside generation): reclaims the
+     * MSHRs the cycle expires, pumps every due reply, then offers a
+     * request if the draw arrived. Leaves the endpoint's next deadline
+     * in the lane. Returns the requests generated (0 or 1).
+     */
+    NOC_PHASE_FN(inject) int serve(Cycle now, bool measured, bool arrived);
 
     /** Attaches the network-wide flit lifecycle counters (may be null). */
     void setLedger(FlitLedger *ledger) { ledger_ = ledger; }
@@ -150,9 +171,9 @@ class Nic
     void enqueueWithId(NodeId dst, Cycle now, std::uint64_t pid,
                        bool measured, bool yxOrder, MsgClass cls, int len);
 
-    /** Service-mode generation: reply pump + MSHR-gated requests. */
-    NOC_PHASE_FN(inject)
-    int generateService(Cycle now, bool measured, bool generationEnabled);
+    /** A service request after an arrival draw: destination, order
+     *  and tier draws, then the MSHR gate. */
+    NOC_PHASE_FN(inject) int request(Cycle now, bool measured);
 
     /** Dimension order for a service-mode packet of @p cls. */
     NOC_PHASE_FN(inject) bool serviceOrder(MsgClass cls, bool draw) const;

@@ -77,14 +77,26 @@ class RunControl
     endCycle(Cycle now, bool quiescent, Cycle lastDelivery,
              std::uint64_t svcPending = 0) const
     {
-        if (generating_)
-            return false;
-        if (svcPending > 0)
-            return false;
+        return now >= stopsAt(quiescent, lastDelivery, svcPending);
+    }
+
+    /**
+     * The completed-cycle count from which endCycle() returns true as
+     * long as none of its other arguments changes: 0 once drained,
+     * the end of the idle window when blocked, kNever while generation
+     * is on or a reply obligation is outstanding. The run loop's
+     * fast-forward (par::run) reads the stop rule here, so it is
+     * written once.
+     */
+    Cycle
+    stopsAt(bool quiescent, Cycle lastDelivery,
+            std::uint64_t svcPending = 0) const
+    {
+        if (generating_ || svcPending > 0)
+            return kNever;
         if (quiescent)
-            return true;
-        Cycle last = std::max(lastDelivery, generationEnd_);
-        return now > last + kIdleWindow;
+            return 0;
+        return std::max(lastDelivery, generationEnd_) + kIdleWindow + 1;
     }
 
     bool generating() const { return generating_; }

@@ -1,5 +1,7 @@
 #include "svc/service.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 
 namespace noc {
@@ -75,6 +77,20 @@ ServiceEndpoint::onRequestDelivered(const Flit &tail, Cycle now)
     NOC_ASSERT(pending_.empty() || pending_.back().fire <= r.fire,
                "reply fire cycles must stay monotone");
     pending_.push_back(r);
+}
+
+Cycle
+ServiceEndpoint::nextDeadline() const
+{
+    Cycle due = pending_.empty() ? kNever : pending_.front().fire;
+    if (!mshrs_.empty()) {
+        // reclaim() expires the front once now - injectCycle reaches
+        // the timeout; saturate, since the timeout has no upper bound.
+        const Cycle sent = mshrs_.front().injectCycle;
+        due = std::min(due, timeout_ > kNever - sent ? kNever
+                                                     : sent + timeout_);
+    }
+    return due;
 }
 
 ServiceEndpoint::Completion

@@ -146,6 +146,14 @@ class ServiceEndpoint
      */
     NOC_PHASE_FN(recv) Completion onReplyDelivered(std::uint64_t packetId);
 
+    /**
+     * The first cycle at which reclaim() or dueReply() can act with no
+     * new input: the front reply's fire cycle or the front MSHR's
+     * expiry, whichever comes first; kNever when both queues are empty.
+     * A front MSHR already answered only makes it early, never late.
+     */
+    Cycle nextDeadline() const;
+
     int outstanding() const { return outstanding_; }
     std::size_t pendingReplies() const { return pending_.size(); }
     std::uint64_t timeouts() const { return timeouts_; }

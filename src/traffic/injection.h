@@ -35,14 +35,21 @@ class InjectionProcess
  * choice from, and its Bernoulli packet rate. A Network keeps one lane
  * per node in a contiguous array, so an engine can run every plain
  * Bernoulli source with one sweep that touches only the lanes and
- * calls into a NIC when a draw fires (Network::generateTraffic); a
- * standalone TrafficGenerator owns its lane. One cache line per lane,
- * so two shard threads sweeping neighbouring nodes never share one.
+ * calls into a NIC when a draw fires or its deadline is due
+ * (Network::generateTraffic); a standalone TrafficGenerator owns its
+ * lane. One cache line per lane, so two shard threads sweeping
+ * neighbouring nodes never share one.
  */
 struct alignas(64) InjectionLane {
     Rng rng{0};
     /** Packets/cycle when the process is Bernoulli, else -1. */
     double rate = -1.0;
+    /**
+     * The first cycle at which the node's service endpoint has work of
+     * its own (a reply to pump, an MSHR to expire), kNever when it has
+     * none or the node runs no endpoint. Kept by the NIC.
+     */
+    Cycle due = kNever;
 
     /** This cycle's arrival draw (exactly BernoulliInjection::fire). */
     bool fires() { return rng.nextBool(rate); }

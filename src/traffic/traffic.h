@@ -49,16 +49,22 @@ class TrafficGenerator
     std::optional<NodeId>
     maybeGenerate(Cycle now)
     {
-        if (bernoulli()) {
-            if (!lane_->fires())
-                return std::nullopt;
-        } else if (!process_->fire(now, lane_->rng)) {
+        if (!arrives(now))
             return std::nullopt;
-        }
         NodeId dst = destination();
         if (dst == kInvalidNode)
             return std::nullopt;
         return dst;
+    }
+
+    /**
+     * The arrival draw of cycle @p now alone: true when a packet is
+     * offered, whose destination() the caller draws next.
+     */
+    bool
+    arrives(Cycle now)
+    {
+        return bernoulli() ? lane_->fires() : process_->fire(now, lane_->rng);
     }
 
     /**
@@ -76,6 +82,9 @@ class TrafficGenerator
 
     /** True when the arrival draw is the lane's fires() (Bernoulli). */
     bool bernoulli() const { return lane_->rate >= 0.0; }
+
+    /** The lane this source draws from. */
+    InjectionLane &lane() { return *lane_; }
 
     /** Long-run offered load in packets/cycle from this node. */
     double packetRate() const { return process_->packetRate(); }

@@ -268,6 +268,39 @@ TEST(Prover, GraphsMatchFrozenDigests)
     }
 }
 
+/**
+ * A mesh over the bound per side is proved on its surrogate, so it
+ * must key the surrogate's memo entry: a 16x16 config reuses the 12x12
+ * proof, in plain and in service mode, and proves the same graph. A
+ * side under the bound keys a proof of its own.
+ */
+TEST(Prover, OversizedMeshSharesItsSurrogateFingerprint)
+{
+    for (bool service : {false, true}) {
+        SimConfig big;
+        big.meshWidth = 16;
+        big.meshHeight = 16;
+        big.routing = RoutingKind::XYYX;
+        big.svc.enabled = service;
+        SimConfig surrogate = big;
+        surrogate.meshWidth = kMaxProofDim;
+        surrogate.meshHeight = kMaxProofDim;
+        SimConfig under = surrogate;
+        under.meshHeight = kMaxProofDim - 1;
+
+        SCOPED_TRACE(service ? "service" : "plain");
+        EXPECT_EQ(proofFingerprint(big, ProofScope::Deadlock),
+                  proofFingerprint(surrogate, ProofScope::Deadlock));
+        EXPECT_NE(proofFingerprint(under, ProofScope::Deadlock),
+                  proofFingerprint(surrogate, ProofScope::Deadlock));
+        const ProofResult a = service ? proveService(big) : prove(big);
+        const ProofResult b =
+            service ? proveService(surrogate) : prove(surrogate);
+        EXPECT_EQ(a.graphDigest, b.graphDigest);
+        EXPECT_EQ(a.vertices, b.vertices);
+    }
+}
+
 TEST(Prover, SkipCheckEnvironmentVariableIsHonoured)
 {
     const char *prev = std::getenv("NOC_SKIP_CHECK");

@@ -1,6 +1,7 @@
 /** @file Integration tests for network construction and flit flow. */
 #include <gtest/gtest.h>
 
+#include "fault/fault_injector.h"
 #include "sim/network.h"
 
 namespace noc {
@@ -206,6 +207,49 @@ INSTANTIATE_TEST_SUITE_P(
 class EngineGenerationTest
     : public testing::TestWithParam<std::tuple<TrafficKind, double>>
 {
+  protected:
+    /** One cycle of the per-node reference: every NIC's generate(),
+     *  then every router in schedule order, none skipped. */
+    static void
+    stepTwin(Network &twin, Cycle t, bool generating, bool measured)
+    {
+        const ShardPlan order(twin.config().meshWidth,
+                              twin.config().meshHeight, 1);
+        for (int i = 0; i < twin.numNodes(); ++i)
+            twin.nic(static_cast<NodeId>(i))
+                .generate(t, measured, generating);
+        for (int ph = 0; ph < kNumStepPhases; ++ph) {
+            for (NodeId id : order.phaseNodes(0, ph))
+                twin.router(id).step(t);
+        }
+    }
+
+    /** The ledgers and every NIC's counters (and service endpoint's,
+     *  if any) of the two networks agree. */
+    static void
+    expectSameState(const Network &engine, const Network &twin)
+    {
+        EXPECT_GT(engine.ledger().created, 0u);
+        EXPECT_EQ(engine.ledger(), twin.ledger());
+        for (int i = 0; i < engine.numNodes(); ++i) {
+            SCOPED_TRACE("node " + std::to_string(i));
+            const Nic &a = engine.nic(static_cast<NodeId>(i));
+            const Nic &b = twin.nic(static_cast<NodeId>(i));
+            EXPECT_EQ(a.injectedPackets(), b.injectedPackets());
+            EXPECT_EQ(a.deliveredPackets(), b.deliveredPackets());
+            EXPECT_EQ(a.injectedMeasured(), b.injectedMeasured());
+            EXPECT_EQ(a.deliveredMeasured(), b.deliveredMeasured());
+            ASSERT_EQ(a.endpoint() != nullptr, b.endpoint() != nullptr);
+            if (const svc::ServiceEndpoint *ea = a.endpoint()) {
+                const svc::ServiceEndpoint *eb = b.endpoint();
+                EXPECT_EQ(ea->timeouts(), eb->timeouts());
+                EXPECT_EQ(ea->throttled(), eb->throttled());
+                EXPECT_EQ(ea->lateReplies(), eb->lateReplies());
+                EXPECT_EQ(ea->outstanding(), eb->outstanding());
+                EXPECT_EQ(ea->pendingReplies(), eb->pendingReplies());
+            }
+        }
+    }
 };
 
 TEST_P(EngineGenerationTest, StepMatchesPerNodeGenerate)
@@ -223,41 +267,85 @@ TEST_P(EngineGenerationTest, StepMatchesPerNodeGenerate)
         cfg.idleSkip = false; // every router steps on both sides
         Network engine(cfg);
         Network twin(cfg);
-        const ShardPlan order(cfg.meshWidth, cfg.meshHeight, 1);
 
         for (Cycle t = 0; t < kCycles; ++t) {
             const bool generating = t < kGenerate;
             const bool measured = t >= kWarmup;
             engine.step(t, generating, measured);
-            for (int i = 0; i < twin.numNodes(); ++i)
-                twin.nic(static_cast<NodeId>(i))
-                    .generate(t, measured, generating);
-            for (int ph = 0; ph < kNumStepPhases; ++ph) {
-                for (NodeId id : order.phaseNodes(0, ph))
-                    twin.router(id).step(t);
-            }
+            stepTwin(twin, t, generating, measured);
         }
 
         SCOPED_TRACE(toString(arch));
-        const FlitLedger &a = engine.ledger();
-        const FlitLedger &b = twin.ledger();
-        EXPECT_GT(a.created, 0u);
-        EXPECT_EQ(a, b);
-        for (int i = 0; i < engine.numNodes(); ++i) {
-            const NodeId n = static_cast<NodeId>(i);
-            EXPECT_EQ(engine.nic(n).injectedPackets(),
-                      twin.nic(n).injectedPackets())
-                << "node " << i;
-            EXPECT_EQ(engine.nic(n).deliveredPackets(),
-                      twin.nic(n).deliveredPackets())
-                << "node " << i;
-            EXPECT_EQ(engine.nic(n).injectedMeasured(),
-                      twin.nic(n).injectedMeasured())
-                << "node " << i;
-            EXPECT_EQ(engine.nic(n).deliveredMeasured(),
-                      twin.nic(n).deliveredMeasured())
-                << "node " << i;
+        expectSameState(engine, twin);
+    }
+}
+
+/**
+ * Service mode sweeps the lanes too: a service NIC is called only when
+ * its arrival draw fires or its endpoint's deadline (a reply's fire
+ * cycle, an MSHR's expiry) is due. Two critical faults strand requests
+ * at dead nodes and drop others, so with a short timeout MSHRs expire
+ * through the drain, and replies fire there after the service
+ * latency. The engine also idle-skips (the twin steps every router),
+ * so a dead router that is never woken is covered. The drain must
+ * hold cycles the run loop would skip whole, in which the engine does
+ * nothing while the twin still calls every NIC, and cycles with a
+ * deadline due, or the deadline path went untested.
+ */
+TEST_P(EngineGenerationTest, ServiceModeMatchesPerNodeGenerate)
+{
+    auto [traffic, rate] = GetParam();
+    constexpr Cycle kWarmup = 500, kGenerate = 2000, kCycles = 3500;
+    for (RouterArch arch : {RouterArch::Generic, RouterArch::PathSensitive,
+                            RouterArch::Roco}) {
+        SimConfig cfg;
+        cfg.meshWidth = 8;
+        cfg.meshHeight = 8;
+        cfg.arch = arch;
+        cfg.routing = RoutingKind::XYYX;
+        cfg.traffic = traffic;
+        cfg.injectionRate = rate;
+        cfg.svc.enabled = true;
+        cfg.svc.serviceLatency = 60;
+        cfg.svc.mshrTimeout = 400;
+        cfg.idleSkip = true;
+        const std::vector<FaultSpec> faults = placeRandomFaults(
+            MeshTopology(cfg.meshWidth, cfg.meshHeight),
+            FaultClass::RouterCentricCritical, 2, cfg.vcsPerPort, 5);
+        Network engine(cfg, faults);
+        Network twin(cfg, faults);
+
+        SCOPED_TRACE(toString(arch));
+        std::uint64_t stepped = 1; // router steps of the last cycle
+        Cycle frozen = 0;    // drain cycles par::run fast-forwards over
+        Cycle deadlines = 0; // drain cycles with some NIC deadline due
+        for (Cycle t = 0; t < kCycles; ++t) {
+            const bool generating = t < kGenerate;
+            const bool measured = t >= kWarmup;
+            // The run loop's rule: after a drain cycle that stepped no
+            // router, nothing can act before the next NIC deadline.
+            const bool drain = t > kGenerate;
+            const bool skippable =
+                drain && stepped == 0 && engine.nextDue() > t;
+            if (drain && engine.nextDue() <= t)
+                ++deadlines;
+            stepped = engine.step(t, generating, measured);
+            if (skippable) {
+                ++frozen;
+                EXPECT_EQ(stepped, 0u) << "frozen cycle " << t;
+            }
+            stepTwin(twin, t, generating, measured);
         }
+
+        expectSameState(engine, twin);
+        std::uint64_t timeouts = 0;
+        for (int i = 0; i < engine.numNodes(); ++i)
+            timeouts += engine.nic(static_cast<NodeId>(i))
+                            .endpoint()
+                            ->timeouts();
+        EXPECT_GT(timeouts, 0u) << "no MSHR expired";
+        EXPECT_GT(frozen, 0u) << "no whole cycle was skippable";
+        EXPECT_GT(deadlines, 0u) << "no deadline fell in the drain";
     }
 }
 

@@ -136,6 +136,7 @@ struct SkipObservation {
     FlitLedger ledger;
     std::uint64_t stepsExecuted = 0;
     std::uint64_t stepsScheduled = 0;
+    Cycle cyclesSkipped = 0;
 };
 
 SkipObservation
@@ -149,6 +150,7 @@ observeSkipRun(SimConfig cfg, const std::vector<FaultSpec> &faults,
     out.ledger = sim.network().ledger();
     out.stepsExecuted = sim.network().routerStepsExecuted();
     out.stepsScheduled = sim.network().routerStepsScheduled();
+    out.cyclesSkipped = sim.network().cyclesSkipped();
     return out;
 }
 
@@ -286,6 +288,66 @@ TEST(SimulatorTest, IdleSkipEquivalenceAcrossShards)
                 EXPECT_EQ(got.stepsExecuted, ref.stepsExecuted) << what;
             else
                 EXPECT_EQ(got.stepsExecuted, got.stepsScheduled) << what;
+        }
+    }
+}
+
+/**
+ * Closed-loop rows: under two critical faults a Generic or PS network
+ * strands requests in its dead nodes' source queues, so the run ends
+ * in the frozen idle window, which the run loop fast-forwards from one
+ * NIC deadline to the next. The service latency outlasts the drain of
+ * the last requests, so the network freezes with replies pending and
+ * the first reply fire ends a jump; the MSHR timeout, short against
+ * the idle window, puts expiries all through the tail.
+ * Skip on and off, at 1, 2 and 4 shards, must agree on the result,
+ * the ledger and the scheduled steps, and each skip setting on the
+ * executed steps; with skip on, whole cycles must have been skipped.
+ */
+TEST(SimulatorTest, IdleSkipClosedLoopFrozenTail)
+{
+    MeshTopology topo(8, 8);
+    const std::vector<FaultSpec> critical = placeRandomFaults(
+        topo, FaultClass::RouterCentricCritical, 2, 3, 13);
+    for (RouterArch arch :
+         {RouterArch::Generic, RouterArch::PathSensitive}) {
+        SimConfig cfg = skipMatrixConfig(arch, RoutingKind::XYYX);
+        cfg.meshWidth = 8;
+        cfg.meshHeight = 8;
+        cfg.injectionRate = 0.1;
+        cfg.warmupPackets = 50;
+        cfg.measurePackets = 400;
+        cfg.maxCycles = 50000;
+        cfg.svc.enabled = true;
+        cfg.svc.serviceLatency = 600;
+        cfg.svc.mshrTimeout = 800;
+        cfg.shards = 1;
+        const SkipObservation ref = observeSkipRun(cfg, critical, true);
+        EXPECT_GT(ref.r.svcTimeouts, 0u) << toString(arch);
+        EXPECT_GT(ref.cyclesSkipped, 0u)
+            << toString(arch) << ": no whole cycle was skipped";
+        for (bool skip : {true, false}) {
+            for (int shards : {1, 2, 4}) {
+                if (skip && shards == 1)
+                    continue; // the reference itself
+                SimConfig c = cfg;
+                c.shards = shards;
+                char what[64];
+                std::snprintf(what, sizeof what, "%s, %d shards, skip %s",
+                              toString(arch), shards, skip ? "on" : "off");
+                const SkipObservation got =
+                    observeSkipRun(c, critical, skip);
+                expectSkipIdentical(ref, got, what);
+                EXPECT_EQ(got.stepsScheduled, ref.stepsScheduled) << what;
+                if (skip) {
+                    EXPECT_EQ(got.stepsExecuted, ref.stepsExecuted) << what;
+                    EXPECT_EQ(got.cyclesSkipped, ref.cyclesSkipped) << what;
+                } else {
+                    EXPECT_EQ(got.stepsExecuted, got.stepsScheduled)
+                        << what;
+                    EXPECT_EQ(got.cyclesSkipped, 0u) << what;
+                }
+            }
         }
     }
 }

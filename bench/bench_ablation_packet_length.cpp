@@ -28,6 +28,7 @@ main()
             SimConfig cfg = paperConfig(a, RoutingKind::XY,
                                         TrafficKind::Uniform, 0.25);
             cfg.flitsPerPacket = len;
+            sizeCycleBudget(cfg, cfg.injectionRate);
             Simulator sim(cfg);
             SimResult r = sim.run();
             lat[i] = r.avgLatency;

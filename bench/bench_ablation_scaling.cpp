@@ -34,6 +34,7 @@ meshConfig(RouterArch a, int k)
                                 0.2);
     cfg.meshWidth = k;
     cfg.meshHeight = k;
+    sizeCycleBudget(cfg, cfg.injectionRate);
     return cfg;
 }
 

@@ -19,27 +19,14 @@
  * then records the serial-vs-4-shard wall-clock ratio in
  * BENCH_smoke_shards.json; the ratio is informational (flat on
  * single-core or sanitizer hosts), only divergence fails the bench.
- *
- * Finally the multi-process farm (src/farm) gets its equivalence gate:
- * the same smoke grid, run by 2 forked farm workers through a fresh
- * journal, must aggregate to the exact bytes of the in-process
- * schema-4 canonical serialisation (recorded as
- * BENCH_smoke_farm.json). Skipped under ThreadSanitizer, which does
- * not support fork-heavy code.
  */
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
-#include <dirent.h>
-#include <unistd.h>
-
 #include "bench_util.h"
-#include "farm/farm.h"
 #include "fault/fault_injector.h"
 #include "obs/obs.h"
 #include "obs/recorder.h"
@@ -406,93 +393,6 @@ checkThroughputRegression()
     return bad;
 }
 
-/** Unlinks every regular file in @p d, then the directory itself. */
-void
-removeFlatDir(const std::string &d)
-{
-    if (DIR *dp = ::opendir(d.c_str())) {
-        while (dirent *e = ::readdir(dp)) {
-            std::string n = e->d_name;
-            if (n != "." && n != "..")
-                ::unlink((d + "/" + n).c_str());
-        }
-        ::closedir(dp);
-    }
-    ::rmdir(d.c_str());
-}
-
-/**
- * Multi-process equivalence gate: the smoke grid, executed by 2 forked
- * farm workers against a fresh journal, must aggregate to the exact
- * bytes the in-process serialiser produces for the same results under
- * the same schema-4 canonical options. @p serial is the pool-of-one
- * run from main — per-point results are bit-identical by the sweep
- * contract, so it doubles as the expected farm output. Skipped under
- * tsan (the farm forks; tsan does not follow children).
- */
-int
-checkFarmEquivalence(const exp::SweepResults &serial)
-{
-#if SMOKE_TSAN
-    (void)serial;
-    std::puts("bench_smoke: farm equivalence skipped under tsan "
-              "(forking workers)");
-    return 0;
-#else
-    exp::SweepSpec spec = smokeSpec();
-    spec.name = "smoke_farm";
-
-    // A fresh journal every run: a stale one from an older build could
-    // carry a different spec fingerprint and fail the open.
-    const std::string dir = "smoke_farm_journal";
-    removeFlatDir(dir + "/leases");
-    removeFlatDir(dir + "/shards");
-    removeFlatDir(dir);
-
-    farm::FarmOptions fopts;
-    fopts.dir = dir;
-    fopts.workers = 2;
-    farm::FarmRun fr = farm::runFarm(spec, fopts);
-    if (!fr.complete) {
-        std::fprintf(stderr, "farm smoke incomplete: %s\n",
-                     fr.error.c_str());
-        return 1;
-    }
-
-    std::string farmBytes;
-    if (std::FILE *f = std::fopen(fr.jsonPath.c_str(), "rb")) {
-        char buf[4096];
-        std::size_t n;
-        while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-            farmBytes.append(buf, n);
-        std::fclose(f);
-    }
-
-    exp::JsonOptions opts;
-    opts.schema = 4;
-    opts.canonical = true;
-    std::vector<std::string> ids = farm::jobIds(serial.points);
-    opts.jobIds = &ids;
-    std::string expected = exp::sweepJson(spec, serial, opts);
-
-    if (farmBytes != expected) {
-        std::size_t at = 0;
-        while (at < farmBytes.size() && at < expected.size() &&
-               farmBytes[at] == expected[at])
-            ++at;
-        std::fprintf(stderr,
-                     "farm json diverged from in-process bytes at "
-                     "offset %zu (%zu vs %zu bytes)\n",
-                     at, farmBytes.size(), expected.size());
-        return 1;
-    }
-    std::printf("bench_smoke: farm (2 workers) == in-process, %zu jobs, "
-                "%zu bytes identical\n", fr.jobs, farmBytes.size());
-    exp::writeBenchJson("smoke_farm", farmBytes);
-    return 0;
-#endif
-}
-
 /** An attached (enabled) recorder must not change simulation results. */
 int
 checkRecorderInert()
@@ -537,7 +437,6 @@ main()
     bad += checkThroughputRegression();
     bad += checkShardEquivalence();
     bad += checkShardSpeedup();
-    bad += checkFarmEquivalence(serial);
 
     std::printf("bench_smoke: %zu points, %d threads, %s\n",
                 pooled.results.size(), pooled.threads,

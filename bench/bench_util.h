@@ -8,6 +8,8 @@
  *   NOC_BENCH_WARMUP=<packets>  NOC_BENCH_PACKETS=<packets>
  *   NOC_BENCH_SEED=<seed>       NOC_BENCH_THREADS=<pool size>
  *   NOC_BENCH_JSON=0            NOC_BENCH_JSON_DIR=<dir>
+ * Every run's cycle budget grows with the packet counts
+ * (sizeCycleBudget), so the paper's own scale is reachable too.
  *
  * Grid benches declare a SweepSpec and fan it across a thread pool
  * (exp/sweep.h); the per-point results are identical to a serial run,
@@ -16,6 +18,7 @@
 #ifndef ROCOSIM_BENCH_BENCH_UTIL_H_
 #define ROCOSIM_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
@@ -40,6 +43,28 @@ benchSeed()
     return envOr("NOC_BENCH_SEED", 0xC0FFEEull);
 }
 
+/**
+ * Sets @p cfg's cycle budget for an offered load of @p rate: twice the
+ * cycles the network takes to generate every warm-up and measured
+ * packet, (warmup + measure) x flitsPerPacket / (nodes x rate), but
+ * never below 150,000 cycles. At bench scale (800 + 6,000 packets) no
+ * bench sizes more than 17,000, so the floor holds; at the paper's
+ * 20,000 + 1,000,000 packets it keeps low-load runs from being cut
+ * short. Call it again after changing the mesh, the packet length or
+ * the rate.
+ */
+inline void
+sizeCycleBudget(SimConfig &cfg, double rate)
+{
+    const double flits =
+        static_cast<double>(cfg.warmupPackets + cfg.measurePackets) *
+        cfg.flitsPerPacket;
+    const double genCycles = flits / (cfg.meshWidth * cfg.meshHeight * rate);
+    // Capped so that no NOC_BENCH_* value overflows the conversion.
+    const double budget = std::min(2 * genCycles, 1e18);
+    cfg.maxCycles = std::max<Cycle>(150000, static_cast<Cycle>(budget));
+}
+
 /** The evaluation configuration of Section 5.4, scaled. */
 inline SimConfig
 paperConfig(RouterArch arch, RoutingKind routing, TrafficKind traffic,
@@ -53,7 +78,7 @@ paperConfig(RouterArch arch, RoutingKind routing, TrafficKind traffic,
     cfg.seed = benchSeed();
     cfg.warmupPackets = envOr("NOC_BENCH_WARMUP", 800);
     cfg.measurePackets = envOr("NOC_BENCH_PACKETS", 6000);
-    cfg.maxCycles = 150000;
+    sizeCycleBudget(cfg, rate);
     return cfg;
 }
 
@@ -85,11 +110,18 @@ makeSpec(const char *name)
 
 /**
  * Runs @p spec on the shared pool, writes BENCH_<name>.json, and
- * prints the seed/threads header every bench output carries.
+ * prints the seed/threads header every bench output carries. Every
+ * point gets the cycle budget of the spec's lowest rate, the one that
+ * generates its packets slowest.
  */
 inline exp::SweepResults
-runSweep(const exp::SweepSpec &spec)
+runSweep(exp::SweepSpec spec)
 {
+    sizeCycleBudget(spec.base,
+                    spec.rates.empty()
+                        ? spec.base.injectionRate
+                        : *std::min_element(spec.rates.begin(),
+                                            spec.rates.end()));
     exp::SweepRunner runner;
     exp::SweepResults res = runner.run(spec);
     exp::writeSweepJson(spec, res);

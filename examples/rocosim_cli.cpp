@@ -38,9 +38,6 @@
 #include <cstdlib>
 #include <string>
 
-#include <unistd.h>
-
-#include "exp/sweep.h"
 #include "fault/fault_injector.h"
 #include "sim/simulator.h"
 
@@ -147,27 +144,8 @@ main(int argc, char **argv)
                                    cfg.vcsPerPort, faultSeed);
     }
 
-    // One-point sweep through SweepRunner(1): identical simulation to
-    // a bare Simulator (pool of one, no auto-shard at spare == 1), but
-    // it buys the per-point progress hook. Progress defaults on when
-    // stderr is a terminal; NOC_PROGRESS=0/1 overrides.
-    exp::SweepSpec spec;
-    spec.name = "cli";
-    spec.base = cfg;
-    if (!faults.empty())
-        spec.faultSets.push_back({"cli", faults});
-    exp::ProgressFn progress;
-    if (exp::progressEnabled(::isatty(2) != 0)) {
-        progress = [](const exp::SweepProgress &p) {
-            std::fprintf(stderr,
-                         "[progress] %zu/%zu done: %llu cycles in %.1f ms\n",
-                         p.done, p.total,
-                         static_cast<unsigned long long>(p.cycles),
-                         p.wallMs);
-        };
-    }
-    exp::SweepResults res = exp::SweepRunner(1).run(spec, progress);
-    SimResult r = res.results[0].result;
+    Simulator sim(cfg, faults);
+    SimResult r = sim.run();
 
     if (csv) {
         std::printf("%s,%s,%s,%.3f,%d,%.3f,%.3f,%.3f,%.4f,%.4f,%.4f,"

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 namespace noc::exp {
 
@@ -208,18 +209,14 @@ appendObs(std::string &out, const obs::Summary &s)
 } // namespace
 
 std::string
-sweepJsonHeader(const SweepSpec &spec, int threads, double totalWallMs,
-                const obs::Summary *obsSum, const JsonOptions &opts)
+sweepJson(const SweepSpec &spec, const SweepResults &res)
 {
     std::string out;
-    out.reserve(1024);
-    out += "{\n  \"schema\": ";
-    appendNum(out, static_cast<std::uint64_t>(opts.schema));
-    out += ",\n  \"bench\": ";
+    out.reserve(1024 + res.points.size() * 640);
+    out += "{\n  \"schema\": 3,\n  \"bench\": ";
     appendStr(out, spec.name);
     out += ",\n  \"threads\": ";
-    appendNum(out,
-              static_cast<std::uint64_t>(opts.canonical ? 0 : threads));
+    appendNum(out, static_cast<std::uint64_t>(res.threads));
     out += ",\n  \"baseSeed\": ";
     appendNum(out, spec.base.seed);
     out += ",\n  \"warmupPackets\": ";
@@ -227,82 +224,35 @@ sweepJsonHeader(const SweepSpec &spec, int threads, double totalWallMs,
     out += ",\n  \"measurePackets\": ";
     appendNum(out, spec.base.measurePackets);
     out += ",\n  \"totalWallMs\": ";
-    appendNum(out, opts.canonical ? 0.0 : totalWallMs);
-    if (obsSum != nullptr && !opts.canonical) {
+    appendNum(out, res.totalWallMs);
+    if (res.obs) {
         out += ",\n  \"obs\": ";
-        appendObs(out, *obsSum);
+        appendObs(out, *res.obs);
     }
     out += ",\n  \"points\": [\n";
-    return out;
-}
-
-std::string
-pointJson(const SweepPoint &p, std::uint64_t seed, double wallMs,
-          std::string_view result, const JsonOptions &opts)
-{
-    std::string out;
-    out.reserve(640);
-    out += "    {";
-    appendField(out, "index", static_cast<std::uint64_t>(p.index));
-    out += "\"arch\": ";
-    appendStr(out, toString(p.cfg.arch));
-    out += ", \"routing\": ";
-    appendStr(out, toString(p.cfg.routing));
-    out += ", \"traffic\": ";
-    appendStr(out, toString(p.cfg.traffic));
-    out += ", ";
-    appendField(out, "rate", p.cfg.injectionRate);
-    out += "\"faults\": ";
-    appendStr(out, p.faultLabel);
-    out += ", ";
-    appendField(out, "seed", seed);
-    appendField(out, "wallMs", opts.canonical ? 0.0 : wallMs);
-    if (opts.jobIds != nullptr && p.index < opts.jobIds->size()) {
-        out += "\"job\": {\"id\": ";
-        appendStr(out, (*opts.jobIds)[p.index]);
-        if (opts.provenance != nullptr &&
-            p.index < opts.provenance->size()) {
-            const JsonOptions::PointProvenance &pv =
-                (*opts.provenance)[p.index];
-            out += ", ";
-            appendField(out, "attempt",
-                        static_cast<std::uint64_t>(pv.attempt));
-            appendField(out, "worker",
-                        static_cast<std::uint64_t>(
-                            pv.worker < 0 ? 0 : pv.worker));
-            appendField(out, "wallMs", pv.wallMs, true);
-        }
-        out += "}, ";
-    }
-    out += "\"result\": ";
-    out += result;
-    out += "}";
-    return out;
-}
-
-const char *
-sweepJsonFooter()
-{
-    return "  ]\n}\n";
-}
-
-std::string
-sweepJson(const SweepSpec &spec, const SweepResults &res,
-          const JsonOptions &opts)
-{
-    std::string out;
-    out.reserve(1024 + res.points.size() * 640);
-    out += sweepJsonHeader(spec, res.threads, res.totalWallMs,
-                           res.obs.get(), opts);
     for (std::size_t i = 0; i < res.points.size(); ++i) {
+        const SweepPoint &p = res.points[i];
         const PointResult &r = res.results[i];
-        out += pointJson(res.points[i], r.seed, r.wallMs,
-                         resultJson(r.result), opts);
-        if (i + 1 < res.points.size())
-            out += ",";
-        out += "\n";
+        out += "    {";
+        appendField(out, "index", static_cast<std::uint64_t>(p.index));
+        out += "\"arch\": ";
+        appendStr(out, toString(p.cfg.arch));
+        out += ", \"routing\": ";
+        appendStr(out, toString(p.cfg.routing));
+        out += ", \"traffic\": ";
+        appendStr(out, toString(p.cfg.traffic));
+        out += ", ";
+        appendField(out, "rate", p.cfg.injectionRate);
+        out += "\"faults\": ";
+        appendStr(out, p.faultLabel);
+        out += ", ";
+        appendField(out, "seed", r.seed);
+        appendField(out, "wallMs", r.wallMs);
+        out += "\"result\": ";
+        out += resultJson(r.result);
+        out += i + 1 < res.points.size() ? "},\n" : "}\n";
     }
-    out += sweepJsonFooter();
+    out += "  ]\n}\n";
     return out;
 }
 
@@ -318,12 +268,15 @@ writeBenchJson(const std::string &name, const std::string &body)
     path += "BENCH_" + name + ".json";
 
     std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
+    bool ok = f != nullptr &&
+              std::fwrite(body.data(), 1, body.size(), f) == body.size();
+    // fclose flushes the buffer, so a full disk may only show here.
+    if (f != nullptr && std::fclose(f) != 0)
+        ok = false;
+    if (!ok) {
         std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
         return "";
     }
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
     return path;
 }
 

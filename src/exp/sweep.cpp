@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -137,14 +136,6 @@ runPoint(const SweepPoint &p, PointResult &out, ObsAggregator &agg)
 
 } // namespace
 
-bool
-progressEnabled(bool defaultOn)
-{
-    if (const char *v = std::getenv("NOC_PROGRESS"))
-        return std::strcmp(v, "0") != 0;
-    return defaultOn;
-}
-
 int
 autoShards(const SimConfig &cfg, int spare)
 {
@@ -154,24 +145,8 @@ autoShards(const SimConfig &cfg, int spare)
     return shards >= 2 ? shards : 0;
 }
 
-PointResult
-runSweepPoint(const SweepPoint &p)
-{
-    PointResult out;
-    ObsAggregator agg; // per-point observer summary is dropped here;
-                       // farm runs don't aggregate obs (schema 4 omits it)
-    runPoint(p, out, agg);
-    return out;
-}
-
 SweepResults
 SweepRunner::run(const SweepSpec &spec) const
-{
-    return run(spec, ProgressFn());
-}
-
-SweepResults
-SweepRunner::run(const SweepSpec &spec, const ProgressFn &progress) const
 {
     auto t0 = std::chrono::steady_clock::now(); // noc-lint:allow(det-wallclock) wall time is metadata, not a result
     SweepResults res;
@@ -212,26 +187,13 @@ SweepRunner::run(const SweepSpec &spec, const ProgressFn &progress) const
     // unclaimed point and writes only its own result slot, so the
     // collected vector needs no locks and is already in point order.
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> finished{0};
     ObsAggregator agg;
-    std::mutex progressMu;
     auto worker = [&] {
         for (;;) {
             std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= res.points.size())
                 return;
             runPoint(res.points[i], res.results[i], agg);
-            if (progress) {
-                SweepProgress pr;
-                pr.done = finished.fetch_add(1, std::memory_order_relaxed) + 1;
-                pr.total = res.points.size();
-                pr.index = i;
-                pr.cycles = res.results[i].result.cycles;
-                pr.wallMs = res.results[i].wallMs;
-                pr.elapsedMs = msSince(t0);
-                std::lock_guard<std::mutex> lock(progressMu);
-                progress(pr);
-            }
         }
     };
 

@@ -16,7 +16,6 @@
 #define ROCOSIM_EXP_SWEEP_H_
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,43 +126,6 @@ struct SweepResults {
 };
 
 /**
- * One finished point, as reported to a sweep progress callback.
- *
- * done/total describe sweep completion (done counts points finished so
- * far, including this one); the rest describe the point that just
- * completed. Callbacks fire from whichever pool thread finished the
- * point, serialised by the runner, in completion (not index) order.
- */
-struct SweepProgress {
-    std::size_t done = 0;     ///< points finished so far (>= 1)
-    std::size_t total = 0;    ///< points in the sweep
-    std::size_t index = 0;    ///< finished point's flat index
-    Cycle cycles = 0;         ///< cycles the point simulated
-    double wallMs = 0;        ///< the point's wall-clock time
-    double elapsedMs = 0;     ///< sweep wall-clock time so far
-};
-
-/** Per-point completion hook; see SweepProgress for the guarantees. */
-using ProgressFn = std::function<void(const SweepProgress &)>;
-
-/**
- * Whether progress reporting is wanted: NOC_PROGRESS=0 disables,
- * NOC_PROGRESS=1 (or any other non-"0" value) enables, unset falls
- * back to @p defaultOn. CLIs pass their own default (rocosim_cli and
- * noc_farm default on when stderr is a TTY, off otherwise).
- */
-bool progressEnabled(bool defaultOn);
-
-/**
- * Runs one fully-resolved point on the calling thread and returns its
- * result (index/seed/wallMs filled in). This is the farm workers'
- * entry: one leased journal job == one SweepPoint. Validation
- * (deadlock + liveness proofs) is the caller's job — SweepRunner and
- * farm::runWorker both pre-warm the memoized provers first.
- */
-PointResult runSweepPoint(const SweepPoint &p);
-
-/**
  * The shard count SweepRunner fills in for a point left on auto
  * (cfg.shards == 0) when @p spare pool threads are free for it: at
  * most 8, and at most meshHeight / 4 so that every row band keeps 4
@@ -195,16 +157,6 @@ class SweepRunner
     explicit SweepRunner(int threads = 0);
 
     SweepResults run(const SweepSpec &spec) const;
-
-    /**
-     * run() with a per-point completion callback (null is allowed and
-     * equivalent to the plain overload). The callback is invoked under
-     * a runner-internal mutex — one call at a time, but from pool
-     * threads, so it must not touch thread-unsafe caller state.
-     * Progress never affects results: both overloads produce
-     * bit-identical SweepResults.
-     */
-    SweepResults run(const SweepSpec &spec, const ProgressFn &progress) const;
 
     int threads() const { return threads_; }
 

@@ -4,6 +4,8 @@
  * JSON emission, and the FlitLedger drain-detection invariant.
  */
 #include <cstdlib>
+#include <filesystem>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -260,70 +262,41 @@ TEST(JsonOutTest, SerialisesEveryPoint)
     EXPECT_NE(escJson.find("\"a\\\"b\\\\c\\u000a\""), std::string::npos);
 }
 
-TEST(JsonOutTest, FragmentsAssembleToWholeFile)
+TEST(JsonOutTest, FailedWriteReturnsEmptyAndWarns)
 {
-    SweepSpec spec;
-    spec.base = tinyConfig();
-    spec.name = "frag_smoke";
-    spec.archs = {RouterArch::Generic, RouterArch::Roco};
-    spec.rates = {0.1};
-    SweepResults res = SweepRunner(2).run(spec);
+    // /dev/full accepts open() and fails every flush with ENOSPC, the
+    // way a full disk does.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this host";
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "json_out_XXXXXX")
+            .string();
+    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+    const std::filesystem::path dir(tmpl);
+    std::filesystem::create_symlink("/dev/full", dir / "BENCH_t.json");
 
-    // The documented assembly recipe must reproduce sweepJson byte for
-    // byte — the farm's streaming aggregator depends on this contract.
-    JsonOptions opts;
-    std::string assembled =
-        sweepJsonHeader(spec, res.threads, res.totalWallMs, res.obs.get(),
-                        opts);
-    for (std::size_t i = 0; i < res.points.size(); ++i) {
-        const PointResult &r = res.results[i];
-        assembled += pointJson(res.points[i], r.seed, r.wallMs,
-                               resultJson(r.result), opts);
-        if (i + 1 < res.points.size())
-            assembled += ",";
-        assembled += "\n";
+    const char *keepJson = std::getenv("NOC_BENCH_JSON");
+    const std::string savedJson = keepJson ? keepJson : "";
+    ASSERT_EQ(::unsetenv("NOC_BENCH_JSON"), 0);
+    ASSERT_EQ(::setenv("NOC_BENCH_JSON_DIR", tmpl.c_str(), 1), 0);
+
+    // A body that fits in the stdio buffer fails only at fclose; one
+    // larger than the buffer fails in fwrite already.
+    for (std::size_t size : {std::size_t{3}, std::size_t{1} << 20}) {
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(writeBenchJson("t", std::string(size, ' ')), "") << size;
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      "warning: cannot write"),
+                  std::string::npos)
+            << size;
     }
-    assembled += sweepJsonFooter();
-    EXPECT_EQ(assembled, sweepJson(spec, res));
-}
+    // The same directory still takes an ordinary file.
+    EXPECT_EQ(writeBenchJson("ok", "{}\n"), tmpl + "/BENCH_ok.json");
 
-TEST(JsonOutTest, CanonicalSchema4ZeroesVolatileFields)
-{
-    SweepSpec spec;
-    spec.base = tinyConfig();
-    spec.name = "canon_smoke";
-    spec.rates = {0.1};
-    SweepResults res = SweepRunner(1).run(spec);
-
-    JsonOptions opts;
-    opts.schema = 4;
-    opts.canonical = true;
-    std::vector<std::string> ids = {"j0123456789abcdef"};
-    opts.jobIds = &ids;
-    std::string json = sweepJson(spec, res, opts);
-    EXPECT_NE(json.find("\"schema\": 4"), std::string::npos);
-    EXPECT_NE(json.find("\"threads\": 0"), std::string::npos);
-    EXPECT_NE(json.find("\"totalWallMs\": 0"), std::string::npos);
-    EXPECT_NE(json.find("\"wallMs\": 0,"), std::string::npos);
-    EXPECT_NE(json.find("\"job\": {\"id\": \"j0123456789abcdef\"}"),
-              std::string::npos);
-    // No provenance requested -> the job block holds only the id.
-    EXPECT_EQ(json.find("\"attempt\""), std::string::npos);
-
-    // Canonical bytes are a pure function of config + seed: a rerun
-    // (different wall clock, same results) serialises identically.
-    SweepResults rerun = SweepRunner(1).run(spec);
-    EXPECT_EQ(json, sweepJson(spec, rerun, opts));
-
-    // Provenance opt-in surfaces the operational truth.
-    std::vector<JsonOptions::PointProvenance> prov(1);
-    prov[0].attempt = 2;
-    prov[0].worker = 1;
-    prov[0].wallMs = 12.5;
-    opts.provenance = &prov;
-    std::string pjson = sweepJson(spec, res, opts);
-    EXPECT_NE(pjson.find("\"attempt\": 2, \"worker\": 1, \"wallMs\": 12.5"),
-              std::string::npos);
+    ::unsetenv("NOC_BENCH_JSON_DIR");
+    if (keepJson)
+        ::setenv("NOC_BENCH_JSON", savedJson.c_str(), 1);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ProofMemoTest, FingerprintIgnoresOperationalKnobs)

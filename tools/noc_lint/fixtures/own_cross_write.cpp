@@ -19,4 +19,11 @@ struct R {
     {
         other.credits_ = 7; // BAD: phase matches, but the object is foreign
     }
+
+    NOC_PHASE_FN(recv)
+    int
+    peek(const R &other) const
+    {
+        return std::min(credits_, other.credits_); // ok: a read, not a write
+    }
 };

@@ -418,6 +418,10 @@ const std::set<std::string> kCtrlKeywords = {
     "new",    "delete",     "throw",  "case",          "goto",
     "assert", "co_return",  "co_await"};
 
+// Calls that take their arguments by const reference and write none of
+// them, so passing a member to one is a read, not a by-ref escape.
+const std::set<std::string> kReadOnlyCalls = {"min", "max", "clamp"};
+
 bool
 isRngFile(const std::string &path)
 {
@@ -658,7 +662,8 @@ struct Analyzer {
         if (p == static_cast<std::size_t>(-1) || p == 0)
             return false;
         const Token &b = tok(t, p - 1);
-        return b.kind == 'i' && !kCtrlKeywords.count(b.text);
+        return b.kind == 'i' && !kCtrlKeywords.count(b.text) &&
+               !kReadOnlyCalls.count(b.text);
     }
 
     /** Classifies the access to a guarded member at token @p i. */

@@ -20,6 +20,7 @@ main()
     std::printf("%-8s %10s %12s %10s\n", "depth", "Generic", "PathSens",
                 "RoCo");
     hr();
+    TimeoutMarks mark;
     for (int depth : {2, 3, 4, 5, 6, 8}) {
         std::printf("%-8d", depth);
         for (RouterArch a : kArchs) {
@@ -29,10 +30,11 @@ main()
             cfg.bufferDepthModular = depth;
             Simulator sim(cfg);
             SimResult r = sim.run();
-            std::printf(" %9.2f%c", r.avgLatency, r.timedOut ? '*' : ' ');
+            std::printf(" %9.2f%c", r.avgLatency, mark(r));
         }
         std::puts("");
     }
+    mark.legend();
     std::puts("\nDepths below the credit round-trip (~5 cycles) "
               "throttle single-VC flows;\nthe paper's 4/5-deep choices "
               "sit right at the knee.");

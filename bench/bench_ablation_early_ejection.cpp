@@ -25,6 +25,7 @@ main()
     std::printf("%-18s %10s %10s %14s\n", "traffic", "Generic", "RoCo",
                 "gap (cycles)");
     hr();
+    TimeoutMarks mark;
     for (TrafficKind t :
          {TrafficKind::NearestNeighbor, TrafficKind::Uniform}) {
         for (double rate : {0.1, 0.2, 0.3}) {
@@ -35,11 +36,12 @@ main()
             char label[40];
             std::snprintf(label, sizeof label, "%s @%.1f", toString(t),
                           rate);
-            std::printf("%-18s %10.2f %10.2f %14.2f\n", label,
-                        g.avgLatency, rc.avgLatency,
+            std::printf("%-18s %9.2f%c %9.2f%c %14.2f\n", label,
+                        g.avgLatency, mark(g), rc.avgLatency, mark(rc),
                         g.avgLatency - rc.avgLatency);
         }
     }
+    mark.legend();
     std::puts("\nExpected: the absolute gap is largest for 1-hop "
               "nearest-neighbour packets,\nwhere the 2-cycle ejection "
               "saving is the whole journey's overhead.");

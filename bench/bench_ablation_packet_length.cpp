@@ -21,8 +21,10 @@ main()
                 "Generic", "PathSens", "RoCo", "Gen nJ/flit",
                 "RoCo nJ/flit");
     hr();
+    TimeoutMarks mark;
     for (int len : {1, 2, 4, 8, 16}) {
         double lat[3], nj[3];
+        char m[3];
         int i = 0;
         for (RouterArch a : kArchs) {
             SimConfig cfg = paperConfig(a, RoutingKind::XY,
@@ -33,11 +35,15 @@ main()
             SimResult r = sim.run();
             lat[i] = r.avgLatency;
             nj[i] = r.energyPerPacketNj / len;
+            m[i] = mark(r);
             ++i;
         }
-        std::printf("%-8d | %10.2f %12.2f %10.2f | %12.4f %12.4f\n",
-                    len, lat[0], lat[1], lat[2], nj[0], nj[2]);
+        std::printf("%-8d | %9.2f%c %11.2f%c %9.2f%c | %11.4f%c "
+                    "%11.4f%c\n",
+                    len, lat[0], m[0], lat[1], m[1], lat[2], m[2], nj[0],
+                    m[0], nj[2], m[2]);
     }
+    mark.legend();
     std::puts("\nExpected: latency grows with serialisation; energy "
               "per flit falls as the\nper-packet RC/VA overhead "
               "amortises, with RoCo cheaper at every length.");

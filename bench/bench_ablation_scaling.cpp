@@ -54,21 +54,25 @@ main()
     std::string json = "{\n  \"schema\": 1,\n  \"bench\": "
                        "\"ablation_scaling\",\n  \"meshes\": [\n";
     const int meshes[] = {4, 6, 8, 10, 12, 16, 32};
+    TimeoutMarks mark;
     for (std::size_t m = 0; m < std::size(meshes); ++m) {
         int k = meshes[m];
         double lat[3], energy[3];
+        char tm[3];
         int i = 0;
         for (RouterArch a : kArchs) {
             Simulator sim(meshConfig(a, k));
             SimResult r = sim.run();
             lat[i] = r.avgLatency;
             energy[i] = r.energyPerPacketNj;
+            tm[i] = mark(r);
             ++i;
         }
         char mesh[16];
         std::snprintf(mesh, sizeof mesh, "%dx%d", k, k);
-        std::printf("%-8s | %10.2f %12.2f %10.2f | %10.3f %10.3f\n",
-                    mesh, lat[0], lat[1], lat[2], energy[0], energy[2]);
+        std::printf("%-8s | %9.2f%c %11.2f%c %9.2f%c | %9.3f%c %9.3f%c\n",
+                    mesh, lat[0], tm[0], lat[1], tm[1], lat[2], tm[2],
+                    energy[0], tm[0], energy[2], tm[2]);
         char row[256];
         std::snprintf(row, sizeof row,
                       "    {\"mesh\": %d, \"latency\": {\"generic\": %.6f, "
@@ -79,6 +83,7 @@ main()
                       m + 1 < std::size(meshes) ? "," : "");
         json += row;
     }
+    mark.legend();
     std::puts("\nExpected: latency and energy grow with hop count; the "
               "RoCo-vs-generic energy\nratio stays roughly constant "
               "(the saving is per-hop).");

@@ -22,16 +22,18 @@ main()
                 "buffer", "crossbar", "arbiters", "routing", "link",
                 "leakage", "total");
     hr();
+    TimeoutMarks mark;
     for (RouterArch a : kArchs) {
         SimResult r = run(a, RoutingKind::XY, TrafficKind::Uniform, 0.3);
         double pkts = static_cast<double>(r.delivered);
         auto nj = [&](double pj) { return pj / pkts / 1000.0; };
         const EnergyBreakdown &e = r.energy;
-        std::printf("%-16s %8.3f %9.3f %9.3f %8.3f %7.3f %9.3f %8.3f\n",
+        std::printf("%-16s %8.3f %9.3f %9.3f %8.3f %7.3f %9.3f %7.3f%c\n",
                     toString(a), nj(e.bufferPj), nj(e.crossbarPj),
                     nj(e.arbiterPj), nj(e.routingPj), nj(e.linkPj),
-                    nj(e.leakagePj), r.energyPerPacketNj);
+                    nj(e.leakagePj), r.energyPerPacketNj, mark(r));
     }
+    mark.legend();
     std::puts("\nExpected: buffer and link shares are nearly identical "
               "across designs; the\ncrossbar share is the main "
               "differentiator (5x5 vs decomposed 4x4 vs 2x(2x2)),\n"

@@ -47,6 +47,7 @@ faultSweep(FaultClass cls, const char *figure, const char *caption,
         }
     }
     exp::SweepResults res = runSweep(spec);
+    TimeoutMarks mark;
 
     std::printf("%s: packet completion probability, 30%% injection, "
                 "%s faults\n", figure, caption);
@@ -56,14 +57,19 @@ faultSweep(FaultClass cls, const char *figure, const char *caption,
             std::printf("%-8d", faultCounts[nfi]);
             for (std::size_t ar = 0; ar < spec.archs.size(); ++ar) {
                 double sum = 0;
+                bool timedOut = false;
                 for (std::size_t s = 0; s < kSeeds; ++s) {
-                    sum += res.at(spec, ro, 0, 0, nfi * kSeeds + s, ar)
-                               .completion;
+                    const SimResult &r =
+                        res.at(spec, ro, 0, 0, nfi * kSeeds + s, ar);
+                    sum += r.completion;
+                    timedOut = timedOut || r.timedOut;
                 }
-                std::printf(" %10.3f", sum / static_cast<double>(kSeeds));
+                std::printf(" %9.3f%c", sum / static_cast<double>(kSeeds),
+                            mark(timedOut));
             }
             std::puts("");
         });
+    mark.legend();
     return 0;
 }
 

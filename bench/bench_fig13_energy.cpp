@@ -24,15 +24,22 @@ main()
     std::printf("%-14s %10s %12s %10s %18s\n", "traffic", "Generic",
                 "PathSens", "RoCo", "RoCo vs Gen/PS");
     hr();
+    TimeoutMarks mark;
     for (std::size_t tr = 0; tr < spec.traffics.size(); ++tr) {
         double e[3];
-        for (std::size_t ar = 0; ar < spec.archs.size(); ++ar)
-            e[ar] = res.at(spec, 0, tr, 0, 0, ar).energyPerPacketNj;
-        std::printf("%-14s %10.3f %12.3f %10.3f    -%4.1f%% / -%4.1f%%\n",
-                    toString(spec.traffics[tr]), e[0], e[1], e[2],
-                    100.0 * (1.0 - e[2] / e[0]),
+        char m[3];
+        for (std::size_t ar = 0; ar < spec.archs.size(); ++ar) {
+            const SimResult &r = res.at(spec, 0, tr, 0, 0, ar);
+            e[ar] = r.energyPerPacketNj;
+            m[ar] = mark(r);
+        }
+        std::printf("%-14s %9.3f%c %11.3f%c %9.3f%c   -%4.1f%% / "
+                    "-%4.1f%%\n",
+                    toString(spec.traffics[tr]), e[0], m[0], e[1], m[1],
+                    e[2], m[2], 100.0 * (1.0 - e[2] / e[0]),
                     100.0 * (1.0 - e[2] / e[1]));
     }
+    mark.legend();
     std::puts("\nPaper: ~20% lower than generic, ~6% lower than "
               "Path-Sensitive.");
     return 0;

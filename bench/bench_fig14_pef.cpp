@@ -22,6 +22,7 @@ panel(const noc::exp::SweepSpec &spec, const noc::exp::SweepResults &res,
       std::size_t clsIdx, const char *title)
 {
     using namespace noc::bench;
+    TimeoutMarks mark;
 
     std::printf("\n%s\n", title);
     std::printf("%-8s | %30s | %27s\n", "",
@@ -33,18 +34,24 @@ panel(const noc::exp::SweepSpec &spec, const noc::exp::SweepResults &res,
     for (std::size_t nfi = 0; nfi < kNumCounts; ++nfi) {
         double pef[3] = {};
         double lat[3] = {};
+        char m[3];
         for (std::size_t ar = 0; ar < spec.archs.size(); ++ar) {
+            bool timedOut = false;
             for (std::size_t s = 0; s < kNumSeeds; ++s) {
                 std::size_t fs = (clsIdx * kNumCounts + nfi) * kNumSeeds + s;
                 const noc::SimResult &r = res.at(spec, 0, 0, 0, fs, ar);
                 pef[ar] += r.pef / kNumSeeds;
                 lat[ar] += r.avgLatency / kNumSeeds;
+                timedOut = timedOut || r.timedOut;
             }
+            m[ar] = mark(timedOut);
         }
-        std::printf("%-8d | %8.1f %12.1f %8.1f | %8.1f %9.1f %8.1f\n",
-                    kFaultCounts[nfi], pef[0], pef[1], pef[2], lat[0],
-                    lat[1], lat[2]);
+        std::printf("%-8d | %7.1f%c %11.1f%c %7.1f%c | %7.1f%c %8.1f%c "
+                    "%7.1f%c\n",
+                    kFaultCounts[nfi], pef[0], m[0], pef[1], m[1], pef[2],
+                    m[2], lat[0], m[0], lat[1], m[1], lat[2], m[2]);
     }
+    mark.legend();
 }
 
 } // namespace

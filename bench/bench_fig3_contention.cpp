@@ -30,32 +30,40 @@ main()
     std::printf("%-6s | %8s %9s %8s | %8s %9s %8s\n", "rate", "Generic",
                 "PathSens", "RoCo", "Generic", "PathSens", "RoCo");
     hr();
+    TimeoutMarks markXy;
     for (std::size_t ra = 0; ra < spec.rates.size(); ++ra) {
         double row[3], col[3];
+        char m[3];
         for (std::size_t ar = 0; ar < spec.archs.size(); ++ar) {
             const SimResult &r = res.at(spec, 0, 0, ra, 0, ar);
             row[ar] = r.rowContention;
             col[ar] = r.colContention;
+            m[ar] = markXy(r);
         }
-        std::printf("%-6.2f | %8.3f %9.3f %8.3f | %8.3f %9.3f %8.3f\n",
-                    spec.rates[ra], row[0], row[1], row[2], col[0],
-                    col[1], col[2]);
+        std::printf("%-6.2f | %7.3f%c %8.3f%c %7.3f%c | %7.3f%c %8.3f%c "
+                    "%7.3f%c\n",
+                    spec.rates[ra], row[0], m[0], row[1], m[1], row[2],
+                    m[2], col[0], m[0], col[1], m[1], col[2], m[2]);
     }
+    markXy.legend();
 
     std::puts("\nFigure 3(c): contention with adaptive routing "
               "(row+column combined)");
     std::printf("%-6s %8s %9s %8s\n", "rate", "Generic", "PathSens",
                 "RoCo");
     hr();
+    TimeoutMarks markAdaptive;
     for (std::size_t ra = 0; ra < spec.rates.size(); ++ra) {
         std::printf("%-6.2f", spec.rates[ra]);
         for (std::size_t ar = 0; ar < spec.archs.size(); ++ar) {
             const SimResult &r = res.at(spec, 1, 0, ra, 0, ar);
-            std::printf(" %8.3f",
-                        (r.rowContention + r.colContention) / 2.0);
+            std::printf(" %7.3f%c",
+                        (r.rowContention + r.colContention) / 2.0,
+                        markAdaptive(r));
         }
         std::puts("");
     }
+    markAdaptive.legend();
     std::puts("\nPaper shape: Generic > Path-Sensitive > RoCo "
               "everywhere; row > column under XY.");
     return 0;

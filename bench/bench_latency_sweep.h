@@ -21,6 +21,7 @@ latencySweep(TrafficKind traffic, const char *figure, const char *specName)
     spec.base.traffic = traffic;
     spec.rates = {0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4};
     exp::SweepResults res = runSweep(spec);
+    TimeoutMarks mark;
 
     std::printf("%s: average latency (cycles) vs injection rate, 8x8 "
                 "mesh, %s traffic\n", figure, toString(traffic));
@@ -32,14 +33,14 @@ latencySweep(TrafficKind traffic, const char *figure, const char *specName)
             int off = 0;
             for (std::size_t ar = 0; ar < spec.archs.size(); ++ar) {
                 const SimResult &r = res.at(spec, ro, 0, ra, 0, ar);
-                std::printf(" %9.2f%c", r.avgLatency,
-                            r.timedOut ? '*' : ' ');
+                std::printf(" %9.2f%c", r.avgLatency, mark(r));
                 off += std::snprintf(thr + off, sizeof thr - off,
                                      " %.3f", r.throughputFlits);
             }
             std::printf("  (%s )\n", thr);
         });
-    std::puts("\n'*' marks saturated runs cut at the cycle budget.");
+    std::puts("");
+    mark.legend();
     std::puts("Paper shape: RoCo lowest at low/mid load; all curves "
               "diverge at saturation.");
     return 0;

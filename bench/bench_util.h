@@ -148,6 +148,38 @@ hr()
 }
 
 /**
+ * The timeout marker of the results tables: a value from a run that
+ * stopped at its cycle budget prints with a trailing '*' (a "%9.2f%c"
+ * cell fills a "%10s" header column), and a table holding any such
+ * value ends with legend(). A timed-out run's completion, latency and
+ * energy describe a cut run, not a finished one.
+ */
+class TimeoutMarks
+{
+  public:
+    /** '*' for a timed-out run (remembered for legend()), else ' '. */
+    char
+    operator()(bool timedOut)
+    {
+        any_ = any_ || timedOut;
+        return timedOut ? '*' : ' ';
+    }
+    char operator()(const SimResult &r) { return (*this)(r.timedOut); }
+
+    /** The one-line legend, printed only when a marked run timed out. */
+    void
+    legend() const
+    {
+        if (any_)
+            std::puts("'*' marks runs cut at the cycle budget (timed "
+                      "out).");
+    }
+
+  private:
+    bool any_ = false;
+};
+
+/**
  * A spec over the full architecture x routing comparison grid — the
  * axes every figure bench sweeps. The base carries the paper's
  * warm-up/measurement window (paperConfig, NOC_BENCH_* overridable).

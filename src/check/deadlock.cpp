@@ -42,6 +42,89 @@ canonicalQuadrant(const MeshTopology &topo, NodeId cur, NodeId dst)
     return d.x > c.x ? Quadrant::NE : Quadrant::SW;
 }
 
+/**
+ * The Path-Sensitive pools of a packet at @p cur bound for @p dst: the
+ * two it may hold (equal off-axis) and the slots it requests there as
+ * the downstream hop — both pools for PathSensitiveRouter::requestVc,
+ * the canonical pool for the escape tier (always a subset of what the
+ * router actually waits on).
+ */
+struct PsPools {
+    Quadrant q0 = Quadrant::NE;
+    Quadrant q1 = Quadrant::NE;
+    std::uint64_t strict = 0;
+    std::uint64_t escape = 0;
+};
+
+PsPools
+psPools(const MeshTopology &topo, NodeId cur, NodeId dst, int vcsPerPort)
+{
+    PsPools p;
+    p.q0 = quadrantOf(topo, cur, dst, false);
+    p.q1 = quadrantOf(topo, cur, dst, true);
+    p.strict = psPoolMask(p.q0, vcsPerPort) | psPoolMask(p.q1, vcsPerPort);
+    p.escape = psPoolMask(canonicalQuadrant(topo, cur, dst), vcsPerPort);
+    return p;
+}
+
+/**
+ * psPools of every node toward one destination. walkDestinations runs
+ * all walks of a destination back to back, so the table is refilled
+ * once per destination instead of recomputing six quadrants per
+ * transition. The pools depend on the node only through the signs of
+ * its offset from the destination (quadrantOf), so a refill calls
+ * psPools once per sign class and copies it to the class's nodes.
+ */
+class PsPoolTable
+{
+  public:
+    PsPoolTable(const MeshTopology &topo, int vcsPerPort)
+        : topo_(topo), vcsPerPort_(vcsPerPort),
+          rows_(static_cast<std::size_t>(topo.numNodes()))
+    {
+        coords_.reserve(rows_.size());
+        for (NodeId n = 0; n < rows_.size(); ++n)
+            coords_.push_back(topo.coord(n));
+    }
+
+    /** The pools of @p n (!= @p dst) toward @p dst. */
+    const PsPools &
+    at(NodeId n, NodeId dst)
+    {
+        if (dst != dst_)
+            refill(dst);
+        return rows_[n];
+    }
+
+  private:
+    void
+    refill(NodeId dst)
+    {
+        dst_ = dst;
+        const Coord d = coords_[dst];
+        PsPools byClass[9];
+        bool known[9] = {};
+        for (NodeId m = 0; m < rows_.size(); ++m) {
+            if (m == dst)
+                continue;
+            const Coord c = coords_[m];
+            const int cls = ((c.x > d.x) - (c.x < d.x) + 1) * 3 +
+                            (c.y > d.y) - (c.y < d.y) + 1;
+            if (!known[cls]) {
+                byClass[cls] = psPools(topo_, m, dst, vcsPerPort_);
+                known[cls] = true;
+            }
+            rows_[m] = byClass[cls];
+        }
+    }
+
+    const MeshTopology &topo_;
+    int vcsPerPort_;
+    NodeId dst_ = kInvalidNode;
+    std::vector<Coord> coords_;
+    std::vector<PsPools> rows_;
+};
+
 /** Packet flavours to enumerate: XY-YX packets pick an order at inject. */
 int
 flavorsOf(RoutingKind kind)
@@ -335,6 +418,7 @@ provePathSensitive(const MeshTopology &topo, RoutingKind kind,
     int slots = kNumQuadrants * vcsPerPort;
     Cdg strict(topo.numNodes() * slots);
     Cdg escape(topo.numNodes() * slots);
+    PsPoolTable pools(topo, vcsPerPort);
     walkDestinations(
         topo, *makeRouting(kind, topo), Sources::All,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
@@ -342,28 +426,17 @@ provePathSensitive(const MeshTopology &topo, RoutingKind kind,
             (void)arrival; // pools are arrival-independent
             if (nn == f.dst)
                 return; // early ejection
-            Quadrant q0 = quadrantOf(topo, n, f.dst, false);
-            Quadrant q1 = quadrantOf(topo, n, f.dst, true);
-            Quadrant d0 = quadrantOf(topo, nn, f.dst, false);
-            Quadrant d1 = quadrantOf(topo, nn, f.dst, true);
-            // A packet requests every slot of both downstream
-            // pools (PathSensitiveRouter::requestVc); the escape
-            // tier narrows the request to the canonical pool,
-            // which is always a subset of what the router
-            // actually waits on.
-            std::uint64_t vStrict = psPoolMask(d0, vcsPerPort) |
-                                    psPoolMask(d1, vcsPerPort);
-            std::uint64_t vEscape = psPoolMask(
-                canonicalQuadrant(topo, nn, f.dst), vcsPerPort);
-            const Quadrant pools[2] = {q0, q1};
-            int numPools = q0 == q1 ? 1 : 2;
+            const PsPools &held = pools.at(n, f.dst);
+            const PsPools &next = pools.at(nn, f.dst);
+            const Quadrant qs[2] = {held.q0, held.q1};
+            int numPools = held.q0 == held.q1 ? 1 : 2;
             for (int i = 0; i < numPools; ++i) {
-                Quadrant q = pools[i];
+                Quadrant q = qs[i];
                 if (!quadrantServes(q, out))
                     continue;
                 std::uint64_t u = psPoolMask(q, vcsPerPort);
-                strict.addEdges(n * slots, u, nn * slots, vStrict);
-                escape.addEdges(n * slots, u, nn * slots, vEscape);
+                strict.addEdges(n * slots, u, nn * slots, next.strict);
+                escape.addEdges(n * slots, u, nn * slots, next.escape);
             }
         });
     ProofResult r;
@@ -528,42 +601,39 @@ proveServicePathSensitive(const MeshTopology &topo, RoutingKind kind,
     int slots = kNumQuadrants * vcsPerPort;
     Cdg strict(topo.numNodes() * slots);
     Cdg escape(topo.numNodes() * slots);
+    PsPoolTable pools(topo, vcsPerPort);
+    // The reply's pools, kept for the walk's (dst, src): its sign class.
+    NodeId replyFrom = kInvalidNode;
+    NodeId replyTo = kInvalidNode;
+    PsPools reply;
     walkDestinations(
         topo, *makeRouting(kind, topo), Sources::BySign,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
             const Flit &f) {
             (void)arrival;
-            Quadrant q0 = quadrantOf(topo, n, f.dst, false);
-            Quadrant q1 = quadrantOf(topo, n, f.dst, true);
-            bool finalHop = nn == f.dst;
-            std::uint64_t vStrict = 0;
-            std::uint64_t vEscape = 0;
-            if (finalHop) {
+            const PsPools &held = pools.at(n, f.dst);
+            const PsPools *next = nullptr;
+            if (nn == f.dst) {
                 // Protocol edge targets: the reply (dst -> src)
                 // injects into its own destination pools.
-                Quadrant r0 = quadrantOf(topo, nn, f.src, false);
-                Quadrant r1 = quadrantOf(topo, nn, f.src, true);
-                vStrict = psPoolMask(r0, vcsPerPort) |
-                          psPoolMask(r1, vcsPerPort);
-                vEscape = psPoolMask(
-                    canonicalQuadrant(topo, nn, f.src), vcsPerPort);
+                if (replyFrom != f.dst || replyTo != f.src) {
+                    replyFrom = f.dst;
+                    replyTo = f.src;
+                    reply = psPools(topo, f.dst, f.src, vcsPerPort);
+                }
+                next = &reply;
             } else {
-                Quadrant d0 = quadrantOf(topo, nn, f.dst, false);
-                Quadrant d1 = quadrantOf(topo, nn, f.dst, true);
-                vStrict = psPoolMask(d0, vcsPerPort) |
-                          psPoolMask(d1, vcsPerPort);
-                vEscape = psPoolMask(
-                    canonicalQuadrant(topo, nn, f.dst), vcsPerPort);
+                next = &pools.at(nn, f.dst);
             }
-            const Quadrant pools[2] = {q0, q1};
-            int numPools = q0 == q1 ? 1 : 2;
+            const Quadrant qs[2] = {held.q0, held.q1};
+            int numPools = held.q0 == held.q1 ? 1 : 2;
             for (int i = 0; i < numPools; ++i) {
-                Quadrant q = pools[i];
+                Quadrant q = qs[i];
                 if (!quadrantServes(q, out))
                     continue;
                 std::uint64_t u = psPoolMask(q, vcsPerPort);
-                strict.addEdges(n * slots, u, nn * slots, vStrict);
-                escape.addEdges(n * slots, u, nn * slots, vEscape);
+                strict.addEdges(n * slots, u, nn * slots, next->strict);
+                escape.addEdges(n * slots, u, nn * slots, next->escape);
             }
         });
     ProofResult r;

@@ -67,17 +67,29 @@ RatioStat::ratio() const
 }
 
 Histogram::Histogram(double binWidth, int numBins)
-    : binWidth_(binWidth), bins_(static_cast<size_t>(numBins) + 1, 0)
+    : binWidth_(binWidth), numBins_(numBins + 1)
 {
     NOC_ASSERT(binWidth > 0 && numBins > 0, "invalid histogram shape");
+}
+
+void
+Histogram::grow(std::size_t n)
+{
+    if (n > bins_.capacity()) {
+        bins_.reserve(std::min(std::max(n, 2 * bins_.capacity()),
+                               static_cast<std::size_t>(numBins_)));
+    }
+    bins_.resize(n, 0);
 }
 
 void
 Histogram::add(double x)
 {
     int idx = x < 0 ? 0 : static_cast<int>(x / binWidth_);
-    if (idx >= static_cast<int>(bins_.size()))
-        idx = static_cast<int>(bins_.size()) - 1; // overflow bin
+    if (idx >= numBins_)
+        idx = numBins_ - 1; // overflow bin
+    if (static_cast<std::size_t>(idx) >= bins_.size())
+        grow(static_cast<std::size_t>(idx) + 1);
     ++bins_[idx];
     ++total_;
 }
@@ -85,10 +97,11 @@ Histogram::add(double x)
 void
 Histogram::merge(const Histogram &other)
 {
-    NOC_ASSERT(other.bins_.size() == bins_.size() &&
-                   other.binWidth_ == binWidth_,
+    NOC_ASSERT(other.numBins_ == numBins_ && other.binWidth_ == binWidth_,
                "histogram shape mismatch");
-    for (size_t i = 0; i < bins_.size(); ++i)
+    if (other.bins_.size() > bins_.size())
+        grow(other.bins_.size());
+    for (size_t i = 0; i < other.bins_.size(); ++i)
         bins_[i] += other.bins_[i];
     total_ += other.total_;
 }
@@ -96,7 +109,7 @@ Histogram::merge(const Histogram &other)
 void
 Histogram::reset()
 {
-    std::fill(bins_.begin(), bins_.end(), 0);
+    bins_.clear();
     total_ = 0;
 }
 
@@ -118,7 +131,7 @@ Histogram::percentile(double q) const
             return (static_cast<double>(i) + inBin) * binWidth_;
         }
     }
-    return static_cast<double>(bins_.size()) * binWidth_;
+    return static_cast<double>(numBins_) * binWidth_;
 }
 
 } // namespace noc

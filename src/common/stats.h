@@ -5,6 +5,7 @@
 #ifndef ROCOSIM_COMMON_STATS_H_
 #define ROCOSIM_COMMON_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -64,7 +65,15 @@ class RatioStat
     std::uint64_t trials_ = 0;
 };
 
-/** Fixed-bin histogram for latency distributions. */
+/**
+ * Fixed-bin histogram for latency distributions.
+ *
+ * The geometry is fixed at construction, but storage is not: only the
+ * bins up to the highest one recorded or merged are held (growing
+ * geometrically), the rest read as zero. A run that records latencies
+ * of tens of cycles therefore allocates, merges and scans a few dozen
+ * bins, not the configured range.
+ */
 class Histogram
 {
   public:
@@ -77,14 +86,24 @@ class Histogram
     void merge(const Histogram &other);
 
     std::uint64_t total() const { return total_; }
-    std::uint64_t bin(int i) const { return bins_[i]; }
-    int numBins() const { return static_cast<int>(bins_.size()); }
+    std::uint64_t bin(int i) const
+    {
+        return static_cast<std::size_t>(i) < bins_.size() ? bins_[i] : 0;
+    }
+    /** Configured bins, the overflow bin included. */
+    int numBins() const { return numBins_; }
+    /** Bins in storage: through the highest recorded or merged. */
+    std::size_t storedBins() const { return bins_.size(); }
     double binWidth() const { return binWidth_; }
     /** Value below which fraction @p q of samples fall (linear interp). */
     double percentile(double q) const;
 
   private:
+    /** Extends storage to @p n bins (n <= numBins_). */
+    void grow(std::size_t n);
+
     double binWidth_;
+    int numBins_;
     std::vector<std::uint64_t> bins_;
     std::uint64_t total_ = 0;
 };

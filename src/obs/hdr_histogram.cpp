@@ -1,5 +1,6 @@
 #include "obs/hdr_histogram.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -7,10 +8,19 @@
 
 namespace noc::obs {
 
-HdrHistogram::HdrHistogram(std::uint64_t maxValue) : maxValue_(maxValue)
+HdrHistogram::HdrHistogram(std::uint64_t maxValue)
+    : maxValue_(maxValue), bucketCount_(bucketIndex(maxValue) + 1)
 {
     NOC_ASSERT(maxValue >= kSubCount, "histogram range below one octave");
-    counts_.assign(bucketIndex(maxValue_) + 1, 0);
+}
+
+void
+HdrHistogram::grow(std::size_t n)
+{
+    if (n > counts_.capacity())
+        counts_.reserve(std::min(std::max(n, 2 * counts_.capacity()),
+                                 bucketCount_));
+    counts_.resize(n, 0);
 }
 
 std::size_t
@@ -51,7 +61,10 @@ HdrHistogram::record(std::uint64_t v)
 {
     if (v > maxValue_)
         ++overflow_;
-    ++counts_[bucketIndex(v)];
+    const std::size_t i = bucketIndex(v);
+    if (i >= counts_.size())
+        grow(i + 1);
+    ++counts_[i];
     ++count_;
     sum_ += v;
     if (v < min_)
@@ -65,7 +78,9 @@ HdrHistogram::merge(const HdrHistogram &other)
 {
     NOC_ASSERT(maxValue_ == other.maxValue_,
                "merging histograms of different geometry");
-    for (std::size_t i = 0; i < counts_.size(); ++i)
+    if (other.counts_.size() > counts_.size())
+        grow(other.counts_.size());
+    for (std::size_t i = 0; i < other.counts_.size(); ++i)
         counts_[i] += other.counts_[i];
     count_ += other.count_;
     overflow_ += other.overflow_;

@@ -9,6 +9,11 @@
  * clamped into the top bucket (and counted, so overflow is visible);
  * the exact maximum and sum are tracked separately.
  *
+ * The geometry covers the configured maximum, but storage holds only
+ * the buckets up to the highest one recorded or merged (growing
+ * geometrically); the rest read as zero. A histogram nothing was
+ * recorded into owns no bucket storage at all.
+ *
  * Mergeable: two histograms with the same geometry add bucket-wise,
  * which is what lets SweepRunner fold per-point recorders into one
  * aggregate without losing percentile fidelity.
@@ -60,10 +65,17 @@ class HdrHistogram
     static std::uint64_t bucketLow(std::size_t i);
     /** Number of distinct values sharing bucket @p i. */
     static std::uint64_t bucketWidth(std::size_t i);
-    std::size_t bucketCount() const { return counts_.size(); }
+    /** Buckets the configured range spans. */
+    std::size_t bucketCount() const { return bucketCount_; }
+    /** Buckets held in storage: through the highest recorded or merged. */
+    std::size_t storedBuckets() const { return counts_.size(); }
 
   private:
+    /** Extends storage to @p n buckets (n <= bucketCount_). */
+    void grow(std::size_t n);
+
     std::uint64_t maxValue_;
+    std::size_t bucketCount_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t count_ = 0;
     std::uint64_t overflow_ = 0;

@@ -355,5 +355,57 @@ INSTANTIATE_TEST_SUITE_P(
                                      TrafficKind::BitComplement),
                      testing::Values(0.02, 0.25)));
 
+/**
+ * A NIC's histograms keep their configured geometry (1,025 latency
+ * bins; 513 buckets per service histogram, for 2^20 cycles) but store
+ * only the bins a run records: none before the first cycle, and
+ * afterwards exactly those through the highest value recorded.
+ */
+TEST(NetworkHistogramTest, ServiceNicsStoreOnlyWhatTheyRecord)
+{
+    SimConfig cfg;
+    cfg.meshWidth = 16;
+    cfg.meshHeight = 16;
+    cfg.arch = RouterArch::Roco;
+    cfg.routing = RoutingKind::XYYX;
+    cfg.injectionRate = 0.05;
+    cfg.svc.enabled = true;
+    Network net(cfg);
+    for (int i = 0; i < net.numNodes(); ++i) {
+        const Nic &nic = net.nic(static_cast<NodeId>(i));
+        EXPECT_EQ(nic.latencyHistogram().numBins(), 1025);
+        EXPECT_EQ(nic.latencyHistogram().storedBins(), 0u) << i;
+        const svc::ClassStats *cs = nic.classStats();
+        ASSERT_NE(cs, nullptr);
+        for (int c = 0; c < kNumMsgClasses; ++c) {
+            EXPECT_EQ(cs[c].latencyHist.bucketCount(), 513u);
+            EXPECT_EQ(cs[c].latencyHist.storedBuckets(), 0u) << i;
+            EXPECT_EQ(cs[c].rttHist.storedBuckets(), 0u) << i;
+        }
+    }
+
+    for (Cycle t = 0; t < 1500; ++t)
+        net.step(t, t < 1000, true);
+    std::uint64_t recorded = 0;
+    for (int i = 0; i < net.numNodes(); ++i) {
+        const Nic &nic = net.nic(static_cast<NodeId>(i));
+        const Histogram &h = nic.latencyHistogram();
+        recorded += h.total();
+        if (h.total() > 0)
+            EXPECT_GT(h.bin(static_cast<int>(h.storedBins()) - 1), 0u);
+        else
+            EXPECT_EQ(h.storedBins(), 0u);
+        const svc::ClassStats *cs = nic.classStats();
+        for (int c = 0; c < kNumMsgClasses; ++c) {
+            for (const obs::HdrHistogram *hh :
+                 {&cs[c].latencyHist, &cs[c].rttHist}) {
+                const std::size_t top = hh->bucketIndex(hh->max());
+                EXPECT_EQ(hh->storedBuckets(), hh->count() ? top + 1 : 0);
+            }
+        }
+    }
+    EXPECT_GT(recorded, 0u);
+}
+
 } // namespace
 } // namespace noc

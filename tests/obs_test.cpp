@@ -10,7 +10,10 @@
  * CI test filter): many threads folding Summaries into one aggregate
  * must race-free reproduce the serial merge bit-for-bit.
  */
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <mutex>
 #include <new>
@@ -19,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "exp/sweep.h"
 #include "obs/counters.h"
 #include "obs/hdr_histogram.h"
@@ -120,7 +124,11 @@ TEST(HdrHistogramTest, OctaveBoundaries)
     EXPECT_EQ(HdrHistogram::bucketLow(64), 64u);
     EXPECT_EQ(HdrHistogram::bucketWidth(64), 2u);
     EXPECT_EQ(h.bucketIndex(65), 64u); // shares 64's bucket
-    // Every bucket's low is the previous bucket's low plus its width.
+    // Every bucket's low is the previous bucket's low plus its width,
+    // over the whole configured range (2^20 ends bucket 512).
+    ASSERT_EQ(h.bucketCount(),
+              h.bucketIndex(HdrHistogram::kDefaultMax) + 1);
+    ASSERT_EQ(h.bucketCount(), 513u);
     for (std::size_t i = 1; i < h.bucketCount(); ++i)
         EXPECT_EQ(HdrHistogram::bucketLow(i),
                   HdrHistogram::bucketLow(i - 1) +
@@ -194,6 +202,180 @@ TEST(HdrHistogramTest, MergeMatchesCombinedRecording)
     EXPECT_DOUBLE_EQ(a.mean(), both.mean());
     for (double q : {0.5, 0.9, 0.99, 0.999})
         EXPECT_DOUBLE_EQ(a.percentile(q), both.percentile(q)) << q;
+}
+
+/**
+ * The eager reference: every configured bucket held from construction,
+ * walked exactly as HdrHistogram::percentile defines the walk. The
+ * bucket geometry comes from @c geometry, which records nothing.
+ */
+struct EagerHdr {
+    HdrHistogram geometry;
+    std::vector<std::uint64_t> counts;
+    std::uint64_t count = 0;
+    std::uint64_t max = 0;
+
+    explicit EagerHdr(std::uint64_t maxValue)
+        : geometry(maxValue), counts(geometry.bucketCount(), 0)
+    {
+    }
+
+    void
+    record(std::uint64_t v)
+    {
+        ++counts[geometry.bucketIndex(v)];
+        ++count;
+        max = std::max(max, v);
+    }
+
+    void
+    merge(const EagerHdr &o)
+    {
+        for (std::size_t i = 0; i < counts.size(); ++i)
+            counts[i] += o.counts[i];
+        count += o.count;
+        max = std::max(max, o.max);
+    }
+
+    double
+    percentile(double q) const
+    {
+        if (count == 0)
+            return 0.0;
+        q = std::clamp(q, 0.0, 1.0);
+        auto target = static_cast<std::uint64_t>(
+            std::ceil(q * static_cast<double>(count)));
+        target = std::max<std::uint64_t>(target, 1);
+        std::uint64_t cum = 0;
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+            cum += counts[i];
+            if (cum >= target) {
+                return static_cast<double>(HdrHistogram::bucketLow(i)) +
+                       static_cast<double>(HdrHistogram::bucketWidth(i) -
+                                           1) /
+                           2.0;
+            }
+        }
+        return static_cast<double>(max);
+    }
+};
+
+/** Percentiles (bit for bit), extremes and storage of @p h vs @p ref. */
+void
+expectMatchesEager(const HdrHistogram &h, const EagerHdr &ref)
+{
+    ASSERT_EQ(h.bucketCount(), ref.counts.size());
+    EXPECT_EQ(h.count(), ref.count);
+    EXPECT_EQ(h.max(), ref.max);
+    std::size_t highest = 0;
+    for (std::size_t i = 0; i < ref.counts.size(); ++i) {
+        if (ref.counts[i])
+            highest = i + 1;
+    }
+    // Storage reaches the highest non-empty bucket and no further.
+    EXPECT_EQ(h.storedBuckets(), highest);
+    for (double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(h.percentile(q)),
+                  std::bit_cast<std::uint64_t>(ref.percentile(q)))
+            << "q=" << q << ": " << h.percentile(q) << " vs "
+            << ref.percentile(q);
+    }
+}
+
+/** A value log-uniform in [0, 2^bits): every octave equally likely. */
+std::uint64_t
+logUniform(Rng &rng, int bits)
+{
+    const std::uint64_t octave =
+        rng.nextRange(static_cast<std::uint64_t>(bits));
+    return rng.nextRange(std::uint64_t{2} << octave);
+}
+
+TEST(HdrHistogramTest, StorageIsEmptyUntilFirstRecord)
+{
+    HdrHistogram h;
+    EXPECT_EQ(h.bucketCount(), 513u); // the configured geometry
+    EXPECT_EQ(h.storedBuckets(), 0u);
+    h.record(40); // bucket 40
+    EXPECT_EQ(h.bucketCount(), 513u);
+    EXPECT_EQ(h.storedBuckets(), 41u);
+    HdrHistogram copy = h;
+    EXPECT_EQ(copy.storedBuckets(), 41u);
+}
+
+TEST(HdrHistogramTest, GrowOnDemandMatchesEagerReference)
+{
+    Rng rng(0x4D52);
+    for (int trial = 0; trial < 200; ++trial) {
+        // A small range overflows often; the default one grows across
+        // anywhere from a few to all of its octaves.
+        const std::uint64_t maxValue =
+            trial % 4 == 0 ? 1000 : HdrHistogram::kDefaultMax;
+        const int bits = 3 + static_cast<int>(rng.nextRange(20));
+        const int n = 1 + static_cast<int>(rng.nextRange(400));
+        HdrHistogram h(maxValue);
+        EagerHdr ref(maxValue);
+        std::uint64_t over = 0;
+        for (int i = 0; i < n; ++i) {
+            std::uint64_t v = logUniform(rng, bits);
+            h.record(v);
+            ref.record(v);
+            over += v > maxValue ? 1 : 0;
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        EXPECT_EQ(h.overflow(), over);
+        expectMatchesEager(h, ref);
+    }
+}
+
+TEST(HdrHistogramTest, OverflowClampsIntoTheTopBucket)
+{
+    HdrHistogram h(1000);
+    EagerHdr ref(1000);
+    for (std::uint64_t v : {5000u, 1000u, 999u, 12u}) {
+        h.record(v);
+        ref.record(v);
+    }
+    EXPECT_EQ(h.overflow(), 1u);
+    EXPECT_EQ(h.storedBuckets(), h.bucketCount()); // top bucket held
+    expectMatchesEager(h, ref);
+}
+
+TEST(HdrHistogramTest, MergeAcrossGrownSizesInBothOrders)
+{
+    Rng rng(0xFEED);
+    for (int trial = 0; trial < 100; ++trial) {
+        HdrHistogram small, large;
+        EagerHdr refSmall(HdrHistogram::kDefaultMax);
+        EagerHdr refLarge(HdrHistogram::kDefaultMax);
+        const int smallBits = 2 + static_cast<int>(rng.nextRange(6));
+        const int largeBits = 8 + static_cast<int>(rng.nextRange(14));
+        for (int i = 0; i < 50; ++i) {
+            std::uint64_t a = logUniform(rng, smallBits);
+            std::uint64_t b = logUniform(rng, largeBits);
+            small.record(a);
+            refSmall.record(a);
+            large.record(b);
+            refLarge.record(b);
+        }
+        EagerHdr refBoth = refSmall;
+        refBoth.merge(refLarge);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+
+        HdrHistogram grown = small; // the smaller one grows to the larger
+        grown.merge(large);
+        expectMatchesEager(grown, refBoth);
+        HdrHistogram kept = large; // the larger one keeps its storage
+        kept.merge(small);
+        expectMatchesEager(kept, refBoth);
+        EXPECT_EQ(grown.min(), kept.min());
+        EXPECT_DOUBLE_EQ(grown.mean(), kept.mean());
+        HdrHistogram empty; // an empty side adds nothing
+        kept.merge(empty);
+        empty.merge(small);
+        expectMatchesEager(kept, refBoth);
+        expectMatchesEager(empty, refSmall);
+    }
 }
 
 // --- EventRing -------------------------------------------------------

@@ -1,6 +1,12 @@
 /** @file Unit tests for the statistics accumulators. */
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/stats.h"
 
 namespace noc {
@@ -116,6 +122,163 @@ TEST(HistogramTest, EmptyPercentileIsZero)
 {
     Histogram h(1.0, 10);
     EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
+}
+
+/**
+ * The eager reference: every configured bin held from construction,
+ * binned and walked exactly as Histogram defines them.
+ */
+struct EagerHistogram {
+    double width;
+    std::vector<std::uint64_t> bins;
+    std::uint64_t total = 0;
+
+    EagerHistogram(double binWidth, int numBins)
+        : width(binWidth), bins(static_cast<std::size_t>(numBins) + 1, 0)
+    {
+    }
+
+    void
+    add(double x)
+    {
+        const int i = x < 0 ? 0 : static_cast<int>(x / width);
+        ++bins[std::min(static_cast<std::size_t>(i), bins.size() - 1)];
+        ++total;
+    }
+
+    void
+    merge(const EagerHistogram &o)
+    {
+        for (std::size_t i = 0; i < bins.size(); ++i)
+            bins[i] += o.bins[i];
+        total += o.total;
+    }
+
+    double
+    percentile(double q) const
+    {
+        if (total == 0)
+            return 0.0;
+        q = std::clamp(q, 0.0, 1.0);
+        double target = q * static_cast<double>(total);
+        std::uint64_t cum = 0;
+        for (std::size_t i = 0; i < bins.size(); ++i) {
+            std::uint64_t prev = cum;
+            cum += bins[i];
+            if (static_cast<double>(cum) >= target) {
+                const double inBin =
+                    bins[i] ? (target - static_cast<double>(prev)) /
+                                  static_cast<double>(bins[i])
+                            : 0.0;
+                return (static_cast<double>(i) + inBin) * width;
+            }
+        }
+        return static_cast<double>(bins.size()) * width;
+    }
+};
+
+/** Bins, percentiles (bit for bit) and storage of @p h against @p ref. */
+void
+expectMatchesEager(const Histogram &h, const EagerHistogram &ref)
+{
+    ASSERT_EQ(h.numBins(), static_cast<int>(ref.bins.size()));
+    EXPECT_EQ(h.total(), ref.total);
+    std::size_t highest = 0;
+    for (int i = 0; i < h.numBins(); ++i) {
+        EXPECT_EQ(h.bin(i), ref.bins[static_cast<std::size_t>(i)])
+            << "bin " << i;
+        if (ref.bins[static_cast<std::size_t>(i)])
+            highest = static_cast<std::size_t>(i) + 1;
+    }
+    // Storage reaches the highest non-empty bin and no further.
+    EXPECT_EQ(h.storedBins(), highest);
+    for (double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(h.percentile(q)),
+                  std::bit_cast<std::uint64_t>(ref.percentile(q)))
+            << "q=" << q << ": " << h.percentile(q) << " vs "
+            << ref.percentile(q);
+    }
+}
+
+TEST(HistogramTest, StorageIsEmptyUntilFirstSample)
+{
+    Histogram h(2.0, 1024);
+    EXPECT_EQ(h.numBins(), 1025); // the configured geometry
+    EXPECT_EQ(h.storedBins(), 0u);
+    EXPECT_EQ(h.bin(1024), 0u);
+    h.add(7.0);
+    EXPECT_EQ(h.numBins(), 1025);
+    EXPECT_EQ(h.storedBins(), 4u); // bins 0..3
+    h.reset();
+    EXPECT_EQ(h.storedBins(), 0u);
+    EXPECT_EQ(h.total(), 0u);
+}
+
+TEST(HistogramTest, GrowOnDemandMatchesEagerReference)
+{
+    Rng rng(0x5EED);
+    for (int trial = 0; trial < 200; ++trial) {
+        // Ranges from a few bins to past the overflow bin, so runs
+        // clamp into the top bin as well as grow below it.
+        const double span = static_cast<double>(4 << rng.nextRange(12));
+        const int n = 1 + static_cast<int>(rng.nextRange(400));
+        Histogram h(2.0, 1024);
+        EagerHistogram ref(2.0, 1024);
+        for (int i = 0; i < n; ++i) {
+            double x = rng.nextDouble() * span - 1.0; // some below zero
+            h.add(x);
+            ref.add(x);
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        expectMatchesEager(h, ref);
+    }
+}
+
+TEST(HistogramTest, OverflowClampsIntoTheTopBin)
+{
+    Histogram h(10.0, 5);
+    EagerHistogram ref(10.0, 5);
+    for (double x : {1e9, 55.0, 50.0, 49.9, 3.0}) {
+        h.add(x);
+        ref.add(x);
+    }
+    EXPECT_EQ(h.bin(5), 3u); // 1e9, 55 and 50 share the overflow bin
+    EXPECT_EQ(h.storedBins(), 6u);
+    expectMatchesEager(h, ref);
+}
+
+TEST(HistogramTest, MergeAcrossGrownSizesInBothOrders)
+{
+    Rng rng(0xB0B);
+    for (int trial = 0; trial < 100; ++trial) {
+        Histogram small(2.0, 1024), large(2.0, 1024);
+        EagerHistogram refSmall(2.0, 1024), refLarge(2.0, 1024);
+        const double smallSpan = 1.0 + rng.nextRange(60);
+        const double largeSpan = 100.0 + rng.nextRange(3000);
+        for (int i = 0; i < 50; ++i) {
+            double a = rng.nextDouble() * smallSpan;
+            double b = rng.nextDouble() * largeSpan;
+            small.add(a);
+            refSmall.add(a);
+            large.add(b);
+            refLarge.add(b);
+        }
+        EagerHistogram refBoth = refSmall;
+        refBoth.merge(refLarge);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+
+        Histogram grown = small; // the smaller one grows to the larger
+        grown.merge(large);
+        expectMatchesEager(grown, refBoth);
+        Histogram kept = large; // the larger one keeps its storage
+        kept.merge(small);
+        expectMatchesEager(kept, refBoth);
+        Histogram empty(2.0, 1024); // an empty side adds nothing
+        kept.merge(empty);
+        empty.merge(small);
+        expectMatchesEager(kept, refBoth);
+        expectMatchesEager(empty, refSmall);
+    }
 }
 
 } // namespace

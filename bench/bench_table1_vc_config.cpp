@@ -5,12 +5,13 @@
  */
 #include <cstdio>
 
-#include "router/roco/vc_config.h"
+#include "check/slot_rules.h"
 
 int
 main()
 {
     using namespace noc;
+    using namespace noc::check;
     std::puts("Table 1: VC Buffer Configuration for the Three Routing "
               "Algorithms");
     std::printf("%-9s | %-18s | %-18s | %-18s | %-18s\n", "", "Row P1",

@@ -17,9 +17,6 @@
  *     --out <file>             Perfetto JSON path (default
  *                              noc_trace.json; counters go to
  *                              <file>.counters.json)
- *
- * Needs an -DNOC_OBS=ON build; without the compiled-in hooks the run
- * still works but records nothing, so the tool says so and exits 0.
  */
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +25,6 @@
 
 #include "fault/fault.h"
 #include "obs/counters.h"
-#include "obs/obs.h"
 #include "obs/perfetto.h"
 #include "obs/recorder.h"
 #include "sim/simulator.h"
@@ -119,14 +115,6 @@ main(int argc, char **argv)
         else usage("unknown option " + a);
     }
     cfg.validate();
-
-    if (!obs::kBuiltIn) {
-        std::puts("noc_trace: this build has NOC_OBS=OFF — the tracing "
-                  "hooks are compiled out.\nReconfigure with "
-                  "-DNOC_OBS=ON (or `cmake --preset obs`) to record "
-                  "traces.");
-        return 0;
-    }
 
     std::vector<FaultSpec> faults;
     if (faulty)

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <mutex>
 #include <set>
@@ -684,10 +682,7 @@ prove(const SimConfig &cfg)
 bool
 upfrontChecksEnabled()
 {
-    const char *v = std::getenv("NOC_SKIP_CHECK");
-    if (v == nullptr || v[0] == '\0' || std::strcmp(v, "0") == 0)
-        return true;
-    return false;
+    return envNumber<int>("NOC_SKIP_CHECK", 0, 0, 1) == 0;
 }
 
 namespace {

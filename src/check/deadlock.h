@@ -39,7 +39,6 @@
 #include "check/slot_rules.h"
 #include "common/config.h"
 #include "common/types.h"
-#include "router/roco/vc_config.h"
 #include "svc/protocol.h"
 #include "topology/mesh.h"
 
@@ -155,7 +154,8 @@ ProofResult proveService(const SimConfig &cfg);
  */
 ProofResult prove(const SimConfig &cfg);
 
-/** False when the NOC_SKIP_CHECK environment variable is truthy. */
+/** False when the NOC_SKIP_CHECK environment variable is 1 (0 or unset
+ *  keeps the checks; any other value is fatal). */
 bool upfrontChecksEnabled();
 
 /** Which upfront prover a proofFingerprint() keys. */

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "common/config.h"
+
 namespace noc::check {
 
 const char *
@@ -42,8 +44,7 @@ std::mutex gReportMutex;
 bool
 detail::readInvariantsEnv()
 {
-    const char *e = std::getenv("NOC_INVARIANT");
-    const int v = (e != nullptr && e[0] == '0' && e[1] == '\0') ? 0 : 1;
+    const int v = envNumber<int>("NOC_INVARIANT", 1, 0, 1);
     invariantsState.store(v, std::memory_order_relaxed);
     return v == 1;
 }

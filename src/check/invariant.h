@@ -79,8 +79,9 @@ bool readInvariantsEnv();
 
 /**
  * Runtime gate. First call reads the NOC_INVARIANT environment
- * variable ("0" disables, anything else or unset enables); afterwards
- * the cached value is returned until setInvariantsEnabled overrides it.
+ * variable (0 disables, 1 or unset enables, anything else is fatal);
+ * afterwards the cached value is returned until setInvariantsEnabled
+ * overrides it.
  * Inline: the order trackers ask once per buffered flit, so the
  * decided case is one relaxed load, not a call.
  */

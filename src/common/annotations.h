@@ -63,10 +63,10 @@
  *                              release/acquire pair publishes
  *                              (own-epilogue-escape).
  *
- * The dynamic counterpart is src/par/race_check.h: under
- * -DNOC_RACE_CHECK=ON the run loop logs per-step access records for the
- * owned/shared footprints and validate after every superstep that the
- * schedule kept them disjoint.
+ * The dynamic counterpart is src/par/race_check.h: with a checker
+ * attached (NOC_RACE_CHECK=1, or a test's) the run loop logs per-step
+ * access records for the owned/shared footprints and validates after
+ * every superstep that the schedule kept them disjoint.
  */
 #ifndef ROCOSIM_COMMON_ANNOTATIONS_H_
 #define ROCOSIM_COMMON_ANNOTATIONS_H_

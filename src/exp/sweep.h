@@ -109,8 +109,8 @@ struct SweepResults {
     /**
      * Grid-wide observability aggregate: the per-point recorders'
      * summaries merged under a lock as points finish. Null unless at
-     * least one point ran with tracing on (NOC_TRACE in an NOC_OBS
-     * build). Summary::merge is commutative over integer counters, so
+     * least one point ran with tracing on (NOC_TRACE=1).
+     * Summary::merge is commutative over integer counters, so
      * the aggregate is identical for serial and pooled runs.
      */
     std::shared_ptr<obs::Summary> obs;

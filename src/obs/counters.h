@@ -5,9 +5,9 @@
  * mirror-allocator tie rate, early-ejection hit rate) exported to the
  * BENCH JSON.
  *
- * These read the routers' ActivityCounters directly, so they work in
- * every build — the NOC_OBS option only gates the flit-level tracing
- * hooks, not the activity counters the energy model already keeps.
+ * These read the routers' ActivityCounters directly, so they need no
+ * attached Recorder: they are the activity counters the energy model
+ * already keeps, not the flit-level trace.
  */
 #ifndef ROCOSIM_OBS_COUNTERS_H_
 #define ROCOSIM_OBS_COUNTERS_H_

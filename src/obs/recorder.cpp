@@ -39,9 +39,7 @@ Recorder::Recorder(const Options &opt) : opt_(opt)
 std::shared_ptr<Recorder>
 Recorder::fromEnv(const SimConfig &cfg)
 {
-    const char *on = std::getenv("NOC_TRACE");
-    if (on == nullptr || *on == '\0' ||
-        (on[0] == '0' && on[1] == '\0'))
+    if (envNumber<int>("NOC_TRACE", 0, 0, 1) == 0)
         return nullptr;
     Options opt;
     opt.nodes = cfg.meshWidth * cfg.meshHeight;

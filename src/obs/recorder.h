@@ -2,9 +2,9 @@
  * @file
  * Per-run trace recorder: rings + histograms behind one record() call.
  *
- * One Recorder serves one Simulator. Pipeline hooks (wrapped in the
- * NOC_OBS macro so they vanish from hot paths when the build option is
- * off) feed it flit lifecycle events; it keeps
+ * One Recorder serves one Simulator. The pipeline hooks, one
+ * `if (obs_)` test each, feed it flit lifecycle events while it is
+ * attached; it keeps
  *
  *   - scalar event counters per stage (every flit, always cheap),
  *   - residency histograms built from *sampled* packet head flits by
@@ -60,9 +60,9 @@ class Recorder
 
     /**
      * Builds a recorder from the environment, or nullptr when tracing
-     * is off. NOC_TRACE=1 enables; NOC_TRACE_SAMPLE=N samples 1/N
-     * packets (default every packet); NOC_TRACE_BUF=N sizes the
-     * per-router rings (N <= 2^20). A malformed number is fatal.
+     * is off. NOC_TRACE=1 enables (0 or unset: off); NOC_TRACE_SAMPLE=N
+     * samples 1/N packets (default every packet); NOC_TRACE_BUF=N sizes
+     * the per-router rings (N <= 2^20). A malformed value is fatal.
      */
     static std::shared_ptr<Recorder> fromEnv(const SimConfig &cfg);
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/config.h"
 #include "common/log.h"
 
 namespace noc::par {
@@ -248,8 +248,7 @@ RaceChecker::endCycle(Cycle now)
 bool
 RaceChecker::enabledFromEnv()
 {
-    const char *v = std::getenv("NOC_RACE_CHECK");
-    return v == nullptr || v[0] != '0';
+    return envNumber<int>("NOC_RACE_CHECK", 0, 0, 1) == 1;
 }
 
 } // namespace noc::par

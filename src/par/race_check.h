@@ -23,11 +23,10 @@
  * in the same cycle, in any phase; each record carries the window its
  * step ran in, and endCycle checks that rule too.
  *
- * The checker class is always compiled (the seeded-bug fixture ctests
- * drive it directly in every build); the engine hooks that feed it are
- * compiled only under -DNOC_RACE_CHECK=ON and are runtime-gated by the
- * NOC_RACE_CHECK environment variable ("0" disables, default on —
- * mirroring the NOC_INVARIANT gate).
+ * The checker and the run-loop hooks that feed it are compiled into
+ * every build; a hook logs only while a checker is attached to the
+ * Network. Simulator::run attaches a fail-fast one when the
+ * NOC_RACE_CHECK env var is 1 (default 0); tests attach passive ones.
  */
 #ifndef ROCOSIM_PAR_RACE_CHECK_H_
 #define ROCOSIM_PAR_RACE_CHECK_H_
@@ -39,11 +38,9 @@
 #include "common/annotations.h"
 #include "common/types.h"
 
-#if defined(NOC_RACE_CHECK_HOOKS) && NOC_RACE_CHECK_HOOKS
+// Always 1: the hooks are always built. The constant stays because
+// rocobench records it in every result header.
 #define NOC_RACE_CHECK_BUILT 1
-#else
-#define NOC_RACE_CHECK_BUILT 0
-#endif
 
 namespace noc::par {
 
@@ -123,7 +120,8 @@ class RaceChecker
     std::uint64_t recordsLogged() const { return recordsLogged_; }
     std::uint64_t cyclesChecked() const { return cyclesChecked_; }
 
-    /** NOC_RACE_CHECK env gate: only "0" disables; default on. */
+    /** NOC_RACE_CHECK env gate: 1 enables, 0 (the default) disables;
+     *  any other value is fatal. */
     static bool enabledFromEnv();
 
     /** Human name of an object id ("router 7's private state", ...). */

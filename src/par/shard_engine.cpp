@@ -82,10 +82,8 @@ fastForward(Loop &l)
         return;
     const Cycle skipped = next - l.now;
     net.skipCycles(skipped);
-#if NOC_RACE_CHECK_BUILT
     if (RaceChecker *race = net.raceChecker())
         race->skipCycles(skipped);
-#endif
     l.now = next;
 }
 
@@ -100,18 +98,16 @@ void
 endOfCycle(Loop &l, std::uint64_t stepped)
 {
     Network &net = l.net;
-#if NOC_RACE_CHECK_BUILT
     // Superstep validation: every step of the cycle has logged its
     // footprint, and no step runs again until this returns.
     if (RaceChecker *race = net.raceChecker())
         race->endCycle(l.now);
-#endif
     const Cycle done = l.now + 1; // cycles completed
 
     // Coarse path-set occupancy probe; the period keeps its cost
     // negligible against the per-cycle work.
-    NOC_OBS(if (l.obs && done % kProbePeriod == 0)
-                l.obs->samplePathSetOccupancy(net));
+    if (l.obs && done % kProbePeriod == 0)
+        l.obs->samplePathSetOccupancy(net);
 
     // The stop rule: RunControl's (drained, or blocked past the idle
     // window) before the cycle cap, so that a run draining on its last
@@ -377,11 +373,9 @@ RunOutcome
 run(Network &net, obs::Recorder *obs, RunControl &ctl)
 {
     const int shards = effectiveShards(net.config(), net.numNodes());
-#if NOC_RACE_CHECK_BUILT
     RaceChecker *const race = net.raceChecker();
     if (race)
         race->beginRun(shards);
-#endif
 
     Loop loop{net, ctl, obs};
     startCycle(loop); // cycle 0; endOfCycle starts every later one
@@ -395,13 +389,11 @@ run(Network &net, obs::Recorder *obs, RunControl &ctl)
         runShards(loop, shards);
     }
 
-#if NOC_RACE_CHECK_BUILT
     // A fail-fast checker aborts inside endCycle on its first finding;
     // a passive one keeps its findings for the caller to inspect.
     if (race && race->failFast())
         NOC_ASSERT(race->findingsTotal() == 0,
                    "NOC_RACE_CHECK findings escaped the per-cycle gate");
-#endif
     return RunOutcome{loop.now, loop.hitCap};
 }
 

@@ -211,9 +211,8 @@ GenericRouter::forward(Direction outDir, const PacketCtl &ctl, Flit &f,
         return;
     }
     NOC_ASSERT(f.dst == id(), "ejecting at the wrong node");
-    NOC_OBS(if (obs_)
-                obs_->record(obs::Stage::SwitchTraverse, f, id(), now, 0,
-                             f.vc));
+    if (obs_)
+        obs_->record(obs::Stage::SwitchTraverse, f, id(), now, 0, f.vc);
     if (ejectClock_.delay() == 0) {
         nic_->deliverFlit(f, now); // no ST cycles left: straight to the PE
         return;

@@ -141,9 +141,9 @@ class RouterPipeline : public Router
                    ? 0xFF
                    : static_cast<std::uint8_t>(ctl.outSlot);
         sendFlit(outDir, f, now);
-        NOC_OBS(if (obs_) obs_->record(
-                    obs::Stage::SwitchTraverse, f, id(), now,
-                    static_cast<int>(moduleOf(outDir)), f.vc));
+        if (obs_)
+            obs_->record(obs::Stage::SwitchTraverse, f, id(), now,
+                         static_cast<int>(moduleOf(outDir)), f.vc);
     }
 
     /** Called once per VA grant, after the output VC is claimed. */
@@ -276,9 +276,8 @@ class RouterPipeline : public Router
                 Flit ej = *f; // noc-lint:allow(flit-copy) ejection copy to the local port
                 consumeFlitFrom(d, now);
                 ++ej.hops;
-                NOC_OBS(if (obs_)
-                            obs_->record(obs::Stage::EarlyEject, ej, id(),
-                                         now));
+                if (obs_)
+                    obs_->record(obs::Stage::EarlyEject, ej, id(), now);
                 nic_->deliverFlit(ej, now);
                 continue;
             }
@@ -307,8 +306,8 @@ class RouterPipeline : public Router
                          self().injectionBlocked(front))) {
             Flit f = nicPopPending(); // noc-lint:allow(flit-copy) source-drop retire
             retireFlit(f, now);
-            NOC_OBS(if (obs_ && !draining)
-                        obs_->record(obs::Stage::Drop, f, id(), now));
+            if (obs_ && !draining)
+                obs_->record(obs::Stage::Drop, f, id(), now);
             droppingPacket_ = isTail(f.type) ? 0 : f.packetId;
             return;
         }
@@ -342,8 +341,9 @@ class RouterPipeline : public Router
     {
         InputVc &ivc = in_[static_cast<size_t>(idx)];
         ++act_.bufferWrites;
-        NOC_OBS(if (obs_) obs_->record(obs::Stage::BufferWrite, f, id(), now,
-                                       moduleOfVc(idx), idx));
+        if (obs_)
+            obs_->record(obs::Stage::BufferWrite, f, id(), now,
+                         moduleOfVc(idx), idx);
         order_[static_cast<size_t>(idx)].onFlit(f, now, id(), srcDir,
                                                 idx % numVcs_);
         if (isHead(f.type)) {
@@ -388,9 +388,9 @@ class RouterPipeline : public Router
             const bool tail = isTail(f.type);
             const std::uint64_t packetId = f.packetId;
             retireFlit(f, now);
-            NOC_OBS(if (obs_ && isHead(f.type))
-                        obs_->record(obs::Stage::Drop, f, id(), now,
-                                     moduleOfVc(i), i));
+            if (obs_ && isHead(f.type))
+                obs_->record(obs::Stage::Drop, f, id(), now, moduleOfVc(i),
+                             i);
             ivc.buf.drop();
             noteFlitUnbuffered();
             if (ctl.srcDir != Direction::Local) {
@@ -488,9 +488,9 @@ class RouterPipeline : public Router
             ctl.stage = PacketCtl::Stage::Active;
             classify(winner);
             vaWon_ |= 1ull << winner;
-            NOC_OBS(if (obs_) obs_->record(obs::Stage::VaGrant,
-                                           ivc.buf.front(), id(), now,
-                                           moduleOfVc(winner), winner));
+            if (obs_)
+                obs_->record(obs::Stage::VaGrant, ivc.buf.front(), id(),
+                             now, moduleOfVc(winner), winner);
             self().onVaGrant(r);
         }
     }

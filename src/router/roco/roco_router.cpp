@@ -11,9 +11,9 @@ RocoRouter::RocoRouter(NodeId id, const SimConfig &cfg,
                        const FaultMap *faults)
     : RouterPipeline(id, cfg, topo, routing, faults,
                      VcLayout{cfg.vcsPerPort, cfg.bufferDepthModular,
-                              2 * kPortsPerModule * cfg.vcsPerPort,
+                              2 * check::kPortsPerModule * cfg.vcsPerPort,
                               /*perPortSlots=*/false,
-                              kPortsPerModule * cfg.vcsPerPort}),
+                              check::kPortsPerModule * cfg.vcsPerPort}),
       slots_(check::RocoCheckOptions::shipped(routing.kind()),
              routing.kind()),
       deadHere_(check::rocoDeadSlotMask(faultState())),
@@ -21,7 +21,7 @@ RocoRouter::RocoRouter(NodeId id, const SimConfig &cfg,
       sa_{MirrorAllocator(cfg.vcsPerPort),
           MirrorAllocator(cfg.vcsPerPort)}
 {
-    NOC_ASSERT(numVcs_ == kVcsPerSet,
+    NOC_ASSERT(numVcs_ == check::kVcsPerSet,
                "RoCo path sets carry exactly 3 VCs (Table 1)");
     if (faults) {
         for (int d = 0; d < kNumCardinal; ++d) {
@@ -35,7 +35,7 @@ int
 RocoRouter::moduleOccupancy(Module m) const
 {
     int n = 0;
-    for (int p = 0; p < kPortsPerModule; ++p) {
+    for (int p = 0; p < check::kPortsPerModule; ++p) {
         for (int v = 0; v < numVcs_; ++v)
             n += in_[vcIndex(m, p, v)].buf.occupancy();
     }
@@ -232,7 +232,7 @@ RocoRouter::allocateSwitch(Cycle now)
 
         // The module's SA-ready VCs request their packets' outputs;
         // those that won VA this cycle request speculatively.
-        const int moduleSlots = kPortsPerModule * numVcs_;
+        const int moduleSlots = check::kPortsPerModule * numVcs_;
         const int base = mi * moduleSlots;
         std::uint64_t ready =
             (stage_.saReady >> base) & ((1ull << moduleSlots) - 1);
@@ -266,7 +266,7 @@ RocoRouter::allocateSwitch(Cycle now)
 
         // Contention probes: a port with requests either sends or is
         // blocked this cycle.
-        for (int p = 0; p < kPortsPerModule; ++p) {
+        for (int p = 0; p < check::kPortsPerModule; ++p) {
             if ((reqs[p][0] | reqs[p][1] | specReqs[p][0] |
                  specReqs[p][1]) == 0)
                 continue;

@@ -28,7 +28,6 @@
 #include "router/crossbar.h"
 #include "router/pipeline.h"
 #include "router/roco/mirror_allocator.h"
-#include "router/roco/vc_config.h"
 
 namespace noc {
 
@@ -77,8 +76,8 @@ class RocoRouter final : public RouterPipeline<RocoRouter>
     int
     vcIndex(Module m, int port, int vc) const
     {
-        return (static_cast<int>(m) * kPortsPerModule + port) * numVcs_ +
-               vc;
+        const int set = static_cast<int>(m) * check::kPortsPerModule + port;
+        return set * numVcs_ + vc;
     }
 
     /**

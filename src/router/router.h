@@ -133,9 +133,9 @@ class Router
     /** Attaches the network-wide flit lifecycle counters (may be null). */
     void setLedger(FlitLedger *ledger) { ledger_ = ledger; }
     /**
-     * Attaches the trace recorder (may be null). The pipeline hooks it
-     * feeds are compiled in only under NOC_OBS (see obs/obs.h), so in
-     * default builds an attached recorder sees no flit events.
+     * Attaches the trace recorder (null: tracing off). Each pipeline
+     * hook tests obs_ and records only while one is attached (see
+     * obs/obs.h).
      */
     void setObserver(obs::Recorder *obs) { obs_ = obs; }
     /** Registers the adjacent router behind port @p d (handshake wires). */
@@ -199,7 +199,7 @@ class Router
      * sanctioned way a step reaches into a neighbour's NOC_OWNED_STATE,
      * which is why the step schedule must keep same-phase routers at
      * Manhattan distance >= 3 (see topology/partition.h and the
-     * NOC_RACE_CHECK validator in par/race_check.h).
+     * race checker in par/race_check.h).
      */
     NOC_PHASE_FN(alloc)
     bool reserveInputVc(int slotId, Direction fromDir,
@@ -655,7 +655,7 @@ class Router
      * every access single-threaded-sequenced; across phases the shard
      * engine's progress hand-off between bordering shards' boundary
      * steps provides the release/acquire edge, so relaxed suffices and
-     * no fence is needed here. The NOC_RACE_CHECK dynamic checker
+     * no fence is needed here. The race checker, when attached,
      * re-verifies the single-accessor claim every superstep (see
      * par/race_check.h).
      */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <utility>
 
 #include "check/invariant.h"
@@ -61,9 +60,8 @@ Network::build(const std::vector<FaultSpec> &faults)
     // it, however long its stranded source queue. The env override
     // serves the equivalence tests and benchmarks (NOC_IDLE_SKIP=0
     // forces every step).
-    idleSkip_ = cfg_.idleSkip;
-    if (const char *env = std::getenv("NOC_IDLE_SKIP"))
-        idleSkip_ = env[0] != '0';
+    idleSkip_ =
+        envNumber<int>("NOC_IDLE_SKIP", cfg_.idleSkip ? 1 : 0, 0, 1) == 1;
     active_ = std::make_unique<std::atomic<std::uint8_t>[]>(
         static_cast<size_t>(n));
     auto wakeFlag = [&](NodeId id) -> std::atomic<std::uint8_t> * {
@@ -379,7 +377,8 @@ Network::checkProtocolInvariants(Cycle now) const
                           "recycle per component");
             for (const DeadVc &dv : fs.deadVcs) {
                 NOC_INVARIANT(
-                    dv.portIndex >= 0 && dv.portIndex < kPortsPerModule &&
+                    dv.portIndex >= 0 &&
+                        dv.portIndex < check::kPortsPerModule &&
                         dv.vcIndex >= 0 && dv.vcIndex < cfg_.vcsPerPort,
                     check::InvariantKind::FaultConsistency, now, n,
                     Direction::Invalid, dv.vcIndex,

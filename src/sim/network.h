@@ -79,8 +79,8 @@ class Network
      * a shard worker per phase and window). With idle-skip on, a router
      * whose flag is clear is skipped and a router left without local
      * work has its flag cleared. @p phase, @p shard and @p interior
-     * only label the steps for the race checker (NOC_RACE_CHECK
-     * builds). Returns the steps executed.
+     * only label the steps for the race checker, when one is
+     * attached. Returns the steps executed.
      */
     NOC_PHASE_FN(engine)
     std::uint64_t stepRouters(std::span<const StepEntry> list, Cycle now,
@@ -128,9 +128,8 @@ class Network
     std::atomic<std::uint8_t> &activeFlag(NodeId n) { return active_[n]; }
 
     /**
-     * Attaches the shard-ownership race checker (null detaches). The
-     * run loop only feeds it in NOC_RACE_CHECK builds; attaching is
-     * always legal (see par/race_check.h).
+     * Attaches the shard-ownership race checker (null detaches); the
+     * run loop feeds it every executed step (see par/race_check.h).
      */
     void setRaceChecker(par::RaceChecker *rc) { race_ = rc; }
     par::RaceChecker *raceChecker() const { return race_; }
@@ -209,9 +208,8 @@ class Network
     void setLedgerTotals(const FlitLedger &l) { ledger_ = l; }
 
     /**
-     * Attaches @p obs to every router and NIC (null detaches). The
-     * flit-event hooks it feeds only exist under NOC_OBS=ON builds;
-     * attaching is always legal (see obs/obs.h).
+     * Attaches @p obs to every router and NIC (null detaches); their
+     * flit-event hooks feed it (see obs/obs.h).
      */
     void setObserver(obs::Recorder *obs);
 
@@ -240,7 +238,7 @@ class Network
      * consistency rules, and each router's stage masks and idle-skip
      * work counter. Call between cycles — the conservation equations
      * are exact only when no router is mid-step. No-op when invariants
-     * are compiled out or disabled.
+     * are disabled (NOC_INVARIANT=0).
      */
     void checkProtocolInvariants(Cycle now) const;
 
@@ -302,20 +300,15 @@ class Network
 
 // Inline so step() keeps its per-phase loop in one function.
 inline std::uint64_t
-Network::stepRouters(std::span<const StepEntry> list, Cycle now,
-                     [[maybe_unused]] int phase, [[maybe_unused]] int shard,
-                     [[maybe_unused]] bool interior)
+Network::stepRouters(std::span<const StepEntry> list, Cycle now, int phase,
+                     int shard, bool interior)
 {
-#if NOC_RACE_CHECK_BUILT
     par::RaceChecker *const race = race_;
-#endif
     if (!idleSkip_) {
         for (const StepEntry &e : list) {
             e.r->step(now);
-#if NOC_RACE_CHECK_BUILT
             if (race)
                 race->noteStep(e.r->id(), phase, shard, interior);
-#endif
         }
         return list.size();
     }
@@ -325,10 +318,8 @@ Network::stepRouters(std::span<const StepEntry> list, Cycle now,
             continue; // provably a no-op (see DESIGN 12)
         e.r->step(now);
         ++executed;
-#if NOC_RACE_CHECK_BUILT
         if (race)
             race->noteStep(e.r->id(), phase, shard, interior);
-#endif
         if (!e.r->hasLocalWork())
             e.flag->store(0, std::memory_order_relaxed);
     }

@@ -162,8 +162,8 @@ Nic::enqueueWithId(NodeId dst, Cycle now, std::uint64_t pid, bool measured,
         f.yxOrder = yxOrder;
         f.measured = measured;
         f.cls = cls;
-        NOC_OBS(if (obs_ && isHead(f.type))
-                    obs_->record(obs::Stage::SourceEnqueue, f, id_, now));
+        if (obs_ && isHead(f.type))
+            obs_->record(obs::Stage::SourceEnqueue, f, id_, now);
         sourceQueue_.push_back(f);
     }
     ++injected_;
@@ -206,8 +206,8 @@ Nic::deliverFlit(const Flit &f, Cycle now)
             static_cast<std::uint64_t>(now - f.createTime);
     }
 
-    NOC_OBS(if (obs_ && isHead(f.type))
-                obs_->record(obs::Stage::Eject, f, id_, now));
+    if (obs_ && isHead(f.type))
+        obs_->record(obs::Stage::Eject, f, id_, now);
 
     std::size_t slot = 0;
     while (slot < arrivals_.size() &&
@@ -265,7 +265,8 @@ Nic::deliverFlit(const Flit &f, Cycle now)
                 }
             }
         }
-        NOC_OBS(if (obs_) obs_->recordEndToEnd(f, now));
+        if (obs_)
+            obs_->recordEndToEnd(f, now);
     }
 }
 

@@ -97,7 +97,7 @@ class Nic
     /** Attaches the network-wide flit lifecycle counters (may be null). */
     void setLedger(FlitLedger *ledger) { ledger_ = ledger; }
 
-    /** Attaches the trace recorder (may be null; see obs/obs.h). */
+    /** Attaches the trace recorder (null: tracing off; see obs/obs.h). */
     void setObserver(obs::Recorder *obs) { obs_ = obs; }
 
     /**

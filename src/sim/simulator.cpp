@@ -40,19 +40,15 @@ Simulator::attachObserver(std::shared_ptr<obs::Recorder> obs)
 SimResult
 Simulator::run()
 {
-    // Env-driven tracing: only consulted when no recorder was attached
-    // programmatically, and only able to see events in NOC_OBS builds.
-#if NOC_OBS_BUILT
+    // Env-driven tracing (NOC_TRACE=1): only consulted when no recorder
+    // was attached programmatically.
     if (!obs_) {
         if (auto rec = obs::Recorder::fromEnv(cfg_))
             attachObserver(std::move(rec));
     }
-#endif
 
-#if NOC_RACE_CHECK_BUILT
-    // Shard-ownership race checker (par/race_check.h): compiled in by
-    // -DNOC_RACE_CHECK=ON, runtime-gated by the NOC_RACE_CHECK env var
-    // ("0" disables). A checker attached programmatically (tests)
+    // Shard-ownership race checker (par/race_check.h), fail-fast, when
+    // NOC_RACE_CHECK=1. A checker attached programmatically (tests)
     // takes precedence and keeps its own fail-fast policy.
     std::unique_ptr<par::RaceChecker> race;
     if (net_.raceChecker() == nullptr &&
@@ -62,17 +58,14 @@ Simulator::run()
         race->setFailFast(true);
         net_.setRaceChecker(race.get());
     }
-#endif
 
     // The run loop, at every shard count (par/shard_engine.h).
     RunControl ctl(cfg_);
     const par::RunOutcome out = par::run(net_, obs_.get(), ctl);
     const Cycle now = out.endCycle;
 
-#if NOC_RACE_CHECK_BUILT
     if (race)
         net_.setRaceChecker(nullptr);
-#endif
 
     SimResult r;
     r.timedOut = out.timedOut;
@@ -153,7 +146,6 @@ Simulator::run()
         }
     }
 
-#if NOC_OBS_BUILT
     // NOC_TRACE_OUT=<path>: dump the run's Perfetto trace on exit.
     if (obs_) {
         if (const char *out = std::getenv("NOC_TRACE_OUT");
@@ -161,7 +153,6 @@ Simulator::run()
             obs::writePerfetto(*obs_, out);
         }
     }
-#endif
     return r;
 }
 

@@ -107,8 +107,7 @@ class Simulator
     /**
      * Attaches a trace recorder for this run (wired into every router
      * and NIC). Without an explicit recorder, run() consults the
-     * NOC_TRACE environment (obs::Recorder::fromEnv). The recorder
-     * only sees flit events in NOC_OBS=ON builds.
+     * NOC_TRACE environment (obs::Recorder::fromEnv).
      */
     void attachObserver(std::shared_ptr<obs::Recorder> obs);
 

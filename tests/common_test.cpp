@@ -1,13 +1,21 @@
 /** @file Unit tests for common/types.h, common/config.h and common/flit.h. */
 #include <cstdint>
+#include <cstdlib>
 #include <iterator>
 #include <limits>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "check/deadlock.h"
+#include "check/invariant.h"
 #include "common/config.h"
 #include "common/flit.h"
 #include "common/types.h"
+#include "obs/recorder.h"
+#include "par/race_check.h"
+#include "sim/network.h"
 
 namespace noc {
 namespace {
@@ -156,6 +164,52 @@ TEST(ConfigTest, ParseNumberTakesOnlyWholeStrings)
     for (const char *bad : {"abc", "0.1,", "nan", "inf", "1e999"})
         EXPECT_FALSE(parseNumber<double>(bad).has_value()) << bad;
 }
+
+/** One on/off env switch and a call that reads it. */
+struct EnvSwitch {
+    const char *name;
+    void (*read)();
+};
+
+// Names the parameter in test listings (stable across runs).
+void
+PrintTo(const EnvSwitch &s, std::ostream *os)
+{
+    *os << s.name;
+}
+
+const EnvSwitch kEnvSwitches[] = {
+    {"NOC_SKIP_CHECK", [] { check::upfrontChecksEnabled(); }},
+    {"NOC_INVARIANT", [] { check::detail::readInvariantsEnv(); }},
+    {"NOC_IDLE_SKIP", [] { Network net(SimConfig{}); }},
+    {"NOC_TRACE", [] { obs::Recorder::fromEnv(SimConfig{}); }},
+    {"NOC_RACE_CHECK", [] { par::RaceChecker::enabledFromEnv(); }},
+};
+
+class EnvSwitchDeathTest : public testing::TestWithParam<EnvSwitch>
+{
+};
+
+// An on/off switch is 0 or 1. Anything else is fatal and named, so a
+// typo such as NOC_SKIP_CHECK=false cannot turn a gate off (or on).
+TEST_P(EnvSwitchDeathTest, TakesOnlyZeroOrOne)
+{
+    const EnvSwitch &s = GetParam();
+    for (const char *bad : {"false", "", "2"}) {
+        ASSERT_EQ(setenv(s.name, bad, 1), 0);
+        EXPECT_EXIT(s.read(), testing::ExitedWithCode(1),
+                    std::string(s.name) + "='" + bad +
+                        "' is not a whole number in \\[0, 1\\]")
+            << bad;
+    }
+    ASSERT_EQ(unsetenv(s.name), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OnOff, EnvSwitchDeathTest, testing::ValuesIn(kEnvSwitches),
+    [](const testing::TestParamInfo<EnvSwitch> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(ConfigValidationDeathTest, RejectsBadMesh)
 {

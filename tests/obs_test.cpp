@@ -3,8 +3,7 @@
  * Observability subsystem unit tests: histogram bucket math at the
  * octave boundaries, ring wrap-around, deterministic sampling, the
  * zero-allocation guarantee of the disabled paths, Perfetto export
- * structure, and (in NOC_OBS builds) end-to-end capture through a real
- * Simulator run.
+ * structure, and end-to-end capture through a real Simulator run.
  *
  * The ObsConcurrentMerge fixture runs under the tsan preset (see the
  * CI test filter): many threads folding Summaries into one aggregate
@@ -14,11 +13,16 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <new>
+#include <sstream>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -26,7 +30,6 @@
 #include "exp/sweep.h"
 #include "obs/counters.h"
 #include "obs/hdr_histogram.h"
-#include "obs/obs.h"
 #include "obs/perfetto.h"
 #include "obs/recorder.h"
 #include "obs/ring_buffer.h"
@@ -503,17 +506,9 @@ TEST(RecorderTest, ConsecutiveEventsBecomeSlices)
 
 // --- Perfetto export -------------------------------------------------
 
-TEST(PerfettoTest, StructurallyValidJson)
+void
+expectValidPerfetto(const std::string &json)
 {
-    Recorder rec(tinyOptions());
-    Flit f = headFlit(42, 0, 3);
-    rec.record(Stage::SourceEnqueue, f, 0, 1);
-    rec.record(Stage::BufferWrite, f, 0, 3);
-    rec.record(Stage::VaGrant, f, 0, 4);
-    rec.record(Stage::SwitchTraverse, f, 0, 5);
-    rec.record(Stage::Eject, f, 3, 9);
-
-    std::string json = perfettoJson(rec);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"process_name\""), std::string::npos);
     EXPECT_NE(json.find("\"source-queue\""), std::string::npos);
@@ -533,6 +528,18 @@ TEST(PerfettoTest, StructurallyValidJson)
         EXPECT_GE(depth, 0);
     }
     EXPECT_EQ(depth, 0);
+}
+
+TEST(PerfettoTest, StructurallyValidJson)
+{
+    Recorder rec(tinyOptions());
+    Flit f = headFlit(42, 0, 3);
+    rec.record(Stage::SourceEnqueue, f, 0, 1);
+    rec.record(Stage::BufferWrite, f, 0, 3);
+    rec.record(Stage::VaGrant, f, 0, 4);
+    rec.record(Stage::SwitchTraverse, f, 0, 5);
+    rec.record(Stage::Eject, f, 3, 9);
+    expectValidPerfetto(perfettoJson(rec));
 }
 
 // --- end-to-end capture through a Simulator -------------------------
@@ -603,9 +610,6 @@ TEST(ObsSimulatorTest, RecorderDoesNotPerturbResults)
 
 TEST(ObsSimulatorTest, CapturesFullLifecycle)
 {
-    if (!kBuiltIn)
-        GTEST_SKIP() << "NOC_OBS=OFF build: tracing hooks compiled out";
-
     SimConfig cfg = smallConfig();
     Simulator sim(cfg);
     Recorder::Options opt;
@@ -627,6 +631,30 @@ TEST(ObsSimulatorTest, CapturesFullLifecycle)
     EXPECT_GE(s.endToEnd.count(), s.endToEndMeasured.count());
     std::string json = perfettoJson(*rec);
     EXPECT_NE(json.find("\"source-queue\""), std::string::npos);
+}
+
+TEST(ObsSimulatorTest, TraceEnvWritesPerfettoJson)
+{
+    const std::string path = testing::TempDir() + "obs_test_trace_" +
+                             std::to_string(getpid()) + ".json";
+    std::remove(path.c_str());
+    ASSERT_EQ(setenv("NOC_TRACE_OUT", path.c_str(), 1), 0);
+
+    // NOC_TRACE unset: no recorder attaches, so nothing is written.
+    ASSERT_EQ(unsetenv("NOC_TRACE"), 0);
+    Simulator(smallConfig()).run();
+    EXPECT_FALSE(std::ifstream(path).good());
+
+    ASSERT_EQ(setenv("NOC_TRACE", "1", 1), 0);
+    Simulator(smallConfig()).run();
+    ASSERT_EQ(unsetenv("NOC_TRACE"), 0);
+    ASSERT_EQ(unsetenv("NOC_TRACE_OUT"), 0);
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "NOC_TRACE=1 wrote no trace to " << path;
+    std::ostringstream json;
+    json << in.rdbuf();
+    expectValidPerfetto(json.str());
+    std::remove(path.c_str());
 }
 
 // --- concurrent merge (exercised under tsan via the CI filter) ------
@@ -716,13 +744,6 @@ TEST(ObsConcurrentMergeTest, SweepAggregateIndependentOfPoolSize)
     exp::SweepResults pooled = exp::SweepRunner(4).run(spec);
     unsetenv("NOC_TRACE");
 
-    if (!kBuiltIn) {
-        // Without compiled-in hooks nothing records and no aggregate
-        // forms — in either mode.
-        EXPECT_EQ(serial.obs, nullptr);
-        EXPECT_EQ(pooled.obs, nullptr);
-        return;
-    }
     ASSERT_NE(serial.obs, nullptr);
     ASSERT_NE(pooled.obs, nullptr);
     expectSummaryEq(*serial.obs, *pooled.obs);

@@ -4,20 +4,17 @@
  *
  * Two layers:
  *
- *  1. Seeded-bug fixtures that drive the checker directly — these run
- *     in every build (the RaceChecker class is always compiled) and
- *     pin down that a broken colouring, a non-atomic mirror access or
+ *  1. Seeded-bug fixtures that drive the checker directly. They pin
+ *     down that a broken colouring, a non-atomic mirror access or
  *     a boundary node stepped in the interior window is caught, naming
  *     both routers, their shards and the cycle.
  *
  *  2. A clean-tree matrix over router architecture x routing x the
  *     Table-3 fault classes, serial and 4-shard, which must log real
- *     records and report zero findings. The engine hooks that feed the
- *     checker only exist under -DNOC_RACE_CHECK=ON, so this layer is
- *     skipped in plain builds.
+ *     records through the run loop's hooks and report zero findings.
  *
- * Suite names contain "RaceCheck" on purpose: the race CI job selects
- * them by that substring.
+ * Suite names contain "RaceCheck" on purpose: the sharded CI job's
+ * race-check step selects them by that substring.
  */
 #include <gtest/gtest.h>
 
@@ -285,14 +282,15 @@ TEST(RaceCheckFixtureTest, ObjectNamesDecodeEveryClass)
               "router 7's wake flag");
 }
 
-TEST(RaceCheckFixtureTest, EnvGateOnlyZeroDisables)
+TEST(RaceCheckFixtureTest, EnvGateIsOffUnlessOne)
 {
+    ASSERT_EQ(unsetenv("NOC_RACE_CHECK"), 0);
+    EXPECT_FALSE(RaceChecker::enabledFromEnv());
     ASSERT_EQ(setenv("NOC_RACE_CHECK", "0", 1), 0);
     EXPECT_FALSE(RaceChecker::enabledFromEnv());
     ASSERT_EQ(setenv("NOC_RACE_CHECK", "1", 1), 0);
     EXPECT_TRUE(RaceChecker::enabledFromEnv());
     ASSERT_EQ(unsetenv("NOC_RACE_CHECK"), 0);
-    EXPECT_TRUE(RaceChecker::enabledFromEnv());
 }
 
 TEST(RaceCheckFixtureDeathTest, FailFastAbortsOnFirstFinding)
@@ -310,10 +308,9 @@ TEST(RaceCheckFixtureDeathTest, FailFastAbortsOnFirstFinding)
  * Runs one simulation with a passively-attached checker and returns
  * it for inspection. The checker accumulates instead of aborting, so
  * a (hypothetical) schedule bug would surface as a readable finding
- * list rather than a process exit. Only the matrix tests built with
- * -DNOC_RACE_CHECK=ON call it.
+ * list rather than a process exit.
  */
-[[maybe_unused]] void
+void
 expectCleanRun(SimConfig cfg, const std::vector<FaultSpec> &faults,
                int shards, const char *what)
 {
@@ -328,16 +325,13 @@ expectCleanRun(SimConfig cfg, const std::vector<FaultSpec> &faults,
         << (race.findings().empty() ? std::string("(capped)")
                                     : race.findings().front());
     EXPECT_GT(race.recordsLogged(), 0u)
-        << "the NOC_RACE_CHECK hooks logged nothing — are they built?";
+        << "the run loop's race-check hooks logged nothing";
     // Exactly one superstep validation per simulated cycle.
     EXPECT_EQ(race.cyclesChecked(), r.drainCycles);
 }
 
 TEST(RaceCheckMatrixTest, CleanTreeOverArchRoutingAndFaultMatrix)
 {
-#if !NOC_RACE_CHECK_BUILT
-    GTEST_SKIP() << "engine hooks need -DNOC_RACE_CHECK=ON";
-#else
     MeshTopology topo(6, 6);
     std::vector<FaultSpec> critical = placeRandomFaults(
         topo, FaultClass::RouterCentricCritical, 2, 3, 11);
@@ -377,18 +371,14 @@ TEST(RaceCheckMatrixTest, CleanTreeOverArchRoutingAndFaultMatrix)
             }
         }
     }
-#endif
 }
 
 TEST(RaceCheckMatrixTest, EnvCreatedCheckerCoversPlainRuns)
 {
-#if !NOC_RACE_CHECK_BUILT
-    GTEST_SKIP() << "engine hooks need -DNOC_RACE_CHECK=ON";
-#else
-    // No checker attached: Simulator::run creates its own fail-fast
-    // checker from the environment gate and asserts zero findings.
+    // No checker attached: with NOC_RACE_CHECK=1, Simulator::run
+    // creates its own fail-fast checker and asserts zero findings.
     // Reaching the end of run() without a fatal() IS the assertion.
-    ASSERT_EQ(unsetenv("NOC_RACE_CHECK"), 0);
+    ASSERT_EQ(setenv("NOC_RACE_CHECK", "1", 1), 0);
     SimConfig cfg;
     cfg.arch = RouterArch::Roco;
     cfg.routing = RoutingKind::XY;
@@ -402,8 +392,8 @@ TEST(RaceCheckMatrixTest, EnvCreatedCheckerCoversPlainRuns)
     cfg.shards = 2;
     Simulator sim(cfg);
     SimResult r = sim.run();
+    ASSERT_EQ(unsetenv("NOC_RACE_CHECK"), 0);
     EXPECT_GT(r.delivered, 0u);
-#endif
 }
 
 } // namespace

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "fault/fault_injector.h"
-#include "obs/obs.h"
 #include "obs/recorder.h"
 #include "par/barrier.h"
 #include "par/shard_engine.h"
@@ -290,27 +289,22 @@ observeRun(SimConfig cfg, const std::vector<FaultSpec> &faults, int shards)
 {
     cfg.shards = shards;
     Simulator sim(cfg, faults);
-    std::shared_ptr<obs::Recorder> rec;
-    if (obs::kBuiltIn) {
-        obs::Recorder::Options opt;
-        opt.nodes = cfg.meshWidth * cfg.meshHeight;
-        opt.meshWidth = cfg.meshWidth;
-        opt.meshHeight = cfg.meshHeight;
-        opt.arch = cfg.arch;
-        rec = std::make_shared<obs::Recorder>(opt);
-        sim.attachObserver(rec);
-    }
+    obs::Recorder::Options opt;
+    opt.nodes = cfg.meshWidth * cfg.meshHeight;
+    opt.meshWidth = cfg.meshWidth;
+    opt.meshHeight = cfg.meshHeight;
+    opt.arch = cfg.arch;
+    auto rec = std::make_shared<obs::Recorder>(opt);
+    sim.attachObserver(rec);
     RunObservation out;
     out.r = sim.run();
     out.ledger = sim.network().ledger();
     out.genPackets = sim.network().packetsGenerated();
-    if (rec) {
-        obs::Summary s = rec->summary();
-        out.obsE2e = s.endToEnd.count();
-        out.obsMeasured = s.endToEndMeasured.count();
-        out.obsSampled = s.counters.sampledPackets;
-        out.obsDropped = s.counters.ringDropped;
-    }
+    const obs::Summary s = rec->summary();
+    out.obsE2e = s.endToEnd.count();
+    out.obsMeasured = s.endToEndMeasured.count();
+    out.obsSampled = s.counters.sampledPackets;
+    out.obsDropped = s.counters.ringDropped;
     return out;
 }
 

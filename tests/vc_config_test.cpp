@@ -9,9 +9,8 @@
 #include <string>
 
 #include "check/slot_rules.h"
-#include "router/roco/vc_config.h"
 
-namespace noc {
+namespace noc::check {
 namespace {
 
 using enum VcClass;
@@ -194,4 +193,4 @@ TEST(ClassifyDeathTest, LocalOutputIsNeverBuffered)
 }
 
 } // namespace
-} // namespace noc
+} // namespace noc::check

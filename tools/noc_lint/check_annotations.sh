@@ -32,8 +32,6 @@ src/router/arbiter.h
 src/router/arbiter.cpp
 src/router/crossbar.h
 src/router/vc_buffer.h
-src/router/roco/vc_config.h
-src/router/roco/vc_config.cpp
 src/router/roco/mirror_allocator.h
 src/router/roco/mirror_allocator.cpp
 '

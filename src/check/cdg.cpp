@@ -6,19 +6,52 @@
 
 namespace noc::check {
 
-int
-Cdg::countr_zero(std::uint64_t v)
-{
-    return __builtin_ctzll(v);
-}
-
 Cdg::Cdg(int numVertices)
-    : n_(numVertices), words_((numVertices + 63) / 64)
+    : n_(numVertices), rowWords_((numVertices + 63) / 64),
+      rows_(static_cast<std::size_t>(numVertices > 0 ? numVertices : 0))
 {
     NOC_ASSERT(numVertices > 0, "CDG needs at least one vertex");
-    adj_.assign(static_cast<std::size_t>(n_) *
-                    static_cast<std::size_t>(words_),
-                0);
+}
+
+inline void
+Cdg::orInto(int from, std::uint32_t index, std::uint64_t bits)
+{
+    Row &r = rows_[static_cast<std::size_t>(from)];
+    std::uint32_t i = r.begin;
+    const std::uint32_t end = r.begin + r.size;
+    while (i < end && words_[i].index < index)
+        ++i;
+    if (i < end && words_[i].index == index) {
+        edges_ += static_cast<std::size_t>(
+            __builtin_popcountll(bits & ~words_[i].bits));
+        words_[i].bits |= bits;
+        return;
+    }
+    insertWord(r, i, index, bits);
+}
+
+void
+Cdg::insertWord(Row &r, std::uint32_t at, std::uint32_t index,
+                std::uint64_t bits)
+{
+    if (r.size == r.cap) {
+        // Out of room: move the row to the end with twice the room.
+        const std::uint32_t cap = std::max<std::uint32_t>(4, 2 * r.cap);
+        const std::size_t moved = words_.size();
+        words_.resize(moved + cap);
+        std::copy(words_.begin() + r.begin,
+                  words_.begin() + r.begin + r.size,
+                  words_.begin() + static_cast<std::ptrdiff_t>(moved));
+        at = static_cast<std::uint32_t>(moved) + (at - r.begin);
+        r.begin = static_cast<std::uint32_t>(moved);
+        r.cap = cap;
+    }
+    std::copy_backward(words_.begin() + at,
+                       words_.begin() + r.begin + r.size,
+                       words_.begin() + r.begin + r.size + 1);
+    words_[at] = Word{index, bits};
+    ++r.size;
+    edges_ += static_cast<std::size_t>(__builtin_popcountll(bits));
 }
 
 void
@@ -30,23 +63,16 @@ Cdg::addEdges(int baseU, std::uint64_t u, int baseV, std::uint64_t v)
                    baseV >= 0 && baseV + 63 - __builtin_clzll(v) < n_,
                "CDG edge endpoint out of range");
     // The request mask lands in at most two adjacent words of a row.
-    const std::size_t word = static_cast<std::size_t>(baseV / 64);
+    const std::uint32_t word = static_cast<std::uint32_t>(baseV / 64);
     const int shift = baseV % 64;
     const std::uint64_t lo = v << shift;
     const std::uint64_t hi = shift == 0 ? 0 : v >> (64 - shift);
-    auto orIn = [this](std::uint64_t &w, std::uint64_t bits) {
-        edges_ +=
-            static_cast<std::size_t>(__builtin_popcountll(bits & ~w));
-        w |= bits;
-    };
     for (std::uint64_t held = u; held; held &= held - 1) {
-        const std::size_t from =
-            static_cast<std::size_t>(baseU + countr_zero(held));
-        std::uint64_t *row =
-            &adj_[from * static_cast<std::size_t>(words_) + word];
-        orIn(row[0], lo);
+        const int from = baseU + __builtin_ctzll(held);
+        if (lo)
+            orInto(from, word, lo);
         if (hi)
-            orIn(row[1], hi);
+            orInto(from, word + 1, hi);
     }
 }
 
@@ -55,34 +81,52 @@ Cdg::hasEdge(int from, int to) const
 {
     NOC_ASSERT(from >= 0 && from < n_ && to >= 0 && to < n_,
                "CDG edge endpoint out of range");
-    return (adj_[static_cast<std::size_t>(from) *
-                     static_cast<std::size_t>(words_) +
-                 static_cast<std::size_t>(to / 64)] &
-            (1ull << (to % 64))) != 0;
+    const Row &r = rows_[static_cast<std::size_t>(from)];
+    const std::uint32_t index = static_cast<std::uint32_t>(to / 64);
+    for (std::uint32_t i = r.begin; i < r.begin + r.size; ++i) {
+        if (words_[i].index == index)
+            return (words_[i].bits >> (to % 64)) & 1;
+    }
+    return false;
 }
 
 std::uint64_t
 Cdg::digest(std::uint64_t h) const
 {
     constexpr std::uint64_t kPrime = 0x100000001b3ull;
-    // A zero byte only multiplies by the prime, so a zero word (most
-    // of a sparse adjacency matrix) is one multiply by its 8th power.
+    // A zero byte only multiplies by the prime, so a zero word is one
+    // multiply by its 8th power and a run of k zero words one multiply
+    // by the 8k-th.
     constexpr std::uint64_t kPrime8 = [] {
         std::uint64_t p = 1;
         for (int i = 0; i < 8; ++i)
             p *= kPrime;
         return p;
     }();
-    for (std::uint64_t word : adj_) {
-        if (word == 0) {
-            h *= kPrime8;
-            continue;
+    std::uint64_t zeros = 0; // zero words not folded yet
+    auto foldZeros = [&] {
+        std::uint64_t p = 1;
+        for (std::uint64_t base = kPrime8; zeros; zeros >>= 1) {
+            if (zeros & 1)
+                p *= base;
+            base *= base;
         }
-        for (int b = 0; b < 8; ++b) {
-            h ^= (word >> (8 * b)) & 0xffu;
-            h *= kPrime;
+        h *= p;
+    };
+    for (const Row &r : rows_) {
+        std::uint64_t next = 0; // dense index of the row's next word
+        for (std::uint32_t i = r.begin; i < r.begin + r.size; ++i) {
+            zeros += words_[i].index - next;
+            foldZeros();
+            for (int b = 0; b < 8; ++b) {
+                h ^= (words_[i].bits >> (8 * b)) & 0xffu;
+                h *= kPrime;
+            }
+            next = words_[i].index + 1;
         }
+        zeros += static_cast<std::uint64_t>(rowWords_) - next;
     }
+    foldZeros();
     return h;
 }
 
@@ -91,7 +135,7 @@ namespace {
 /** Iterative Tarjan SCC frame: vertex plus resume position. */
 struct Frame {
     int v;
-    int word;          ///< adjacency word being scanned
+    std::uint32_t word; ///< position in words_ of the word being scanned
     std::uint64_t bits; ///< unscanned bits of that word
 };
 
@@ -120,33 +164,29 @@ Cdg::findCycle() const
         bool entering = true;
         while (!frames.empty() && component.empty()) {
             Frame &f = frames.back();
+            const Row &row = rows_[static_cast<std::size_t>(f.v)];
             if (entering) {
                 index[static_cast<std::size_t>(f.v)] = nextIndex;
                 low[static_cast<std::size_t>(f.v)] = nextIndex;
                 ++nextIndex;
                 stack.push_back(f.v);
                 onStack[static_cast<std::size_t>(f.v)] = true;
-                f.word = 0;
-                f.bits = adj_[static_cast<std::size_t>(f.v) *
-                              static_cast<std::size_t>(words_)];
+                f.word = row.begin;
+                f.bits = row.size ? words_[row.begin].bits : 0;
                 entering = false;
             }
             // Advance to the next out-edge of f.v.
             int next = -1;
-            while (f.word < words_) {
+            while (f.word < row.begin + row.size) {
                 if (f.bits == 0) {
                     ++f.word;
-                    if (f.word < words_) {
-                        f.bits =
-                            adj_[static_cast<std::size_t>(f.v) *
-                                     static_cast<std::size_t>(words_) +
-                                 static_cast<std::size_t>(f.word)];
-                    }
+                    if (f.word < row.begin + row.size)
+                        f.bits = words_[f.word].bits;
                     continue;
                 }
-                int b = countr_zero(f.bits);
+                int b = __builtin_ctzll(f.bits);
                 f.bits &= f.bits - 1;
-                next = f.word * 64 + b;
+                next = static_cast<int>(words_[f.word].index) * 64 + b;
                 break;
             }
             if (next >= 0) {

@@ -78,10 +78,10 @@ class PsPoolTable
   public:
     PsPoolTable(const MeshTopology &topo, int vcsPerPort)
         : topo_(topo), vcsPerPort_(vcsPerPort),
-          rows_(static_cast<std::size_t>(topo.numNodes()))
+          classes_(static_cast<std::size_t>(topo.numNodes()))
     {
-        coords_.reserve(rows_.size());
-        for (NodeId n = 0; n < rows_.size(); ++n)
+        coords_.reserve(classes_.size());
+        for (NodeId n = 0; n < classes_.size(); ++n)
             coords_.push_back(topo.coord(n));
     }
 
@@ -89,9 +89,20 @@ class PsPoolTable
     const PsPools &
     at(NodeId n, NodeId dst)
     {
+        return byClass_[signClass(n, dst)];
+    }
+
+    /**
+     * The sign class of @p n's offset from @p dst, (sx + 1) * 3 +
+     * (sy + 1): 4 for @p dst itself. Nodes of one class have the same
+     * pools.
+     */
+    int
+    signClass(NodeId n, NodeId dst)
+    {
         if (dst != dst_)
             refill(dst);
-        return rows_[n];
+        return classes_[n];
     }
 
   private:
@@ -100,19 +111,16 @@ class PsPoolTable
     {
         dst_ = dst;
         const Coord d = coords_[dst];
-        PsPools byClass[9];
         bool known[9] = {};
-        for (NodeId m = 0; m < rows_.size(); ++m) {
-            if (m == dst)
-                continue;
+        for (NodeId m = 0; m < classes_.size(); ++m) {
             const Coord c = coords_[m];
             const int cls = ((c.x > d.x) - (c.x < d.x) + 1) * 3 +
                             (c.y > d.y) - (c.y < d.y) + 1;
-            if (!known[cls]) {
-                byClass[cls] = psPools(topo_, m, dst, vcsPerPort_);
+            classes_[m] = static_cast<std::uint8_t>(cls);
+            if (m != dst && !known[cls]) {
+                byClass_[cls] = psPools(topo_, m, dst, vcsPerPort_);
                 known[cls] = true;
             }
-            rows_[m] = byClass[cls];
         }
     }
 
@@ -120,8 +128,49 @@ class PsPoolTable
     int vcsPerPort_;
     NodeId dst_ = kInvalidNode;
     std::vector<Coord> coords_;
-    std::vector<PsPools> rows_;
+    std::vector<std::uint8_t> classes_;
+    PsPools byClass_[9];
 };
+
+/**
+ * Transition contexts a visitor has already recorded. Where a
+ * visitor's edges are a function of a small context (a transition's
+ * node, ports and flavour, say), it records each context once rather
+ * than once per destination that routes through it.
+ */
+class Recorded
+{
+  public:
+    explicit Recorded(std::size_t contexts) : seen_(contexts) {}
+
+    /** True the first time @p context is asked about. */
+    bool
+    first(std::size_t context)
+    {
+        if (seen_[context])
+            return false;
+        seen_[context] = true;
+        return true;
+    }
+
+  private:
+    std::vector<bool> seen_;
+};
+
+/** Transition contexts (arrival, output, flavour) per node. */
+constexpr std::size_t kContextsPerNode = kNumPorts * kNumCardinal * 2;
+
+/** Index of the transition context (@p n, @p arrival, @p out, @p yx). */
+std::size_t
+transitionContext(NodeId n, Direction arrival, Direction out, bool yx)
+{
+    return ((static_cast<std::size_t>(n) * kNumPorts +
+             static_cast<std::size_t>(arrival)) *
+                kNumCardinal +
+            static_cast<std::size_t>(out)) *
+               2 +
+           (yx ? 1 : 0);
+}
 
 /** Packet flavours to enumerate: XY-YX packets pick an order at inject. */
 int
@@ -169,14 +218,17 @@ classFlavours(bool partition, bool reply)
  * class of the source under Sources::BySign. States are (node, arrival
  * port), each visited once per walk; the worklist starts from the
  * Local port of every source of the walk. @p visit receives each
- * transition (state, output, next node) and the walk's packet, and
- * decides what edges to record. A walk visits exactly the union of the
- * transitions that single-source walks of its sources would visit, so
- * a visitor that reads the source only through its sign class records
- * the same edges as one walk per (source, destination) pair. Walk
- * state never includes the destination: per-arch callers decide
- * whether edges terminate there (generic router) or the flit
- * early-ejects (RoCo / PS).
+ * transition (state, output, next node), the walk's packet and the
+ * packet's route candidates at the next node (empty when that node is
+ * the destination), and decides what edges to record. A walk routes
+ * the packet once per node it reaches, whatever the number of ports
+ * it arrives on. A walk visits exactly the union of the transitions
+ * that single-source walks of its sources would visit, so a visitor
+ * that reads the source only through its sign class records the same
+ * edges as one walk per (source, destination) pair. Walk state never
+ * includes the destination: per-arch callers decide whether edges
+ * terminate there (generic router) or the flit early-ejects (RoCo /
+ * PS).
  */
 template <typename Visit>
 void
@@ -186,12 +238,17 @@ walkDestinations(const MeshTopology &topo, const RoutingAlgorithm &routing,
 {
     const NodeId nodes = static_cast<NodeId>(topo.numNodes());
     std::vector<int> stamp(static_cast<std::size_t>(nodes) * kNumPorts, -1);
+    // routing.route(n, f) of the current walk, valid where
+    // routeStamp[n] is the walk's epoch.
+    std::vector<DirectionSet> routes(nodes);
+    std::vector<int> routeStamp(nodes, -1);
     std::vector<std::pair<NodeId, Direction>> work;
     // The sources of each walk: group (sx + 1) * 3 + (sy + 1) holds the
     // sources whose offset from dst has signs (sx, sy); Sources::All
     // puts every source in group 0.
     std::vector<NodeId> groups[9];
     int epoch = 0;
+    const DirectionSet atDestination;
 
     for (NodeId dst = 0; dst < nodes; ++dst) {
         const Coord d = topo.coord(dst);
@@ -219,6 +276,13 @@ walkDestinations(const MeshTopology &topo, const RoutingAlgorithm &routing,
                 if (sources == Sources::BySign)
                     f.src = group.front();
                 ++epoch;
+                auto routeAt = [&](NodeId n) -> const DirectionSet & {
+                    if (routeStamp[n] != epoch) {
+                        routeStamp[n] = epoch;
+                        routes[n] = routing.route(n, f);
+                    }
+                    return routes[n];
+                };
                 // No transition arrives on a Local port, so the seeds
                 // need no stamp.
                 work.clear();
@@ -227,16 +291,17 @@ walkDestinations(const MeshTopology &topo, const RoutingAlgorithm &routing,
                 while (!work.empty()) {
                     auto [n, arrival] = work.back();
                     work.pop_back();
-                    DirectionSet cand = routing.route(n, f);
-                    for (Direction out : cand) {
+                    for (Direction out : routeAt(n)) {
                         NOC_ASSERT(isCardinal(out),
                                    "routing yielded Local before dst");
                         auto nn = topo.neighbor(n, out);
                         NOC_ASSERT(nn.has_value(),
                                    "minimal route crossed the mesh edge");
-                        visit(n, arrival, out, *nn, f);
-                        if (*nn == dst)
+                        if (*nn == dst) {
+                            visit(n, arrival, out, *nn, f, atDestination);
                             continue;
+                        }
+                        visit(n, arrival, out, *nn, f, routeAt(*nn));
                         std::size_t s =
                             *nn * kNumPorts +
                             static_cast<int>(opposite(out));
@@ -355,18 +420,26 @@ proveRoco(const MeshTopology &topo, RoutingKind kind,
     Cdg graph(topo.numNodes() * kRocoSlots);
     auto routing = makeRouting(kind, topo);
     const RocoSlotTable slots(opts, kind);
+    // The edges toward one look-ahead candidate depend on the
+    // transition's context and that candidate.
+    Recorded recorded(topo.numNodes() * kContextsPerNode * kNumCardinal);
     walkDestinations(
         topo, *routing, Sources::All,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-            const Flit &f) {
+            const Flit &f, const DirectionSet &next) {
             if (nn == f.dst)
                 return; // early ejection: no downstream VC is held
             std::uint64_t u = slots.mask(arrival, out, f.yxOrder);
             if (!u)
                 return;
+            const std::size_t context =
+                transitionContext(n, arrival, out, f.yxOrder);
             // The head requests a slot for every look-ahead
             // candidate it can commit at the next router.
-            for (Direction d2 : routing->route(nn, f)) {
+            for (Direction d2 : next) {
+                if (!recorded.first(context * kNumCardinal +
+                                    static_cast<std::size_t>(d2)))
+                    continue;
                 graph.addEdges(n * kRocoSlots, u, nn * kRocoSlots,
                                slots.mask(opposite(out), d2, f.yxOrder));
             }
@@ -385,10 +458,15 @@ proveGeneric(const MeshTopology &topo, RoutingKind kind, int vcsPerPort)
                "generic VC count out of prover range");
     int slots = kNumPorts * vcsPerPort;
     Cdg graph(topo.numNodes() * slots);
+    // The edges of a transition depend on its node, ports and flavour.
+    Recorded recorded(topo.numNodes() * kContextsPerNode);
     walkDestinations(
         topo, *makeRouting(kind, topo), Sources::All,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-            const Flit &f) {
+            const Flit &f, const DirectionSet &) {
+            if (!recorded.first(
+                    transitionContext(n, arrival, out, f.yxOrder)))
+                return;
             // Generic flits buffer at the destination before the
             // Local output drains them, so edges into dst exist;
             // dst slots have no out-edges (infinite Local sink).
@@ -417,13 +495,24 @@ provePathSensitive(const MeshTopology &topo, RoutingKind kind,
     Cdg strict(topo.numNodes() * slots);
     Cdg escape(topo.numNodes() * slots);
     PsPoolTable pools(topo, vcsPerPort);
+    // The edges of a transition depend on its node and output and on
+    // the sign classes (hence the pools) of both ends.
+    Recorded recorded(static_cast<std::size_t>(topo.numNodes()) *
+                      kNumCardinal * 9 * 9);
     walkDestinations(
         topo, *makeRouting(kind, topo), Sources::All,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-            const Flit &f) {
+            const Flit &f, const DirectionSet &) {
             (void)arrival; // pools are arrival-independent
             if (nn == f.dst)
                 return; // early ejection
+            if (!recorded.first(
+                    ((n * kNumCardinal + static_cast<std::size_t>(out)) *
+                         9 +
+                     pools.signClass(n, f.dst)) *
+                        9 +
+                    pools.signClass(nn, f.dst)))
+                return;
             const PsPools &held = pools.at(n, f.dst);
             const PsPools &next = pools.at(nn, f.dst);
             const Quadrant qs[2] = {held.q0, held.q1};
@@ -471,17 +560,28 @@ proveServiceGeneric(const MeshTopology &topo, RoutingKind kind,
             continue;
         replyInj |= mask(Direction::Local, ryx);
     }
+    // The network edges of a transition depend on its context alone,
+    // in either class; so do its protocol edges.
+    Recorded network(topo.numNodes() * kContextsPerNode);
+    Recorded protocolAt(topo.numNodes() * kContextsPerNode);
+    auto networkEdges = [&](NodeId n, Direction arrival, Direction out,
+                            NodeId nn, bool yx) {
+        if (network.first(transitionContext(n, arrival, out, yx)))
+            graph.addEdges(n * slots, mask(arrival, yx), nn * slots,
+                           mask(opposite(out), yx));
+    };
     // Request class: network edges plus, at the final hop, the
     // protocol-dependence edge arrival-at-dst -> reply-injection-at-dst.
     walkDestinations(
         topo, *routing, Sources::All,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-            const Flit &f) {
-            std::uint64_t u = mask(arrival, f.yxOrder);
-            std::uint64_t v = mask(opposite(out), f.yxOrder);
-            graph.addEdges(n * slots, u, nn * slots, v);
-            if (protocol && nn == f.dst)
-                graph.addEdges(nn * slots, v, nn * slots, replyInj);
+            const Flit &f, const DirectionSet &) {
+            networkEdges(n, arrival, out, nn, f.yxOrder);
+            if (protocol && nn == f.dst &&
+                protocolAt.first(
+                    transitionContext(n, arrival, out, f.yxOrder)))
+                graph.addEdges(nn * slots, mask(opposite(out), f.yxOrder),
+                               nn * slots, replyInj);
         },
         classFlavours(partition, false));
     // Reply class: network edges only; replies are consumed
@@ -489,10 +589,8 @@ proveServiceGeneric(const MeshTopology &topo, RoutingKind kind,
     walkDestinations(
         topo, *routing, Sources::All,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-            const Flit &f) {
-            std::uint64_t u = mask(arrival, f.yxOrder);
-            std::uint64_t v = mask(opposite(out), f.yxOrder);
-            graph.addEdges(n * slots, u, nn * slots, v);
+            const Flit &f, const DirectionSet &) {
+            networkEdges(n, arrival, out, nn, f.yxOrder);
         },
         classFlavours(partition, true));
     ProofResult r;
@@ -535,39 +633,57 @@ proveServiceRoco(const MeshTopology &topo, RoutingKind kind,
     // reply's first hop depends on the requester only through the
     // signs of its offset, hence one walk per sign class when there
     // are protocol edges to draw.
+    // The reply-injection mask, kept for the walk's (dst, src).
+    NodeId replyFrom = kInvalidNode;
+    NodeId replyTo = kInvalidNode;
+    std::uint64_t replyInj = 0;
+    // The edges toward one look-ahead candidate depend on the
+    // transition's context and that candidate, in either class.
+    Recorded recorded(topo.numNodes() * kContextsPerNode * kNumCardinal);
+    auto networkEdges = [&](NodeId n, Direction arrival, Direction out,
+                            NodeId nn, bool yx, std::uint64_t u,
+                            const DirectionSet &next) {
+        const std::size_t context = transitionContext(n, arrival, out, yx);
+        for (Direction d2 : next) {
+            if (recorded.first(context * kNumCardinal +
+                               static_cast<std::size_t>(d2)))
+                graph.addEdges(n * kRocoSlots, u, nn * kRocoSlots,
+                               slots.mask(opposite(out), d2, yx));
+        }
+    };
     walkDestinations(
         topo, *routing, protocol ? Sources::BySign : Sources::All,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-            const Flit &f) {
+            const Flit &f, const DirectionSet &next) {
             std::uint64_t u = slots.mask(arrival, out, f.yxOrder);
             if (!u)
                 return;
             if (nn == f.dst) {
-                if (protocol)
-                    graph.addEdges(n * kRocoSlots, u, nn * kRocoSlots,
-                                   replyInjMask(nn, f.src));
+                if (!protocol)
+                    return;
+                if (replyFrom != nn || replyTo != f.src) {
+                    replyFrom = nn;
+                    replyTo = f.src;
+                    replyInj = replyInjMask(nn, f.src);
+                }
+                graph.addEdges(n * kRocoSlots, u, nn * kRocoSlots,
+                               replyInj);
                 return;
             }
-            for (Direction d2 : routing->route(nn, f)) {
-                graph.addEdges(n * kRocoSlots, u, nn * kRocoSlots,
-                               slots.mask(opposite(out), d2, f.yxOrder));
-            }
+            networkEdges(n, arrival, out, nn, f.yxOrder, u, next);
         },
         classFlavours(partition, false));
     // Reply class: base network edges, flavour-restricted.
     walkDestinations(
         topo, *routing, Sources::All,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-            const Flit &f) {
+            const Flit &f, const DirectionSet &next) {
             if (nn == f.dst)
                 return; // early ejection, unconditional
             std::uint64_t u = slots.mask(arrival, out, f.yxOrder);
             if (!u)
                 return;
-            for (Direction d2 : routing->route(nn, f)) {
-                graph.addEdges(n * kRocoSlots, u, nn * kRocoSlots,
-                               slots.mask(opposite(out), d2, f.yxOrder));
-            }
+            networkEdges(n, arrival, out, nn, f.yxOrder, u, next);
         },
         classFlavours(partition, true));
     ProofResult r;
@@ -607,7 +723,7 @@ proveServicePathSensitive(const MeshTopology &topo, RoutingKind kind,
     walkDestinations(
         topo, *makeRouting(kind, topo), Sources::BySign,
         [&](NodeId n, Direction arrival, Direction out, NodeId nn,
-            const Flit &f) {
+            const Flit &f, const DirectionSet &) {
             (void)arrival;
             const PsPools &held = pools.at(n, f.dst);
             const PsPools *next = nullptr;

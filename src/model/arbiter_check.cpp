@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/log.h"
@@ -126,15 +124,46 @@ struct MirrorState {
             v = v * (cap + 1) + c;
         return v;
     }
+
+    static MirrorState
+    of(int id, int cap)
+    {
+        MirrorState st;
+        for (int pr = kPairs; pr-- > 0; id /= cap + 1)
+            st.consec[pr] = id % (cap + 1);
+        st.g = id;
+        return st;
+    }
 };
 
+/** One adversary move out of a state; its label is rendered only for
+ *  a counterexample. */
 struct Edge {
     int to = 0;
     bool targetGranted = false;
-    std::string label;
+    std::uint8_t pick[3] = {}; ///< request level of each non-target pair
+    std::uint8_t straight = 0;
+    std::uint8_t crossed = 0;
+    bool useStraight = false;
+    bool tie = false;
+
+    std::string label() const;
 };
 
 const char *kLevelName[3] = {"-", "spec", "req"};
+
+std::string
+Edge::label() const
+{
+    char lbl[160];
+    std::snprintf(lbl, sizeof lbl,
+                  "adv[%s %s %s] straight=%d crossed=%d -> %s%s",
+                  kLevelName[pick[0]], kLevelName[pick[1]],
+                  kLevelName[pick[2]], straight, crossed,
+                  useStraight ? "straight" : "crossed",
+                  tie ? " (tie)" : "");
+    return lbl;
+}
 
 } // namespace
 
@@ -149,30 +178,43 @@ checkMirrorAllocatorBoundedWait(const MirrorCheckOptions &opts)
                   opts.packetBoundaries ? "" : ", endless packets");
     res.name = nm;
     const int cap = opts.packetCap;
+    // State ids are dense: g * (cap + 1)^4 + the consec digits.
+    const int numIds = 2 * (cap + 1) * (cap + 1) * (cap + 1) * (cap + 1);
+
+    // Per state id, indexed flat: whether it was reached, its out-edges
+    // edges[first[id], first[id] + count[id]) and, for the grant
+    // cross-check, a representative real allocator (pair-level
+    // outcomes depend only on the mirrored fields, so one
+    // representative suffices).
+    std::vector<bool> reached(static_cast<std::size_t>(numIds));
+    std::vector<int> first(static_cast<std::size_t>(numIds));
+    std::vector<int> count(static_cast<std::size_t>(numIds));
+    std::vector<MirrorAllocator> rep(static_cast<std::size_t>(numIds),
+                                     MirrorAllocator(3));
+    std::vector<Edge> edges;
+    std::vector<int> frontier;
+    // DFS bookkeeping: 0 unvisited, 1 on path, 2 done.
+    std::vector<std::uint8_t> color(static_cast<std::size_t>(numIds));
+    std::vector<int> longest(static_cast<std::size_t>(numIds));
 
     int worstBound = 0;
     for (int tp = 0; tp < 2; ++tp) {
         for (int to = 0; to < 2; ++to) {
             const int target = pairOf(tp, to);
 
-            std::unordered_map<int, std::vector<Edge>> edges;
-            std::unordered_map<int, MirrorState> stateOf;
-            // Representative real allocator per mirrored state, for
-            // the grant cross-check (pair-level outcomes depend only
-            // on the mirrored fields, so one representative suffices).
-            std::unordered_map<int, MirrorAllocator> rep;
+            std::fill(reached.begin(), reached.end(), false);
+            edges.clear();
+            frontier.clear();
+            const int init = MirrorState{}.id(cap);
+            reached[static_cast<std::size_t>(init)] = true;
+            rep[static_cast<std::size_t>(init)] = MirrorAllocator(3);
+            frontier.push_back(init);
 
-            MirrorState init;
-            std::deque<int> frontier;
-            stateOf.emplace(init.id(cap), init);
-            rep.emplace(init.id(cap), MirrorAllocator(3));
-            frontier.push_back(init.id(cap));
-
-            while (!frontier.empty()) {
-                int id = frontier.front();
-                frontier.pop_front();
-                MirrorState st = stateOf.at(id);
-                std::vector<Edge> &out = edges[id];
+            for (std::size_t head = 0; head < frontier.size(); ++head) {
+                const int id = frontier[head];
+                const MirrorState st = MirrorState::of(id, cap);
+                first[static_cast<std::size_t>(id)] =
+                    static_cast<int>(edges.size());
 
                 // Adversary: request level per non-target pair.
                 for (int l0 = 0; l0 < 3; ++l0)
@@ -224,11 +266,13 @@ checkMirrorAllocatorBoundedWait(const MirrorCheckOptions &opts)
                                     (granted[pr] && opts.packetBoundaries)
                                         ? std::min(st.consec[pr] + 1, cap)
                                         : 0;
+                            const int nid = nx.id(cap);
 
                             if (opts.rotatingTie) {
                                 // Replay the real allocator and insist
                                 // its pair-level grants match.
-                                MirrorAllocator real = rep.at(id);
+                                MirrorAllocator real =
+                                    rep[static_cast<std::size_t>(id)];
                                 std::uint64_t reqs[2][2] = {};
                                 std::uint64_t specs[2][2] = {};
                                 for (int p = 0; p < 2; ++p)
@@ -252,47 +296,57 @@ checkMirrorAllocatorBoundedWait(const MirrorCheckOptions &opts)
                                     NOC_ASSERT(
                                         realGranted[pr] == granted[pr],
                                         "mirror/real grant divergence");
-                                int nid = nx.id(cap);
-                                rep.emplace(nid, real);
+                                if (!reached[static_cast<std::size_t>(
+                                        nid)])
+                                    rep[static_cast<std::size_t>(nid)] =
+                                        real;
                             }
 
-                            char lbl[160];
-                            std::snprintf(
-                                lbl, sizeof lbl,
-                                "adv[%s %s %s] straight=%d crossed=%d "
-                                "-> %s%s",
-                                kLevelName[pick[0]], kLevelName[pick[1]],
-                                kLevelName[pick[2]], straight, crossed,
-                                useStraight ? "straight" : "crossed",
-                                tie ? " (tie)" : "");
-                            int nid = nx.id(cap);
-                            if (stateOf.emplace(nid, nx).second)
+                            if (!reached[static_cast<std::size_t>(nid)]) {
+                                reached[static_cast<std::size_t>(nid)] =
+                                    true;
                                 frontier.push_back(nid);
-                            out.push_back(
-                                Edge{nid, granted[target], lbl});
+                            }
+                            Edge e;
+                            e.to = nid;
+                            e.targetGranted = granted[target];
+                            for (int i = 0; i < 3; ++i)
+                                e.pick[i] =
+                                    static_cast<std::uint8_t>(pick[i]);
+                            e.straight =
+                                static_cast<std::uint8_t>(straight);
+                            e.crossed = static_cast<std::uint8_t>(crossed);
+                            e.useStraight = useStraight;
+                            e.tie = tie;
+                            edges.push_back(e);
                         }
+                count[static_cast<std::size_t>(id)] =
+                    static_cast<int>(edges.size()) -
+                    first[static_cast<std::size_t>(id)];
             }
-            res.states += stateOf.size();
+            res.states += frontier.size();
 
             // Starvation = a cycle inside the not-granted sub-graph;
             // otherwise the longest not-granted path bounds the wait.
-            std::unordered_map<int, int> color; // 1 on path, 2 done
-            std::unordered_map<int, int> longest;
+            std::fill(color.begin(), color.end(), 0);
             std::vector<int> cycle;
-            std::function<int(int)> dfs = [&](int id) -> int {
-                int &c = color[id];
+            auto dfs = [&](auto &self, int id) -> int {
+                std::uint8_t &c = color[static_cast<std::size_t>(id)];
                 if (c == 1) {
                     cycle.push_back(id);
                     return -1;
                 }
                 if (c == 2)
-                    return longest[id];
+                    return longest[static_cast<std::size_t>(id)];
                 c = 1;
                 int best = 0;
-                for (const Edge &e : edges[id]) {
+                const int begin = first[static_cast<std::size_t>(id)];
+                const int end = begin + count[static_cast<std::size_t>(id)];
+                for (int i = begin; i < end; ++i) {
+                    const Edge &e = edges[static_cast<std::size_t>(i)];
                     if (e.targetGranted)
                         continue;
-                    int sub = dfs(e.to);
+                    int sub = self(self, e.to);
                     if (sub < 0) {
                         if (cycle.size() < 2 ||
                             cycle.front() != cycle.back())
@@ -301,23 +355,19 @@ checkMirrorAllocatorBoundedWait(const MirrorCheckOptions &opts)
                     }
                     best = std::max(best, 1 + sub);
                 }
-                c = 2;
-                longest[id] = best;
+                color[static_cast<std::size_t>(id)] = 2;
+                longest[static_cast<std::size_t>(id)] = best;
                 return best;
             };
             // Every explored state is reachable (possibly via granted
             // edges), so a not-granted cycle anywhere is starvation.
-            // Visit states in id order: hash order would pick an
-            // arbitrary entry point into a cycle, making the rendered
-            // counterexample depend on the standard library.
-            std::vector<int> stateIds;
-            stateIds.reserve(stateOf.size());
-            for (const auto &kv : stateOf) // noc-lint:allow(det-unordered-iter) keys are sorted below
-                stateIds.push_back(kv.first);
-            std::sort(stateIds.begin(), stateIds.end());
+            // Visit states in id order, so the rendered counterexample
+            // enters a cycle at a fixed point.
             int b = 0;
-            for (int id : stateIds) {
-                b = std::max(b, dfs(id));
+            for (int id = 0; id < numIds; ++id) {
+                if (!reached[static_cast<std::size_t>(id)])
+                    continue;
+                b = std::max(b, dfs(dfs, id));
                 if (!cycle.empty()) {
                     b = -1;
                     break;
@@ -334,10 +384,15 @@ checkMirrorAllocatorBoundedWait(const MirrorCheckOptions &opts)
                 for (std::size_t i = cycle.size(); i-- > 0;) {
                     int from = cycle[i];
                     int next = i > 0 ? cycle[i - 1] : cycle.back();
-                    for (const Edge &e : edges[from]) {
+                    const int begin =
+                        first[static_cast<std::size_t>(from)];
+                    const int end =
+                        begin + count[static_cast<std::size_t>(from)];
+                    for (int k = begin; k < end; ++k) {
+                        const Edge &e = edges[static_cast<std::size_t>(k)];
                         if (e.to == next && !e.targetGranted) {
                             res.counterexample += "    cycle: ";
-                            res.counterexample += e.label;
+                            res.counterexample += e.label();
                             res.counterexample += '\n';
                             break;
                         }

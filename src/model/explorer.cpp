@@ -1,8 +1,6 @@
 #include "model/explorer.h"
 
 #include <cstdio>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "common/log.h"
@@ -11,42 +9,106 @@ namespace noc::model {
 
 namespace {
 
-/** BFS bookkeeping: how a state was first reached. */
-struct Prev {
-    std::uint64_t parent = 0;
+/**
+ * The explored states in BFS order, each with how it was first
+ * reached. The order is the BFS frontier too: states are expanded in
+ * the order they are first reached.
+ */
+struct Reached {
+    std::uint64_t state;
+    std::uint32_t parent; ///< index of the parent; the root's is itself
     MicroModel::Action act;
-    bool isRoot = false;
 };
 
-using Visited = std::unordered_map<std::uint64_t, Prev>;
-
-/** Renders the action path from the initial state to @p target. */
-std::string
-renderTrace(const MicroModel &m, const Visited &visited,
-            std::uint64_t target)
+/**
+ * Index of every reached state: open addressing over a power-of-two
+ * slot array, linear probing, at most half full. No state sets bit 15
+ * (packet 0's unused top bit), so an all-ones key marks an empty slot.
+ */
+class StateIndex
 {
-    std::vector<std::uint64_t> path;
-    std::uint64_t cur = target;
-    for (;;) {
+  public:
+    StateIndex() : slots_(64) {}
+
+    /** Stores @p index for @p s unless @p s is present; returns the
+     *  index stored for @p s. */
+    std::uint32_t
+    insert(std::uint64_t s, std::uint32_t index)
+    {
+        Slot *sl = &slots_[probe(s)];
+        if (sl->key == s)
+            return sl->index;
+        if (2 * (size_ + 1) > slots_.size()) {
+            grow();
+            sl = &slots_[probe(s)];
+        }
+        *sl = Slot{s, index};
+        ++size_;
+        return index;
+    }
+
+  private:
+    static constexpr std::uint64_t kEmpty = ~0ull;
+
+    struct Slot {
+        std::uint64_t key = kEmpty;
+        std::uint32_t index = 0;
+    };
+
+    /** The slot holding @p s, or the empty slot that would. */
+    std::size_t
+    probe(std::uint64_t s) const
+    {
+        // splitmix64's finalizer: states differ in a few packed
+        // fields, and every output bit depends on all of them.
+        std::uint64_t h = s;
+        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+        h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+        h ^= h >> 31;
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = static_cast<std::size_t>(h) & mask;
+        while (slots_[i].key != s && slots_[i].key != kEmpty)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(2 * slots_.size());
+        old.swap(slots_);
+        for (const Slot &sl : old)
+            if (sl.key != kEmpty)
+                slots_[probe(sl.key)] = sl;
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+};
+
+/** Renders the action path from the initial state to reached[target]. */
+std::string
+renderTrace(const MicroModel &m, const std::vector<Reached> &reached,
+            std::uint32_t target)
+{
+    std::vector<std::uint32_t> path;
+    for (std::uint32_t cur = target;; cur = reached[cur].parent) {
         path.push_back(cur);
-        const Prev &p = visited.at(cur);
-        if (p.isRoot)
+        if (reached[cur].parent == cur)
             break;
-        cur = p.parent;
     }
     std::string out;
     char buf[64];
     for (std::size_t i = path.size(); i-- > 1;) {
-        std::uint64_t before = path[i];
-        std::uint64_t after = path[i - 1];
         std::snprintf(buf, sizeof buf, "  step %zu: ",
                       path.size() - 1 - i);
         out += buf;
-        out += m.renderAction(visited.at(after).act, before);
+        out += m.renderAction(reached[path[i - 1]].act,
+                              reached[path[i]].state);
         out += '\n';
     }
     out += "  reached state:\n";
-    out += m.renderState(target);
+    out += m.renderState(reached[target].state);
     return out;
 }
 
@@ -74,21 +136,19 @@ explore(const Scenario &sc, std::size_t stateCap)
     ModelResult res;
     res.scenario = sc.name;
 
-    Visited visited;
-    std::deque<std::uint64_t> frontier;
-    std::uint64_t init = m.initialState();
-    visited.emplace(init, Prev{0, {}, true});
-    frontier.push_back(init);
+    std::vector<Reached> reached;
+    StateIndex index;
+    reached.push_back({m.initialState(), 0, {}});
+    index.insert(reached[0].state, 0);
 
-    // First terminal state in which packet i was dropped / delivered,
-    // for rendering obligation-violation counterexamples.
-    std::array<std::uint64_t, kMaxPackets> dropWitness{};
+    // First terminal state in which packet i was dropped, for
+    // rendering obligation-violation counterexamples.
+    std::array<std::uint32_t, kMaxPackets> dropWitness{};
     std::array<bool, kMaxPackets> hasDropWitness{};
 
     std::vector<MicroModel::Transition> trans;
-    while (!frontier.empty()) {
-        std::uint64_t s = frontier.front();
-        frontier.pop_front();
+    for (std::uint32_t cur = 0; cur < reached.size(); ++cur) {
+        const std::uint64_t s = reached[cur].state;
         ++res.states;
         if (res.states > stateCap) {
             res.property = "state-space cap exceeded (proof incomplete)";
@@ -102,7 +162,7 @@ explore(const Scenario &sc, std::size_t stateCap)
                 res.outcomes[i] |= o;
                 if (o == kOutcomeDropped && !hasDropWitness[i]) {
                     hasDropWitness[i] = true;
-                    dropWitness[i] = s;
+                    dropWitness[i] = cur;
                 }
             }
             continue;
@@ -112,22 +172,25 @@ explore(const Scenario &sc, std::size_t stateCap)
         if (trans.empty()) {
             res.property = "stuck state: live packet with no enabled "
                            "transition (stranded)";
-            res.counterexample = renderTrace(m, visited, s);
+            res.counterexample = renderTrace(m, reached, cur);
             return res;
         }
         for (const MicroModel::Transition &t : trans) {
             ++res.transitions;
+            const auto next = static_cast<std::uint32_t>(reached.size());
+            const std::uint32_t at = index.insert(t.next, next);
+            if (at == next)
+                reached.push_back({t.next, cur, t.act});
             int pkt = t.act.packet;
             if (m.measure(t.next, pkt) >= m.measure(s, pkt)) {
                 res.property =
                     "progress-measure violation (livelock possible)";
                 // Make the offending edge part of the rendered path.
-                visited.insert_or_assign(t.next, Prev{s, t.act, false});
-                res.counterexample = renderTrace(m, visited, t.next);
+                reached[at].parent = cur;
+                reached[at].act = t.act;
+                res.counterexample = renderTrace(m, reached, at);
                 return res;
             }
-            if (visited.emplace(t.next, Prev{s, t.act, false}).second)
-                frontier.push_back(t.next);
         }
     }
 
@@ -148,7 +211,7 @@ explore(const Scenario &sc, std::size_t stateCap)
                           i);
             res.property = buf;
             res.counterexample =
-                renderTrace(m, visited, dropWitness[i]);
+                renderTrace(m, reached, dropWitness[i]);
             return res;
         }
     }

@@ -1,6 +1,7 @@
 #include "model/micro_model.h"
 
 #include <cstdio>
+#include <memory>
 
 #include "common/flit.h"
 #include "common/log.h"
@@ -41,7 +42,6 @@ toString(Mutation m)
 
 MicroModel::MicroModel(const Scenario &sc)
     : sc_(sc), topo_(sc.width, sc.height),
-      routing_(makeRouting(sc.routing, topo_)),
       faults_(topo_.numNodes(), sc.arch),
       rocoOpts_(check::RocoCheckOptions::shipped(sc.routing)),
       rocoSlots_(rocoOpts_, sc.routing)
@@ -68,6 +68,35 @@ MicroModel::MicroModel(const Scenario &sc)
                    "bad packet spec");
     for (const FaultSpec &f : sc_.faults)
         faults_.apply(f);
+
+    const std::unique_ptr<RoutingAlgorithm> routing =
+        makeRouting(sc_.routing, topo_);
+    const NodeId nodes = static_cast<NodeId>(topo_.numNodes());
+    for (const PacketSpec &p : sc_.packets) {
+        Flit f;
+        f.dst = p.dst;
+        f.yxOrder = p.yxOrder;
+        for (NodeId n = 0; n < nodes; ++n) {
+            Directions c;
+            DirectionSet set = routing->route(n, f);
+            for (Direction d : set)
+                c.dir[c.size++] = d;
+            if (sc_.mutation == Mutation::NonMinimalRouting) {
+                // Deliberately broken: admit unproductive hops too.
+                for (int di = 0; di < kNumCardinal; ++di) {
+                    Direction d = static_cast<Direction>(di);
+                    if (topo_.hasNeighbor(n, d) && !set.contains(d))
+                        c.dir[c.size++] = d;
+                }
+            }
+            candidates_.push_back(c);
+            hops_.push_back(topo_.distance(n, p.dst));
+        }
+    }
+    Entries unknown;
+    unknown.size = -1;
+    entries_.assign(candidates_.size() * kNumPorts, unknown);
+    usable_.assign(candidates_.size() * kNumCardinal, -1);
 }
 
 MicroModel::Stage
@@ -130,11 +159,9 @@ MicroModel::measure(std::uint64_t s, int pkt) const
 {
     switch (stage(s, pkt)) {
     case Stage::Queued:
-        return 4 * topo_.distance(sc_.packets[pkt].src,
-                                  sc_.packets[pkt].dst) +
-               3;
+        return 4 * hops_[row(pkt, sc_.packets[pkt].src)] + 3;
     case Stage::InFlight:
-        return 4 * topo_.distance(node(s, pkt), sc_.packets[pkt].dst) + 2;
+        return 4 * hops_[row(pkt, node(s, pkt))] + 2;
     case Stage::Delivered:
     case Stage::Dropped:
         return 0;
@@ -152,26 +179,6 @@ MicroModel::outcome(std::uint64_t s, int pkt) const
         return kOutcomeDropped;
     default:
         return 0;
-    }
-}
-
-void
-MicroModel::candidates(int pkt, NodeId n, std::vector<Direction> &out) const
-{
-    out.clear();
-    Flit f;
-    f.dst = sc_.packets[pkt].dst;
-    f.yxOrder = sc_.packets[pkt].yxOrder;
-    DirectionSet set = routing_->route(n, f);
-    for (Direction d : set)
-        out.push_back(d);
-    if (sc_.mutation == Mutation::NonMinimalRouting) {
-        // Deliberately broken: admit unproductive hops too.
-        for (int di = 0; di < kNumCardinal; ++di) {
-            Direction d = static_cast<Direction>(di);
-            if (topo_.hasNeighbor(n, d) && !set.contains(d))
-                out.push_back(d);
-        }
     }
 }
 
@@ -193,30 +200,30 @@ MicroModel::slotAllowsOut(int pkt, int slot, Direction arr,
     return false;
 }
 
-void
-MicroModel::entryOptions(std::uint64_t s, int pkt, NodeId n, Direction arr,
-                         bool ignoreOccupancy,
-                         std::vector<Entry> &out) const
+std::uint64_t
+MicroModel::occupied(std::uint64_t s, int pkt, NodeId n) const
 {
-    out.clear();
+    std::uint64_t held = 0;
+    for (int i = 0; i < numPackets(); ++i)
+        if (i != pkt && stage(s, i) == Stage::InFlight && node(s, i) == n)
+            held |= 1ull << slot(s, i);
+    return held;
+}
+
+MicroModel::Entries
+MicroModel::entryOptions(int pkt, NodeId n, Direction arr) const
+{
+    Entries out;
     const NodeFaultState &fs = faults_.state(n);
     if (sc_.arch != RouterArch::Roco && fs.nodeDead)
-        return; // whole node off-line: nothing can buffer here
+        return out; // whole node off-line: nothing can buffer here
     std::uint64_t dead = sc_.arch == RouterArch::Roco
                              ? check::rocoDeadSlotMask(fs)
                              : 0;
-    std::uint64_t occupied = 0;
-    if (!ignoreOccupancy) {
-        for (int i = 0; i < numPackets(); ++i)
-            if (i != pkt && stage(s, i) == Stage::InFlight &&
-                node(s, i) == n)
-                occupied |= 1ull << slot(s, i);
-    }
+    const std::uint64_t slots = (1ull << slotsPerNode_) - 1;
 
-    std::vector<Direction> outs;
-    candidates(pkt, n, outs);
     NodeId dst = sc_.packets[pkt].dst;
-    for (Direction d : outs) {
+    for (Direction d : candidates(pkt, n)) {
         if (!isCardinal(d) || faults_.blocksOutput(n, d))
             continue;
         std::uint64_t mask = 0;
@@ -242,15 +249,18 @@ MicroModel::entryOptions(std::uint64_t s, int pkt, NodeId n, Direction arr,
             }
             break;
         }
-        mask &= ~occupied;
-        for (int sl = 0; sl < slotsPerNode_; ++sl)
-            if ((mask >> sl) & 1)
-                out.push_back(Entry{sl, d});
+        mask &= slots;
+        if (mask) {
+            out.dir[out.size] = d;
+            out.mask[out.size] = mask;
+            ++out.size;
+        }
     }
+    return out;
 }
 
 bool
-MicroModel::dirUsable(std::uint64_t s, int pkt, NodeId n, Direction d) const
+MicroModel::dirUsable(int pkt, NodeId n, Direction d) const
 {
     if (faults_.blocksOutput(n, d))
         return false;
@@ -260,17 +270,13 @@ MicroModel::dirUsable(std::uint64_t s, int pkt, NodeId n, Direction d) const
     NodeId dst = sc_.packets[pkt].dst;
     if (*nn == dst)
         return !faults_.blocksOutput(dst, Direction::Local);
-    std::vector<Entry> opts;
-    entryOptions(s, pkt, *nn, opposite(d), /*ignoreOccupancy=*/true, opts);
-    return !opts.empty();
+    return entries(pkt, *nn, opposite(d)).size > 0;
 }
 
 void
 MicroModel::enumerate(std::uint64_t s, std::vector<Transition> &out) const
 {
     out.clear();
-    std::vector<Direction> cand;
-    std::vector<Entry> opts;
     for (int pkt = 0; pkt < numPackets(); ++pkt) {
         const PacketSpec &spec = sc_.packets[pkt];
         switch (stage(s, pkt)) {
@@ -278,52 +284,48 @@ MicroModel::enumerate(std::uint64_t s, std::vector<Transition> &out) const
             // Inject: claim an eligible injection slot whose planned
             // output survives the look-ahead fault filter, the
             // drop-or-buffer decision RouterPipeline::pullInjection
-            // makes over the same slot rules.
-            entryOptions(s, pkt, spec.src, Direction::Local, false, opts);
+            // makes over the same slot rules. The drop is deterministic
+            // only when the source is permanently blocked (dead node /
+            // dead injection class / no surviving look-ahead); mere
+            // occupancy waits.
+            const Entries &opts = entries(pkt, spec.src, Direction::Local);
+            const std::uint64_t free = ~occupied(s, pkt, spec.src);
             std::uint64_t seen = 0;
             bool anyLive = false;
-            for (const Entry &e : opts) {
-                if (!dirUsable(s, pkt, spec.src, e.outAtNext))
+            bool permanentlyBlocked = true;
+            for (int g = 0; g < opts.size; ++g) {
+                if (!usable(pkt, spec.src, opts.dir[g]))
                     continue;
-                anyLive = true;
-                if ((seen >> e.slot) & 1)
-                    continue;
-                seen |= 1ull << e.slot;
-                out.push_back(
-                    {Action{pkt, Action::Kind::Inject, Direction::Invalid,
-                            e.slot},
-                     setPacket(s, pkt, Stage::InFlight, spec.src,
-                               Direction::Local, e.slot)});
-            }
-            if (!anyLive && sc_.mutation != Mutation::NoFaultDrop) {
-                // Permanently blocked at the source (dead node / dead
-                // injection class / no surviving look-ahead)?  Only
-                // then is the drop deterministic; mere occupancy waits.
-                entryOptions(s, pkt, spec.src, Direction::Local, true,
-                             opts);
-                bool permanentlyBlocked = true;
-                for (const Entry &e : opts)
-                    if (dirUsable(s, pkt, spec.src, e.outAtNext))
-                        permanentlyBlocked = false;
-                if (permanentlyBlocked)
+                permanentlyBlocked = false;
+                const std::uint64_t claim = opts.mask[g] & free;
+                anyLive |= claim != 0;
+                for (std::uint64_t m = claim & ~seen; m; m &= m - 1) {
+                    const int sl = __builtin_ctzll(m);
                     out.push_back(
-                        {Action{pkt, Action::Kind::Drop,
-                                Direction::Invalid, -1},
-                         setPacket(s, pkt, Stage::Dropped, spec.src,
-                                   Direction::Local, 0)});
+                        {Action{pkt, Action::Kind::Inject,
+                                Direction::Invalid, sl},
+                         setPacket(s, pkt, Stage::InFlight, spec.src,
+                                   Direction::Local, sl)});
+                }
+                seen |= claim;
             }
+            if (!anyLive && permanentlyBlocked &&
+                sc_.mutation != Mutation::NoFaultDrop)
+                out.push_back({Action{pkt, Action::Kind::Drop,
+                                      Direction::Invalid, -1},
+                               setPacket(s, pkt, Stage::Dropped, spec.src,
+                                         Direction::Local, 0)});
             break;
         }
         case Stage::InFlight: {
             NodeId n = node(s, pkt);
             Direction arr = arrival(s, pkt);
             int sl = slot(s, pkt);
-            candidates(pkt, n, cand);
             bool anyUsable = false;
-            for (Direction d : cand) {
+            for (Direction d : candidates(pkt, n)) {
                 if (!isCardinal(d) || !slotAllowsOut(pkt, sl, arr, d))
                     continue;
-                if (dirUsable(s, pkt, n, d))
+                if (usable(pkt, n, d))
                     anyUsable = true;
                 if (faults_.blocksOutput(n, d))
                     continue;
@@ -336,16 +338,19 @@ MicroModel::enumerate(std::uint64_t s, std::vector<Transition> &out) const
                                        opposite(d), 0)});
                     continue;
                 }
-                entryOptions(s, pkt, nn, opposite(d), false, opts);
+                const Entries &opts = entries(pkt, nn, opposite(d));
+                const std::uint64_t free = ~occupied(s, pkt, nn);
                 std::uint64_t seen = 0;
-                for (const Entry &e : opts) {
-                    if ((seen >> e.slot) & 1)
-                        continue;
-                    seen |= 1ull << e.slot;
-                    out.push_back(
-                        {Action{pkt, Action::Kind::Move, d, e.slot},
-                         setPacket(s, pkt, Stage::InFlight, nn,
-                                   opposite(d), e.slot)});
+                for (int g = 0; g < opts.size; ++g) {
+                    const std::uint64_t claim = opts.mask[g] & free;
+                    for (std::uint64_t m = claim & ~seen; m; m &= m - 1) {
+                        const int to = __builtin_ctzll(m);
+                        out.push_back(
+                            {Action{pkt, Action::Kind::Move, d, to},
+                             setPacket(s, pkt, Stage::InFlight, nn,
+                                       opposite(d), to)});
+                    }
+                    seen |= claim;
                 }
             }
             if (!anyUsable && sc_.mutation != Mutation::NoFaultDrop)

@@ -31,7 +31,6 @@
 #define ROCOSIM_MODEL_MICRO_MODEL_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -166,27 +165,80 @@ class MicroModel
     std::string renderState(std::uint64_t s) const;
 
   private:
-    struct Entry {
-        int slot;
-        Direction outAtNext; ///< planned output at the entered node
+    /** Output directions, most preferred first (at most one per port). */
+    struct Directions {
+        int size = 0;
+        Direction dir[kNumPorts];
+
+        const Direction *begin() const { return dir; }
+        const Direction *end() const { return dir + size; }
+    };
+
+    /**
+     * Slots a packet may claim at a node, whatever the occupancy,
+     * grouped by the planned output at that node (so RoCo/PS class
+     * choices stay coherent): group i plans output dir[i] and may
+     * claim the slots of mask[i], never 0. Groups follow the routing
+     * candidates' order.
+     */
+    struct Entries {
+        int size = 0;
+        Direction dir[kNumPorts];
+        std::uint64_t mask[kNumPorts];
     };
 
     std::uint64_t setPacket(std::uint64_t s, int pkt, Stage st, NodeId n,
                             Direction arr, int sl) const;
 
+    /** Row of (@p pkt, @p n) in the per-packet, per-node tables. */
+    std::size_t
+    row(int pkt, NodeId n) const
+    {
+        return static_cast<std::size_t>(pkt) *
+                   static_cast<std::size_t>(topo_.numNodes()) +
+               n;
+    }
+
     /** Routing candidates at @p n for @p pkt (+ mutation extras). */
-    void candidates(int pkt, NodeId n, std::vector<Direction> &out) const;
+    const Directions &
+    candidates(int pkt, NodeId n) const
+    {
+        return candidates_[row(pkt, n)];
+    }
+
+    /** entryOptions(@p pkt, @p n, @p arr), computed on first use. */
+    const Entries &
+    entries(int pkt, NodeId n, Direction arr) const
+    {
+        Entries &e =
+            entries_[row(pkt, n) * kNumPorts + static_cast<int>(arr)];
+        if (e.size < 0)
+            e = entryOptions(pkt, n, arr);
+        return e;
+    }
+
+    /** dirUsable(@p pkt, @p n, @p d), computed on first use. */
+    bool
+    usable(int pkt, NodeId n, Direction d) const
+    {
+        std::int8_t &u =
+            usable_[row(pkt, n) * kNumCardinal + static_cast<int>(d)];
+        if (u < 0)
+            u = dirUsable(pkt, n, d) ? 1 : 0;
+        return u == 1;
+    }
 
     /** May packet @p pkt in @p slot (arrived via @p arr) leave via @p d? */
     bool slotAllowsOut(int pkt, int slot, Direction arr, Direction d) const;
 
+    /** Slots that packets other than @p pkt hold at @p n in @p s. */
+    std::uint64_t occupied(std::uint64_t s, int pkt, NodeId n) const;
+
     /**
-     * Slots packet @p pkt may claim at @p n arriving via @p arr, given
-     * the occupancy of @p s (ignored when @p ignoreOccupancy).  Entries
-     * carry the planned output so RoCo/PS class choices stay coherent.
+     * Slots packet @p pkt may claim at @p n arriving via @p arr when
+     * no other packet holds one (the slot rules and the faults).
      */
-    void entryOptions(std::uint64_t s, int pkt, NodeId n, Direction arr,
-                      bool ignoreOccupancy, std::vector<Entry> &out) const;
+    Entries entryOptions(int pkt, NodeId n, Direction arr) const;
 
     /**
      * Mirror of Router::lookaheadCandidates' permanent-fault filter:
@@ -194,17 +246,28 @@ class MicroModel
      * output module / dead next node / no live slot one hop ahead).
      * Occupancy is deliberately ignored — congestion is not a drop.
      */
-    bool dirUsable(std::uint64_t s, int pkt, NodeId n, Direction d) const;
+    bool dirUsable(int pkt, NodeId n, Direction d) const;
 
     std::string slotName(int slot) const;
 
     Scenario sc_;
     MeshTopology topo_;
-    std::unique_ptr<RoutingAlgorithm> routing_;
     FaultMap faults_;
     check::RocoCheckOptions rocoOpts_;
     check::RocoSlotTable rocoSlots_; ///< rocoOpts_' slot rule, tabulated
     int slotsPerNode_;
+    // What a packet can do at a node whatever the other packets do,
+    // kept once per model: candidates_ and hops_ (distance to the
+    // destination) are indexed by row(pkt, n), usable_ by
+    // row(pkt, n) * kNumCardinal + direction and entries_ by
+    // row(pkt, n) * kNumPorts + arrival. The last two are filled on
+    // first use (-1 marks an entry not computed yet), so the slot-rule
+    // checks run only for the (arrival, output) pairs the search
+    // meets; one thread explores a model.
+    std::vector<Directions> candidates_;
+    std::vector<int> hops_;
+    mutable std::vector<Entries> entries_;
+    mutable std::vector<std::int8_t> usable_;
 };
 
 } // namespace noc::model

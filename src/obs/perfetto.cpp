@@ -1,10 +1,14 @@
 #include "obs/perfetto.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
 #include <map>
+#include <string>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "obs/recorder.h"
 
@@ -58,6 +62,19 @@ appendCommonTail(std::string &out, const ObsEvent &e)
            e.node, static_cast<int>(e.track),
            static_cast<unsigned long long>(e.packetId), e.src, e.dst,
            static_cast<int>(e.vc));
+}
+
+/** Writes @p data to @p path opened with fopen @p mode; false unless
+ *  every byte reached the file and it closed cleanly. */
+bool
+writeFile(const std::string &path, const std::string &data, const char *mode)
+{
+    std::FILE *f = std::fopen(path.c_str(), mode);
+    if (f == nullptr)
+        return false;
+    const bool wrote = std::fwrite(data.data(), 1, data.size(), f) ==
+                       data.size();
+    return std::fclose(f) == 0 && wrote;
 }
 
 } // namespace
@@ -147,11 +164,22 @@ perfettoJson(const Recorder &rec)
 bool
 writePerfetto(const Recorder &rec, const std::string &path)
 {
-    std::ofstream f(path, std::ios::binary);
-    if (!f)
-        return false;
-    f << perfettoJson(rec);
-    return static_cast<bool>(f);
+    const std::string json = perfettoJson(rec);
+    // A device, pipe or symlink is written through in place: a rename
+    // would replace it instead.
+    struct stat st;
+    if (lstat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode))
+        return writeFile(path, json, "wb");
+    // A regular file is replaced whole: write a temp file of this
+    // process and call beside it, then rename it over the target.
+    static std::atomic<unsigned> serial{0};
+    const std::string tmp = path + ".tmp." + std::to_string(getpid()) +
+                            "." + std::to_string(serial.fetch_add(1));
+    if (writeFile(tmp, json, "wbx") &&
+        std::rename(tmp.c_str(), path.c_str()) == 0)
+        return true;
+    std::remove(tmp.c_str());
+    return false;
 }
 
 } // namespace noc::obs

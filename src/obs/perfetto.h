@@ -23,7 +23,14 @@ class Recorder;
 /** The full trace as a Trace Event JSON object. */
 std::string perfettoJson(const Recorder &rec);
 
-/** Writes perfettoJson() to @p path; false on I/O failure. */
+/**
+ * Writes perfettoJson() to @p path; false on I/O failure, the file
+ * closed and checked. A regular file (or a path that does not exist
+ * yet) is replaced by renaming a temp file written beside it, so it
+ * always holds exactly one whole trace: when several runs write one
+ * path at once (a pooled sweep traced with NOC_TRACE_OUT), the last
+ * to finish wins. A device, pipe or symlink is written in place.
+ */
 bool writePerfetto(const Recorder &rec, const std::string &path);
 
 } // namespace noc::obs

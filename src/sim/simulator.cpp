@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 
 #include "check/deadlock.h"
+#include "common/log.h"
 #include "model/liveness.h"
 #include "obs/perfetto.h"
 #include "obs/recorder.h"
@@ -149,8 +151,11 @@ Simulator::run()
     // NOC_TRACE_OUT=<path>: dump the run's Perfetto trace on exit.
     if (obs_) {
         if (const char *out = std::getenv("NOC_TRACE_OUT");
-            out != nullptr && *out != '\0') {
-            obs::writePerfetto(*obs_, out);
+            out != nullptr && *out != '\0' &&
+            !obs::writePerfetto(*obs_, out)) {
+            fatal(("cannot write the trace to NOC_TRACE_OUT='" +
+                   std::string(out) + "'")
+                      .c_str());
         }
     }
     return r;

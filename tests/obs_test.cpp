@@ -15,7 +15,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <new>
 #include <sstream>
@@ -655,6 +657,80 @@ TEST(ObsSimulatorTest, TraceEnvWritesPerfettoJson)
     json << in.rdbuf();
     expectValidPerfetto(json.str());
     std::remove(path.c_str());
+}
+
+/** A fresh directory under the test temp dir; removed by the caller. */
+std::filesystem::path
+freshDir(const char *stem)
+{
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / stem).string() +
+        "_XXXXXX";
+    EXPECT_NE(::mkdtemp(tmpl.data()), nullptr);
+    return tmpl;
+}
+
+TEST(ObsSimulatorDeathTest, UnwritableTraceOutIsFatal)
+{
+    const std::string path = "/no/such/dir/x.json";
+    ASSERT_EQ(setenv("NOC_TRACE", "1", 1), 0);
+    ASSERT_EQ(setenv("NOC_TRACE_OUT", path.c_str(), 1), 0);
+    EXPECT_EXIT(Simulator(smallConfig()).run(), testing::ExitedWithCode(1),
+                "cannot write the trace to NOC_TRACE_OUT='" + path + "'");
+    ASSERT_EQ(unsetenv("NOC_TRACE_OUT"), 0);
+    ASSERT_EQ(unsetenv("NOC_TRACE"), 0);
+}
+
+TEST(ObsSimulatorDeathTest, TraceOutOnAFullDeviceIsFatal)
+{
+    // /dev/full accepts open() and fails every flush with ENOSPC, the
+    // way a full disk does; a symlink to it is written in place.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this host";
+    const std::filesystem::path dir = freshDir("obs_full");
+    const std::string path = (dir / "trace.json").string();
+    std::filesystem::create_symlink("/dev/full", path);
+    ASSERT_EQ(setenv("NOC_TRACE", "1", 1), 0);
+    ASSERT_EQ(setenv("NOC_TRACE_OUT", path.c_str(), 1), 0);
+    EXPECT_EXIT(Simulator(smallConfig()).run(), testing::ExitedWithCode(1),
+                "cannot write the trace to NOC_TRACE_OUT='" + path + "'");
+    ASSERT_EQ(unsetenv("NOC_TRACE_OUT"), 0);
+    ASSERT_EQ(unsetenv("NOC_TRACE"), 0);
+    // The symlink was written through, not replaced.
+    EXPECT_TRUE(std::filesystem::is_symlink(path));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ObsSimulatorTest, PooledSweepLeavesOneWholeTrace)
+{
+    // Every point of a pooled sweep writes NOC_TRACE_OUT when it
+    // finishes, from four threads at once: the file must hold one
+    // whole trace, and no temp file may be left beside it.
+    exp::SweepSpec spec;
+    spec.name = "obs_trace_race";
+    spec.base = smallConfig();
+    spec.archs = {RouterArch::Roco, RouterArch::Generic,
+                  RouterArch::PathSensitive};
+    spec.rates = {0.05, 0.1, 0.15, 0.2, 0.25};
+    const std::filesystem::path dir = freshDir("obs_pooled");
+    const std::string path = (dir / "trace.json").string();
+    ASSERT_EQ(setenv("NOC_TRACE", "1", 1), 0);
+    ASSERT_EQ(setenv("NOC_TRACE_OUT", path.c_str(), 1), 0);
+    for (int round = 0; round < 5; ++round) {
+        exp::SweepRunner(4).run(spec);
+        std::ifstream in(path);
+        ASSERT_TRUE(in.good()) << "round " << round;
+        std::ostringstream json;
+        json << in.rdbuf();
+        SCOPED_TRACE("round " + std::to_string(round));
+        expectValidPerfetto(json.str());
+        EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                                std::filesystem::directory_iterator()),
+                  1);
+    }
+    ASSERT_EQ(unsetenv("NOC_TRACE_OUT"), 0);
+    ASSERT_EQ(unsetenv("NOC_TRACE"), 0);
+    std::filesystem::remove_all(dir);
 }
 
 // --- concurrent merge (exercised under tsan via the CI filter) ------
